@@ -25,8 +25,12 @@ environment, and record timestamps enter only through ``--at``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -436,8 +440,19 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _write_bytes(path: str, data: bytes) -> None:
+    """Replace the file whole: a failed write leaves the old bytes."""
     try:
-        Path(path).write_bytes(data)
+        target = Path(path).resolve()
+        fd, temp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            shutil.copymode(target, temp)
+            os.replace(temp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+            raise
     except OSError as exc:
         raise EssenceError("IO_ERROR", f"cannot write {path}: {exc}") from exc
 

@@ -19,10 +19,14 @@ process-, and team-based ways of working are all needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import insort
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable
 
+from ._keyed import KeyedTuple, Log, evolve
 from .designation import ASPECT_ORDER, Aspect, AspectChain
 from .errors import ModelError
 
@@ -106,55 +110,156 @@ class RealizationNode:
         return None
 
 
+_by_name = attrgetter("name")
+_by_id = attrgetter("id")
+_VIEWPOINTS = KeyedTuple(_by_name)
+_VIEWS = KeyedTuple(_by_name)
+_ELEMENTS = KeyedTuple(_by_id)
+_NODES = KeyedTuple(_by_id)
+
+
 @dataclass(frozen=True)
 class DescriptionModel:
-    viewpoints: tuple[Viewpoint, ...] = ()
-    views: tuple[View, ...] = ()
-    elements: tuple[ViewElement, ...] = ()
-    realization_nodes: tuple[RealizationNode, ...] = ()
+    viewpoints: tuple[Viewpoint, ...] = _VIEWPOINTS
+    views: tuple[View, ...] = _VIEWS
+    elements: tuple[ViewElement, ...] = _ELEMENTS
+    realization_nodes: tuple[RealizationNode, ...] = _NODES
     # Non-singleton classes only; untouched elements are implicit singletons.
     coextension: frozenset[frozenset[str]] = frozenset()
     # (element id, realization node id), sorted by element id.
     bindings: tuple[tuple[str, str], ...] = ()
 
     def viewpoint(self, name: str) -> Viewpoint | None:
-        for vp in self.viewpoints:
-            if vp.name == name:
-                return vp
-        return None
+        return _VIEWPOINTS.get(self, name)
 
     def view(self, name: str) -> View | None:
-        for view in self.views:
-            if view.name == name:
-                return view
-        return None
+        return _VIEWS.get(self, name)
 
     def element(self, elem_id: str) -> ViewElement | None:
-        for elem in self.elements:
-            if elem.id == elem_id:
-                return elem
-        return None
+        return _ELEMENTS.get(self, elem_id)
 
     def realization_node(self, node_id: str) -> RealizationNode | None:
-        for node in self.realization_nodes:
-            if node.id == node_id:
-                return node
-        return None
+        return _NODES.get(self, node_id)
 
     def binding_of(self, elem_id: str) -> str | None:
-        for elem, node in self.bindings:
-            if elem == elem_id:
-                return node
-        return None
+        return self._binding.get(elem_id)
+
+    # Derived indices; the operations hand a successor updated copies.
+
+    @cached_property
+    def _class_of(self) -> dict[str, frozenset[str]]:
+        return {elem: cls for cls in self.coextension for elem in cls}
+
+    @cached_property
+    def _binding(self) -> dict[str, str]:
+        return dict(reversed(self.bindings))  # first pair per element wins
+
+
+class ModelBuilder:
+    """Builds one description model from entries added in order.
+
+    Each entry gets the check of the matching operation, so errors are
+    the same as when folding the ``add_*``, ``assert_coextension`` and
+    ``bind_element`` operations; the value is made once, by ``build``,
+    which hands the builder's state over to it.
+    """
+
+    def __init__(self) -> None:
+        self._viewpoints = Log(_by_name)
+        self._views = Log(_by_name)
+        self._elements = Log(_by_id)
+        self._nodes = Log(_by_id)
+        self._class_of: dict[str, frozenset[str]] = {}
+        self._binding: dict[str, str] = {}
+
+    def viewpoint(self, name: str) -> Viewpoint | None:
+        return self._viewpoints.get(name)
+
+    def view(self, name: str) -> View | None:
+        return self._views.get(name)
+
+    def element(self, elem_id: str) -> ViewElement | None:
+        return self._elements.get(elem_id)
+
+    def realization_node(self, node_id: str) -> RealizationNode | None:
+        return self._nodes.get(node_id)
+
+    def binding_of(self, elem_id: str) -> str | None:
+        return self._binding.get(elem_id)
+
+    def add_viewpoint(self, vp: Viewpoint) -> None:
+        _check_viewpoint(self, vp)
+        self._viewpoints.put(vp)
+
+    def add_view(self, view: View) -> None:
+        _check_view(self, view)
+        self._views.put(view)
+
+    def add_element(self, elem: ViewElement) -> None:
+        _check_element(self, elem)
+        self._elements.put(elem)
+
+    def add_realization_node(self, node: RealizationNode) -> None:
+        _check_node(self, node)
+        self._nodes.put(node)
+
+    def assert_coextension(self, elem_a: str, elem_b: str) -> None:
+        merge = _check_coextension(self, elem_a, elem_b)
+        if merge is not None:
+            class_a, class_b, node = merge
+            merged = class_a | class_b
+            self._class_of.update(dict.fromkeys(merged, merged))
+            if node is not None:
+                self._binding.update(dict.fromkeys(merged, node))
+
+    def bind_element(self, elem_id: str, node_id: str) -> None:
+        cls = _check_binding(self, elem_id, node_id)
+        self._binding.update(dict.fromkeys(cls, node_id))
+
+    def build(self) -> DescriptionModel:
+        model = DescriptionModel(
+            viewpoints=self._viewpoints,
+            views=self._views,
+            elements=self._elements,
+            realization_nodes=self._nodes,
+            coextension=frozenset(self._class_of.values()),
+            bindings=tuple(sorted(self._binding.items())),
+        )
+        model.__dict__.update(_class_of=self._class_of, _binding=self._binding)
+        return model
 
 
 def add_viewpoint(model: DescriptionModel, vp: Viewpoint) -> DescriptionModel:
-    if model.viewpoint(vp.name) is not None:
-        raise ModelError("DUPLICATE_NAME", f"viewpoint {vp.name!r} already defined")
-    return replace(model, viewpoints=model.viewpoints + (vp,))
+    _check_viewpoint(model, vp)
+    return evolve(model, viewpoints=_VIEWPOINTS.put(model, vp))
 
 
 def add_view(model: DescriptionModel, view: View) -> DescriptionModel:
+    _check_view(model, view)
+    return evolve(model, views=_VIEWS.put(model, view))
+
+
+def add_element(model: DescriptionModel, elem: ViewElement) -> DescriptionModel:
+    _check_element(model, elem)
+    return evolve(model, elements=_ELEMENTS.put(model, elem))
+
+
+def add_realization_node(
+    model: DescriptionModel, node: RealizationNode
+) -> DescriptionModel:
+    _check_node(model, node)
+    return evolve(model, realization_nodes=_NODES.put(model, node))
+
+
+# The checks take a DescriptionModel or a ModelBuilder.
+
+
+def _check_viewpoint(model, vp: Viewpoint) -> None:
+    if model.viewpoint(vp.name) is not None:
+        raise ModelError("DUPLICATE_NAME", f"viewpoint {vp.name!r} already defined")
+
+
+def _check_view(model, view: View) -> None:
     if model.view(view.name) is not None:
         raise ModelError("DUPLICATE_NAME", f"view {view.name!r} already defined")
     if model.viewpoint(view.viewpoint) is None:
@@ -168,30 +273,61 @@ def add_view(model: DescriptionModel, view: View) -> DescriptionModel:
                 "UNKNOWN_REFERENCE",
                 f"view {view.name!r} cites element {elem_id!r} which is not defined",
             )
-    return replace(model, views=model.views + (view,))
 
 
-def add_element(model: DescriptionModel, elem: ViewElement) -> DescriptionModel:
+def _check_element(model, elem: ViewElement) -> None:
     if model.element(elem.id) is not None:
         raise ModelError("DUPLICATE_NAME", f"element id {elem.id!r} already used")
-    return replace(model, elements=model.elements + (elem,))
 
 
-def add_realization_node(
-    model: DescriptionModel, node: RealizationNode
-) -> DescriptionModel:
+def _check_node(model, node: RealizationNode) -> None:
     if model.realization_node(node.id) is not None:
         raise ModelError("DUPLICATE_NAME", f"node id {node.id!r} already used")
-    return replace(model, realization_nodes=model.realization_nodes + (node,))
+
+
+def _check_coextension(
+    model, elem_a: str, elem_b: str
+) -> tuple[frozenset[str], frozenset[str], str | None] | None:
+    """Both classes and the node their merge is bound to; None if one class."""
+    _require_extended(model, elem_a)
+    _require_extended(model, elem_b)
+    class_a = _class(model, elem_a)
+    class_b = _class(model, elem_b)
+    if class_a == class_b:
+        return None
+    node_a = model.binding_of(elem_a)
+    node_b = model.binding_of(elem_b)
+    if node_a is not None and node_b is not None and node_a != node_b:
+        raise ModelError(
+            "BINDING_CONFLICT",
+            f"classes of {elem_a!r} and {elem_b!r} are bound to different "
+            f"realization nodes ({node_a!r}, {node_b!r})",
+        )
+    return class_a, class_b, node_a if node_a is not None else node_b
+
+
+def _check_binding(model, elem_id: str, node_id: str) -> frozenset[str]:
+    """The class of the element, which the binding extends to."""
+    _require_extended(model, elem_id)
+    if model.realization_node(node_id) is None:
+        raise ModelError(
+            "UNKNOWN_REFERENCE", f"no realization node {node_id!r}"
+        )
+    cls = _class(model, elem_id)
+    for member in cls:
+        bound = model.binding_of(member)
+        if bound is not None and bound != node_id:
+            raise ModelError(
+                "BINDING_CONFLICT",
+                f"class of {elem_id!r} is already bound to node {bound!r}",
+            )
+    return cls
 
 
 def coextension_class(model: DescriptionModel, elem_id: str) -> frozenset[str]:
     """The element's coextension class; singleton when never asserted."""
     _require_extended(model, elem_id)
-    for cls in model.coextension:
-        if elem_id in cls:
-            return cls
-    return frozenset({elem_id})
+    return _class(model, elem_id)
 
 
 def assert_coextension(
@@ -203,48 +339,23 @@ def assert_coextension(
     binding spreads to the merged class. Conflicting bindings refuse
     the merge.
     """
-    _require_extended(model, elem_a)
-    _require_extended(model, elem_b)
-    class_a = coextension_class(model, elem_a)
-    class_b = coextension_class(model, elem_b)
-    if class_a == class_b:
+    merge = _check_coextension(model, elem_a, elem_b)
+    if merge is None:
         return model
-    node_a = model.binding_of(elem_a)
-    node_b = model.binding_of(elem_b)
-    if node_a is not None and node_b is not None and node_a != node_b:
-        raise ModelError(
-            "BINDING_CONFLICT",
-            f"classes of {elem_a!r} and {elem_b!r} are bound to different "
-            f"realization nodes ({node_a!r}, {node_b!r})",
-        )
+    class_a, class_b, node = merge
     merged = class_a | class_b
-    classes = {cls for cls in model.coextension if cls not in (class_a, class_b)}
-    classes.add(merged)
-    model = replace(model, coextension=frozenset(classes))
-    node = node_a if node_a is not None else node_b
-    if node is not None:
-        model = _bind_class(model, merged, node)
-    return model
+    class_of = model._class_of.copy()
+    class_of.update(dict.fromkeys(merged, merged))
+    coextension = model.coextension - {class_a, class_b} | {merged}
+    return _successor(model, class_of, coextension, merged, node)
 
 
 def bind_element(
     model: DescriptionModel, elem_id: str, node_id: str
 ) -> DescriptionModel:
     """Bind an extended element (and so its whole class) to a node."""
-    _require_extended(model, elem_id)
-    if model.realization_node(node_id) is None:
-        raise ModelError(
-            "UNKNOWN_REFERENCE", f"no realization node {node_id!r}"
-        )
-    cls = coextension_class(model, elem_id)
-    for member in cls:
-        bound = model.binding_of(member)
-        if bound is not None and bound != node_id:
-            raise ModelError(
-                "BINDING_CONFLICT",
-                f"class of {elem_id!r} is already bound to node {bound!r}",
-            )
-    return _bind_class(model, cls, node_id)
+    cls = _check_binding(model, elem_id, node_id)
+    return _successor(model, model._class_of, model.coextension, cls, node_id)
 
 
 def viable_architecture(
@@ -296,11 +407,10 @@ def bind_designator(
             f"node {node_id!r} already has a {chain.aspect.value} designator",
         )
     updated = RealizationNode(id=node.id, designators=node.designators + (chain,))
-    nodes = tuple(updated if n.id == node_id else n for n in model.realization_nodes)
-    return replace(model, realization_nodes=nodes)
+    return evolve(model, realization_nodes=_NODES.put(model, updated))
 
 
-def _require_extended(model: DescriptionModel, elem_id: str) -> ViewElement:
+def _require_extended(model, elem_id: str) -> ViewElement:
     elem = model.element(elem_id)
     if elem is None:
         raise ModelError("UNKNOWN_REFERENCE", f"no element {elem_id!r}")
@@ -313,10 +423,29 @@ def _require_extended(model: DescriptionModel, elem_id: str) -> ViewElement:
     return elem
 
 
-def _bind_class(
-    model: DescriptionModel, cls: frozenset[str], node_id: str
+def _class(model, elem_id: str) -> frozenset[str]:
+    return model._class_of.get(elem_id) or frozenset({elem_id})
+
+
+def _successor(
+    model: DescriptionModel,
+    class_of: dict[str, frozenset[str]],
+    coextension: frozenset[frozenset[str]],
+    cls: frozenset[str],
+    node_id: str | None,
 ) -> DescriptionModel:
-    pairs = dict(model.bindings)
-    for member in cls:
-        pairs[member] = node_id
-    return replace(model, bindings=tuple(sorted(pairs.items())))
+    """The model with these classes and, unless node_id is None, every
+    member of cls bound to node_id."""
+    binding = model._binding
+    bindings = model.bindings
+    unbound = sorted(m for m in cls if m not in binding) if node_id is not None else ()
+    if unbound:
+        binding = binding.copy()
+        binding.update(dict.fromkeys(unbound, node_id))
+        rows = list(bindings)
+        for member in unbound:
+            insort(rows, (member, node_id))
+        bindings = tuple(rows)
+    successor = evolve(model, coextension=coextension, bindings=bindings)
+    successor.__dict__.update(_class_of=class_of, _binding=binding)
+    return successor

@@ -390,7 +390,7 @@ def loads_dcc_table(text: str | bytes, *, default_name: str = "custom") -> DccTa
     """Load a DCC table document: {"name", "areas": {...}, "classes": {...}}."""
     try:
         doc = json.loads(text)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise DesignationError("PARSE_ERROR", f"invalid DCC table: {exc}") from exc
     if not isinstance(doc, dict):
         raise DesignationError("SCHEMA_ERROR", "DCC table document must be a map")

@@ -14,10 +14,12 @@ with the record effective for its (instance, state, checkpoint) key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import NamedTuple
 
+from ._keyed import KeyedTuple, Log, evolve
 from .designation import DocumentDesignation
 from .errors import AssessmentError
 from .metamodel import AlphaDefinition, KernelDefinition, StateDefinition, find_alpha
@@ -59,26 +61,74 @@ class CheckpointRecord:
         return (self.alpha_instance, self.state, self.checkpoint)
 
 
+_by_id = attrgetter("id")
+_INSTANCES = KeyedTuple(_by_id)
+_WORK_PRODUCTS = KeyedTuple(_by_id)
+# The last record with a key is the effective one, also in raw tuples.
+_RECORDS = KeyedTuple(attrgetter("key"), last_wins=True)
+
+
 @dataclass(frozen=True)
 class Assessment:
     project_id: str
     kernel: KernelDefinition
-    instances: tuple[AlphaInstance, ...] = ()
-    work_products: tuple[WorkProductInstance, ...] = ()
-    records: tuple[CheckpointRecord, ...] = ()
+    instances: tuple[AlphaInstance, ...] = _INSTANCES
+    work_products: tuple[WorkProductInstance, ...] = _WORK_PRODUCTS
+    records: tuple[CheckpointRecord, ...] = _RECORDS
     strict_evidence: bool = False
 
     def instance(self, instance_id: str) -> AlphaInstance | None:
-        for inst in self.instances:
-            if inst.id == instance_id:
-                return inst
-        return None
+        return _INSTANCES.get(self, instance_id)
 
     def work_product(self, wp_id: str) -> WorkProductInstance | None:
-        for wp in self.work_products:
-            if wp.id == wp_id:
-                return wp
-        return None
+        return _WORK_PRODUCTS.get(self, wp_id)
+
+
+class AssessmentBuilder:
+    """Builds one assessment from entries added in order.
+
+    Each entry gets the check of the matching operation, so errors are
+    the same as when folding ``add_instance``, ``add_work_product`` and
+    ``record_checkpoint``; the value is made once, by ``build``, which
+    hands the builder's state over to it.
+    """
+
+    def __init__(self, project_id: str, kernel: KernelDefinition,
+                 strict_evidence: bool = False):
+        self.project_id = project_id
+        self.kernel = kernel
+        self.strict_evidence = strict_evidence
+        self._instances = Log(_by_id)
+        self._work_products = Log(_by_id)
+        self._records = Log(_RECORDS.key, last_wins=True)
+
+    def instance(self, instance_id: str) -> AlphaInstance | None:
+        return self._instances.get(instance_id)
+
+    def work_product(self, wp_id: str) -> WorkProductInstance | None:
+        return self._work_products.get(wp_id)
+
+    def add_instance(self, inst: AlphaInstance) -> None:
+        _check_instance(self, inst)
+        self._instances.put(inst)
+
+    def add_work_product(self, wp: WorkProductInstance) -> None:
+        _check_work_product(self, wp)
+        self._work_products.put(wp)
+
+    def record_checkpoint(self, rec: CheckpointRecord) -> None:
+        _check_record(self, rec)
+        self._records.put(rec)
+
+    def build(self) -> Assessment:
+        return Assessment(
+            project_id=self.project_id,
+            kernel=self.kernel,
+            instances=self._instances,
+            work_products=self._work_products,
+            records=self._records,
+            strict_evidence=self.strict_evidence,
+        )
 
 
 class Blocker(NamedTuple):
@@ -96,6 +146,27 @@ class StateResult:
 
 
 def add_instance(a: Assessment, inst: AlphaInstance) -> Assessment:
+    _check_instance(a, inst)
+    return evolve(a, instances=_INSTANCES.put(a, inst))
+
+
+def add_work_product(a: Assessment, wp: WorkProductInstance) -> Assessment:
+    _check_work_product(a, wp)
+    return evolve(a, work_products=_WORK_PRODUCTS.put(a, wp))
+
+
+def record_checkpoint(a: Assessment, rec: CheckpointRecord) -> Assessment:
+    """Make rec the effective record for its key; idempotent for equal rec."""
+    _check_record(a, rec)
+    if _RECORDS.get(a, rec.key) == rec:
+        return a
+    return evolve(a, records=_RECORDS.put(a, rec))
+
+
+# The checks take an Assessment or an AssessmentBuilder.
+
+
+def _check_instance(a, inst: AlphaInstance) -> None:
     if find_alpha(a.kernel, inst.alpha) is None:
         raise AssessmentError(
             "UNKNOWN_ALPHA", f"kernel defines no alpha {inst.alpha!r}"
@@ -104,10 +175,9 @@ def add_instance(a: Assessment, inst: AlphaInstance) -> Assessment:
         raise AssessmentError(
             "DUPLICATE_INSTANCE", f"instance id {inst.id!r} already used"
         )
-    return replace(a, instances=a.instances + (inst,))
 
 
-def add_work_product(a: Assessment, wp: WorkProductInstance) -> Assessment:
+def _check_work_product(a, wp: WorkProductInstance) -> None:
     if a.kernel.workproduct(wp.definition) is None:
         raise AssessmentError(
             "UNKNOWN_DEFINITION",
@@ -117,11 +187,9 @@ def add_work_product(a: Assessment, wp: WorkProductInstance) -> Assessment:
         raise AssessmentError(
             "DUPLICATE_WORK_PRODUCT", f"work product id {wp.id!r} already used"
         )
-    return replace(a, work_products=a.work_products + (wp,))
 
 
-def record_checkpoint(a: Assessment, rec: CheckpointRecord) -> Assessment:
-    """Make rec the effective record for its key; idempotent for equal rec."""
+def _check_record(a, rec: CheckpointRecord) -> None:
     alpha = _alpha_of(a, rec.alpha_instance)
     state = alpha.state(rec.state)
     if state is None:
@@ -139,22 +207,73 @@ def record_checkpoint(a: Assessment, rec: CheckpointRecord) -> Assessment:
             raise AssessmentError(
                 "UNKNOWN_EVIDENCE", f"evidence {wp_id!r} is not a work product id"
             )
-    records = list(a.records)
-    for i, existing in enumerate(records):
-        if existing.key == rec.key:
-            if existing == rec:
-                return a
-            records[i] = rec
-            break
-    else:
-        records.append(rec)
-    return replace(a, records=tuple(records))
 
 
 def alpha_state(a: Assessment, instance_id: str) -> StateResult:
     """Largest fully satisfied prefix of the alpha's state list."""
     alpha = _alpha_of(a, instance_id)
-    satisfied = _satisfied_keys(a, instance_id)
+    return _state_result(alpha, _satisfied_keys(a, instance_id, alpha))
+
+
+def blocking_checkpoints(
+    a: Assessment, instance_id: str, target_state: str
+) -> tuple[Blocker, ...]:
+    """Unsatisfied checkpoints in every state up to and including target."""
+    alpha = _alpha_of(a, instance_id)
+    if alpha.state(target_state) is None:
+        raise AssessmentError(
+            "UNKNOWN_STATE", f"alpha {alpha.name!r} has no state {target_state!r}"
+        )
+    satisfied = _satisfied_keys(a, instance_id, alpha)
+    blockers: list[Blocker] = []
+    for state in alpha.states:
+        blockers.extend(_unsatisfied(state, satisfied))
+        if state.name == target_state:
+            break
+    return tuple(blockers)
+
+
+def render_card(a: Assessment, instance_id: str) -> str:
+    """Plain-text state card; deterministic for a given assessment."""
+    inst = a.instance(instance_id)
+    alpha = _alpha_of(a, instance_id)
+    satisfied = _satisfied_keys(a, instance_id, alpha)
+    result = _state_result(alpha, satisfied)
+    width = max(len(state.name) for state in alpha.states)
+    lines = [f"{alpha.name} [{inst.id}] ({inst.system_level.value})"]
+    for i, state in enumerate(alpha.states):
+        done = sum(
+            1 for cp in state.checkpoints if (state.name, cp.id) in satisfied
+        )
+        mark = "x" if i <= result.achieved_index else " "
+        lines.append(
+            f"  [{mark}] {state.name:<{width}} {done}/{len(state.checkpoints)}"
+        )
+    lines.append(f"Achieved: {result.achieved if result.achieved else '(none)'}")
+    if result.next_state is not None:
+        lines.append(f"Next: {result.next_state}")
+    return "\n".join(lines)
+
+
+def _alpha_of(a, instance_id: str) -> AlphaDefinition:
+    inst = a.instance(instance_id)
+    if inst is None:
+        raise AssessmentError(
+            "UNKNOWN_INSTANCE", f"no alpha instance {instance_id!r}"
+        )
+    alpha = find_alpha(a.kernel, inst.alpha)
+    if alpha is None:
+        raise AssessmentError(
+            "UNKNOWN_INSTANCE",
+            f"instance {instance_id!r} references alpha {inst.alpha!r} "
+            "absent from the kernel",
+        )
+    return alpha
+
+
+def _state_result(
+    alpha: AlphaDefinition, satisfied: set[tuple[str, str]]
+) -> StateResult:
     achieved_index = -1
     for i, state in enumerate(alpha.states):
         if not _state_complete(state, satisfied):
@@ -176,74 +295,18 @@ def alpha_state(a: Assessment, instance_id: str) -> StateResult:
     )
 
 
-def blocking_checkpoints(
-    a: Assessment, instance_id: str, target_state: str
-) -> tuple[Blocker, ...]:
-    """Unsatisfied checkpoints in every state up to and including target."""
-    alpha = _alpha_of(a, instance_id)
-    if alpha.state(target_state) is None:
-        raise AssessmentError(
-            "UNKNOWN_STATE", f"alpha {alpha.name!r} has no state {target_state!r}"
-        )
-    satisfied = _satisfied_keys(a, instance_id)
-    blockers: list[Blocker] = []
-    for state in alpha.states:
-        blockers.extend(_unsatisfied(state, satisfied))
-        if state.name == target_state:
-            break
-    return tuple(blockers)
-
-
-def render_card(a: Assessment, instance_id: str) -> str:
-    """Plain-text state card; deterministic for a given assessment."""
-    inst = a.instance(instance_id)
-    alpha = _alpha_of(a, instance_id)
-    satisfied = _satisfied_keys(a, instance_id)
-    result = alpha_state(a, instance_id)
-    width = max(len(state.name) for state in alpha.states)
-    lines = [f"{alpha.name} [{inst.id}] ({inst.system_level.value})"]
-    for i, state in enumerate(alpha.states):
-        done = sum(
-            1 for cp in state.checkpoints if (state.name, cp.id) in satisfied
-        )
-        mark = "x" if i <= result.achieved_index else " "
-        lines.append(
-            f"  [{mark}] {state.name:<{width}} {done}/{len(state.checkpoints)}"
-        )
-    lines.append(f"Achieved: {result.achieved if result.achieved else '(none)'}")
-    if result.next_state is not None:
-        lines.append(f"Next: {result.next_state}")
-    return "\n".join(lines)
-
-
-def _alpha_of(a: Assessment, instance_id: str) -> AlphaDefinition:
-    inst = a.instance(instance_id)
-    if inst is None:
-        raise AssessmentError(
-            "UNKNOWN_INSTANCE", f"no alpha instance {instance_id!r}"
-        )
-    alpha = find_alpha(a.kernel, inst.alpha)
-    if alpha is None:
-        raise AssessmentError(
-            "UNKNOWN_INSTANCE",
-            f"instance {instance_id!r} references alpha {inst.alpha!r} "
-            "absent from the kernel",
-        )
-    return alpha
-
-
-def _satisfied_keys(a: Assessment, instance_id: str) -> set[tuple[str, str]]:
+def _satisfied_keys(
+    a: Assessment, instance_id: str, alpha: AlphaDefinition
+) -> set[tuple[str, str]]:
     """(state, checkpoint) pairs effectively satisfied for the instance."""
     out: set[tuple[str, str]] = set()
-    for rec in a.records:
-        if rec.alpha_instance != instance_id:
-            continue
-        effective = rec.satisfied and (not a.strict_evidence or bool(rec.evidence))
-        # One record per key is maintained by record_checkpoint; discard
-        # covers raw record lists replayed from storage.
-        out.discard((rec.state, rec.checkpoint))
-        if effective:
-            out.add((rec.state, rec.checkpoint))
+    for state in alpha.states:
+        for cp in state.checkpoints:
+            rec = _RECORDS.get(a, (instance_id, state.name, cp.id))
+            if rec is not None and rec.satisfied and (
+                not a.strict_evidence or rec.evidence
+            ):
+                out.add((state.name, cp.id))
     return out
 
 

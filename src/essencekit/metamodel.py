@@ -82,13 +82,6 @@ class AlphaDefinition:
                 return s
         return None
 
-    def state_index(self, name: str) -> int:
-        """Index of a state in the progression, or -1 if unknown."""
-        for i, s in enumerate(self.states):
-            if s.name == name:
-                return i
-        return -1
-
 
 @dataclass(frozen=True)
 class WorkProductDefinition:
@@ -107,10 +100,6 @@ class KernelDefinition:
     areas: tuple[AreaOfConcern, ...]
     alphas: tuple[AlphaDefinition, ...]
     workproducts: tuple[WorkProductDefinition, ...] = ()
-
-    @property
-    def alpha_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.alphas)
 
     @property
     def root_alphas(self) -> tuple[AlphaDefinition, ...]:
@@ -440,7 +429,7 @@ def loads_kernel(text: str | bytes) -> KernelDefinition:
             raise KernelError("PARSE_ERROR", f"not valid UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise KernelError("PARSE_ERROR", f"not valid JSON: {exc}") from exc
     return kernel_from_doc(doc)
 

@@ -8,9 +8,11 @@ order for lists, coextension classes and bindings sorted, two-space
 indent, UTF-8, newline-terminated. Saving the same project twice yields
 identical bytes.
 
-Loading validates everything by replaying the module operations that
-would have built the value, so every dangling reference or invariant
-violation surfaces as a SCHEMA_ERROR naming the offending element.
+Loading checks every entry with the checks of the module operations
+that would have built the value, so every dangling reference or
+invariant violation surfaces as a SCHEMA_ERROR naming the offending
+element; each value is then built once, so loading is linear in the
+size of the document.
 """
 
 from __future__ import annotations
@@ -22,17 +24,12 @@ from .builtin_kernel import builtin_se_kernel
 from .description import (
     DescriptionKind,
     DescriptionModel,
+    ModelBuilder,
     RealizationNode,
     StructureType,
     View,
     ViewElement,
     Viewpoint,
-    add_element,
-    add_realization_node,
-    add_view,
-    add_viewpoint,
-    assert_coextension,
-    bind_element,
 )
 from .designation import (
     ASPECT_ORDER,
@@ -46,12 +43,10 @@ from .designation import (
 from .engine import (
     AlphaInstance,
     Assessment,
+    AssessmentBuilder,
     CheckpointRecord,
     SystemLevel,
     WorkProductInstance,
-    add_instance,
-    add_work_product,
-    record_checkpoint,
 )
 from .errors import (
     AssessmentError,
@@ -128,7 +123,7 @@ def new_project(
 def load_project(data: bytes | str) -> Project:
     try:
         doc = json.loads(data)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
         raise ProjectError("PARSE_ERROR", f"invalid project document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProjectError("SCHEMA_ERROR", "project document must be a map")
@@ -217,10 +212,10 @@ def _load_assessment(
         {"strict-evidence", "instances", "work-products", "records"},
         "assessment",
     )
-    a = Assessment(
-        project_id=project_id,
-        kernel=kernel,
-        strict_evidence=_get(raw, "strict-evidence", bool, "assessment", default=False),
+    a = AssessmentBuilder(
+        project_id,
+        kernel,
+        _get(raw, "strict-evidence", bool, "assessment", default=False),
     )
     for i, item in enumerate(_items(raw, "instances", "assessment")):
         path = f"assessment.instances[{i}]"
@@ -234,7 +229,7 @@ def _load_assessment(
                 SystemLevel, f"{path}.system-level",
             ),
         )
-        a = _fold(add_instance, a, inst, path)
+        _apply(a.add_instance, inst, path=path)
     for i, item in enumerate(_items(raw, "work-products", "assessment")):
         path = f"assessment.work-products[{i}]"
         _reject_unknown(
@@ -257,7 +252,7 @@ def _load_assessment(
             label=_get(item, "label", str, path, default=""),
             document_designation=designation,
         )
-        a = _fold(add_work_product, a, wp, path)
+        _apply(a.add_work_product, wp, path=path)
     for i, item in enumerate(_items(raw, "records", "assessment")):
         path = f"assessment.records[{i}]"
         _reject_unknown(
@@ -281,8 +276,8 @@ def _load_assessment(
             evidence=tuple(evidence),
             recorded_at=_get(item, "recorded-at", int, path, default=0),
         )
-        a = _fold(record_checkpoint, a, rec, path)
-    return a
+        _apply(a.record_checkpoint, rec, path=path)
+    return a.build()
 
 
 def _load_trees(raw: object) -> tuple[BreakdownTree, ...]:
@@ -332,7 +327,7 @@ def _load_description(raw: object) -> DescriptionModel:
          "bindings"},
         "description",
     )
-    model = DescriptionModel()
+    model = ModelBuilder()
     for i, item in enumerate(_items(raw, "viewpoints", "description")):
         path = f"description.viewpoints[{i}]"
         _reject_unknown(
@@ -359,7 +354,7 @@ def _load_description(raw: object) -> DescriptionModel:
                 DescriptionKind, f"{path}.description-kind",
             ),
         )
-        model = _fold(add_viewpoint, model, vp, path)
+        _apply(model.add_viewpoint, vp, path=path)
     for i, item in enumerate(_items(raw, "elements", "description")):
         path = f"description.elements[{i}]"
         _reject_unknown(item, {"id", "label", "has-extent"}, path)
@@ -368,7 +363,7 @@ def _load_description(raw: object) -> DescriptionModel:
             label=_get(item, "label", str, path, default=""),
             has_extent=_get(item, "has-extent", bool, path, default=False),
         )
-        model = _fold(add_element, model, elem, path)
+        _apply(model.add_element, elem, path=path)
     for i, item in enumerate(_items(raw, "views", "description")):
         path = f"description.views[{i}]"
         _reject_unknown(item, {"name", "viewpoint", "elements"}, path)
@@ -384,7 +379,7 @@ def _load_description(raw: object) -> DescriptionModel:
             viewpoint=_get(item, "viewpoint", str, path),
             elements=tuple(elements),
         )
-        model = _fold(add_view, model, view, path)
+        _apply(model.add_view, view, path=path)
     for i, item in enumerate(_items(raw, "realization-nodes", "description")):
         path = f"description.realization-nodes[{i}]"
         _reject_unknown(item, {"id", "designators"}, path)
@@ -412,7 +407,7 @@ def _load_description(raw: object) -> DescriptionModel:
             chains.append(parsed.chains[0])
         node = RealizationNode(id=_nonempty(item, "id", path),
                                designators=tuple(chains))
-        model = _fold(add_realization_node, model, node, path)
+        _apply(model.add_realization_node, node, path=path)
     for i, members in enumerate(_items(raw, "coextension", "description",
                                        item_kind=list)):
         path = f"description.coextension[{i}]"
@@ -423,10 +418,7 @@ def _load_description(raw: object) -> DescriptionModel:
                 path=path,
             )
         for member in members[1:]:
-            model = _fold(
-                lambda m, pair: assert_coextension(m, pair[0], pair[1]),
-                model, (members[0], member), path,
-            )
+            _apply(model.assert_coextension, members[0], member, path=path)
     for i, pair in enumerate(_items(raw, "bindings", "description",
                                     item_kind=list)):
         path = f"description.bindings[{i}]"
@@ -436,10 +428,8 @@ def _load_description(raw: object) -> DescriptionModel:
                 "binding must be a pair of element id and node id",
                 path=path,
             )
-        model = _fold(
-            lambda m, b: bind_element(m, b[0], b[1]), model, tuple(pair), path
-        )
-    return model
+        _apply(model.bind_element, pair[0], pair[1], path=path)
+    return model.build()
 
 
 # Saving
@@ -585,9 +575,9 @@ def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
             )
 
 
-def _fold(op, value, item, path: str):
+def _apply(op, *args, path: str) -> None:
     try:
-        return op(value, item)
+        op(*args)
     except (AssessmentError, ModelError, DesignationError) as exc:
         raise ProjectError(
             "SCHEMA_ERROR", f"{exc.code}: {exc.message}", path=path

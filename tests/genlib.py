@@ -9,6 +9,7 @@ check.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import replace
 
@@ -25,8 +26,10 @@ from essencekit import (
     CheckpointRecord,
     DescriptionKind,
     DescriptionModel,
+    EssenceError,
     KernelDefinition,
     Project,
+    ProjectError,
     RealizationNode,
     StateDefinition,
     StructureType,
@@ -46,7 +49,9 @@ from essencekit import (
     bind_element,
     builtin_se_kernel,
     find_alpha,
+    kernel_from_doc,
     new_project,
+    parse_designation,
     parse_document_designation,
     record_checkpoint,
     validate_kernel,
@@ -336,3 +341,160 @@ def random_project(rng: random.Random) -> Project:
             except ModelError:
                 pass  # conflicting rebind; skip, the model stays valid
     return replace(p, assessment=a, trees=trees, description=model)
+
+
+# Loading by folding the public operations
+
+
+def fold_project(data: bytes | str) -> Project:
+    """Reference loader for well-formed project documents.
+
+    Folds the public operations over the decoded entries in document
+    order and reports the first refused entry the way load_project
+    does: SCHEMA_ERROR, "<code>: <message>", the entry's path. It checks
+    no document shape, so feed it only documents of the saved form.
+    """
+    doc = json.loads(data)
+    kernel_doc = doc.get("kernel", "builtin")
+    raw = doc.get("assessment", {})
+    project = new_project(
+        doc["project-id"],
+        kernel=None if kernel_doc == "builtin" else kernel_from_doc(kernel_doc),
+        strict_evidence=raw.get("strict-evidence", False))
+
+    def step(path, op, value, *args):
+        try:
+            return op(value, *args)
+        except EssenceError as exc:
+            raise ProjectError(
+                "SCHEMA_ERROR", f"{exc.code}: {exc.message}", path=path
+            ) from exc
+
+    a = project.assessment
+    for i, item in enumerate(raw.get("instances", [])):
+        a = step(f"assessment.instances[{i}]", add_instance, a, AlphaInstance(
+            id=item["id"], alpha=item["alpha"],
+            system_level=SystemLevel(item["system-level"])))
+    for i, item in enumerate(raw.get("work-products", [])):
+        designation = item.get("document-designation")
+        a = step(f"assessment.work-products[{i}]", add_work_product, a,
+                 WorkProductInstance(
+                     id=item["id"], definition=item["definition"],
+                     label=item["label"],
+                     document_designation=(
+                         None if designation is None
+                         else parse_document_designation(designation))))
+    for i, item in enumerate(raw.get("records", [])):
+        a = step(f"assessment.records[{i}]", record_checkpoint, a,
+                 CheckpointRecord(
+                     alpha_instance=item["alpha-instance"], state=item["state"],
+                     checkpoint=item["checkpoint"], satisfied=item["satisfied"],
+                     evidence=tuple(item["evidence"]),
+                     recorded_at=item["recorded-at"]))
+
+    def node(item: dict) -> BreakdownNode:
+        return BreakdownNode(
+            segment=item["segment"],
+            children=tuple(node(child) for child in item.get("children", [])))
+
+    trees = tuple(
+        BreakdownTree(aspect=Aspect(aspect), roots=tuple(map(node, roots)))
+        for aspect, roots in doc.get("trees", {}).items())
+
+    raw = doc.get("description", {})
+    model = DescriptionModel()
+    for i, item in enumerate(raw.get("viewpoints", [])):
+        model = step(f"description.viewpoints[{i}]", add_viewpoint, model,
+                     Viewpoint(
+                         name=item["name"],
+                         structure_type=StructureType(item["structure-type"]),
+                         concerns=tuple(item["concerns"]),
+                         description_kind=DescriptionKind(
+                             item["description-kind"])))
+    for i, item in enumerate(raw.get("elements", [])):
+        model = step(f"description.elements[{i}]", add_element, model,
+                     ViewElement(id=item["id"], label=item["label"],
+                                 has_extent=item["has-extent"]))
+    for i, item in enumerate(raw.get("views", [])):
+        model = step(f"description.views[{i}]", add_view, model, View(
+            name=item["name"], viewpoint=item["viewpoint"],
+            elements=tuple(item["elements"])))
+    for i, item in enumerate(raw.get("realization-nodes", [])):
+        chains = tuple(parse_designation(text).chains[0]
+                       for text in item["designators"].values())
+        model = step(f"description.realization-nodes[{i}]",
+                     add_realization_node, model,
+                     RealizationNode(id=item["id"], designators=chains))
+    for i, members in enumerate(raw.get("coextension", [])):
+        for member in members[1:]:
+            model = step(f"description.coextension[{i}]", assert_coextension,
+                         model, members[0], member)
+    for i, (elem, node_id) in enumerate(raw.get("bindings", [])):
+        model = step(f"description.bindings[{i}]", bind_element,
+                     model, elem, node_id)
+    return replace(project, assessment=a, trees=trees, description=model)
+
+
+def _insert(rng: random.Random, items: list, item) -> None:
+    items.insert(rng.randint(0, len(items)), item)
+
+
+def supersede_records(rng: random.Random, doc: dict) -> None:
+    """Valid edit: append later records for keys already recorded."""
+    records = doc["assessment"]["records"]
+    for rec in rng.sample(records, min(len(records), 3)):
+        records.append(dict(rec, satisfied=not rec["satisfied"], evidence=[]))
+
+
+def mutate_document(rng: random.Random, doc: dict) -> str:
+    """Plant one kind of bad entry in a saved project document.
+
+    Entries go at random positions, so the first refused entry is not
+    always the planted one's neighbour. Returns the kind planted.
+    """
+    assessment = doc["assessment"]
+    model = doc["description"]
+    kinds = ["dangling-view-element", "duplicate-element", "binding-conflict"]
+    if assessment["instances"]:
+        kinds += ["dangling-instance", "duplicate-instance",
+                  "unknown-checkpoint", "dangling-evidence"]
+    kind = rng.choice(kinds)
+    if assessment["instances"]:
+        instance = rng.choice(assessment["instances"])
+        kernel = (builtin_se_kernel() if doc["kernel"] == "builtin"
+                  else kernel_from_doc(doc["kernel"]))
+        state = rng.choice(find_alpha(kernel, instance["alpha"]).states)
+        record = {"alpha-instance": instance["id"], "state": state.name,
+                  "checkpoint": rng.choice(state.checkpoints).id,
+                  "satisfied": True, "evidence": [], "recorded-at": 0}
+    if kind == "dangling-instance":
+        _insert(rng, assessment["records"], dict(record, **{
+            "alpha-instance": "ghost"}))
+    elif kind == "duplicate-instance":
+        _insert(rng, assessment["instances"], dict(instance))
+    elif kind == "unknown-checkpoint":
+        _insert(rng, assessment["records"], dict(record, checkpoint="ZZ-9"))
+    elif kind == "dangling-evidence":
+        _insert(rng, assessment["records"], dict(record, evidence=["ghost"]))
+    elif kind == "dangling-view-element":
+        if not model["viewpoints"]:
+            model["viewpoints"].append({
+                "name": "vp-x", "structure-type": "Other", "concerns": [],
+                "description-kind": "Other"})
+        _insert(rng, model["views"], {
+            "name": "view-x", "viewpoint": model["viewpoints"][0]["name"],
+            "elements": ["ghost"]})
+    elif kind == "duplicate-element":
+        _insert(rng, model["elements"], {
+            "id": "el-x", "label": "", "has-extent": True})
+        _insert(rng, model["elements"], {
+            "id": "el-x", "label": "again", "has-extent": False})
+    else:
+        for suffix in "xy":
+            model["elements"].append(
+                {"id": f"el-{suffix}", "label": "", "has-extent": True})
+            model["realization-nodes"].append(
+                {"id": f"rn-{suffix}", "designators": {}})
+        _insert(rng, model["coextension"], ["el-x", "el-y"])
+        model["bindings"] += [["el-x", "rn-x"], ["el-y", "rn-y"]]
+    return kind

@@ -10,6 +10,11 @@ from pathlib import Path
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from essencekit import (
     AlphaInstance,
     Aspect,
@@ -348,6 +353,31 @@ def test_assess_record_failure_leaves_file_untouched(capsys, project_file):
     assert Path(project_file).read_bytes() == before
 
 
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+def test_assess_record_write_failure_keeps_original(project_file):
+    # The child may write only half the project's size to any file, so
+    # rewriting the project fails partway (EFBIG) whatever the strategy.
+    before = Path(project_file).read_bytes()
+    limit = len(before) // 2
+    script = (
+        "import resource, signal, sys\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+        "from essencekit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n")
+    result = subprocess.run(
+        [sys.executable, "-c", script, "assess", "record", project_file,
+         "--alpha-instance", "sr-1", "--state", "Parts",
+         "--checkpoint", "P-1", "--satisfied", "true"],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert "IO_ERROR" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert Path(project_file).read_bytes() == before
+    assert [p.name for p in Path(project_file).parent.iterdir()] == [
+        "project.json"]
+
+
 def test_assess_record_structured(capsys, project_file):
     code, out, _ = run(capsys, "--format", "structured", "assess", "record",
                        project_file, "--alpha-instance", "sr-1",
@@ -502,6 +532,22 @@ def test_project_parse_error_reported(capsys, tmp_path):
     code, _, err = run(capsys, "cards", str(path))
     assert code == 2
     assert "PARSE_ERROR" in err
+
+
+def test_deeply_nested_project_is_a_parse_error(tmp_path):
+    depth = 900
+    tree = ('{"segment": "A", "children": [' * (depth - 1) + '{"segment": "A"}'
+            + "]}" * (depth - 1))
+    path = tmp_path / "deep.json"
+    path.write_text('{"format-version": 1, "project-id": "p", '
+                    '"trees": {"Product": [' + tree + "]}}", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "essencekit.cli", "--format", "structured",
+         "desig", "check", str(path), "--", "-A"],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert json.loads(result.stderr)["error"]["code"] == "PARSE_ERROR"
 
 
 def test_module_entry_point_runs_as_subprocess():

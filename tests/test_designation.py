@@ -332,6 +332,7 @@ def test_loads_dcc_table_errors():
         return err.value.code
 
     assert code_of("{nope") == "PARSE_ERROR"
+    assert code_of("[" * 5000 + "]" * 5000) == "PARSE_ERROR"
     assert code_of('["A"]') == "SCHEMA_ERROR"
     assert code_of('{"areas": {}}') == "SCHEMA_ERROR"
     assert code_of('{"areas": {"AA": "double"}}') == "SCHEMA_ERROR"

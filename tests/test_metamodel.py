@@ -203,6 +203,9 @@ def test_loads_kernel_parse_error():
     with pytest.raises(KernelError) as err:
         loads_kernel(b"\xff\xfe\x00")
     assert err.value.code == "PARSE_ERROR"
+    with pytest.raises(KernelError) as err:  # nesting beyond the decoder
+        loads_kernel("[" * 5000 + "]" * 5000)
+    assert err.value.code == "PARSE_ERROR"
 
 
 def test_loads_kernel_schema_errors():

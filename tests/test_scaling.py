@@ -1,0 +1,69 @@
+"""Loading grows linearly with the document.
+
+Each test times load_project on a document and on one four times its
+size, best of three. Linear loading costs about 4x, quadratic about
+16x; the bound of 8x sits between them, and no absolute time is
+checked, so the tests hold on slow or busy machines.
+"""
+
+from __future__ import annotations
+
+import json
+from time import perf_counter
+
+from essencekit import builtin_se_kernel, load_project
+
+N = 1200
+BOUND = 8
+
+
+def records_document(n: int) -> str:
+    """n records over instances of the builtin alphas, 8 per instance."""
+    keys = {
+        alpha.name: [(s.name, cp.id) for s in alpha.states
+                     for cp in s.checkpoints][:8]
+        for alpha in builtin_se_kernel().alphas
+    }
+    alphas = [name for name in keys if len(keys[name]) == 8]
+    instances, records = [], []
+    for i in range(n // 8):
+        alpha = alphas[i % len(alphas)]
+        instances.append({"id": f"i{i}", "alpha": alpha})
+        for state, cp in keys[alpha]:
+            records.append({"alpha-instance": f"i{i}", "state": state,
+                            "checkpoint": cp, "satisfied": True})
+    return json.dumps({"format-version": 1, "project-id": "p", "assessment": {
+        "instances": instances, "records": records}})
+
+
+def model_document(n: int) -> str:
+    """n extended elements in classes of four, half the classes bound."""
+    elements = [{"id": f"e{i}", "has-extent": True} for i in range(n)]
+    nodes = [{"id": f"n{i}"} for i in range(0, n, 4)]
+    classes = [[f"e{j}" for j in range(i, min(i + 4, n))]
+               for i in range(0, n, 4)]
+    bindings = [[f"e{i}", f"n{i}"] for i in range(0, n, 8)]
+    return json.dumps({"format-version": 1, "project-id": "p", "description": {
+        "elements": elements, "realization-nodes": nodes,
+        "coextension": classes, "bindings": bindings}})
+
+
+def load_seconds(blob: bytes) -> float:
+    best = float("inf")
+    for _ in range(3):
+        start = perf_counter()
+        load_project(blob)
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def test_loading_records_is_linear():
+    small, large = records_document(N), records_document(4 * N)
+    assert len(load_project(large).assessment.records) == 4 * N
+    assert load_seconds(large) < BOUND * load_seconds(small)
+
+
+def test_loading_a_description_model_is_linear():
+    small, large = model_document(N), model_document(4 * N)
+    assert len(load_project(large).description.bindings) == 2 * N
+    assert load_seconds(large) < BOUND * load_seconds(small)

@@ -347,3 +347,29 @@ def test_random_projects_round_trip():
         loaded = load_project(blob)
         assert loaded == p
         assert save_project(loaded) == blob
+
+
+def test_load_equals_fold_of_public_operations():
+    rng = random.Random(5150)
+    for _ in range(60):
+        doc = json.loads(save_project(genlib.random_project(rng)))
+        genlib.supersede_records(rng, doc)
+        blob = json.dumps(doc)
+        loaded = load_project(blob)
+        assert loaded == genlib.fold_project(blob)
+        assert save_project(loaded) == save_project(genlib.fold_project(blob))
+
+
+def test_load_refuses_the_entry_the_fold_refuses():
+    rng = random.Random(6262)
+    kinds = set()
+    for _ in range(120):
+        doc = json.loads(save_project(genlib.random_project(rng)))
+        kinds.add(genlib.mutate_document(rng, doc))
+        blob = json.dumps(doc)
+        with pytest.raises(ProjectError) as folded:
+            genlib.fold_project(blob)
+        err = load_error(blob)
+        assert (err.code, err.message, err.path) == (
+            folded.value.code, folded.value.message, folded.value.path)
+    assert len(kinds) == 7
