@@ -210,8 +210,8 @@ def _cmd_kernel_show(args: argparse.Namespace) -> int:
             if alpha.subalphas:
                 print(f"sub-alphas: {', '.join(alpha.subalphas)}")
             print("states:")
+            marker = " [placeholder]" if has_placeholder_states(alpha) else ""
             for state in alpha.states:
-                marker = " [placeholder]" if has_placeholder_states(alpha) else ""
                 print(f"  {state.name}{marker}")
                 print(f"    summary: {state.summary}")
                 for cp in state.checkpoints:

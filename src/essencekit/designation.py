@@ -22,13 +22,13 @@ letter (the technical area) must exist in the active DCC table.
 
 from __future__ import annotations
 
-import json
 import re
 import string
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
+from ._schema import decode, get, nonempty
 from .errors import DesignationError
 
 _SEGMENT_RE = re.compile(r"[A-Z0-9]+\Z")
@@ -388,35 +388,20 @@ def format_document_designation(d: DocumentDesignation) -> str:
 
 def loads_dcc_table(text: str | bytes, *, default_name: str = "custom") -> DccTable:
     """Load a DCC table document: {"name", "areas": {...}, "classes": {...}}."""
-    try:
-        doc = json.loads(text)
-    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
-        raise DesignationError("PARSE_ERROR", f"invalid DCC table: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DesignationError("SCHEMA_ERROR", "DCC table document must be a map")
-    name = doc.get("name", default_name)
-    if not isinstance(name, str) or not name:
-        raise DesignationError("SCHEMA_ERROR", "DCC table name must be nonempty text")
-    areas = _read_codes(doc.get("areas"), "areas", 1)
-    classes = _read_codes(doc.get("classes", {}), "classes", 2)
+    doc = decode(text, DesignationError, "DCC table")
+    name = nonempty(doc, "name", None, DesignationError, default_name)
+    areas = get(doc, "areas", dict, None, DesignationError)
+    classes = get(doc, "classes", dict, None, DesignationError, {})
+    for key, codes, width in (("areas", areas, 1), ("classes", classes, 2)):
+        for code in codes:
+            if not re.fullmatch(r"[A-Z]" * width, code):
+                raise DesignationError(
+                    "SCHEMA_ERROR",
+                    f"{key} key {code!r} must be {width} uppercase letter(s)",
+                    path=key,
+                )
+            nonempty(codes, code, key, DesignationError)
     if not areas:
-        raise DesignationError("SCHEMA_ERROR", "DCC table defines no areas")
+        raise DesignationError("SCHEMA_ERROR", "DCC table defines no areas",
+                               path="areas")
     return DccTable(name=name, areas=areas, classes=classes)
-
-
-def _read_codes(raw: object, label: str, width: int) -> dict[str, str]:
-    if not isinstance(raw, dict):
-        raise DesignationError("SCHEMA_ERROR", f"DCC table {label} must be a map")
-    out: dict[str, str] = {}
-    for code, title in raw.items():
-        if not isinstance(code, str) or not re.fullmatch(r"[A-Z]" * width, code):
-            raise DesignationError(
-                "SCHEMA_ERROR",
-                f"{label} key {code!r} must be {width} uppercase letter(s)",
-            )
-        if not isinstance(title, str) or not title:
-            raise DesignationError(
-                "SCHEMA_ERROR", f"{label} entry {code!r} must map to nonempty text"
-            )
-        out[code] = title
-    return out

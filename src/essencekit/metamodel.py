@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
+from ._schema import decode, entries, get, texts
 from .errors import KernelError
 
 #: The fixed vocabulary of areas of concern.
@@ -228,7 +229,7 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
             flag("SUBALPHA_MULTIPLE_PARENTS", f"alphas[{sub}]",
                  f"sub-alpha {sub!r} has parents {', '.join(sorted(plist))}")
 
-    findings.extend(_cycle_findings(kernel))
+    findings.extend(_cycle_findings(kernel, defined))
 
     seen_wps: set[str] = set()
     for i, wp in enumerate(kernel.workproducts):
@@ -246,31 +247,38 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-def _cycle_findings(kernel: KernelDefinition) -> list[Finding]:
-    """Detect cycles in the sub-alpha graph, one finding per cycle found."""
-    graph = {a.name: [s for s in a.subalphas if find_alpha(kernel, s)]
+def _cycle_findings(kernel: KernelDefinition, defined: set[str]) -> list[Finding]:
+    """Detect cycles in the sub-alpha graph, one finding per cycle found.
+
+    The depth-first walk keeps its own stack, so a long sub-alpha chain
+    cannot exhaust the interpreter's.
+    """
+    graph = {a.name: [s for s in a.subalphas if s in defined]
              for a in kernel.alphas}
     findings: list[Finding] = []
-    # 0 = unvisited, 1 = on stack, 2 = done
-    color: dict[str, int] = {name: 0 for name in graph}
-
-    def visit(name: str, trail: list[str]) -> None:
-        color[name] = 1
-        trail.append(name)
-        for child in graph[name]:
-            if color[child] == 1:
-                cycle = trail[trail.index(child):] + [child]
-                findings.append(Finding(
-                    "SUBALPHA_CYCLE", f"alphas[{child}]",
-                    "sub-alpha cycle: " + " -> ".join(cycle)))
-            elif color[child] == 0:
-                visit(child, trail)
-        trail.pop()
-        color[name] = 2
-
-    for name in graph:
-        if color[name] == 0:
-            visit(name, [])
+    # 0 = unvisited, 1 = on the trail, 2 = done
+    color: dict[str, int] = dict.fromkeys(graph, 0)
+    for start in graph:
+        if color[start]:
+            continue
+        color[start] = 1
+        trail = [start]
+        children = [iter(graph[start])]
+        while children:
+            for child in children[-1]:
+                if color[child] == 1:
+                    cycle = trail[trail.index(child):] + [child]
+                    findings.append(Finding(
+                        "SUBALPHA_CYCLE", f"alphas[{child}]",
+                        "sub-alpha cycle: " + " -> ".join(cycle)))
+                elif color[child] == 0:
+                    color[child] = 1
+                    trail.append(child)
+                    children.append(iter(graph[child]))
+                    break
+            else:
+                color[trail.pop()] = 2
+                children.pop()
     return findings
 
 
@@ -284,21 +292,20 @@ def subalpha_closure(kernel: KernelDefinition, name: str) -> list[str]:
     root = find_alpha(kernel, name)
     if root is None:
         raise KernelError("UNKNOWN_ALPHA", f"no alpha named {name!r}")
+    by_name = {alpha.name: alpha for alpha in reversed(kernel.alphas)}
     ordered: list[str] = []
     visited: set[str] = {name}
-
-    def walk(alpha: AlphaDefinition) -> None:
-        for sub in alpha.subalphas:
-            if sub in visited:
-                continue
-            visited.add(sub)
-            child = find_alpha(kernel, sub)
-            if child is None:
-                continue
-            ordered.append(sub)
-            walk(child)
-
-    walk(root)
+    pending = list(reversed(root.subalphas))
+    while pending:
+        sub = pending.pop()
+        if sub in visited:
+            continue
+        visited.add(sub)
+        child = by_name.get(sub)
+        if child is None:
+            continue
+        ordered.append(sub)
+        pending.extend(reversed(child.subalphas))
     return ordered
 
 
@@ -319,73 +326,57 @@ def subalpha_closure(kernel: KernelDefinition, name: str) -> list[str]:
 # }
 
 
-def _expect(doc: Any, key: str, kind: type, path: str, *, default: Any = ...) -> Any:
-    if not isinstance(doc, dict):
-        raise KernelError("SCHEMA_ERROR", f"expected an object, got {type(doc).__name__}",
-                          path=path)
-    if key not in doc:
-        if default is not ...:
-            return default
-        raise KernelError("SCHEMA_ERROR", f"missing key {key!r}", path=path)
-    value = doc[key]
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-        raise KernelError("SCHEMA_ERROR",
-                          f"key {key!r} must be {kind.__name__}, got {type(value).__name__}",
-                          path=path)
-    return value
-
-
 def kernel_from_doc(doc: Any) -> KernelDefinition:
     """Build a kernel value from a parsed document tree.
 
     Only shape errors raise (SCHEMA_ERROR); semantic invariants are the
     business of ``validate_kernel`` so that a loaded-but-invalid kernel can
-    still be reported finding by finding.
+    still be reported finding by finding. Keys the schema does not name
+    are ignored.
     """
-    name = _expect(doc, "name", str, "$")
-    areas_doc = _expect(doc, "areas", list, "$")
-    areas = []
-    for i, a in enumerate(areas_doc):
-        if not isinstance(a, str):
-            raise KernelError("SCHEMA_ERROR", "area must be a string",
-                              path=f"areas[{i}]")
-        areas.append(AreaOfConcern(a))
+    if not isinstance(doc, dict):
+        raise KernelError("SCHEMA_ERROR", "kernel document must be a map")
+    name = get(doc, "name", str, None, KernelError)
+    areas = texts(doc, "areas", None, KernelError, "area must be text")
     alphas = []
-    for i, adoc in enumerate(_expect(doc, "alphas", list, "$")):
+    for i, adoc in enumerate(entries(doc, "alphas", dict, None, KernelError)):
         apath = f"alphas[{i}]"
         states = []
-        for j, sdoc in enumerate(_expect(adoc, "states", list, apath, default=[])):
+        for j, sdoc in enumerate(
+                entries(adoc, "states", dict, apath, KernelError, ())):
             spath = f"{apath}.states[{j}]"
             checkpoints = []
-            for k, cdoc in enumerate(_expect(sdoc, "checkpoints", list, spath, default=[])):
+            for k, cdoc in enumerate(
+                    entries(sdoc, "checkpoints", dict, spath, KernelError, ())):
                 cpath = f"{spath}.checkpoints[{k}]"
                 checkpoints.append(Checkpoint(
-                    id=_expect(cdoc, "id", str, cpath),
-                    text=_expect(cdoc, "text", str, cpath)))
+                    id=get(cdoc, "id", str, cpath, KernelError),
+                    text=get(cdoc, "text", str, cpath, KernelError)))
             states.append(StateDefinition(
-                name=_expect(sdoc, "name", str, spath),
-                summary=_expect(sdoc, "summary", str, spath, default=""),
+                name=get(sdoc, "name", str, spath, KernelError),
+                summary=get(sdoc, "summary", str, spath, KernelError, ""),
                 checkpoints=tuple(checkpoints)))
-        subalphas = _expect(adoc, "subalphas", list, apath, default=[])
-        for j, sub in enumerate(subalphas):
-            if not isinstance(sub, str):
-                raise KernelError("SCHEMA_ERROR", "sub-alpha reference must be a string",
-                                  path=f"{apath}.subalphas[{j}]")
+        subalphas = texts(adoc, "subalphas", apath, KernelError,
+                          "sub-alpha reference must be text", ())
         alphas.append(AlphaDefinition(
-            name=_expect(adoc, "name", str, apath),
-            area=_expect(adoc, "area", str, apath),
-            description=_expect(adoc, "description", str, apath, default=""),
+            name=get(adoc, "name", str, apath, KernelError),
+            area=get(adoc, "area", str, apath, KernelError),
+            description=get(adoc, "description", str, apath, KernelError, ""),
             states=tuple(states),
             subalphas=tuple(subalphas)))
     workproducts = []
-    for i, wdoc in enumerate(_expect(doc, "workproducts", list, "$", default=[])):
+    for i, wdoc in enumerate(
+            entries(doc, "workproducts", dict, None, KernelError, ())):
         wpath = f"workproducts[{i}]"
         workproducts.append(WorkProductDefinition(
-            name=_expect(wdoc, "name", str, wpath),
-            evidences=_expect(wdoc, "evidences", str, wpath),
-            kind=_expect(wdoc, "kind", str, wpath, default="document")))
-    return KernelDefinition(name=name, areas=tuple(areas), alphas=tuple(alphas),
-                            workproducts=tuple(workproducts))
+            name=get(wdoc, "name", str, wpath, KernelError),
+            evidences=get(wdoc, "evidences", str, wpath, KernelError),
+            kind=get(wdoc, "kind", str, wpath, KernelError, "document")))
+    return KernelDefinition(
+        name=name,
+        areas=tuple(AreaOfConcern(a) for a in areas),
+        alphas=tuple(alphas),
+        workproducts=tuple(workproducts))
 
 
 def kernel_to_doc(kernel: KernelDefinition) -> dict[str, Any]:
@@ -422,16 +413,7 @@ def kernel_to_doc(kernel: KernelDefinition) -> dict[str, Any]:
 
 def loads_kernel(text: str | bytes) -> KernelDefinition:
     """Parse a kernel document; PARSE_ERROR on bad JSON, SCHEMA_ERROR on shape."""
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise KernelError("PARSE_ERROR", f"not valid UTF-8: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise KernelError("PARSE_ERROR", f"not valid JSON: {exc}") from exc
-    return kernel_from_doc(doc)
+    return kernel_from_doc(decode(text, KernelError, "kernel document"))
 
 
 def dumps_kernel(kernel: KernelDefinition) -> str:

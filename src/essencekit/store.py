@@ -20,6 +20,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ._schema import (
+    check_keys,
+    decode,
+    entries,
+    enum_of,
+    get,
+    nested,
+    nonempty,
+    texts,
+)
 from .builtin_kernel import builtin_se_kernel
 from .description import (
     DescriptionKind,
@@ -33,6 +43,7 @@ from .description import (
 )
 from .designation import (
     ASPECT_ORDER,
+    BUILTIN_DCC_TABLE,
     Aspect,
     BreakdownNode,
     BreakdownTree,
@@ -48,13 +59,7 @@ from .engine import (
     SystemLevel,
     WorkProductInstance,
 )
-from .errors import (
-    AssessmentError,
-    DesignationError,
-    EssenceError,
-    ModelError,
-    ProjectError,
-)
+from .errors import KernelError, ProjectError
 from .metamodel import (
     KernelDefinition,
     kernel_from_doc,
@@ -121,32 +126,23 @@ def new_project(
 
 
 def load_project(data: bytes | str) -> Project:
-    try:
-        doc = json.loads(data)
-    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
-        raise ProjectError("PARSE_ERROR", f"invalid project document: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ProjectError("SCHEMA_ERROR", "project document must be a map")
-    _reject_unknown(
-        doc,
-        {"format-version", "project-id", "kernel", "assessment", "trees",
-         "description"},
-        "project",
-    )
-    version = _get(doc, "format-version", int, "project")
+    doc = decode(data, ProjectError, "project document")
+    check_keys(doc, _PROJECT_KEYS, None, ProjectError)
+    version = get(doc, "format-version", int, None, ProjectError)
     if version != FORMAT_VERSION:
         raise ProjectError(
             "UNSUPPORTED_VERSION", f"format-version {version} is not {FORMAT_VERSION}"
         )
-    project_id = _get(doc, "project-id", str, "project")
-    if not project_id:
-        raise ProjectError("SCHEMA_ERROR", "project-id must be nonempty", path="project-id")
+    project_id = nonempty(doc, "project-id", None, ProjectError)
     kernel, builtin = _load_kernel(doc.get("kernel", BUILTIN_KERNEL_MARKER))
     assessment = _load_assessment(
-        doc.get("assessment", {}), project_id=project_id, kernel=kernel
+        get(doc, "assessment", dict, None, ProjectError, {}),
+        project_id=project_id, kernel=kernel,
     )
-    trees = _load_trees(doc.get("trees", {}))
-    description = _load_description(doc.get("description", {}))
+    trees = _load_trees(get(doc, "trees", dict, None, ProjectError, {}))
+    description = _load_description(
+        get(doc, "description", dict, None, ProjectError, {})
+    )
     return Project(
         project_id=project_id,
         assessment=assessment,
@@ -175,6 +171,24 @@ def save_project(p: Project) -> bytes:
 
 # Loading
 
+_PROJECT_KEYS = frozenset({"format-version", "project-id", "kernel",
+                           "assessment", "trees", "description"})
+_ASSESSMENT_KEYS = frozenset({"strict-evidence", "instances", "work-products",
+                              "records"})
+_INSTANCE_KEYS = frozenset({"id", "alpha", "system-level"})
+_WORK_PRODUCT_KEYS = frozenset({"id", "definition", "label",
+                                "document-designation"})
+_RECORD_KEYS = frozenset({"alpha-instance", "state", "checkpoint", "satisfied",
+                          "evidence", "recorded-at"})
+_NODE_KEYS = frozenset({"segment", "children"})
+_DESCRIPTION_KEYS = frozenset({"viewpoints", "views", "elements",
+                               "realization-nodes", "coextension", "bindings"})
+_VIEWPOINT_KEYS = frozenset({"name", "structure-type", "concerns",
+                             "description-kind"})
+_ELEMENT_KEYS = frozenset({"id", "label", "has-extent"})
+_VIEW_KEYS = frozenset({"name", "viewpoint", "elements"})
+_REALIZATION_NODE_KEYS = frozenset({"id", "designators"})
+
 
 def _load_kernel(raw: object) -> tuple[KernelDefinition, bool]:
     if raw == BUILTIN_KERNEL_MARKER:
@@ -185,219 +199,164 @@ def _load_kernel(raw: object) -> tuple[KernelDefinition, bool]:
             f'kernel must be "{BUILTIN_KERNEL_MARKER}" or an inline kernel map',
             path="kernel",
         )
-    try:
-        kernel = kernel_from_doc(raw)
-    except EssenceError as exc:
-        raise ProjectError(
-            "SCHEMA_ERROR", exc.message, path=_prefix("kernel", exc.path)
-        ) from exc
+    return nested(ProjectError, "kernel", _valid_kernel, raw), False
+
+
+def _valid_kernel(doc: dict) -> KernelDefinition:
+    kernel = kernel_from_doc(doc)
     report = validate_kernel(kernel)
     if not report.ok:
         finding = report.findings[0]
-        raise ProjectError(
-            "SCHEMA_ERROR",
-            f"{finding.code}: {finding.message}",
-            path=_prefix("kernel", finding.path),
-        )
-    return kernel, False
+        raise KernelError(finding.code, finding.message, path=finding.path)
+    return kernel
 
 
 def _load_assessment(
-    raw: object, *, project_id: str, kernel: KernelDefinition
+    raw: dict, *, project_id: str, kernel: KernelDefinition
 ) -> Assessment:
-    if not isinstance(raw, dict):
-        raise ProjectError("SCHEMA_ERROR", "assessment must be a map", path="assessment")
-    _reject_unknown(
-        raw,
-        {"strict-evidence", "instances", "work-products", "records"},
-        "assessment",
-    )
+    check_keys(raw, _ASSESSMENT_KEYS, "assessment", ProjectError)
     a = AssessmentBuilder(
         project_id,
         kernel,
-        _get(raw, "strict-evidence", bool, "assessment", default=False),
+        get(raw, "strict-evidence", bool, "assessment", ProjectError, False),
     )
-    for i, item in enumerate(_items(raw, "instances", "assessment")):
+    for i, item in enumerate(entries(raw, "instances", dict, "assessment",
+                                     ProjectError, ())):
         path = f"assessment.instances[{i}]"
-        _reject_unknown(item, {"id", "alpha", "system-level"}, path)
+        check_keys(item, _INSTANCE_KEYS, path, ProjectError)
         inst = AlphaInstance(
-            id=_nonempty(item, "id", path),
-            alpha=_get(item, "alpha", str, path),
-            system_level=_parse_enum(
-                _get(item, "system-level", str, path,
-                     default=SystemLevel.SYSTEM_OF_INTEREST.value),
-                SystemLevel, f"{path}.system-level",
+            id=nonempty(item, "id", path, ProjectError),
+            alpha=get(item, "alpha", str, path, ProjectError),
+            system_level=enum_of(
+                get(item, "system-level", str, path, ProjectError,
+                    SystemLevel.SYSTEM_OF_INTEREST.value),
+                SystemLevel, f"{path}.system-level", ProjectError,
             ),
         )
-        _apply(a.add_instance, inst, path=path)
-    for i, item in enumerate(_items(raw, "work-products", "assessment")):
+        nested(ProjectError, path, a.add_instance, inst)
+    for i, item in enumerate(entries(raw, "work-products", dict, "assessment",
+                                     ProjectError, ())):
         path = f"assessment.work-products[{i}]"
-        _reject_unknown(
-            item, {"id", "definition", "label", "document-designation"}, path
-        )
+        check_keys(item, _WORK_PRODUCT_KEYS, path, ProjectError)
         designation = None
         if "document-designation" in item:
-            text = _get(item, "document-designation", str, path)
-            try:
-                designation = parse_document_designation(text)
-            except DesignationError as exc:
-                raise ProjectError(
-                    "SCHEMA_ERROR",
-                    f"{exc.code}: {exc.message}",
-                    path=f"{path}.document-designation",
-                ) from exc
+            designation = nested(
+                ProjectError, f"{path}.document-designation",
+                parse_document_designation,
+                get(item, "document-designation", str, path, ProjectError),
+            )
         wp = WorkProductInstance(
-            id=_nonempty(item, "id", path),
-            definition=_get(item, "definition", str, path),
-            label=_get(item, "label", str, path, default=""),
+            id=nonempty(item, "id", path, ProjectError),
+            definition=get(item, "definition", str, path, ProjectError),
+            label=get(item, "label", str, path, ProjectError, ""),
             document_designation=designation,
         )
-        _apply(a.add_work_product, wp, path=path)
-    for i, item in enumerate(_items(raw, "records", "assessment")):
+        nested(ProjectError, path, a.add_work_product, wp)
+    for i, item in enumerate(entries(raw, "records", dict, "assessment",
+                                     ProjectError, ())):
         path = f"assessment.records[{i}]"
-        _reject_unknown(
-            item,
-            {"alpha-instance", "state", "checkpoint", "satisfied", "evidence",
-             "recorded-at"},
-            path,
-        )
-        evidence = _get(item, "evidence", list, path, default=[])
-        for j, wp_id in enumerate(evidence):
-            if not isinstance(wp_id, str):
-                raise ProjectError(
-                    "SCHEMA_ERROR", "evidence ids must be text",
-                    path=f"{path}.evidence[{j}]",
-                )
+        check_keys(item, _RECORD_KEYS, path, ProjectError)
         rec = CheckpointRecord(
-            alpha_instance=_get(item, "alpha-instance", str, path),
-            state=_get(item, "state", str, path),
-            checkpoint=_get(item, "checkpoint", str, path),
-            satisfied=_get(item, "satisfied", bool, path),
-            evidence=tuple(evidence),
-            recorded_at=_get(item, "recorded-at", int, path, default=0),
+            alpha_instance=get(item, "alpha-instance", str, path, ProjectError),
+            state=get(item, "state", str, path, ProjectError),
+            checkpoint=get(item, "checkpoint", str, path, ProjectError),
+            satisfied=get(item, "satisfied", bool, path, ProjectError),
+            evidence=tuple(texts(item, "evidence", path, ProjectError,
+                                 "evidence ids must be text", ())),
+            recorded_at=get(item, "recorded-at", int, path, ProjectError, 0),
         )
-        _apply(a.record_checkpoint, rec, path=path)
+        nested(ProjectError, path, a.record_checkpoint, rec)
     return a.build()
 
 
-def _load_trees(raw: object) -> tuple[BreakdownTree, ...]:
-    if not isinstance(raw, dict):
-        raise ProjectError("SCHEMA_ERROR", "trees must be a map", path="trees")
+def _load_trees(raw: dict) -> tuple[BreakdownTree, ...]:
     trees = []
-    for key, roots_raw in raw.items():
+    for key, roots in raw.items():
         path = f"trees.{key}"
-        aspect = _parse_enum(key, Aspect, "trees")
-        if not isinstance(roots_raw, list):
+        aspect = enum_of(key, Aspect, "trees", ProjectError)
+        if not isinstance(roots, list):
             raise ProjectError(
                 "SCHEMA_ERROR", "tree roots must be a list", path=path
             )
-        try:
-            roots = tuple(
-                _node_from_doc(item, f"{path}[{i}]")
-                for i, item in enumerate(roots_raw)
-            )
-            trees.append(BreakdownTree(aspect=aspect, roots=roots))
-        except DesignationError as exc:
-            raise ProjectError(
-                "SCHEMA_ERROR", f"{exc.code}: {exc.message}", path=path
-            ) from exc
+        trees.append(nested(ProjectError, path, lambda: BreakdownTree(
+            aspect=aspect,
+            roots=tuple(_node_from_doc(item, f"{path}[{i}]")
+                        for i, item in enumerate(roots)),
+        )))
     return tuple(trees)
 
 
 def _node_from_doc(raw: object, path: str) -> BreakdownNode:
     if not isinstance(raw, dict):
         raise ProjectError("SCHEMA_ERROR", "tree node must be a map", path=path)
-    _reject_unknown(raw, {"segment", "children"}, path)
-    children_raw = _get(raw, "children", list, path, default=[])
+    check_keys(raw, _NODE_KEYS, path, ProjectError)
     children = tuple(
         _node_from_doc(item, f"{path}.children[{i}]")
-        for i, item in enumerate(children_raw)
+        for i, item in enumerate(get(raw, "children", list, path, ProjectError, ()))
     )
-    return BreakdownNode(segment=_get(raw, "segment", str, path), children=children)
+    return BreakdownNode(
+        segment=get(raw, "segment", str, path, ProjectError), children=children
+    )
 
 
-def _load_description(raw: object) -> DescriptionModel:
-    if not isinstance(raw, dict):
-        raise ProjectError(
-            "SCHEMA_ERROR", "description must be a map", path="description"
-        )
-    _reject_unknown(
-        raw,
-        {"viewpoints", "views", "elements", "realization-nodes", "coextension",
-         "bindings"},
-        "description",
-    )
+def _load_description(raw: dict) -> DescriptionModel:
+    check_keys(raw, _DESCRIPTION_KEYS, "description", ProjectError)
     model = ModelBuilder()
-    for i, item in enumerate(_items(raw, "viewpoints", "description")):
+    for i, item in enumerate(entries(raw, "viewpoints", dict, "description",
+                                     ProjectError, ())):
         path = f"description.viewpoints[{i}]"
-        _reject_unknown(
-            item, {"name", "structure-type", "concerns", "description-kind"}, path
-        )
-        concerns = _get(item, "concerns", list, path, default=[])
-        for j, concern in enumerate(concerns):
-            if not isinstance(concern, str):
-                raise ProjectError(
-                    "SCHEMA_ERROR", "concerns must be text",
-                    path=f"{path}.concerns[{j}]",
-                )
+        check_keys(item, _VIEWPOINT_KEYS, path, ProjectError)
         vp = Viewpoint(
-            name=_nonempty(item, "name", path),
-            structure_type=_parse_enum(
-                _get(item, "structure-type", str, path,
-                     default=StructureType.OTHER.value),
-                StructureType, f"{path}.structure-type",
+            name=nonempty(item, "name", path, ProjectError),
+            structure_type=enum_of(
+                get(item, "structure-type", str, path, ProjectError,
+                    StructureType.OTHER.value),
+                StructureType, f"{path}.structure-type", ProjectError,
             ),
-            concerns=tuple(concerns),
-            description_kind=_parse_enum(
-                _get(item, "description-kind", str, path,
-                     default=DescriptionKind.OTHER.value),
-                DescriptionKind, f"{path}.description-kind",
+            concerns=tuple(texts(item, "concerns", path, ProjectError,
+                                 "concerns must be text", ())),
+            description_kind=enum_of(
+                get(item, "description-kind", str, path, ProjectError,
+                    DescriptionKind.OTHER.value),
+                DescriptionKind, f"{path}.description-kind", ProjectError,
             ),
         )
-        _apply(model.add_viewpoint, vp, path=path)
-    for i, item in enumerate(_items(raw, "elements", "description")):
+        nested(ProjectError, path, model.add_viewpoint, vp)
+    for i, item in enumerate(entries(raw, "elements", dict, "description",
+                                     ProjectError, ())):
         path = f"description.elements[{i}]"
-        _reject_unknown(item, {"id", "label", "has-extent"}, path)
+        check_keys(item, _ELEMENT_KEYS, path, ProjectError)
         elem = ViewElement(
-            id=_nonempty(item, "id", path),
-            label=_get(item, "label", str, path, default=""),
-            has_extent=_get(item, "has-extent", bool, path, default=False),
+            id=nonempty(item, "id", path, ProjectError),
+            label=get(item, "label", str, path, ProjectError, ""),
+            has_extent=get(item, "has-extent", bool, path, ProjectError, False),
         )
-        _apply(model.add_element, elem, path=path)
-    for i, item in enumerate(_items(raw, "views", "description")):
+        nested(ProjectError, path, model.add_element, elem)
+    for i, item in enumerate(entries(raw, "views", dict, "description",
+                                     ProjectError, ())):
         path = f"description.views[{i}]"
-        _reject_unknown(item, {"name", "viewpoint", "elements"}, path)
-        elements = _get(item, "elements", list, path, default=[])
-        for j, elem_id in enumerate(elements):
-            if not isinstance(elem_id, str):
-                raise ProjectError(
-                    "SCHEMA_ERROR", "view elements must be element ids",
-                    path=f"{path}.elements[{j}]",
-                )
+        check_keys(item, _VIEW_KEYS, path, ProjectError)
         view = View(
-            name=_nonempty(item, "name", path),
-            viewpoint=_get(item, "viewpoint", str, path),
-            elements=tuple(elements),
+            name=nonempty(item, "name", path, ProjectError),
+            viewpoint=get(item, "viewpoint", str, path, ProjectError),
+            elements=tuple(texts(item, "elements", path, ProjectError,
+                                 "view elements must be element ids", ())),
         )
-        _apply(model.add_view, view, path=path)
-    for i, item in enumerate(_items(raw, "realization-nodes", "description")):
+        nested(ProjectError, path, model.add_view, view)
+    for i, item in enumerate(entries(raw, "realization-nodes", dict,
+                                     "description", ProjectError, ())):
         path = f"description.realization-nodes[{i}]"
-        _reject_unknown(item, {"id", "designators"}, path)
-        designators_raw = _get(item, "designators", dict, path, default={})
+        check_keys(item, _REALIZATION_NODE_KEYS, path, ProjectError)
         chains = []
-        for key, text in designators_raw.items():
+        designators = get(item, "designators", dict, path, ProjectError, {})
+        for key, text in designators.items():
             chain_path = f"{path}.designators.{key}"
-            aspect = _parse_enum(key, Aspect, f"{path}.designators")
+            aspect = enum_of(key, Aspect, f"{path}.designators", ProjectError)
             if not isinstance(text, str):
                 raise ProjectError(
                     "SCHEMA_ERROR", "designator must be text", path=chain_path
                 )
-            try:
-                parsed = parse_designation(text)
-            except DesignationError as exc:
-                raise ProjectError(
-                    "SCHEMA_ERROR", f"{exc.code}: {exc.message}", path=chain_path
-                ) from exc
+            parsed = nested(ProjectError, chain_path, parse_designation, text)
             if len(parsed.chains) != 1 or parsed.chains[0].aspect is not aspect:
                 raise ProjectError(
                     "SCHEMA_ERROR",
@@ -405,11 +364,11 @@ def _load_description(raw: object) -> DescriptionModel:
                     path=chain_path,
                 )
             chains.append(parsed.chains[0])
-        node = RealizationNode(id=_nonempty(item, "id", path),
+        node = RealizationNode(id=nonempty(item, "id", path, ProjectError),
                                designators=tuple(chains))
-        _apply(model.add_realization_node, node, path=path)
-    for i, members in enumerate(_items(raw, "coextension", "description",
-                                       item_kind=list)):
+        nested(ProjectError, path, model.add_realization_node, node)
+    for i, members in enumerate(entries(raw, "coextension", list,
+                                        "description", ProjectError, ())):
         path = f"description.coextension[{i}]"
         if len(members) < 2 or not all(isinstance(m, str) for m in members):
             raise ProjectError(
@@ -418,9 +377,9 @@ def _load_description(raw: object) -> DescriptionModel:
                 path=path,
             )
         for member in members[1:]:
-            _apply(model.assert_coextension, members[0], member, path=path)
-    for i, pair in enumerate(_items(raw, "bindings", "description",
-                                    item_kind=list)):
+            nested(ProjectError, path, model.assert_coextension, members[0], member)
+    for i, pair in enumerate(entries(raw, "bindings", list, "description",
+                                     ProjectError, ())):
         path = f"description.bindings[{i}]"
         if len(pair) != 2 or not all(isinstance(p, str) for p in pair):
             raise ProjectError(
@@ -428,7 +387,7 @@ def _load_description(raw: object) -> DescriptionModel:
                 "binding must be a pair of element id and node id",
                 path=path,
             )
-        _apply(model.bind_element, pair[0], pair[1], path=path)
+        nested(ProjectError, path, model.bind_element, pair[0], pair[1])
     return model.build()
 
 
@@ -445,12 +404,21 @@ def _assessment_doc(a: Assessment) -> dict:
         for inst in a.instances
     ]
     work_products = []
-    for wp in a.work_products:
+    for i, wp in enumerate(a.work_products):
         item = {"id": wp.id, "definition": wp.definition, "label": wp.label}
-        if wp.document_designation is not None:
-            item["document-designation"] = format_document_designation(
-                wp.document_designation
-            )
+        designation = wp.document_designation
+        if designation is not None:
+            text = format_document_designation(designation)
+            # Only the builtin table loads back, so refuse what would not.
+            if (designation.table_ref != BUILTIN_DCC_TABLE.name
+                    or BUILTIN_DCC_TABLE.area_label(designation.area) is None):
+                raise ProjectError(
+                    "CUSTOM_DCC_TABLE",
+                    f"{text!r} is not a document designation of the builtin "
+                    "DCC table",
+                    path=f"assessment.work-products[{i}].document-designation",
+                )
+            item["document-designation"] = text
         work_products.append(item)
     records = [
         {
@@ -513,76 +481,3 @@ def _description_doc(model: DescriptionModel) -> dict:
         "coextension": sorted(sorted(cls) for cls in model.coextension),
         "bindings": [list(pair) for pair in model.bindings],
     }
-
-
-# Document plumbing
-
-_MISSING = object()
-
-
-def _get(doc: dict, key: str, kind: type, path: str, default: object = _MISSING):
-    if key not in doc:
-        if default is _MISSING:
-            raise ProjectError("SCHEMA_ERROR", f"missing key {key!r}", path=path)
-        return default
-    value = doc[key]
-    if (isinstance(value, bool) and kind is not bool) or not isinstance(value, kind):
-        raise ProjectError(
-            "SCHEMA_ERROR",
-            f"key {key!r} must be {kind.__name__}",
-            path=f"{path}.{key}",
-        )
-    return value
-
-
-def _nonempty(doc: dict, key: str, path: str) -> str:
-    value = _get(doc, key, str, path)
-    if not value:
-        raise ProjectError(
-            "SCHEMA_ERROR", f"key {key!r} must be nonempty", path=f"{path}.{key}"
-        )
-    return value
-
-
-def _items(doc: dict, key: str, path: str, item_kind: type = dict) -> list:
-    raw = _get(doc, key, list, path, default=[])
-    for i, item in enumerate(raw):
-        if not isinstance(item, item_kind):
-            raise ProjectError(
-                "SCHEMA_ERROR",
-                f"entry must be a {'map' if item_kind is dict else 'list'}",
-                path=f"{path}.{key}[{i}]",
-            )
-    return raw
-
-
-def _parse_enum(value: str, enum_type: type, path: str):
-    try:
-        return enum_type(value)
-    except ValueError:
-        raise ProjectError(
-            "SCHEMA_ERROR",
-            f"{value!r} is not a valid {enum_type.__name__}",
-            path=path,
-        ) from None
-
-
-def _reject_unknown(doc: dict, allowed: set[str], path: str) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise ProjectError(
-                "SCHEMA_ERROR", f"unknown key {key!r}", path=path
-            )
-
-
-def _apply(op, *args, path: str) -> None:
-    try:
-        op(*args)
-    except (AssessmentError, ModelError, DesignationError) as exc:
-        raise ProjectError(
-            "SCHEMA_ERROR", f"{exc.code}: {exc.message}", path=path
-        ) from exc
-
-
-def _prefix(prefix: str, path: str | None) -> str:
-    return f"{prefix}.{path}" if path else prefix

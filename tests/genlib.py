@@ -258,6 +258,20 @@ def random_kernel(rng: random.Random) -> KernelDefinition:
     return kernel
 
 
+def chain_kernel(length: int) -> KernelDefinition:
+    """Valid kernel whose alphas form one sub-alpha chain A0 -> A1 -> ..."""
+    state = StateDefinition(name="S", summary="s",
+                            checkpoints=(Checkpoint(id="S-1", text="done"),))
+    return KernelDefinition(
+        name="chain",
+        areas=tuple(AreaOfConcern(n) for n in AREA_NAMES),
+        alphas=tuple(
+            AlphaDefinition(
+                name=f"A{i}", area="Solution", states=(state,),
+                subalphas=(f"A{i + 1}",) if i + 1 < length else ())
+            for i in range(length)))
+
+
 def random_project(rng: random.Random) -> Project:
     kernel = None if rng.random() < 0.7 else random_kernel(rng)
     p = new_project(

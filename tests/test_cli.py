@@ -15,6 +15,7 @@ try:
 except ImportError:  # not on Windows
     resource = None
 
+import genlib
 from essencekit import (
     AlphaInstance,
     Aspect,
@@ -152,6 +153,14 @@ def test_kernel_validate_reports_findings(capsys, tmp_path):
     assert code == 1
     assert "EMPTY_STATES at alphas[0].states" in out
     assert out.rstrip().endswith("findings: 1")
+
+
+def test_kernel_validate_long_subalpha_chain(capsys, tmp_path):
+    kernel_file = tmp_path / "chain.json"
+    kernel_file.write_text(dumps_kernel(genlib.chain_kernel(2000)),
+                           encoding="utf-8")
+    code, out, _ = run(capsys, "kernel", "validate", str(kernel_file))
+    assert (code, out) == (0, "ok\n")
 
 
 def test_kernel_validate_bad_file(capsys, tmp_path):

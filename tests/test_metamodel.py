@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+import genlib
 from essencekit import (
     AlphaDefinition,
     AreaOfConcern,
@@ -169,6 +172,18 @@ def test_closure_is_depth_first_and_duplicate_free():
         alpha("C"),
         alpha("D"))
     assert subalpha_closure(kernel, "A") == ["B", "C", "D"]
+
+
+def test_long_subalpha_chain_walks_without_recursion():
+    kernel = genlib.chain_kernel(2000)
+    assert validate_kernel(kernel).ok
+    assert subalpha_closure(kernel, "A0") == [f"A{i}" for i in range(1, 2000)]
+    last = replace(kernel.alphas[-1], subalphas=("A0",))
+    looped = replace(kernel, alphas=kernel.alphas[:-1] + (last,))
+    report = validate_kernel(looped)
+    assert report.codes() == ("SUBALPHA_CYCLE",)
+    assert report.findings[0].path == "alphas[A0]"
+    assert report.findings[0].message.endswith("A1998 -> A1999 -> A0")
 
 
 def test_closure_unknown_alpha():

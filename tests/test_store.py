@@ -18,6 +18,7 @@ from essencekit import (
     BreakdownTree,
     CheckpointRecord,
     DescriptionModel,
+    DocumentDesignation,
     Project,
     ProjectError,
     RealizationNode,
@@ -31,7 +32,9 @@ from essencekit import (
     bind_element,
     builtin_se_kernel,
     load_project,
+    loads_dcc_table,
     new_project,
+    parse_designation,
     parse_document_designation,
     record_checkpoint,
     save_project,
@@ -114,6 +117,31 @@ def test_inline_kernel_round_trips():
     loaded = load_project(save_project(p))
     assert loaded.kernel == kernel
     assert not loaded.builtin_kernel
+
+
+def test_inline_kernel_with_long_subalpha_chain_loads():
+    p = new_project("chain", kernel=genlib.chain_kernel(2000))
+    assert load_project(save_project(p)) == p
+
+
+def test_save_refuses_designations_of_other_dcc_tables():
+    plant = loads_dcc_table(
+        '{"name": "plant", "areas": {"A": "general", "X": "process"}}')
+    designations = (
+        parse_document_designation("=F1&XCA", plant),  # would not load
+        parse_document_designation("=F1&ACA", plant),  # would lose its table
+        DocumentDesignation(system=parse_designation("=F1"), dcc="XCA"),
+    )
+    for designation in designations:
+        p = new_project("dcc")
+        a = add_work_product(p.assessment, WorkProductInstance(
+            id="wp", definition="Test Report",
+            document_designation=designation))
+        with pytest.raises(ProjectError) as err:
+            save_project(replace(p, assessment=a))
+        assert err.value.code == "CUSTOM_DCC_TABLE"
+        assert err.value.path == (
+            "assessment.work-products[0].document-designation")
 
 
 def test_loading_rejects_wrong_version():
