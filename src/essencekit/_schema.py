@@ -21,10 +21,12 @@ _MISSING = object()
 
 
 def decode(data: bytes | str, error: type[EssenceError], what: str) -> dict:
-    """The JSON map in ``data``; PARSE_ERROR when it is not JSON."""
+    """The JSON map in ``data``; PARSE_ERROR when it is not JSON, or
+    nests or weighs more than the decoder can take."""
     try:
         doc = json.loads(data)
-    except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, UnicodeDecodeError, RecursionError,
+            MemoryError) as exc:
         raise error("PARSE_ERROR", f"invalid {what}: {exc}") from exc
     if not isinstance(doc, dict):
         raise error("SCHEMA_ERROR", f"{what} must be a map")

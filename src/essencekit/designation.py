@@ -209,7 +209,12 @@ class BreakdownNode:
 
 @dataclass(frozen=True)
 class BreakdownTree:
-    """One aspect's system hierarchy; sibling segments are unique."""
+    """One aspect's system hierarchy; sibling segments are unique.
+
+    The first ``paths`` or ``resolve`` call builds an index of the
+    nodes, which the value keeps. Equality, hash, repr, copies and
+    pickles see only ``aspect`` and ``roots``.
+    """
 
     aspect: Aspect
     roots: tuple[BreakdownNode, ...] = ()
@@ -220,17 +225,62 @@ class BreakdownTree:
 
     def paths(self) -> tuple[tuple[str, ...], ...]:
         """All root-to-node paths, depth-first."""
+        index = self._index()
         out: list[tuple[str, ...]] = []
-
-        def walk(node: BreakdownNode, prefix: tuple[str, ...]) -> None:
-            path = prefix + (node.segment,)
-            out.append(path)
-            for child in node.children:
-                walk(child, path)
-
-        for root in self.roots:
-            walk(root, ())
+        for segment, parent in zip(index.segments, index.parents):
+            out.append((out[parent] + (segment,)) if parent >= 0 else (segment,))
         return tuple(out)
+
+    def _index(self) -> _TreeIndex:
+        index = self.__dict__.get("_tree_index")
+        if index is None:
+            # Threads that race here build equal indices; any one serves.
+            index = self.__dict__["_tree_index"] = _TreeIndex(self.roots)
+        return index
+
+    def __getstate__(self) -> dict:
+        return {"aspect": self.aspect, "roots": self.roots}
+
+
+class _TreeIndex:
+    """The nodes of a forest in depth-first order.
+
+    ``segments[i]`` is node i's segment and ``parents[i]`` the position
+    of its parent (-1 for a root); ``positions`` lists the nodes of
+    each segment in ascending order.
+    """
+
+    __slots__ = ("segments", "parents", "positions")
+
+    def __init__(self, roots: tuple[BreakdownNode, ...]):
+        segments: list[str] = []
+        parents: list[int] = []
+        positions: dict[str, list[int]] = {}
+        # The open nodes' child iterators, and the open nodes' positions.
+        stack = [iter(roots)]
+        ups = [-1]
+        while stack:
+            up = ups[-1]
+            for node in stack[-1]:
+                pos = len(segments)
+                segment = node.segment
+                segments.append(segment)
+                parents.append(up)
+                same = positions.get(segment)
+                if same is None:
+                    positions[segment] = [pos]
+                else:
+                    same.append(pos)
+                if node.children:
+                    stack.append(iter(node.children))
+                    ups.append(pos)
+                    break
+            else:
+                stack.pop()
+                ups.pop()
+        self.segments = segments
+        self.parents = parents
+        self.positions = positions
 
 
 def _require_unique_siblings(
@@ -260,8 +310,23 @@ def resolve(tree: BreakdownTree, chain: AspectChain) -> tuple[tuple[str, ...], .
             f"{chain.aspect.value} chain resolved against "
             f"{tree.aspect.value} tree",
         )
-    want = chain.segments
-    return tuple(path for path in tree.paths() if path[-len(want):] == want)
+    index = tree._index()
+    segments, parents = index.segments, index.parents
+    rest = chain.segments[-2::-1]  # the suffix above its last segment, upwards
+    matches = []
+    for pos in index.positions.get(chain.segments[-1], ()):
+        up = parents[pos]
+        for segment in rest:
+            if up < 0 or segments[up] != segment:
+                break
+            up = parents[up]
+        else:
+            path = []
+            while pos >= 0:
+                path.append(segments[pos])
+                pos = parents[pos]
+            matches.append(tuple(reversed(path)))
+    return tuple(matches)
 
 
 @dataclass(frozen=True)

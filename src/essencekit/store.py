@@ -71,6 +71,12 @@ FORMAT_VERSION = 1
 
 BUILTIN_KERNEL_MARKER = "builtin"
 
+# The deepest breakdown tree a project file holds, a root being level 1.
+# The JSON codec recurses twice per tree level, and the equality, hash,
+# repr and pickling of BreakdownNode about four times; at this depth all
+# of them stay well inside Python's default recursion limit.
+MAX_TREE_DEPTH = 128
+
 
 @dataclass(frozen=True)
 class Project:
@@ -160,10 +166,7 @@ def save_project(p: Project) -> bytes:
             BUILTIN_KERNEL_MARKER if p.builtin_kernel else kernel_to_doc(p.kernel)
         ),
         "assessment": _assessment_doc(p.assessment),
-        "trees": {
-            tree.aspect.value: [_node_doc(root) for root in tree.roots]
-            for tree in p.trees
-        },
+        "trees": {tree.aspect.value: _tree_doc(tree) for tree in p.trees},
         "description": _description_doc(p.description),
     }
     return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
@@ -279,24 +282,45 @@ def _load_trees(raw: dict) -> tuple[BreakdownTree, ...]:
                 "SCHEMA_ERROR", "tree roots must be a list", path=path
             )
         trees.append(nested(ProjectError, path, lambda: BreakdownTree(
-            aspect=aspect,
-            roots=tuple(_node_from_doc(item, f"{path}[{i}]")
-                        for i, item in enumerate(roots)),
-        )))
+            aspect=aspect, roots=_nodes_from_doc(roots, path))))
     return tuple(trees)
 
 
-def _node_from_doc(raw: object, path: str) -> BreakdownNode:
-    if not isinstance(raw, dict):
-        raise ProjectError("SCHEMA_ERROR", "tree node must be a map", path=path)
-    check_keys(raw, _NODE_KEYS, path, ProjectError)
-    children = tuple(
-        _node_from_doc(item, f"{path}.children[{i}]")
-        for i, item in enumerate(get(raw, "children", list, path, ProjectError, ()))
-    )
-    return BreakdownNode(
-        segment=get(raw, "segment", str, path, ProjectError), children=children
-    )
+def _nodes_from_doc(roots: list, path: str) -> tuple[BreakdownNode, ...]:
+    """The tree's root nodes, built bottom-up with an explicit stack.
+
+    Entries are checked in the order of a recursive reader: a node's
+    shape before its children, its segment after them.
+    """
+    # The open nodes' child entries, and per open node its map (None
+    # above the roots), its path and the children built so far.
+    stack = [enumerate(roots)]
+    frames: list = [(None, path, [])]
+    while True:
+        raw, here, built = frames[-1]
+        for i, item in stack[-1]:
+            at = f"{here}[{i}]" if raw is None else f"{here}.children[{i}]"
+            if not isinstance(item, dict):
+                raise ProjectError("SCHEMA_ERROR", "tree node must be a map",
+                                   path=at)
+            check_keys(item, _NODE_KEYS, at, ProjectError)
+            children = get(item, "children", list, at, ProjectError, ())
+            if children:
+                if len(stack) == MAX_TREE_DEPTH:
+                    raise _too_deep(path)
+                stack.append(enumerate(children))
+                frames.append((item, at, []))
+                break
+            built.append(BreakdownNode(
+                segment=get(item, "segment", str, at, ProjectError)))
+        else:
+            stack.pop()
+            frames.pop()
+            if raw is None:
+                return tuple(built)
+            frames[-1][2].append(BreakdownNode(
+                segment=get(raw, "segment", str, here, ProjectError),
+                children=tuple(built)))
 
 
 def _load_description(raw: dict) -> DescriptionModel:
@@ -439,11 +463,36 @@ def _assessment_doc(a: Assessment) -> dict:
     }
 
 
-def _node_doc(node: BreakdownNode) -> dict:
-    doc: dict = {"segment": node.segment}
-    if node.children:
-        doc["children"] = [_node_doc(child) for child in node.children]
-    return doc
+def _tree_doc(tree: BreakdownTree) -> list:
+    """The tree's root nodes as maps, built with an explicit stack."""
+    out: list = []
+    # The open nodes' child iterators, and the lists their maps go into.
+    stack = [iter(tree.roots)]
+    lists = [out]
+    while stack:
+        siblings = lists[-1]
+        for node in stack[-1]:
+            doc: dict = {"segment": node.segment}
+            siblings.append(doc)
+            if node.children:
+                if len(stack) == MAX_TREE_DEPTH:
+                    raise _too_deep(f"trees.{tree.aspect.value}")
+                doc["children"] = children = []
+                stack.append(iter(node.children))
+                lists.append(children)
+                break
+        else:
+            stack.pop()
+            lists.pop()
+    return out
+
+
+def _too_deep(path: str) -> ProjectError:
+    return ProjectError(
+        "TREE_TOO_DEEP",
+        f"breakdown tree is more than {MAX_TREE_DEPTH} levels deep",
+        path=path,
+    )
 
 
 def _description_doc(model: DescriptionModel) -> dict:

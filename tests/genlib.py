@@ -176,8 +176,36 @@ def enumerate_paths(tree: BreakdownTree) -> list[tuple[str, ...]]:
     return paths
 
 
+def depth_first_paths(tree: BreakdownTree) -> list[tuple[str, ...]]:
+    """Oracle path listing in depth-first order, with an explicit stack."""
+    paths: list[tuple[str, ...]] = []
+    stack: list[tuple[BreakdownNode, tuple[str, ...]]] = [
+        (root, ()) for root in reversed(tree.roots)]
+    while stack:
+        node, prefix = stack.pop()
+        path = prefix + (node.segment,)
+        paths.append(path)
+        stack.extend((child, path) for child in reversed(node.children))
+    return paths
+
+
 def suffix_count(paths: list[tuple[str, ...]], segments: tuple[str, ...]) -> int:
     return sum(1 for path in paths if path[-len(segments):] == segments)
+
+
+def suffix_matches(
+    paths: list[tuple[str, ...]], segments: tuple[str, ...]
+) -> tuple[tuple[str, ...], ...]:
+    """Reference resolve: the paths ending with segments, in list order."""
+    return tuple(path for path in paths if path[-len(segments):] == segments)
+
+
+def chain_tree(aspect: Aspect, depth: int) -> BreakdownTree:
+    """One root-to-leaf chain of nodes N1 ... N<depth>, built bottom-up."""
+    node = BreakdownNode(f"N{depth}")
+    for level in range(depth - 1, 0, -1):
+        node = BreakdownNode(f"N{level}", (node,))
+    return BreakdownTree(aspect=aspect, roots=(node,))
 
 
 def random_chain(

@@ -42,6 +42,7 @@ from essencekit import (
     save_project,
 )
 from essencekit.cli import main
+from essencekit.store import MAX_TREE_DEPTH
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -557,6 +558,33 @@ def test_deeply_nested_project_is_a_parse_error(tmp_path):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert json.loads(result.stderr)["error"]["code"] == "PARSE_ERROR"
+
+
+@pytest.mark.parametrize("depth", [MAX_TREE_DEPTH, MAX_TREE_DEPTH + 1])
+def test_desig_check_on_a_tree_at_the_depth_limit(tmp_path, depth):
+    tree = genlib.chain_tree(Aspect.PRODUCT, depth)
+    if depth <= MAX_TREE_DEPTH:
+        text = save_project(replace(new_project("deep"), trees=(tree,)))
+    else:  # save_project refuses it, so write the document by hand
+        node = {"segment": f"N{depth}"}
+        for level in range(depth - 1, 0, -1):
+            node = {"segment": f"N{level}", "children": [node]}
+        text = json.dumps({"format-version": 1, "project-id": "deep",
+                           "trees": {"Product": [node]}}).encode()
+    path = tmp_path / "deep.json"
+    path.write_bytes(text)
+    result = subprocess.run(
+        [sys.executable, "-m", "essencekit.cli", "--format", "structured",
+         "desig", "check", str(path), "--", f"-N{depth - 1}-N{depth}"],
+        capture_output=True, text=True, timeout=60)
+    assert "Traceback" not in result.stderr
+    if depth <= MAX_TREE_DEPTH:
+        assert result.returncode == 0
+        assert json.loads(result.stdout)["chains"][0]["matches"] == 1
+    else:
+        assert result.returncode == 2
+        error = json.loads(result.stderr)["error"]
+        assert (error["code"], error["path"]) == ("TREE_TOO_DEEP", "trees.Product")
 
 
 def test_module_entry_point_runs_as_subprocess():

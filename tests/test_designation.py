@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 import string
 
@@ -239,13 +242,65 @@ def test_resolve_matches_suffix_oracle_on_random_trees():
         tree = genlib.random_tree(rng, aspect)
         paths = genlib.enumerate_paths(tree)
         assert sorted(tree.paths()) == sorted(paths)
+        in_order = genlib.depth_first_paths(tree)
+        assert tree.paths() == tuple(in_order)
         for _ in range(6):
             chain = genlib.random_chain(rng, aspect, paths)
             matches = resolve(tree, chain)
             assert len(matches) == genlib.suffix_count(paths, chain.segments)
-            for path in matches:
-                assert path in paths
-                assert path[-len(chain.segments):] == chain.segments
+            assert matches == genlib.suffix_matches(in_order, chain.segments)
+
+
+def test_resolve_edge_chains_match_the_oracle():
+    rng = random.Random(9127)
+    for _ in range(60):
+        aspect = rng.choice(list(Aspect))
+        tree = genlib.random_tree(rng, aspect)
+        paths = genlib.depth_first_paths(tree)
+        longest = max(paths, key=len)
+        chains = [(segment,) for segment in genlib.SEGMENT_POOL]  # one segment
+        chains += [path for path in paths if len(path) > 1]  # full root paths
+        chains.append(("Z9",) + longest)  # longer than any path
+        chains.append(longest[:-1] + ("Z9",))  # absent last segment
+        chains.append(longest + ("Z9",))
+        for segments in chains:
+            chain = AspectChain(aspect, segments)
+            assert resolve(tree, chain) == genlib.suffix_matches(paths, segments)
+
+
+def test_tree_index_is_invisible_to_value_semantics():
+    rng = random.Random(3301)
+    for _ in range(30):
+        aspect = rng.choice(list(Aspect))
+        tree = genlib.random_tree(rng, aspect)
+        twin = BreakdownTree(aspect=aspect, roots=tree.roots)
+        chains = [genlib.random_chain(rng, aspect, list(tree.paths()))
+                  for _ in range(4)]
+        before = [resolve(twin, chain) for chain in chains]
+        fresh = BreakdownTree(aspect=aspect, roots=tree.roots)
+        assert twin == fresh and hash(twin) == hash(fresh)  # one resolved
+        assert repr(twin) == repr(fresh)
+        for clone in (copy.copy(twin), copy.deepcopy(twin),
+                      pickle.loads(pickle.dumps(twin)),
+                      dataclasses.replace(twin), copy.copy(fresh)):
+            assert clone == twin and hash(clone) == hash(twin)
+            assert [resolve(clone, chain) for chain in chains] == before
+        assert len(pickle.dumps(twin)) == len(pickle.dumps(fresh))
+        assert [resolve(fresh, chain) for chain in chains] == before
+
+
+def test_deep_chain_tree_resolves_without_recursion():
+    depth = 1500
+    tree = genlib.chain_tree(Aspect.LOCATION, depth)
+    full = tuple(f"N{level}" for level in range(1, depth + 1))
+    assert tree.paths() == tuple(full[:n] for n in range(1, depth + 1))
+    assert resolve(tree, AspectChain(Aspect.LOCATION, full)) == (full,)
+    assert resolve(tree, AspectChain(Aspect.LOCATION, full[-3:])) == (full,)
+    assert resolve(tree, AspectChain(Aspect.LOCATION, ("N1", "N3"))) == ()
+    report = check_at_least_one_unambiguous(
+        {Aspect.LOCATION: tree}, parse_designation(f"+N{depth - 1}+N{depth}"))
+    assert report.ok
+    assert report.resolutions[0].matches == (full,)
 
 
 def test_unambiguity_check_pass_and_fail():

@@ -1,9 +1,11 @@
-"""Loading grows linearly with the document.
+"""Loading grows linearly with the document; resolving, with the matches.
 
-Each test times load_project on a document and on one four times its
-size, best of three. Linear loading costs about 4x, quadratic about
-16x; the bound of 8x sits between them, and no absolute time is
-checked, so the tests hold on slow or busy machines.
+Each load test times load_project on a document and on one four times
+its size, best of three. Linear loading costs about 4x, quadratic about
+16x; the bound of 8x sits between them. The resolve test times the same
+chain, with the same matches, on a tree and on one four times its size:
+it must cost under 2x, where a scan of every path costs about 4x. No
+absolute time is checked, so the tests hold on slow or busy machines.
 """
 
 from __future__ import annotations
@@ -11,7 +13,15 @@ from __future__ import annotations
 import json
 from time import perf_counter
 
-from essencekit import builtin_se_kernel, load_project
+from essencekit import (
+    Aspect,
+    AspectChain,
+    BreakdownNode,
+    BreakdownTree,
+    builtin_se_kernel,
+    load_project,
+    resolve,
+)
 
 N = 1200
 BOUND = 8
@@ -67,3 +77,34 @@ def test_loading_a_description_model_is_linear():
     small, large = model_document(N), model_document(4 * N)
     assert len(load_project(large).description.bindings) == 2 * N
     assert load_seconds(large) < BOUND * load_seconds(small)
+
+
+def filler_tree(n: int) -> BreakdownTree:
+    """About n nodes: 16 roots, each with a chain A<r> / X and n / 16
+    filler leaves. The chain ``-X`` matches 16 nodes, whatever n is."""
+    per_root = n // 16
+    roots = tuple(
+        BreakdownNode(f"R{r}", (BreakdownNode(f"A{r}", (BreakdownNode("X"),)),)
+                      + tuple(BreakdownNode(f"F{j}") for j in range(per_root)))
+        for r in range(16))
+    return BreakdownTree(aspect=Aspect.PRODUCT, roots=roots)
+
+
+def resolve_seconds(tree: BreakdownTree, chain: AspectChain) -> float:
+    resolve(tree, chain)  # warm-up
+    best = float("inf")
+    for _ in range(3):
+        start = perf_counter()
+        for _ in range(200):
+            resolve(tree, chain)
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def test_resolve_cost_follows_matches_not_tree_size():
+    n = 4000
+    small, large = filler_tree(n), filler_tree(4 * n)
+    chain = AspectChain(Aspect.PRODUCT, ("X",))
+    assert len(resolve(small, chain)) == len(resolve(large, chain)) == 16
+    assert len(large.paths()) > 4 * n
+    assert resolve_seconds(large, chain) < 2 * resolve_seconds(small, chain)

@@ -187,6 +187,18 @@ def test_shape_error_table(kind, rule, doc, code, path):
     assert (err.value.code, err.value.path) == (code, path), err.value
 
 
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_memory_error_while_decoding_is_a_parse_error(kind, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(json, "loads", exhausted)
+    read, error = READERS[kind]
+    with pytest.raises(error) as err:
+        read("{}")
+    assert err.value.code == "PARSE_ERROR"
+
+
 def test_kernel_documents_accept_unknown_keys():
     k = loads_kernel(json.dumps(kernel(notes="free text")))
     assert k.name == "k"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import random
 from dataclasses import replace
 
@@ -39,6 +40,7 @@ from essencekit import (
     record_checkpoint,
     save_project,
 )
+from essencekit.store import MAX_TREE_DEPTH
 
 MINIMAL = '{"format-version": 1, "project-id": "p"}'
 
@@ -365,6 +367,40 @@ def test_trees_are_kept_in_aspect_order():
     assert p.tree_for(Aspect.PRODUCT) is None
     loaded = load_project(save_project(p))
     assert loaded.trees == p.trees
+
+
+def deep_project(depth: int) -> Project:
+    return replace(new_project("deep"),
+                   trees=(genlib.chain_tree(Aspect.PRODUCT, depth),))
+
+
+def test_tree_at_the_depth_limit_round_trips():
+    p = deep_project(MAX_TREE_DEPTH)
+    blob = save_project(p)
+    loaded = load_project(blob)
+    assert len(loaded.trees[0].paths()[-1]) == MAX_TREE_DEPTH
+    assert save_project(loaded) == blob
+    # The loaded value compares, hashes, prints and pickles.
+    assert loaded == p and hash(loaded.trees) == hash(p.trees)
+    assert repr(loaded.trees) == repr(p.trees)
+    assert pickle.loads(pickle.dumps(loaded)) == p
+
+
+@pytest.mark.parametrize("depth", [MAX_TREE_DEPTH + 1, 1500])
+def test_save_refuses_trees_deeper_than_the_limit(depth):
+    with pytest.raises(ProjectError) as err:
+        save_project(deep_project(depth))
+    assert (err.value.code, err.value.path) == ("TREE_TOO_DEEP", "trees.Product")
+
+
+def test_load_refuses_trees_deeper_than_the_limit():
+    depth = MAX_TREE_DEPTH + 1
+    tree = ('{"segment": "A", "children": [' * (depth - 1) + '{"segment": "A"}'
+            + "]}" * (depth - 1))
+    err = load_error('{"format-version": 1, "project-id": "p", "trees": '
+                     '{"Function": [{"segment": "F1"}], "Location": ['
+                     + tree + "]}}")
+    assert (err.code, err.path) == ("TREE_TOO_DEEP", "trees.Location")
 
 
 def test_random_projects_round_trip():
