@@ -23,10 +23,9 @@ from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
 from typing import Iterable
 
-from ._keyed import KeyedTuple, Log, evolve
+from ._value import derive
 from .designation import ASPECT_ORDER, Aspect, AspectChain
 from .errors import ModelError
 
@@ -110,41 +109,54 @@ class RealizationNode:
         return None
 
 
-_by_name = attrgetter("name")
-_by_id = attrgetter("id")
-_VIEWPOINTS = KeyedTuple(_by_name)
-_VIEWS = KeyedTuple(_by_name)
-_ELEMENTS = KeyedTuple(_by_id)
-_NODES = KeyedTuple(_by_id)
-
-
 @dataclass(frozen=True)
 class DescriptionModel:
-    viewpoints: tuple[Viewpoint, ...] = _VIEWPOINTS
-    views: tuple[View, ...] = _VIEWS
-    elements: tuple[ViewElement, ...] = _ELEMENTS
-    realization_nodes: tuple[RealizationNode, ...] = _NODES
+    viewpoints: tuple[Viewpoint, ...] = ()
+    views: tuple[View, ...] = ()
+    elements: tuple[ViewElement, ...] = ()
+    realization_nodes: tuple[RealizationNode, ...] = ()
     # Non-singleton classes only; untouched elements are implicit singletons.
     coextension: frozenset[frozenset[str]] = frozenset()
     # (element id, realization node id), sorted by element id.
     bindings: tuple[tuple[str, str], ...] = ()
 
+    def __post_init__(self) -> None:
+        for name in ("viewpoints", "views", "elements", "realization_nodes"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
     def viewpoint(self, name: str) -> Viewpoint | None:
-        return _VIEWPOINTS.get(self, name)
+        return self._viewpoints_by_name.get(name)
 
     def view(self, name: str) -> View | None:
-        return _VIEWS.get(self, name)
+        return self._views_by_name.get(name)
 
     def element(self, elem_id: str) -> ViewElement | None:
-        return _ELEMENTS.get(self, elem_id)
+        return self._elements_by_id.get(elem_id)
 
     def realization_node(self, node_id: str) -> RealizationNode | None:
-        return _NODES.get(self, node_id)
+        return self._nodes_by_id.get(node_id)
 
     def binding_of(self, elem_id: str) -> str | None:
         return self._binding.get(elem_id)
 
     # Derived indices; the operations hand a successor updated copies.
+    # The first item with a name or an id is the one found.
+
+    @cached_property
+    def _viewpoints_by_name(self) -> dict[str, Viewpoint]:
+        return {vp.name: vp for vp in reversed(self.viewpoints)}
+
+    @cached_property
+    def _views_by_name(self) -> dict[str, View]:
+        return {view.name: view for view in reversed(self.views)}
+
+    @cached_property
+    def _elements_by_id(self) -> dict[str, ViewElement]:
+        return {elem.id: elem for elem in reversed(self.elements)}
+
+    @cached_property
+    def _nodes_by_id(self) -> dict[str, RealizationNode]:
+        return {node.id: node for node in reversed(self.realization_nodes)}
 
     @cached_property
     def _class_of(self) -> dict[str, frozenset[str]]:
@@ -161,14 +173,14 @@ class ModelBuilder:
     Each entry gets the check of the matching operation, so errors are
     the same as when folding the ``add_*``, ``assert_coextension`` and
     ``bind_element`` operations; the value is made once, by ``build``,
-    which hands the builder's state over to it.
+    which hands the builder's indices over to it.
     """
 
     def __init__(self) -> None:
-        self._viewpoints = Log(_by_name)
-        self._views = Log(_by_name)
-        self._elements = Log(_by_id)
-        self._nodes = Log(_by_id)
+        self._viewpoints: dict[str, Viewpoint] = {}
+        self._views: dict[str, View] = {}
+        self._elements: dict[str, ViewElement] = {}
+        self._nodes: dict[str, RealizationNode] = {}
         self._class_of: dict[str, frozenset[str]] = {}
         self._binding: dict[str, str] = {}
 
@@ -189,19 +201,19 @@ class ModelBuilder:
 
     def add_viewpoint(self, vp: Viewpoint) -> None:
         _check_viewpoint(self, vp)
-        self._viewpoints.put(vp)
+        self._viewpoints[vp.name] = vp
 
     def add_view(self, view: View) -> None:
         _check_view(self, view)
-        self._views.put(view)
+        self._views[view.name] = view
 
     def add_element(self, elem: ViewElement) -> None:
         _check_element(self, elem)
-        self._elements.put(elem)
+        self._elements[elem.id] = elem
 
     def add_realization_node(self, node: RealizationNode) -> None:
         _check_node(self, node)
-        self._nodes.put(node)
+        self._nodes[node.id] = node
 
     def assert_coextension(self, elem_a: str, elem_b: str) -> None:
         merge = _check_coextension(self, elem_a, elem_b)
@@ -218,37 +230,45 @@ class ModelBuilder:
 
     def build(self) -> DescriptionModel:
         model = DescriptionModel(
-            viewpoints=self._viewpoints,
-            views=self._views,
-            elements=self._elements,
-            realization_nodes=self._nodes,
+            viewpoints=tuple(self._viewpoints.values()),
+            views=tuple(self._views.values()),
+            elements=tuple(self._elements.values()),
+            realization_nodes=tuple(self._nodes.values()),
             coextension=frozenset(self._class_of.values()),
             bindings=tuple(sorted(self._binding.items())),
         )
-        model.__dict__.update(_class_of=self._class_of, _binding=self._binding)
+        model.__dict__.update(
+            _viewpoints_by_name=self._viewpoints, _views_by_name=self._views,
+            _elements_by_id=self._elements, _nodes_by_id=self._nodes,
+            _class_of=self._class_of, _binding=self._binding,
+        )
         return model
 
 
 def add_viewpoint(model: DescriptionModel, vp: Viewpoint) -> DescriptionModel:
     _check_viewpoint(model, vp)
-    return evolve(model, viewpoints=_VIEWPOINTS.put(model, vp))
+    return derive(model, viewpoints=model.viewpoints + (vp,),
+                  _viewpoints_by_name={**model._viewpoints_by_name, vp.name: vp})
 
 
 def add_view(model: DescriptionModel, view: View) -> DescriptionModel:
     _check_view(model, view)
-    return evolve(model, views=_VIEWS.put(model, view))
+    return derive(model, views=model.views + (view,),
+                  _views_by_name={**model._views_by_name, view.name: view})
 
 
 def add_element(model: DescriptionModel, elem: ViewElement) -> DescriptionModel:
     _check_element(model, elem)
-    return evolve(model, elements=_ELEMENTS.put(model, elem))
+    return derive(model, elements=model.elements + (elem,),
+                  _elements_by_id={**model._elements_by_id, elem.id: elem})
 
 
 def add_realization_node(
     model: DescriptionModel, node: RealizationNode
 ) -> DescriptionModel:
     _check_node(model, node)
-    return evolve(model, realization_nodes=_NODES.put(model, node))
+    return derive(model, realization_nodes=model.realization_nodes + (node,),
+                  _nodes_by_id={**model._nodes_by_id, node.id: node})
 
 
 # The checks take a DescriptionModel or a ModelBuilder.
@@ -407,7 +427,11 @@ def bind_designator(
             f"node {node_id!r} already has a {chain.aspect.value} designator",
         )
     updated = RealizationNode(id=node.id, designators=node.designators + (chain,))
-    return evolve(model, realization_nodes=_NODES.put(model, updated))
+    nodes = model.realization_nodes
+    # The index holds the first node with the id; no node before it is equal.
+    pos = nodes.index(node)
+    return derive(model, realization_nodes=nodes[:pos] + (updated,) + nodes[pos + 1:],
+                  _nodes_by_id={**model._nodes_by_id, node_id: updated})
 
 
 def _require_extended(model, elem_id: str) -> ViewElement:
@@ -446,6 +470,5 @@ def _successor(
         for member in unbound:
             insort(rows, (member, node_id))
         bindings = tuple(rows)
-    successor = evolve(model, coextension=coextension, bindings=bindings)
-    successor.__dict__.update(_class_of=class_of, _binding=binding)
-    return successor
+    return derive(model, coextension=coextension, bindings=bindings,
+                  _class_of=class_of, _binding=binding)

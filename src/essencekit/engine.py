@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from functools import cached_property
 from typing import NamedTuple
 
-from ._keyed import KeyedTuple, Log, evolve
+from ._value import derive
 from .designation import DocumentDesignation
 from .errors import AssessmentError
 from .metamodel import AlphaDefinition, KernelDefinition, StateDefinition, find_alpha
@@ -61,27 +61,40 @@ class CheckpointRecord:
         return (self.alpha_instance, self.state, self.checkpoint)
 
 
-_by_id = attrgetter("id")
-_INSTANCES = KeyedTuple(_by_id)
-_WORK_PRODUCTS = KeyedTuple(_by_id)
-# The last record with a key is the effective one, also in raw tuples.
-_RECORDS = KeyedTuple(attrgetter("key"), last_wins=True)
-
-
 @dataclass(frozen=True)
 class Assessment:
     project_id: str
     kernel: KernelDefinition
-    instances: tuple[AlphaInstance, ...] = _INSTANCES
-    work_products: tuple[WorkProductInstance, ...] = _WORK_PRODUCTS
-    records: tuple[CheckpointRecord, ...] = _RECORDS
+    instances: tuple[AlphaInstance, ...] = ()
+    work_products: tuple[WorkProductInstance, ...] = ()
+    records: tuple[CheckpointRecord, ...] = ()
     strict_evidence: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("instances", "work_products", "records"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
     def instance(self, instance_id: str) -> AlphaInstance | None:
-        return _INSTANCES.get(self, instance_id)
+        return self._instances_by_id.get(instance_id)
 
     def work_product(self, wp_id: str) -> WorkProductInstance | None:
-        return _WORK_PRODUCTS.get(self, wp_id)
+        return self._work_products_by_id.get(wp_id)
+
+    # Indices of the tuple fields; the operations hand a successor
+    # updated copies. The first item with an id is the one found.
+
+    @cached_property
+    def _instances_by_id(self) -> dict[str, AlphaInstance]:
+        return {inst.id: inst for inst in reversed(self.instances)}
+
+    @cached_property
+    def _work_products_by_id(self) -> dict[str, WorkProductInstance]:
+        return {wp.id: wp for wp in reversed(self.work_products)}
+
+    @cached_property
+    def _record_positions(self) -> dict[tuple[str, str, str], int]:
+        # The last record with a key is the effective one, also in raw tuples.
+        return {rec.key: i for i, rec in enumerate(self.records)}
 
 
 class AssessmentBuilder:
@@ -90,7 +103,7 @@ class AssessmentBuilder:
     Each entry gets the check of the matching operation, so errors are
     the same as when folding ``add_instance``, ``add_work_product`` and
     ``record_checkpoint``; the value is made once, by ``build``, which
-    hands the builder's state over to it.
+    hands it the builder's id maps as its indices.
     """
 
     def __init__(self, project_id: str, kernel: KernelDefinition,
@@ -98,9 +111,10 @@ class AssessmentBuilder:
         self.project_id = project_id
         self.kernel = kernel
         self.strict_evidence = strict_evidence
-        self._instances = Log(_by_id)
-        self._work_products = Log(_by_id)
-        self._records = Log(_RECORDS.key, last_wins=True)
+        self._instances: dict[str, AlphaInstance] = {}
+        self._work_products: dict[str, WorkProductInstance] = {}
+        # A record replaces the one with its key in place, as in the value.
+        self._records: dict[tuple[str, str, str], CheckpointRecord] = {}
 
     def instance(self, instance_id: str) -> AlphaInstance | None:
         return self._instances.get(instance_id)
@@ -110,25 +124,28 @@ class AssessmentBuilder:
 
     def add_instance(self, inst: AlphaInstance) -> None:
         _check_instance(self, inst)
-        self._instances.put(inst)
+        self._instances[inst.id] = inst
 
     def add_work_product(self, wp: WorkProductInstance) -> None:
         _check_work_product(self, wp)
-        self._work_products.put(wp)
+        self._work_products[wp.id] = wp
 
     def record_checkpoint(self, rec: CheckpointRecord) -> None:
         _check_record(self, rec)
-        self._records.put(rec)
+        self._records[rec.key] = rec
 
     def build(self) -> Assessment:
-        return Assessment(
+        a = Assessment(
             project_id=self.project_id,
             kernel=self.kernel,
-            instances=self._instances,
-            work_products=self._work_products,
-            records=self._records,
+            instances=tuple(self._instances.values()),
+            work_products=tuple(self._work_products.values()),
+            records=tuple(self._records.values()),
             strict_evidence=self.strict_evidence,
         )
+        a.__dict__.update(_instances_by_id=self._instances,
+                          _work_products_by_id=self._work_products)
+        return a
 
 
 class Blocker(NamedTuple):
@@ -147,20 +164,28 @@ class StateResult:
 
 def add_instance(a: Assessment, inst: AlphaInstance) -> Assessment:
     _check_instance(a, inst)
-    return evolve(a, instances=_INSTANCES.put(a, inst))
+    return derive(a, instances=a.instances + (inst,),
+                  _instances_by_id={**a._instances_by_id, inst.id: inst})
 
 
 def add_work_product(a: Assessment, wp: WorkProductInstance) -> Assessment:
     _check_work_product(a, wp)
-    return evolve(a, work_products=_WORK_PRODUCTS.put(a, wp))
+    return derive(a, work_products=a.work_products + (wp,),
+                  _work_products_by_id={**a._work_products_by_id, wp.id: wp})
 
 
 def record_checkpoint(a: Assessment, rec: CheckpointRecord) -> Assessment:
     """Make rec the effective record for its key; idempotent for equal rec."""
     _check_record(a, rec)
-    if _RECORDS.get(a, rec.key) == rec:
+    records = a.records
+    pos = a._record_positions.get(rec.key)
+    if pos is None:
+        positions = {**a._record_positions, rec.key: len(records)}
+        return derive(a, records=records + (rec,), _record_positions=positions)
+    if records[pos] == rec:
         return a
-    return evolve(a, records=_RECORDS.put(a, rec))
+    # Positions do not move, so the index carries over.
+    return derive(a, records=records[:pos] + (rec,) + records[pos + 1:])
 
 
 # The checks take an Assessment or an AssessmentBuilder.
@@ -302,7 +327,8 @@ def _satisfied_keys(
     out: set[tuple[str, str]] = set()
     for state in alpha.states:
         for cp in state.checkpoints:
-            rec = _RECORDS.get(a, (instance_id, state.name, cp.id))
+            pos = a._record_positions.get((instance_id, state.name, cp.id))
+            rec = a.records[pos] if pos is not None else None
             if rec is not None and rec.satisfied and (
                 not a.strict_evidence or rec.evidence
             ):

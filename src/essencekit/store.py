@@ -166,7 +166,10 @@ def save_project(p: Project) -> bytes:
             BUILTIN_KERNEL_MARKER if p.builtin_kernel else kernel_to_doc(p.kernel)
         ),
         "assessment": _assessment_doc(p.assessment),
-        "trees": {tree.aspect.value: _tree_doc(tree) for tree in p.trees},
+        "trees": {
+            tree.aspect.value: _tree_doc(tree.roots, f"trees.{tree.aspect.value}")
+            for tree in p.trees
+        },
         "description": _description_doc(p.description),
     }
     return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
@@ -282,45 +285,33 @@ def _load_trees(raw: dict) -> tuple[BreakdownTree, ...]:
                 "SCHEMA_ERROR", "tree roots must be a list", path=path
             )
         trees.append(nested(ProjectError, path, lambda: BreakdownTree(
-            aspect=aspect, roots=_nodes_from_doc(roots, path))))
+            aspect=aspect, roots=_nodes_from_doc(roots, path, path))))
     return tuple(trees)
 
 
-def _nodes_from_doc(roots: list, path: str) -> tuple[BreakdownNode, ...]:
-    """The tree's root nodes, built bottom-up with an explicit stack.
+def _nodes_from_doc(items: list, at: str, path: str,
+                    depth: int = 1) -> tuple[BreakdownNode, ...]:
+    """The nodes of tree path's level depth, whose maps are at at[i].
 
-    Entries are checked in the order of a recursive reader: a node's
-    shape before its children, its segment after them.
+    A node's shape is checked before its children, its segment after
+    them. The depth is checked before each descent, so reading recurses
+    at most MAX_TREE_DEPTH levels.
     """
-    # The open nodes' child entries, and per open node its map (None
-    # above the roots), its path and the children built so far.
-    stack = [enumerate(roots)]
-    frames: list = [(None, path, [])]
-    while True:
-        raw, here, built = frames[-1]
-        for i, item in stack[-1]:
-            at = f"{here}[{i}]" if raw is None else f"{here}.children[{i}]"
-            if not isinstance(item, dict):
-                raise ProjectError("SCHEMA_ERROR", "tree node must be a map",
-                                   path=at)
-            check_keys(item, _NODE_KEYS, at, ProjectError)
-            children = get(item, "children", list, at, ProjectError, ())
-            if children:
-                if len(stack) == MAX_TREE_DEPTH:
-                    raise _too_deep(path)
-                stack.append(enumerate(children))
-                frames.append((item, at, []))
-                break
-            built.append(BreakdownNode(
-                segment=get(item, "segment", str, at, ProjectError)))
-        else:
-            stack.pop()
-            frames.pop()
-            if raw is None:
-                return tuple(built)
-            frames[-1][2].append(BreakdownNode(
-                segment=get(raw, "segment", str, here, ProjectError),
-                children=tuple(built)))
+    nodes = []
+    for i, item in enumerate(items):
+        here = f"{at}[{i}]"
+        if not isinstance(item, dict):
+            raise ProjectError("SCHEMA_ERROR", "tree node must be a map", path=here)
+        check_keys(item, _NODE_KEYS, here, ProjectError)
+        children = get(item, "children", list, here, ProjectError, ())
+        if children:
+            if depth == MAX_TREE_DEPTH:
+                raise _too_deep(path)
+            children = _nodes_from_doc(children, f"{here}.children", path, depth + 1)
+        nodes.append(BreakdownNode(
+            segment=get(item, "segment", str, here, ProjectError),
+            children=children))
+    return tuple(nodes)
 
 
 def _load_description(raw: dict) -> DescriptionModel:
@@ -463,28 +454,19 @@ def _assessment_doc(a: Assessment) -> dict:
     }
 
 
-def _tree_doc(tree: BreakdownTree) -> list:
-    """The tree's root nodes as maps, built with an explicit stack."""
-    out: list = []
-    # The open nodes' child iterators, and the lists their maps go into.
-    stack = [iter(tree.roots)]
-    lists = [out]
-    while stack:
-        siblings = lists[-1]
-        for node in stack[-1]:
-            doc: dict = {"segment": node.segment}
-            siblings.append(doc)
-            if node.children:
-                if len(stack) == MAX_TREE_DEPTH:
-                    raise _too_deep(f"trees.{tree.aspect.value}")
-                doc["children"] = children = []
-                stack.append(iter(node.children))
-                lists.append(children)
-                break
-        else:
-            stack.pop()
-            lists.pop()
-    return out
+def _tree_doc(nodes: tuple[BreakdownNode, ...], path: str,
+              depth: int = 1) -> list:
+    """The nodes of tree path's level depth as maps; like the reader, this
+    recurses at most MAX_TREE_DEPTH levels."""
+    docs = []
+    for node in nodes:
+        doc: dict = {"segment": node.segment}
+        if node.children:
+            if depth == MAX_TREE_DEPTH:
+                raise _too_deep(path)
+            doc["children"] = _tree_doc(node.children, path, depth + 1)
+        docs.append(doc)
+    return docs
 
 
 def _too_deep(path: str) -> ProjectError:

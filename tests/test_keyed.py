@@ -1,9 +1,11 @@
 """Values built from one another keep answering for themselves.
 
-Assessments and description models share their keyed indices with the
-values built from them. These tests grow trees of values by random
-operations on random earlier values, and check every value against a
-plain list kept beside it.
+Assessments and description models keep an index per tuple field, and
+an operation hands its result an updated copy of the index of each
+field it changes, and the parent's indices of the others. These tests
+grow trees of values by random operations on random earlier values, and
+check every value against a plain list kept beside it, or against
+``dataclasses.replace(value)``, which builds every index afresh.
 """
 
 from __future__ import annotations
@@ -15,18 +17,38 @@ import sys
 import threading
 from dataclasses import replace
 
+import pytest
+
+import genlib
 from essencekit import (
     AlphaInstance,
+    Aspect,
     Assessment,
     CheckpointRecord,
     DescriptionModel,
+    EssenceError,
+    RealizationNode,
+    View,
     ViewElement,
+    Viewpoint,
+    WorkProductInstance,
     add_element,
     add_instance,
+    add_realization_node,
+    add_view,
+    add_viewpoint,
+    add_work_product,
     alpha_state,
+    assert_coextension,
+    bind_designator,
+    bind_element,
     builtin_se_kernel,
+    coextension_class,
     find_alpha,
+    load_project,
+    new_project,
     record_checkpoint,
+    save_project,
 )
 
 
@@ -97,14 +119,43 @@ def test_raw_duplicate_records_take_the_last():
     assert alpha_state(a, "i0").achieved == state.name
 
 
+def loaded_model() -> DescriptionModel:
+    """A model with two coextension classes and bindings, saved and loaded."""
+    model = DescriptionModel()
+    for i in range(6):
+        model = add_element(model, ViewElement(id=f"e{i}", has_extent=True))
+    model = add_realization_node(model, RealizationNode(id="n0"))
+    for x, y in (("e0", "e1"), ("e1", "e2"), ("e3", "e4")):
+        model = assert_coextension(model, x, y)
+    model = bind_element(model, "e0", "n0")
+    model = bind_element(model, "e5", "n0")
+    saved = save_project(replace(new_project("t"), description=model))
+    return load_project(saved).description
+
+
+def model_answers(model: DescriptionModel) -> list:
+    return [(coextension_class(model, f"e{i}"), model.binding_of(f"e{i}"))
+            for i in range(6)]
+
+
 def test_values_pickle_and_copy_as_their_tuples():
     a = base_assessment()
     for key in KEYS[:5]:
         a = record_checkpoint(a, CheckpointRecord(*key, True))
-    for clone in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
-        assert clone == a
-        assert clone.records == a.records
-        assert alpha_state(clone, "i0") == alpha_state(a, "i0")
+    model = loaded_model()
+    assert model.coextension and model.bindings
+    for value, answers in ((a, lambda v: alpha_state(v, "i0")),
+                           (model, model_answers)):
+        answers(value)  # every index the answers read is built
+        # The indices are invisible: the value is what its fields say.
+        fresh = replace(value)
+        assert value == fresh
+        assert hash(value) == hash(fresh)
+        assert repr(value) == repr(fresh)
+        for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value),
+                      copy.copy(value)):
+            assert clone == value
+            assert answers(clone) == answers(value)
 
 
 def test_threads_extending_one_value_do_not_see_each_other():
@@ -138,3 +189,154 @@ def test_threads_extending_one_value_do_not_see_each_other():
             assert base.records == ()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_list_fields_are_stored_as_tuples():
+    kernel = builtin_se_kernel()
+    inst = AlphaInstance(id="i0", alpha="System Realization")
+    wp = WorkProductInstance(id="w0", definition="Test Report")
+    rec = CheckpointRecord(*KEYS[0], True)
+    for field, items in (("instances", [inst]), ("work_products", [wp]),
+                         ("records", [rec])):
+        a = Assessment(project_id="t", kernel=kernel,
+                       **{"instances": (inst,), field: items})
+        assert getattr(a, field) == tuple(items)
+        assert isinstance(getattr(a, field), tuple)
+        hash(a)
+        a = record_checkpoint(a, CheckpointRecord(*KEYS[1], True))
+        a = add_work_product(a, replace(wp, id="w1"))
+        assert a.records[-1].key == KEYS[1]
+        assert a.work_product("w1") is not None
+        hash(a)
+    elem = ViewElement(id="e0", has_extent=True)
+    for field, items in (("viewpoints", [Viewpoint(name="vp")]),
+                         ("views", [View(name="v", viewpoint="vp")]),
+                         ("elements", [elem]),
+                         ("realization_nodes", [RealizationNode(id="n0")])):
+        model = DescriptionModel(**{field: items})
+        assert getattr(model, field) == tuple(items)
+        assert isinstance(getattr(model, field), tuple)
+        hash(model)
+        model = add_element(model, replace(elem, id="e1"))
+        model = add_realization_node(model, RealizationNode(id="n1"))
+        assert model.element("e1") is not None
+        assert model.realization_node("n1") is not None
+        hash(model)
+
+
+def outcome(fn, *args):
+    """fn's answer, or the code of the error it raised."""
+    try:
+        return fn(*args)
+    except EssenceError as exc:
+        return exc.code
+
+
+INSTANCE_IDS = [f"i{i}" for i in range(6)]
+WORK_PRODUCT_IDS = [f"w{i}" for i in range(4)]
+WORK_PRODUCT_KINDS = [wp.name for wp in builtin_se_kernel().workproducts]
+ALPHA_NAMES = ["System Realization", "Requirements", "Team"]
+
+
+def assessment_answers(a: Assessment) -> list:
+    return ([a.instance(i) for i in INSTANCE_IDS]
+            + [a.work_product(w) for w in WORK_PRODUCT_IDS]
+            + [outcome(alpha_state, a, i) for i in INSTANCE_IDS])
+
+
+def grow_assessment(rng: random.Random, a: Assessment):
+    """A random operation's kind and its result on a."""
+    op = rng.choice(("instance", "work product", "record", "record"))
+    if op == "instance":
+        return op, add_instance(a, AlphaInstance(
+            id=rng.choice(INSTANCE_IDS), alpha=rng.choice(ALPHA_NAMES)))
+    if op == "work product":
+        return op, add_work_product(a, WorkProductInstance(
+            id=rng.choice(WORK_PRODUCT_IDS),
+            definition=rng.choice(WORK_PRODUCT_KINDS)))
+    if not a.instances:
+        return op, a
+    inst = rng.choice(a.instances)
+    # Few checkpoints per instance, so records supersede one another often.
+    state = rng.choice(find_alpha(a.kernel, inst.alpha).states[:2])
+    cp = rng.choice(state.checkpoints[:2])
+    evidence = tuple(wp.id for wp in a.work_products if rng.random() < 0.3)
+    rec = CheckpointRecord(inst.id, state.name, cp.id, rng.random() < 0.8,
+                           evidence)
+    kind = ("superseding record" if any(r.key == rec.key for r in a.records)
+            else "new record")
+    return kind, record_checkpoint(a, rec)
+
+
+ELEMENT_IDS = [f"e{i}" for i in range(10)]
+NODE_IDS = [f"n{i}" for i in range(4)]
+VIEWPOINT_NAMES = [f"vp{i}" for i in range(3)]
+VIEW_NAMES = [f"v{i}" for i in range(4)]
+
+
+def description_answers(model: DescriptionModel) -> list:
+    return ([model.viewpoint(name) for name in VIEWPOINT_NAMES]
+            + [model.view(name) for name in VIEW_NAMES]
+            + [model.element(e) for e in ELEMENT_IDS]
+            + [model.realization_node(n) for n in NODE_IDS]
+            + [model.binding_of(e) for e in ELEMENT_IDS]
+            + [outcome(coextension_class, model, e) for e in ELEMENT_IDS])
+
+
+def grow_model(rng: random.Random, model: DescriptionModel):
+    """A random operation's kind and its result on model."""
+    op = rng.choice(("viewpoint", "view", "element", "element", "node",
+                     "designator", "coextension", "coextension", "binding"))
+    # Mostly the model's own elements and nodes, so few calls are refused.
+    elements = [e.id for e in model.elements if e.has_extent] or ELEMENT_IDS
+    nodes = [n.id for n in model.realization_nodes] or NODE_IDS
+    if op == "viewpoint":
+        return op, add_viewpoint(model, Viewpoint(name=rng.choice(VIEWPOINT_NAMES)))
+    if op == "view":
+        cited = tuple(e.id for e in model.elements if rng.random() < 0.3)
+        return op, add_view(model, View(name=rng.choice(VIEW_NAMES),
+                                        viewpoint=rng.choice(VIEWPOINT_NAMES),
+                                        elements=cited))
+    if op == "element":
+        return op, add_element(model, ViewElement(
+            id=rng.choice(ELEMENT_IDS), has_extent=rng.random() < 0.85))
+    if op == "node":
+        return op, add_realization_node(
+            model, RealizationNode(id=rng.choice(NODE_IDS)))
+    if op == "designator":
+        chain = genlib.random_chain(rng, rng.choice(tuple(Aspect)))
+        return op, bind_designator(model, rng.choice(nodes), chain)
+    if op == "coextension":
+        return op, assert_coextension(model, rng.choice(elements),
+                                      rng.choice(elements))
+    return op, bind_element(model, rng.choice(elements), rng.choice(nodes))
+
+
+@pytest.mark.parametrize("start, grow, answers, kinds", [
+    (Assessment(project_id="t", kernel=builtin_se_kernel()), grow_assessment,
+     assessment_answers,
+     {"instance", "work product", "new record", "superseding record"}),
+    (DescriptionModel(), grow_model, description_answers,
+     {"viewpoint", "view", "element", "node", "designator", "coextension",
+      "binding"}),
+], ids=["assessment", "description"])
+def test_successors_answer_as_fresh_values(start, grow, answers, kinds):
+    rng = random.Random(79)
+    values = [start]
+    seen: set = set()
+    while len(values) < 400:
+        parent = rng.choice(values)
+        try:
+            kind, value = grow(rng, parent)
+        except EssenceError:
+            continue
+        if value is parent:
+            continue
+        values.append(value)
+        seen.add(kind)
+        # Build every index now, so later successors carry built ones.
+        assert answers(value) == answers(replace(value))
+    assert seen == kinds
+    # A successor that wrote into a shared index would show here.
+    for value in values:
+        assert answers(value) == answers(replace(value))
