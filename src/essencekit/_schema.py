@@ -9,11 +9,16 @@ A missing or unknown key names the map that should or should not hold
 it; a value of the wrong type names the value itself, as
 ``a.b[i].key``. Paths of bad values are built only when raising, so
 reading a well-formed document costs no string formatting here.
+
+``emit`` and ``encode`` are the one writer: canonical JSON text, made
+without recursion, whatever the nesting.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from json.encoder import encode_basestring as _quote
 
 from .errors import EssenceError
 
@@ -30,6 +35,10 @@ def decode(data: bytes | str, error: type[EssenceError], what: str) -> dict:
         raise error("PARSE_ERROR", f"invalid {what}: {exc}") from exc
     if not isinstance(doc, dict):
         raise error("SCHEMA_ERROR", f"{what} must be a map")
+    if _may_hold_surrogates(data):
+        path = _lone_surrogate_path(doc)
+        if path is not _MISSING:
+            raise error("SCHEMA_ERROR", _LONE_SURROGATE, path=path)
     return doc
 
 
@@ -114,6 +123,211 @@ def nested(error: type[EssenceError], path: str, op, *args):
     except EssenceError as exc:
         raise error("SCHEMA_ERROR", f"{exc.code}: {exc.message}",
                     path=_at(path, exc.path)) from exc
+
+
+def too_deep(error: type[EssenceError], limit: int,
+             path: str | None) -> EssenceError:
+    """TREE_TOO_DEEP for the breakdown tree at ``path``."""
+    return error("TREE_TOO_DEEP",
+                 f"breakdown tree is more than {limit} levels deep", path=path)
+
+
+def encode(value: object, error: type[EssenceError],
+           max_tree_depth: int | None = None) -> bytes:
+    """``emit(value)`` as UTF-8 with a final newline: a saved document.
+
+    Text that UTF-8 cannot hold, a lone surrogate, is UNSUPPORTED_VALUE
+    at the path of the first string that holds one.
+    """
+    text = emit(value, error, max_tree_depth) + "\n"
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        path = _lone_surrogate_path(value)
+        raise error("UNSUPPORTED_VALUE", _LONE_SURROGATE,
+                    path=None if path is _MISSING else path) from None
+
+
+# Frame kinds of emit: a map, a list, the children of a breakdown node,
+# and the frame that holds the document itself.
+_MAP, _LIST, _NODES, _ROOT = range(4)
+
+
+def emit(value: object, error: type[EssenceError],
+         max_tree_depth: int | None = None) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, without recursion.
+
+    ``value`` is made of dicts with text keys, lists, text, ints, bools,
+    None and ``BreakdownNode``, which is written as the map
+    ``{"segment": ..., "children": [...]}``, children left out when
+    there are none. Any other value, and a map or list inside itself,
+    is UNSUPPORTED_VALUE at its path; a node with children at level
+    ``max_tree_depth``, a root being level 1, is TREE_TOO_DEEP at the
+    path of the list that holds the tree's roots.
+    """
+    from .designation import BreakdownNode  # designation imports this module
+
+    parts: list[str] = []
+    write = parts.append
+    # By depth d: a line break and the indent of d; the same after an
+    # item separator; and the start of a node map written at d.
+    newline, comma, node = ["\n"], [",\n"], []
+    # The open containers below the current one; each suspended frame
+    # keeps the key or index of the item it descended into. open_ids
+    # holds the maps and lists being written, level the number of
+    # breakdown nodes being written.
+    stack: list[tuple] = []
+    open_ids: set[int] = set()
+    items = iter(((None, value),))
+    kind, depth, close, ident, sep, level = _ROOT, 0, "", None, "", 0
+    while True:
+        while len(newline) <= depth + 2:
+            newline.append(newline[-1] + "  ")
+            comma.append(comma[-1] + "  ")
+            node.append("{" + newline[-1] + '"segment": ')
+        for key, item in items:
+            if kind == _MAP:
+                if not isinstance(key, str):  # named as its map
+                    raise error("UNSUPPORTED_VALUE",
+                                f"map key {key!r} is not text",
+                                path=_path_of(_frames(stack, kind, key)[:-1]))
+                write(sep + _quote(key) + ": ")
+            else:
+                write(sep)
+            sep = comma[depth]
+            if isinstance(item, str):
+                write(_quote(item))
+            elif isinstance(item, BreakdownNode):
+                head = node[depth] + _quote(item.segment)
+                if not item.children:
+                    write(head + newline[depth] + "}")
+                    continue
+                if level + 1 == max_tree_depth:
+                    frames = _frames(stack, kind, key)
+                    first = next((i for i, (k, _) in enumerate(frames)
+                                  if k == _NODES), len(frames))
+                    raise too_deep(error, max_tree_depth,
+                                   _path_of(frames[:first - 1]))
+                write(head + "," + newline[depth + 1] + '"children": [')
+                stack.append((items, kind, depth, close, ident, key))
+                items, kind, close, ident = (enumerate(item.children), _NODES,
+                                             newline[depth + 1] + "]"
+                                             + newline[depth] + "}", None)
+                depth += 2
+                level += 1
+                sep = newline[depth]
+                break
+            elif isinstance(item, (dict, list)):
+                if not item:
+                    write("{}" if isinstance(item, dict) else "[]")
+                    continue
+                if id(item) in open_ids:
+                    raise error("UNSUPPORTED_VALUE", "value contains itself",
+                                path=_path_of(_frames(stack, kind, key)))
+                stack.append((items, kind, depth, close, ident, key))
+                ident = id(item)
+                open_ids.add(ident)
+                if isinstance(item, dict):
+                    write("{")
+                    items, kind = iter(item.items()), _MAP
+                    close = newline[depth] + "}"
+                else:
+                    write("[")
+                    items, kind = enumerate(item), _LIST
+                    close = newline[depth] + "]"
+                depth += 1
+                sep = newline[depth]
+                break
+            elif item is None:
+                write("null")
+            elif item is True:
+                write("true")
+            elif item is False:
+                write("false")
+            elif isinstance(item, int):
+                write(int.__repr__(item))
+            else:
+                raise error("UNSUPPORTED_VALUE",
+                            f"type {type(item).__name__} cannot be saved",
+                            path=_path_of(_frames(stack, kind, key)))
+        else:
+            write(close)
+            open_ids.discard(ident)
+            if kind == _NODES:
+                level -= 1
+            if not stack:
+                return "".join(parts)
+            items, kind, depth, close, ident, _ = stack.pop()
+            sep = comma[depth]
+
+
+def _frames(stack: list[tuple], kind: int,
+            key: object) -> list[tuple[int, object]]:
+    """The kind and current key of each open frame of emit, root first."""
+    return [*((frame[1], frame[5]) for frame in stack), (kind, key)]
+
+
+def _path_of(frames: list[tuple[int, object]]) -> str | None:
+    """The path of the item that the last of these (kind, key) frames is at."""
+    path = None
+    for kind, key in frames:
+        if kind == _MAP:
+            path = _at(path, key)
+        elif kind == _LIST:
+            path = f"{path or ''}[{key}]"
+        elif kind == _NODES:
+            path = f"{path}.children[{key}]"
+    return path
+
+
+_LONE_SURROGATE = "text holds a lone surrogate"
+_SURROGATE = re.compile("[\ud800-\udfff]")
+# A surrogate as a \u escape, and in UTF-8, which json.loads decodes
+# from bytes with "surrogatepass".
+_ESCAPED_SURROGATE = re.compile(rb"\\u[dD][89a-fA-F]")
+_ENCODED_SURROGATE = re.compile(rb"\xed[\xa0-\xbf]")
+
+
+def _may_hold_surrogates(data: bytes | str) -> bool:
+    """False when no string decoded from ``data`` can hold a lone
+    surrogate. One-byte searches gate the regular expressions; a false
+    positive costs only the walk."""
+    if isinstance(data, str):
+        try:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError:  # the text holds a surrogate itself
+            return True
+    elif not json.detect_encoding(data).startswith("utf-8"):
+        return True
+    return ((b"\\" in data and _ESCAPED_SURROGATE.search(data) is not None)
+            or (b"\xed" in data and _ENCODED_SURROGATE.search(data) is not None))
+
+
+def _lone_surrogate_path(doc: object) -> object:
+    """The path of the first string in ``doc``, in document order, that
+    holds a lone surrogate, a key counting as its map; ``_MISSING`` if
+    there is none. Only maps and lists are entered."""
+    stack: list[tuple[object, str | None]] = [(doc, None)]
+    while stack:
+        value, path = stack.pop()
+        if isinstance(value, str):
+            if _lone_surrogate(value):
+                return path
+        elif isinstance(value, dict):
+            if any(_lone_surrogate(key) for key in value):
+                return path
+            stack.extend((item, _at(path, key))
+                         for key, item in reversed(value.items()))
+        elif isinstance(value, list):
+            stack.extend((item, f"{path or ''}[{i}]")
+                         for i, item in reversed(list(enumerate(value))))
+    return _MISSING
+
+
+def _lone_surrogate(text: str) -> bool:
+    # Decoded JSON joins an escaped pair into one character, so any
+    # surrogate left is lone.
+    return not text.isascii() and _SURROGATE.search(text) is not None
 
 
 def _at(path: str | None, key: str | None) -> str | None:

@@ -25,7 +25,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
-from ._value import derive
+from ._value import derive, fields_state
 from .designation import ASPECT_ORDER, Aspect, AspectChain
 from .errors import ModelError
 
@@ -138,6 +138,9 @@ class DescriptionModel:
 
     def binding_of(self, elem_id: str) -> str | None:
         return self._binding.get(elem_id)
+
+    def __getstate__(self) -> dict:
+        return fields_state(self)
 
     # Derived indices; the operations hand a successor updated copies.
     # The first item with a name or an id is the one found.

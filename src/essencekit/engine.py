@@ -19,7 +19,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from ._value import derive
+from ._value import derive, fields_state
 from .designation import DocumentDesignation
 from .errors import AssessmentError
 from .metamodel import AlphaDefinition, KernelDefinition, StateDefinition, find_alpha
@@ -79,6 +79,9 @@ class Assessment:
 
     def work_product(self, wp_id: str) -> WorkProductInstance | None:
         return self._work_products_by_id.get(wp_id)
+
+    def __getstate__(self) -> dict:
+        return fields_state(self)
 
     # Indices of the tuple fields; the operations hand a successor
     # updated copies. The first item with an id is the one found.

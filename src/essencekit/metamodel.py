@@ -18,11 +18,10 @@ for the schema.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any
 
-from ._schema import decode, entries, get, texts
+from ._schema import decode, encode, entries, get, texts
 from .errors import KernelError
 
 #: The fixed vocabulary of areas of concern.
@@ -417,5 +416,9 @@ def loads_kernel(text: str | bytes) -> KernelDefinition:
 
 
 def dumps_kernel(kernel: KernelDefinition) -> str:
-    """Render a kernel document; byte-identical for equal kernels."""
-    return json.dumps(kernel_to_doc(kernel), indent=2, ensure_ascii=False) + "\n"
+    """Render a kernel document; byte-identical for equal kernels.
+
+    A value that a kernel document cannot hold, text with a lone
+    surrogate included, is KernelError UNSUPPORTED_VALUE at its path.
+    """
+    return encode(kernel_to_doc(kernel), KernelError).decode("utf-8")

@@ -17,18 +17,19 @@ size of the document.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from ._schema import (
     check_keys,
     decode,
+    encode,
     entries,
     enum_of,
     get,
     nested,
     nonempty,
     texts,
+    too_deep,
 )
 from .builtin_kernel import builtin_se_kernel
 from .description import (
@@ -72,9 +73,10 @@ FORMAT_VERSION = 1
 BUILTIN_KERNEL_MARKER = "builtin"
 
 # The deepest breakdown tree a project file holds, a root being level 1.
-# The JSON codec recurses twice per tree level, and the equality, hash,
-# repr and pickling of BreakdownNode about four times; at this depth all
-# of them stay well inside Python's default recursion limit.
+# Saving keeps its own stack; the JSON decoder recurses twice per tree
+# level, the tree reader once, and the equality, hash, repr and pickling
+# of BreakdownNode about four times. At this depth all of them stay well
+# inside Python's default recursion limit.
 MAX_TREE_DEPTH = 128
 
 
@@ -166,13 +168,10 @@ def save_project(p: Project) -> bytes:
             BUILTIN_KERNEL_MARKER if p.builtin_kernel else kernel_to_doc(p.kernel)
         ),
         "assessment": _assessment_doc(p.assessment),
-        "trees": {
-            tree.aspect.value: _tree_doc(tree.roots, f"trees.{tree.aspect.value}")
-            for tree in p.trees
-        },
+        "trees": {tree.aspect.value: list(tree.roots) for tree in p.trees},
         "description": _description_doc(p.description),
     }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return encode(doc, ProjectError, MAX_TREE_DEPTH)
 
 
 # Loading
@@ -306,7 +305,7 @@ def _nodes_from_doc(items: list, at: str, path: str,
         children = get(item, "children", list, here, ProjectError, ())
         if children:
             if depth == MAX_TREE_DEPTH:
-                raise _too_deep(path)
+                raise too_deep(ProjectError, MAX_TREE_DEPTH, path)
             children = _nodes_from_doc(children, f"{here}.children", path, depth + 1)
         nodes.append(BreakdownNode(
             segment=get(item, "segment", str, here, ProjectError),
@@ -452,29 +451,6 @@ def _assessment_doc(a: Assessment) -> dict:
         "work-products": work_products,
         "records": records,
     }
-
-
-def _tree_doc(nodes: tuple[BreakdownNode, ...], path: str,
-              depth: int = 1) -> list:
-    """The nodes of tree path's level depth as maps; like the reader, this
-    recurses at most MAX_TREE_DEPTH levels."""
-    docs = []
-    for node in nodes:
-        doc: dict = {"segment": node.segment}
-        if node.children:
-            if depth == MAX_TREE_DEPTH:
-                raise _too_deep(path)
-            doc["children"] = _tree_doc(node.children, path, depth + 1)
-        docs.append(doc)
-    return docs
-
-
-def _too_deep(path: str) -> ProjectError:
-    return ProjectError(
-        "TREE_TOO_DEEP",
-        f"breakdown tree is more than {MAX_TREE_DEPTH} levels deep",
-        path=path,
-    )
 
 
 def _description_doc(model: DescriptionModel) -> dict:

@@ -388,6 +388,31 @@ def test_assess_record_write_failure_keeps_original(project_file):
         "project.json"]
 
 
+@pytest.mark.parametrize("raw", [False, True])
+def test_assess_record_refuses_a_lone_surrogate_in_the_file(tmp_path, raw):
+    doc = json.loads(save_project(demo_project()))
+    if raw:  # the UTF-8 bytes of a surrogate, which UTF-8 forbids
+        doc["assessment"]["work-products"][0]["label"] = "x\udfff"
+        data = json.dumps(doc, ensure_ascii=False).encode("utf-8", "surrogatepass")
+        where = "assessment.work-products[0].label"
+    else:  # a \u escape of a surrogate with no partner
+        doc["project-id"] = "demo\ud800"
+        data = json.dumps(doc).encode()
+        where = "project-id"
+    path = tmp_path / "project.json"
+    path.write_bytes(data)
+    result = subprocess.run(
+        [sys.executable, "-m", "essencekit.cli", "--format", "structured",
+         "assess", "record", str(path), "--alpha-instance", "sr-1",
+         "--state", "Parts", "--checkpoint", "P-1", "--satisfied", "true"],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    error = json.loads(result.stderr)["error"]
+    assert (error["code"], error["path"]) == ("SCHEMA_ERROR", where)
+    assert path.read_bytes() == data
+
+
 def test_assess_record_structured(capsys, project_file):
     code, out, _ = run(capsys, "--format", "structured", "assess", "record",
                        project_file, "--alpha-instance", "sr-1",

@@ -1,0 +1,187 @@
+"""The one canonical writer: ``_schema.emit`` and ``_schema.encode``.
+
+``json.dumps(value, indent=2, ensure_ascii=False)`` is the oracle for
+every value the writer accepts, breakdown nodes written as their maps.
+The writer keeps its own stack, so nesting depth is bounded by memory,
+not by the recursion limit; what it cannot write it refuses with a coded
+error at the value's path.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import genlib
+from essencekit import (
+    Aspect,
+    BreakdownNode,
+    KernelError,
+    ProjectError,
+    builtin_se_kernel,
+    dumps_kernel,
+    kernel_to_doc,
+    save_project,
+)
+from essencekit._schema import emit, encode
+
+
+def dumps(value) -> str:
+    return json.dumps(value, indent=2, ensure_ascii=False)
+
+
+texts = st.text() | st.sampled_from([
+    "", '"', "\\", "\x00", "\x1f", "\x7f", " ", "é", "\U0001F600",
+    "\ud800", 'a"b\\c\nd\te'])
+scalars = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=2 ** 64, max_value=2 ** 200)
+           | st.integers(min_value=-2 ** 200, max_value=-2 ** 64) | texts)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=40)
+
+nodes = st.recursive(
+    st.builds(BreakdownNode, st.sampled_from(["A", "B", "C1", "9"])),
+    lambda inner: st.builds(
+        BreakdownNode, st.sampled_from(["A", "B", "C1", "9"]),
+        st.lists(inner, max_size=3, unique_by=lambda n: n.segment)),
+    max_leaves=20)
+
+
+def node_doc(node: BreakdownNode) -> dict:
+    doc: dict = {"segment": node.segment}
+    if node.children:
+        doc["children"] = [node_doc(child) for child in node.children]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_emit_equals_json_dumps(value):
+    assert emit(value, ProjectError) == dumps(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(texts, st.lists(nodes, max_size=3), max_size=3))
+def test_emit_writes_breakdown_nodes_as_their_maps(forest):
+    as_maps = {key: [node_doc(n) for n in roots] for key, roots in forest.items()}
+    assert emit(forest, ProjectError) == dumps(as_maps)
+
+
+def test_saves_are_json_dumps_of_their_own_document():
+    rng = random.Random(9090)
+    for _ in range(30):
+        blob = save_project(genlib.random_project(rng))
+        assert blob == (dumps(json.loads(blob)) + "\n").encode("utf-8")
+
+
+def test_kernel_export_is_json_dumps_of_its_document():
+    rng = random.Random(77)
+    for kernel in [builtin_se_kernel()] + [genlib.random_kernel(rng)
+                                           for _ in range(10)]:
+        assert dumps_kernel(kernel) == dumps(kernel_to_doc(kernel)) + "\n"
+    odd = replace(builtin_se_kernel(), name="k\ud800")
+    with pytest.raises(KernelError) as err:
+        dumps_kernel(odd)
+    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", "name")
+
+
+def nested(depth: int):
+    """Lists and single-key maps, alternating, ``depth`` deep around 0."""
+    value: object = 0
+    for level in reversed(range(depth)):
+        value = [value] if level % 2 == 0 else {"k": value}
+    return value
+
+
+def nested_text(depth: int) -> str:
+    opens, closes = [], []
+    for level in range(depth):
+        inner = "\n" + "  " * (level + 1)
+        if level % 2 == 0:
+            opens.append("[" + inner)
+            closes.append("\n" + "  " * level + "]")
+        else:
+            opens.append("{" + inner + '"k": ')
+            closes.append("\n" + "  " * level + "}")
+    return "".join(opens) + "0" + "".join(reversed(closes))
+
+
+def stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_emit_does_not_recurse():
+    assert nested_text(40) == dumps(nested(40))
+    depth = 3000
+    value, expected = nested(depth), nested_text(depth)
+    root = genlib.chain_tree(Aspect.PRODUCT, depth).roots[0]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 30)
+    try:
+        text = emit(value, ProjectError)
+        node_text = emit(root, ProjectError)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == expected
+    assert node_text.count('"segment"') == depth
+
+
+@pytest.mark.parametrize("value, message, path", [
+    ({"a": [1, 1.5]}, "type float cannot be saved", "a[1]"),
+    ({"a": (1,)}, "type tuple cannot be saved", "a"),
+    ({"a": {"b": {1: 2}}}, "map key 1 is not text", "a.b"),
+    ([{"x": object()}], "type object cannot be saved", "[0].x"),
+    (float("nan"), "type float cannot be saved", None),
+    ({"t": [BreakdownNode("A", (BreakdownNode("B"),))], "x": {1}},
+     "type set cannot be saved", "x"),
+])
+def test_emit_refuses_what_it_cannot_write(value, message, path):
+    with pytest.raises(KernelError) as err:
+        emit(value, KernelError)
+    assert (err.value.code, err.value.message, err.value.path) == (
+        "UNSUPPORTED_VALUE", message, path)
+
+
+def test_emit_refuses_a_value_inside_itself_and_writes_shared_ones():
+    loop: list = [1]
+    loop.append({"again": loop})
+    with pytest.raises(ProjectError) as err:
+        emit({"x": loop}, ProjectError)
+    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", "x[1].again")
+    shared = {"k": [1]}
+    assert emit([shared, shared], ProjectError) == dumps([shared, shared])
+
+
+def test_encode_refuses_lone_surrogates_at_their_path():
+    assert encode({"p": ["\U0001F600"]}, ProjectError) == (
+        dumps({"p": ["\U0001F600"]}) + "\n").encode("utf-8")
+    with pytest.raises(ProjectError) as err:
+        encode({"p": ["ok", "a\udfff"]}, ProjectError)
+    assert (err.value.code, err.value.message, err.value.path) == (
+        "UNSUPPORTED_VALUE", "text holds a lone surrogate", "p[1]")
+
+
+def test_tree_depth_is_counted_per_tree():
+    tree = genlib.chain_tree(Aspect.PRODUCT, 3).roots[0]
+    doc = {"t": {"X": [BreakdownNode("R"), tree]}}
+    assert emit(doc, ProjectError, 3) == dumps(
+        {"t": {"X": [{"segment": "R"}, node_doc(tree)]}})
+    with pytest.raises(ProjectError) as err:
+        emit(doc, ProjectError, 2)
+    assert (err.value.code, err.value.path) == ("TREE_TOO_DEEP", "t.X")
+    assert err.value.message == "breakdown tree is more than 2 levels deep"
+    # Level 1 is the root: a root with children is too deep at limit 1.
+    with pytest.raises(ProjectError):
+        emit([tree], ProjectError, 1)

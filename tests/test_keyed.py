@@ -15,7 +15,7 @@ import pickle
 import random
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -154,6 +154,24 @@ def test_values_pickle_and_copy_as_their_tuples():
         assert repr(value) == repr(fresh)
         for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value),
                       copy.copy(value)):
+            assert clone == value
+            assert answers(clone) == answers(value)
+
+
+def test_pickles_and_copies_carry_the_fields_only():
+    a = base_assessment()
+    for key in KEYS[:5]:
+        a = record_checkpoint(a, CheckpointRecord(*key, True))
+    for value, answers in ((a, lambda v: alpha_state(v, "i0")),
+                           (loaded_model(), model_answers)):
+        answers(value)
+        names = {f.name for f in fields(value)}
+        indices = set(value.__dict__) - names
+        assert indices  # the answers built them
+        blob = pickle.dumps(value)
+        assert not [name for name in indices if name.encode() in blob]
+        for clone in (pickle.loads(blob), copy.deepcopy(value), copy.copy(value)):
+            assert set(clone.__dict__) == names
             assert clone == value
             assert answers(clone) == answers(value)
 

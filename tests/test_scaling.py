@@ -1,16 +1,20 @@
-"""Loading grows linearly with the document; resolving, with the matches.
+"""Loading and saving grow linearly with the document; resolving, with
+the matches.
 
 Each load test times load_project on a document and on one four times
-its size, best of three. Linear loading costs about 4x, quadratic about
-16x; the bound of 8x sits between them. The resolve test times the same
-chain, with the same matches, on a tree and on one four times its size:
-it must cost under 2x, where a scan of every path costs about 4x. No
-absolute time is checked, so the tests hold on slow or busy machines.
+its size, best of three, and the save test save_project on a project
+with a tree and on one with a tree four times its size. Linear work
+costs about 4x, quadratic about 16x; the bound of 8x sits between them.
+The resolve test times the same chain, with the same matches, on a tree
+and on one four times its size: it must cost under 2x, where a scan of
+every path costs about 4x. No absolute time is checked, so the tests
+hold on slow or busy machines.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from time import perf_counter
 
 from essencekit import (
@@ -20,7 +24,9 @@ from essencekit import (
     BreakdownTree,
     builtin_se_kernel,
     load_project,
+    new_project,
     resolve,
+    save_project,
 )
 
 N = 1200
@@ -108,3 +114,21 @@ def test_resolve_cost_follows_matches_not_tree_size():
     assert len(resolve(small, chain)) == len(resolve(large, chain)) == 16
     assert len(large.paths()) > 4 * n
     assert resolve_seconds(large, chain) < 2 * resolve_seconds(small, chain)
+
+
+def save_seconds(tree: BreakdownTree) -> float:
+    p = replace(new_project("p"), trees=(tree,))
+    best = float("inf")
+    for _ in range(3):
+        start = perf_counter()
+        save_project(p)
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def test_saving_a_tree_is_linear():
+    n = 4000
+    small, large = filler_tree(n), filler_tree(4 * n)
+    saved = load_project(save_project(replace(new_project("p"), trees=(large,))))
+    assert saved.trees == (large,)
+    assert save_seconds(large) < BOUND * save_seconds(small)

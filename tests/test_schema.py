@@ -2,7 +2,8 @@
 
 One table pins the error class, code and path of every reader rule on
 each document kind; a mutation fuzz over valid documents checks that no
-input escapes the documented error contract.
+input escapes the documented error contract, and that text holding a
+lone surrogate, escaped or as raw bytes, is refused where it sits.
 """
 
 from __future__ import annotations
@@ -172,6 +173,14 @@ SHAPE_ERRORS = [
     ("dcc", "bad DCC code", dcc(areas={"XY": "two"}), "SCHEMA_ERROR", "areas"),
     ("dcc", "bad DCC code", dcc(classes={"C": "one"}), "SCHEMA_ERROR",
      "classes"),
+    ("project", "lone surrogate", project(**{"project-id": "p\ud800"}),
+     "SCHEMA_ERROR", "project-id"),
+    ("project", "lone surrogate", project(kernel=kernel(name="k\udfff")),
+     "SCHEMA_ERROR", "kernel.name"),
+    ("kernel", "lone surrogate", with_alpha(description="\udc00"),
+     "SCHEMA_ERROR", "alphas[0].description"),
+    ("dcc", "lone surrogate", dcc(areas={"X": "\ud800"}), "SCHEMA_ERROR",
+     "areas.X"),
 ]
 
 
@@ -233,15 +242,43 @@ CODES = {
     "dcc": {"PARSE_ERROR", "SCHEMA_ERROR"},
 }
 
+# Lone surrogates, and a valid pair (an astral character) that must load.
+SURROGATE_TEXTS = ["\ud800", "x\udfff", "\U0001F600"]
+KEYS = ["id", "name", "x", "A", "\udc80"]
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
     | st.sampled_from(["", "builtin", "Product", "Shape", "A", "AA", "x",
                        "=F1&ACA", "=F1&XCA", "-12/+M1", "System Realization",
-                       "RM-1", "inst-0", "el-0", "rn-0", "vp-0"]),
+                       "RM-1", "inst-0", "el-0", "rn-0", "vp-0",
+                       *SURROGATE_TEXTS]),
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["id", "name", "x", "A"]), inner,
-                      max_size=3),
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3),
     max_leaves=6)
+
+NO_SURROGATE = object()
+
+
+def lone(text: str) -> bool:
+    return any(0xD800 <= ord(c) <= 0xDFFF for c in text)
+
+
+def first_lone_surrogate(value, path=None):
+    """The path of the first text in document order that holds a lone
+    surrogate, a key counting as its map; NO_SURROGATE if none does."""
+    if isinstance(value, str):
+        return path if lone(value) else NO_SURROGATE
+    if isinstance(value, dict):
+        if any(lone(key) for key in value):
+            return path
+        found = (first_lone_surrogate(v, k if path is None else f"{path}.{k}")
+                 for k, v in value.items())
+    elif isinstance(value, list):
+        found = (first_lone_surrogate(v, f"{path}[{i}]")
+                 for i, v in enumerate(value))
+    else:
+        return NO_SURROGATE
+    return next((p for p in found if p is not NO_SURROGATE), NO_SURROGATE)
 
 
 def valid_document(kind: str, rng: random.Random) -> dict:
@@ -258,7 +295,10 @@ def valid_document(kind: str, rng: random.Random) -> dict:
 
 
 @st.composite
-def mutated(draw, kind: str) -> str:
+def mutated(draw, kind: str) -> tuple[str | bytes, object]:
+    """A mutated document as escaped text or as raw UTF-8 bytes, and the
+    path where a reader must refuse a lone surrogate (NO_SURROGATE when
+    it holds none, or is cut short)."""
     doc = valid_document(kind, random.Random(draw(st.integers(0, 2 ** 32))))
     for _ in range(draw(st.integers(1, 3))):
         # Walk down to a random container, then edit one of its slots.
@@ -273,8 +313,7 @@ def mutated(draw, kind: str) -> str:
         slots = list(node) if isinstance(node, dict) else list(range(len(node)))
         if op == "insert" or not slots:
             if isinstance(node, dict):
-                node[draw(st.sampled_from(["x", "id", "name", "A"]))] = draw(
-                    json_values)
+                node[draw(st.sampled_from(KEYS))] = draw(json_values)
             else:
                 node.insert(draw(st.integers(0, len(node))), draw(json_values))
         elif op == "delete":
@@ -283,27 +322,38 @@ def mutated(draw, kind: str) -> str:
             node.append(json.loads(json.dumps(node[draw(st.sampled_from(slots))])))
         else:
             node[draw(st.sampled_from(slots))] = draw(json_values)
-    text = json.dumps(doc)
+    surrogate = first_lone_surrogate(doc)
+    if draw(st.booleans()):
+        data = json.dumps(doc)  # a surrogate as a \u escape
+    else:
+        data = json.dumps(doc, ensure_ascii=False).encode("utf-8",
+                                                          "surrogatepass")
     if draw(st.integers(0, 9)) == 0:
-        text = text[:draw(st.integers(0, len(text)))]
-    return text
+        data = data[:draw(st.integers(0, len(data)))]
+        surrogate = NO_SURROGATE
+    return data, surrogate
 
 
-def check_contract(kind: str, text: str):
+def check_contract(kind: str, case: tuple[str | bytes, object]):
+    data, surrogate = case
     reader, error = READERS[kind]
     try:
-        value = reader(text)
+        value = reader(data)
     except EssenceError as err:
         assert type(err) is error, repr(err)
         assert err.code in CODES[kind], repr(err)
+        if surrogate is not NO_SURROGATE:
+            assert (err.code, err.message, err.path) == (
+                "SCHEMA_ERROR", "text holds a lone surrogate", surrogate), err
         return None
+    assert surrogate is NO_SURROGATE
     return value
 
 
 @settings(max_examples=150, deadline=None)
 @given(mutated("project"))
-def test_mutated_projects_stay_in_contract(text):
-    p = check_contract("project", text)
+def test_mutated_projects_stay_in_contract(case):
+    p = check_contract("project", case)
     if p is not None:
         # Whatever loads must save and load back to the same value.
         assert load_project(save_project(p)) == p
@@ -311,16 +361,16 @@ def test_mutated_projects_stay_in_contract(text):
 
 @settings(max_examples=150, deadline=None)
 @given(mutated("kernel"))
-def test_mutated_kernels_stay_in_contract(text):
-    k = check_contract("kernel", text)
+def test_mutated_kernels_stay_in_contract(case):
+    k = check_contract("kernel", case)
     if k is not None:
         validate_kernel(k)
 
 
 @settings(max_examples=100, deadline=None)
 @given(mutated("dcc"))
-def test_mutated_dcc_tables_stay_in_contract(text):
-    table = check_contract("dcc", text)
+def test_mutated_dcc_tables_stay_in_contract(case):
+    table = check_contract("dcc", case)
     if table is not None:
         for letter in table.areas:
             assert parse_document_designation(

@@ -146,6 +146,50 @@ def test_save_refuses_designations_of_other_dcc_tables():
             "assessment.work-products[0].document-designation")
 
 
+def test_save_refuses_text_that_utf8_cannot_hold():
+    for p, path in (
+            (new_project("p\ud800"), "project-id"),
+            (replace(new_project("p"), description=add_element(
+                DescriptionModel(), ViewElement(id="e1", label="a\udfff"))),
+             "description.elements[0].label")):
+        with pytest.raises(ProjectError) as err:
+            save_project(p)
+        assert (err.value.code, err.value.message, err.value.path) == (
+            "UNSUPPORTED_VALUE", "text holds a lone surrogate", path)
+    astral = new_project("p\U0001F600")
+    assert load_project(save_project(astral)) == astral
+
+
+def test_save_refuses_values_a_document_cannot_hold():
+    p = sample_project()
+    a = p.assessment
+    odd = replace(a, records=(replace(a.records[0], recorded_at=1.5),))
+    with pytest.raises(ProjectError) as err:
+        save_project(replace(p, assessment=odd))
+    assert (err.value.code, err.value.message, err.value.path) == (
+        "UNSUPPORTED_VALUE", "type float cannot be saved",
+        "assessment.records[0].recorded-at")
+
+
+def test_load_refuses_lone_surrogates_where_they_sit():
+    escaped = '{"format-version": 1, "project-id": "p\\ud800"}'
+    raw = ('{"format-version": 1, "project-id": "p", "assessment": '
+           '{"instances": [{"id": "i\udfff", "alpha": "System Realization"}]}}')
+    for data, path in (
+            (escaped, "project-id"),
+            (escaped.encode("utf-16"), "project-id"),
+            (raw, "assessment.instances[0].id"),
+            (raw.encode("utf-8", "surrogatepass"), "assessment.instances[0].id"),
+            ('{"format-version": 1, "project-id": "p", "\udc80": 1}', None)):
+        err = load_error(data)
+        assert (err.code, err.message, err.path) == (
+            "SCHEMA_ERROR", "text holds a lone surrogate", path)
+    # An escaped pair is one astral character, as it is in raw UTF-8.
+    pair = load_project('{"format-version": 1, "project-id": "p\\ud83d\\ude00"}')
+    assert pair.project_id == "p\U0001F600"
+    assert load_project(save_project(pair)) == pair
+
+
 def test_loading_rejects_wrong_version():
     err = load_error('{"format-version": 2, "project-id": "p"}')
     assert err.code == "UNSUPPORTED_VERSION"
@@ -391,6 +435,19 @@ def test_save_refuses_trees_deeper_than_the_limit(depth):
     with pytest.raises(ProjectError) as err:
         save_project(deep_project(depth))
     assert (err.value.code, err.value.path) == ("TREE_TOO_DEEP", "trees.Product")
+
+
+def test_save_names_the_tree_that_is_too_deep():
+    deep = genlib.chain_tree(Aspect.LOCATION, MAX_TREE_DEPTH + 1)
+    p = replace(new_project("deep"), trees=(
+        BreakdownTree(aspect=Aspect.FUNCTION, roots=(BreakdownNode("F1"),)),
+        BreakdownTree(aspect=Aspect.LOCATION,
+                      roots=(BreakdownNode("M1"),) + deep.roots)))
+    with pytest.raises(ProjectError) as err:
+        save_project(p)
+    assert (err.value.code, err.value.path) == ("TREE_TOO_DEEP", "trees.Location")
+    assert err.value.message == (
+        f"breakdown tree is more than {MAX_TREE_DEPTH} levels deep")
 
 
 def test_load_refuses_trees_deeper_than_the_limit():
