@@ -175,76 +175,65 @@ class ModelBuilder:
 
     Each entry gets the check of the matching operation, so errors are
     the same as when folding the ``add_*``, ``assert_coextension`` and
-    ``bind_element`` operations; the value is made once, by ``build``,
-    which hands the builder's indices over to it.
+    ``bind_element`` operations; the value is made once, by ``build``.
+    The builder's attributes are the model's indices, by name, and
+    ``build`` hands them over.
     """
 
     def __init__(self) -> None:
-        self._viewpoints: dict[str, Viewpoint] = {}
-        self._views: dict[str, View] = {}
-        self._elements: dict[str, ViewElement] = {}
-        self._nodes: dict[str, RealizationNode] = {}
+        self._viewpoints_by_name: dict[str, Viewpoint] = {}
+        self._views_by_name: dict[str, View] = {}
+        self._elements_by_id: dict[str, ViewElement] = {}
+        self._nodes_by_id: dict[str, RealizationNode] = {}
         self._class_of: dict[str, frozenset[str]] = {}
         self._binding: dict[str, str] = {}
 
-    def viewpoint(self, name: str) -> Viewpoint | None:
-        return self._viewpoints.get(name)
-
-    def view(self, name: str) -> View | None:
-        return self._views.get(name)
-
-    def element(self, elem_id: str) -> ViewElement | None:
-        return self._elements.get(elem_id)
-
-    def realization_node(self, node_id: str) -> RealizationNode | None:
-        return self._nodes.get(node_id)
-
-    def binding_of(self, elem_id: str) -> str | None:
-        return self._binding.get(elem_id)
-
     def add_viewpoint(self, vp: Viewpoint) -> None:
         _check_viewpoint(self, vp)
-        self._viewpoints[vp.name] = vp
+        self._viewpoints_by_name[vp.name] = vp
 
     def add_view(self, view: View) -> None:
         _check_view(self, view)
-        self._views[view.name] = view
+        self._views_by_name[view.name] = view
 
     def add_element(self, elem: ViewElement) -> None:
         _check_element(self, elem)
-        self._elements[elem.id] = elem
+        self._elements_by_id[elem.id] = elem
 
     def add_realization_node(self, node: RealizationNode) -> None:
         _check_node(self, node)
-        self._nodes[node.id] = node
+        self._nodes_by_id[node.id] = node
 
-    def assert_coextension(self, elem_a: str, elem_b: str) -> None:
-        merge = _check_coextension(self, elem_a, elem_b)
-        if merge is not None:
-            class_a, class_b, node = merge
-            merged = class_a | class_b
-            self._class_of.update(dict.fromkeys(merged, merged))
-            if node is not None:
-                self._binding.update(dict.fromkeys(merged, node))
+    def add_class(self, members: list[str]) -> None:
+        """Merge the members' classes in one pass, with the errors of
+        asserting each member coextensive with the first in turn. It
+        checks no binding: classes go in before bindings, as a project
+        file lists them."""
+        merged: set[str] = set()
+        for member in members:
+            _require_extended(self, member)
+            if member not in merged:
+                merged |= _class(self, member)
+        if len(merged) > len(_class(self, members[0])):
+            cls = frozenset(merged)
+            self._class_of.update(dict.fromkeys(cls, cls))
 
     def bind_element(self, elem_id: str, node_id: str) -> None:
+        if self._binding.get(elem_id) == node_id:
+            return  # and so is its whole class
         cls = _check_binding(self, elem_id, node_id)
         self._binding.update(dict.fromkeys(cls, node_id))
 
     def build(self) -> DescriptionModel:
         model = DescriptionModel(
-            viewpoints=tuple(self._viewpoints.values()),
-            views=tuple(self._views.values()),
-            elements=tuple(self._elements.values()),
-            realization_nodes=tuple(self._nodes.values()),
+            viewpoints=tuple(self._viewpoints_by_name.values()),
+            views=tuple(self._views_by_name.values()),
+            elements=tuple(self._elements_by_id.values()),
+            realization_nodes=tuple(self._nodes_by_id.values()),
             coextension=frozenset(self._class_of.values()),
             bindings=tuple(sorted(self._binding.items())),
         )
-        model.__dict__.update(
-            _viewpoints_by_name=self._viewpoints, _views_by_name=self._views,
-            _elements_by_id=self._elements, _nodes_by_id=self._nodes,
-            _class_of=self._class_of, _binding=self._binding,
-        )
+        model.__dict__.update(vars(self))
         return model
 
 
@@ -274,24 +263,25 @@ def add_realization_node(
                   _nodes_by_id={**model._nodes_by_id, node.id: node})
 
 
-# The checks take a DescriptionModel or a ModelBuilder.
+# The checks take a DescriptionModel or a ModelBuilder, and read the
+# indices both keep under the same names.
 
 
 def _check_viewpoint(model, vp: Viewpoint) -> None:
-    if model.viewpoint(vp.name) is not None:
+    if vp.name in model._viewpoints_by_name:
         raise ModelError("DUPLICATE_NAME", f"viewpoint {vp.name!r} already defined")
 
 
 def _check_view(model, view: View) -> None:
-    if model.view(view.name) is not None:
+    if view.name in model._views_by_name:
         raise ModelError("DUPLICATE_NAME", f"view {view.name!r} already defined")
-    if model.viewpoint(view.viewpoint) is None:
+    if view.viewpoint not in model._viewpoints_by_name:
         raise ModelError(
             "UNKNOWN_REFERENCE", f"view {view.name!r} cites viewpoint "
             f"{view.viewpoint!r} which is not defined"
         )
     for elem_id in view.elements:
-        if model.element(elem_id) is None:
+        if elem_id not in model._elements_by_id:
             raise ModelError(
                 "UNKNOWN_REFERENCE",
                 f"view {view.name!r} cites element {elem_id!r} which is not defined",
@@ -299,46 +289,25 @@ def _check_view(model, view: View) -> None:
 
 
 def _check_element(model, elem: ViewElement) -> None:
-    if model.element(elem.id) is not None:
+    if elem.id in model._elements_by_id:
         raise ModelError("DUPLICATE_NAME", f"element id {elem.id!r} already used")
 
 
 def _check_node(model, node: RealizationNode) -> None:
-    if model.realization_node(node.id) is not None:
+    if node.id in model._nodes_by_id:
         raise ModelError("DUPLICATE_NAME", f"node id {node.id!r} already used")
-
-
-def _check_coextension(
-    model, elem_a: str, elem_b: str
-) -> tuple[frozenset[str], frozenset[str], str | None] | None:
-    """Both classes and the node their merge is bound to; None if one class."""
-    _require_extended(model, elem_a)
-    _require_extended(model, elem_b)
-    class_a = _class(model, elem_a)
-    class_b = _class(model, elem_b)
-    if class_a == class_b:
-        return None
-    node_a = model.binding_of(elem_a)
-    node_b = model.binding_of(elem_b)
-    if node_a is not None and node_b is not None and node_a != node_b:
-        raise ModelError(
-            "BINDING_CONFLICT",
-            f"classes of {elem_a!r} and {elem_b!r} are bound to different "
-            f"realization nodes ({node_a!r}, {node_b!r})",
-        )
-    return class_a, class_b, node_a if node_a is not None else node_b
 
 
 def _check_binding(model, elem_id: str, node_id: str) -> frozenset[str]:
     """The class of the element, which the binding extends to."""
     _require_extended(model, elem_id)
-    if model.realization_node(node_id) is None:
+    if node_id not in model._nodes_by_id:
         raise ModelError(
             "UNKNOWN_REFERENCE", f"no realization node {node_id!r}"
         )
     cls = _class(model, elem_id)
     for member in cls:
-        bound = model.binding_of(member)
+        bound = model._binding.get(member)
         if bound is not None and bound != node_id:
             raise ModelError(
                 "BINDING_CONFLICT",
@@ -362,15 +331,26 @@ def assert_coextension(
     binding spreads to the merged class. Conflicting bindings refuse
     the merge.
     """
-    merge = _check_coextension(model, elem_a, elem_b)
-    if merge is None:
+    _require_extended(model, elem_a)
+    _require_extended(model, elem_b)
+    class_a = _class(model, elem_a)
+    class_b = _class(model, elem_b)
+    if class_a == class_b:
         return model
-    class_a, class_b, node = merge
+    node_a = model._binding.get(elem_a)
+    node_b = model._binding.get(elem_b)
+    if node_a is not None and node_b is not None and node_a != node_b:
+        raise ModelError(
+            "BINDING_CONFLICT",
+            f"classes of {elem_a!r} and {elem_b!r} are bound to different "
+            f"realization nodes ({node_a!r}, {node_b!r})",
+        )
     merged = class_a | class_b
     class_of = model._class_of.copy()
     class_of.update(dict.fromkeys(merged, merged))
     coextension = model.coextension - {class_a, class_b} | {merged}
-    return _successor(model, class_of, coextension, merged, node)
+    return _successor(model, class_of, coextension, merged,
+                      node_a if node_a is not None else node_b)
 
 
 def bind_element(
@@ -438,7 +418,7 @@ def bind_designator(
 
 
 def _require_extended(model, elem_id: str) -> ViewElement:
-    elem = model.element(elem_id)
+    elem = model._elements_by_id.get(elem_id)
     if elem is None:
         raise ModelError("UNKNOWN_REFERENCE", f"no element {elem_id!r}")
     if not elem.has_extent:

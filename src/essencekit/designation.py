@@ -26,9 +26,11 @@ import re
 import string
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Mapping
 
 from ._schema import decode, get, nonempty
+from ._value import fields_state
 from .errors import DesignationError
 
 _SEGMENT_RE = re.compile(r"[A-Z0-9]+\Z")
@@ -225,39 +227,26 @@ class BreakdownTree:
 
     def paths(self) -> tuple[tuple[str, ...], ...]:
         """All root-to-node paths, depth-first."""
-        index = self._index()
+        segments, parents, _ = self._index
         out: list[tuple[str, ...]] = []
-        for segment, parent in zip(index.segments, index.parents):
+        for segment, parent in zip(segments, parents):
             out.append((out[parent] + (segment,)) if parent >= 0 else (segment,))
         return tuple(out)
 
-    def _index(self) -> _TreeIndex:
-        index = self.__dict__.get("_tree_index")
-        if index is None:
-            # Threads that race here build equal indices; any one serves.
-            index = self.__dict__["_tree_index"] = _TreeIndex(self.roots)
-        return index
-
     def __getstate__(self) -> dict:
-        return {"aspect": self.aspect, "roots": self.roots}
+        return fields_state(self)
 
-
-class _TreeIndex:
-    """The nodes of a forest in depth-first order.
-
-    ``segments[i]`` is node i's segment and ``parents[i]`` the position
-    of its parent (-1 for a root); ``positions`` lists the nodes of
-    each segment in ascending order.
-    """
-
-    __slots__ = ("segments", "parents", "positions")
-
-    def __init__(self, roots: tuple[BreakdownNode, ...]):
+    @cached_property
+    def _index(self) -> tuple[list[str], list[int], dict[str, list[int]]]:
+        """The nodes in depth-first order: ``segments[i]`` is node i's
+        segment and ``parents[i]`` the position of its parent (-1 for a
+        root); ``positions`` lists the nodes of each segment in
+        ascending order."""
         segments: list[str] = []
         parents: list[int] = []
         positions: dict[str, list[int]] = {}
         # The open nodes' child iterators, and the open nodes' positions.
-        stack = [iter(roots)]
+        stack = [iter(self.roots)]
         ups = [-1]
         while stack:
             up = ups[-1]
@@ -278,9 +267,7 @@ class _TreeIndex:
             else:
                 stack.pop()
                 ups.pop()
-        self.segments = segments
-        self.parents = parents
-        self.positions = positions
+        return segments, parents, positions
 
 
 def _require_unique_siblings(
@@ -310,11 +297,10 @@ def resolve(tree: BreakdownTree, chain: AspectChain) -> tuple[tuple[str, ...], .
             f"{chain.aspect.value} chain resolved against "
             f"{tree.aspect.value} tree",
         )
-    index = tree._index()
-    segments, parents = index.segments, index.parents
+    segments, parents, positions = tree._index
     rest = chain.segments[-2::-1]  # the suffix above its last segment, upwards
     matches = []
-    for pos in index.positions.get(chain.segments[-1], ()):
+    for pos in positions.get(chain.segments[-1], ()):
         up = parents[pos]
         for segment in rest:
             if up < 0 or segments[up] != segment:
@@ -451,10 +437,10 @@ def format_document_designation(d: DocumentDesignation) -> str:
     return f"{format_designation(d.system)}&{d.dcc}"
 
 
-def loads_dcc_table(text: str | bytes, *, default_name: str = "custom") -> DccTable:
+def loads_dcc_table(text: str | bytes) -> DccTable:
     """Load a DCC table document: {"name", "areas": {...}, "classes": {...}}."""
     doc = decode(text, DesignationError, "DCC table")
-    name = nonempty(doc, "name", None, DesignationError, default_name)
+    name = nonempty(doc, "name", None, DesignationError, "custom")
     areas = get(doc, "areas", dict, None, DesignationError)
     classes = get(doc, "classes", dict, None, DesignationError, {})
     for key, codes, width in (("areas", areas, 1), ("classes", classes, 2)):

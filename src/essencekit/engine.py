@@ -106,7 +106,7 @@ class AssessmentBuilder:
     Each entry gets the check of the matching operation, so errors are
     the same as when folding ``add_instance``, ``add_work_product`` and
     ``record_checkpoint``; the value is made once, by ``build``, which
-    hands it the builder's id maps as its indices.
+    hands it the builder's id maps, named as its indices.
     """
 
     def __init__(self, project_id: str, kernel: KernelDefinition,
@@ -114,24 +114,18 @@ class AssessmentBuilder:
         self.project_id = project_id
         self.kernel = kernel
         self.strict_evidence = strict_evidence
-        self._instances: dict[str, AlphaInstance] = {}
-        self._work_products: dict[str, WorkProductInstance] = {}
+        self._instances_by_id: dict[str, AlphaInstance] = {}
+        self._work_products_by_id: dict[str, WorkProductInstance] = {}
         # A record replaces the one with its key in place, as in the value.
         self._records: dict[tuple[str, str, str], CheckpointRecord] = {}
 
-    def instance(self, instance_id: str) -> AlphaInstance | None:
-        return self._instances.get(instance_id)
-
-    def work_product(self, wp_id: str) -> WorkProductInstance | None:
-        return self._work_products.get(wp_id)
-
     def add_instance(self, inst: AlphaInstance) -> None:
         _check_instance(self, inst)
-        self._instances[inst.id] = inst
+        self._instances_by_id[inst.id] = inst
 
     def add_work_product(self, wp: WorkProductInstance) -> None:
         _check_work_product(self, wp)
-        self._work_products[wp.id] = wp
+        self._work_products_by_id[wp.id] = wp
 
     def record_checkpoint(self, rec: CheckpointRecord) -> None:
         _check_record(self, rec)
@@ -141,13 +135,13 @@ class AssessmentBuilder:
         a = Assessment(
             project_id=self.project_id,
             kernel=self.kernel,
-            instances=tuple(self._instances.values()),
-            work_products=tuple(self._work_products.values()),
+            instances=tuple(self._instances_by_id.values()),
+            work_products=tuple(self._work_products_by_id.values()),
             records=tuple(self._records.values()),
             strict_evidence=self.strict_evidence,
         )
-        a.__dict__.update(_instances_by_id=self._instances,
-                          _work_products_by_id=self._work_products)
+        a.__dict__.update(_instances_by_id=self._instances_by_id,
+                          _work_products_by_id=self._work_products_by_id)
         return a
 
 
@@ -191,7 +185,8 @@ def record_checkpoint(a: Assessment, rec: CheckpointRecord) -> Assessment:
     return derive(a, records=records[:pos] + (rec,) + records[pos + 1:])
 
 
-# The checks take an Assessment or an AssessmentBuilder.
+# The checks take an Assessment or an AssessmentBuilder, and read the
+# indices both keep under the same names.
 
 
 def _check_instance(a, inst: AlphaInstance) -> None:
@@ -199,7 +194,7 @@ def _check_instance(a, inst: AlphaInstance) -> None:
         raise AssessmentError(
             "UNKNOWN_ALPHA", f"kernel defines no alpha {inst.alpha!r}"
         )
-    if a.instance(inst.id) is not None:
+    if inst.id in a._instances_by_id:
         raise AssessmentError(
             "DUPLICATE_INSTANCE", f"instance id {inst.id!r} already used"
         )
@@ -211,7 +206,7 @@ def _check_work_product(a, wp: WorkProductInstance) -> None:
             "UNKNOWN_DEFINITION",
             f"kernel defines no work product {wp.definition!r}",
         )
-    if a.work_product(wp.id) is not None:
+    if wp.id in a._work_products_by_id:
         raise AssessmentError(
             "DUPLICATE_WORK_PRODUCT", f"work product id {wp.id!r} already used"
         )
@@ -231,7 +226,7 @@ def _check_record(a, rec: CheckpointRecord) -> None:
             f"state {state.name!r} has no checkpoint {rec.checkpoint!r}",
         )
     for wp_id in rec.evidence:
-        if a.work_product(wp_id) is None:
+        if wp_id not in a._work_products_by_id:
             raise AssessmentError(
                 "UNKNOWN_EVIDENCE", f"evidence {wp_id!r} is not a work product id"
             )
@@ -284,7 +279,7 @@ def render_card(a: Assessment, instance_id: str) -> str:
 
 
 def _alpha_of(a, instance_id: str) -> AlphaDefinition:
-    inst = a.instance(instance_id)
+    inst = a._instances_by_id.get(instance_id)
     if inst is None:
         raise AssessmentError(
             "UNKNOWN_INSTANCE", f"no alpha instance {instance_id!r}"

@@ -99,6 +99,13 @@ class Project:
             sorted(self.trees, key=lambda t: ASPECT_ORDER.index(t.aspect))
         )
         object.__setattr__(self, "trees", trees)
+        for earlier, tree in zip(trees, trees[1:]):
+            if tree.aspect is earlier.aspect:
+                raise ProjectError(
+                    "DUPLICATE_ASPECT",
+                    f"two breakdown trees for aspect {tree.aspect.value}",
+                    path=f"trees.{tree.aspect.value}",
+                )
         if self.builtin_kernel and self.assessment.kernel != builtin_se_kernel():
             raise ProjectError(
                 "KERNEL_MISMATCH",
@@ -390,8 +397,7 @@ def _load_description(raw: dict) -> DescriptionModel:
                 "coextension class must list two or more element ids",
                 path=path,
             )
-        for member in members[1:]:
-            nested(ProjectError, path, model.assert_coextension, members[0], member)
+        nested(ProjectError, path, model.add_class, members)
     for i, pair in enumerate(entries(raw, "bindings", list, "description",
                                      ProjectError, ())):
         path = f"description.bindings[{i}]"

@@ -29,6 +29,7 @@ from essencekit import (
     endeavor_viewpoint_lint,
     viable_architecture,
 )
+from essencekit.description import ModelBuilder
 
 
 def model_with_elements(*ids: str, plain: tuple[str, ...] = ()) -> DescriptionModel:
@@ -194,6 +195,56 @@ def test_classes_match_fixpoint_oracle():
         for elem_id in plain:
             with pytest.raises(ModelError):
                 coextension_class(model, elem_id)
+
+
+def test_builder_classes_match_the_fold_of_pairs():
+    """ModelBuilder.add_class merges a class as asserting each member
+    coextensive with the first would, refusals included. Classes go in
+    before bindings, as a project file holds them."""
+    rng = random.Random(6602)
+    refused = 0
+    for _ in range(300):
+        model, extended, plain = genlib.random_elements(rng, max_elements=12)
+        builder = ModelBuilder()
+        for elem in model.elements:
+            builder.add_element(elem)
+        for node_id in ("n1", "n2"):
+            model = add_realization_node(model, RealizationNode(id=node_id))
+            builder.add_realization_node(RealizationNode(id=node_id))
+        ids = extended + plain + ["ghost"]
+        steps = ["class"] * rng.randrange(1, 5) + ["bind"] * rng.randrange(4)
+        for step in steps:
+            if step == "bind":
+                args = (rng.choice(extended or ids), rng.choice(("n1", "n2")))
+                expected = outcome(bind_element, model, *args)
+                got = outcome(builder.bind_element, *args)
+            else:
+                pool = extended if extended and rng.random() < 0.8 else ids
+                members = [rng.choice(pool) for _ in range(rng.randrange(2, 6))]
+                expected = model
+                for member in members[1:]:
+                    expected = outcome(assert_coextension, expected,
+                                       members[0], member)
+                    if isinstance(expected, tuple):
+                        break
+                got = outcome(builder.add_class, members)
+            if isinstance(expected, tuple):  # refused: code and message
+                assert got == expected
+                refused += 1
+                break
+            assert got is None
+            model = expected
+        else:
+            assert builder.build() == model
+    assert refused > 30
+
+
+def outcome(fn, *args):
+    """fn's result, or the code and message of the ModelError it raised."""
+    try:
+        return fn(*args)
+    except ModelError as exc:
+        return exc.code, exc.message
 
 
 def arch_model() -> DescriptionModel:

@@ -16,6 +16,7 @@ import random
 import sys
 import threading
 from dataclasses import fields, replace
+from functools import cached_property
 
 import pytest
 
@@ -131,6 +132,16 @@ def loaded_model() -> DescriptionModel:
     model = bind_element(model, "e5", "n0")
     saved = save_project(replace(new_project("t"), description=model))
     return load_project(saved).description
+
+
+def loaded_assessment() -> Assessment:
+    """Three instances, a work product and records, saved and loaded."""
+    a = add_work_product(base_assessment(),
+                         WorkProductInstance(id="w0", definition="Test Report"))
+    for key in KEYS[:3]:
+        a = record_checkpoint(a, CheckpointRecord(*key, True, ("w0",)))
+    saved = save_project(replace(new_project("t"), assessment=a))
+    return load_project(saved).assessment
 
 
 def model_answers(model: DescriptionModel) -> list:
@@ -337,7 +348,12 @@ def grow_model(rng: random.Random, model: DescriptionModel):
     (DescriptionModel(), grow_model, description_answers,
      {"viewpoint", "view", "element", "node", "designator", "coextension",
       "binding"}),
-], ids=["assessment", "description"])
+    (loaded_assessment(), grow_assessment, assessment_answers,
+     {"instance", "work product", "new record", "superseding record"}),
+    (loaded_model(), grow_model, description_answers,
+     {"viewpoint", "view", "element", "node", "designator", "coextension",
+      "binding"}),
+], ids=["assessment", "description", "loaded-assessment", "loaded-description"])
 def test_successors_answer_as_fresh_values(start, grow, answers, kinds):
     rng = random.Random(79)
     values = [start]
@@ -358,3 +374,20 @@ def test_successors_answer_as_fresh_values(start, grow, answers, kinds):
     # A successor that wrote into a shared index would show here.
     for value in values:
         assert answers(value) == answers(replace(value))
+
+
+def test_loaded_values_hold_their_builders_indices():
+    """load_project hands each value the indices its builder filled, under
+    the value's own names, so a first lookup builds none of them."""
+    for value, names in (
+            (loaded_assessment(), {"_instances_by_id", "_work_products_by_id"}),
+            (loaded_model(), {"_viewpoints_by_name", "_views_by_name",
+                              "_elements_by_id", "_nodes_by_id", "_class_of",
+                              "_binding"})):
+        indices = {name for name, attr in vars(type(value)).items()
+                   if isinstance(attr, cached_property)}
+        assert names <= indices
+        assert set(value.__dict__) - {f.name for f in fields(value)} == names
+        fresh = replace(value)
+        for name in names:
+            assert value.__dict__[name] == getattr(fresh, name)

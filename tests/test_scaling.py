@@ -2,8 +2,10 @@
 the matches.
 
 Each load test times load_project on a document and on one four times
-its size, best of three, and the save test save_project on a project
-with a tree and on one with a tree four times its size. Linear work
+its size, best of three: records, a model of many small coextension
+classes, and a model of one class of all its elements, unbound or bound
+to one node. The save test times save_project on a project with a tree
+and on one with a tree four times its size. Linear work
 costs about 4x, quadratic about 16x; the bound of 8x sits between them.
 The resolve test times the same chain, with the same matches, on a tree
 and on one four times its size: it must cost under 2x, where a scan of
@@ -16,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from time import perf_counter
+
+import pytest
 
 from essencekit import (
     Aspect,
@@ -82,6 +86,26 @@ def test_loading_records_is_linear():
 def test_loading_a_description_model_is_linear():
     small, large = model_document(N), model_document(4 * N)
     assert len(load_project(large).description.bindings) == 2 * N
+    assert load_seconds(large) < BOUND * load_seconds(small)
+
+
+def one_class_document(n: int, bound: bool) -> str:
+    """n extended elements in one coextension class; when bound, the
+    class is bound to one node with a binding per member, as saved."""
+    ids = [f"e{i}" for i in range(n)]
+    return json.dumps({"format-version": 1, "project-id": "p", "description": {
+        "elements": [{"id": e, "has-extent": True} for e in ids],
+        "realization-nodes": [{"id": "n0"}],
+        "coextension": [ids],
+        "bindings": [[e, "n0"] for e in ids] if bound else []}})
+
+
+@pytest.mark.parametrize("bound", [False, True], ids=["unbound", "bound"])
+def test_loading_one_large_coextension_class_is_linear(bound):
+    small, large = one_class_document(N, bound), one_class_document(4 * N, bound)
+    model = load_project(large).description
+    assert len(model.coextension) == 1
+    assert len(model.bindings) == (4 * N if bound else 0)
     assert load_seconds(large) < BOUND * load_seconds(small)
 
 

@@ -413,6 +413,16 @@ def test_trees_are_kept_in_aspect_order():
     assert loaded.trees == p.trees
 
 
+def test_one_tree_per_aspect():
+    product = [BreakdownTree(aspect=Aspect.PRODUCT, roots=(BreakdownNode(s),))
+               for s in ("A", "B")]
+    trees = (product[0], BreakdownTree(aspect=Aspect.FUNCTION), product[1])
+    with pytest.raises(ProjectError) as err:
+        replace(new_project("p"), trees=trees)
+    assert (err.value.code, err.value.path) == ("DUPLICATE_ASPECT", "trees.Product")
+    assert err.value.message == "two breakdown trees for aspect Product"
+
+
 def deep_project(depth: int) -> Project:
     return replace(new_project("deep"),
                    trees=(genlib.chain_tree(Aspect.PRODUCT, depth),))
