@@ -16,7 +16,8 @@ Subcommands:
 Exit status: 0 = success or passing check; 1 = a check failed (not
 viable, ambiguous, blocked target, lint warnings); 2 = usage, parse, or
 schema error. Results go to stdout, diagnostics to stderr. The global
-``--format structured`` switch emits JSON instead of plain text.
+``--format structured`` switch emits JSON instead of plain text, through
+the writer that saves project files.
 
 Outputs are deterministic: nothing here reads the clock or the
 environment, and record timestamps enter only through ``--at``.
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import shutil
 import sys
@@ -35,6 +35,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
+from ._schema import emit
 from .builtin_kernel import builtin_se_kernel, has_placeholder_states
 from .description import endeavor_viewpoint_lint, viable_architecture
 from .designation import (
@@ -55,13 +56,15 @@ from .engine import (
 )
 from .errors import EssenceError, KernelError
 from .metamodel import (
-    dumps_kernel,
     find_alpha,
     kernel_to_doc,
     loads_kernel,
     validate_kernel,
 )
 from .store import Project, load_project, save_project
+
+# What a handler returns: exit status, structured document, plain lines.
+Output = tuple[int, dict, list[str]]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -70,11 +73,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    out = sys.stdout
     try:
-        return args.handler(args)
+        status, doc, lines = args.handler(args)
     except EssenceError as err:
-        _print_error(args.format, err)
-        return 2
+        out, status, lines = sys.stderr, 2, [f"error: {err}"]
+        doc = {"error": {"code": err.code, "message": err.message}}
+        if err.path:
+            doc["error"]["path"] = err.path
+    if args.format == "structured":
+        print(emit(doc, EssenceError), file=out)
+    else:
+        print(*lines, sep="\n", file=out)
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,72 +179,66 @@ def commands_of(parser: argparse.ArgumentParser):
 
 
 # Handlers
+#
+# Each handler returns its exit status, its structured document and its
+# plain lines, and prints nothing; main prints the one --format asks for.
 
 
-def _cmd_kernel_validate(args: argparse.Namespace) -> int:
+def _cmd_kernel_validate(args: argparse.Namespace) -> Output:
     kernel = loads_kernel(_read_bytes(args.file))
     report = validate_kernel(kernel)
-    if args.format == "structured":
-        _print_doc({
-            "ok": report.ok,
-            "findings": [
-                {"code": f.code, "path": f.path, "message": f.message}
-                for f in report.findings
-            ],
-        })
-    elif report.ok:
-        print("ok")
-    else:
-        for finding in report.findings:
-            print(f"{finding.code} at {finding.path}: {finding.message}")
-        print(f"findings: {len(report.findings)}")
-    return 0 if report.ok else 1
+    doc = {
+        "ok": report.ok,
+        "findings": [
+            {"code": f.code, "path": f.path, "message": f.message}
+            for f in report.findings
+        ],
+    }
+    if report.ok:
+        return 0, doc, ["ok"]
+    lines = [f"{f.code} at {f.path}: {f.message}" for f in report.findings]
+    lines.append(f"findings: {len(report.findings)}")
+    return 1, doc, lines
 
 
-def _cmd_kernel_show(args: argparse.Namespace) -> int:
+def _cmd_kernel_show(args: argparse.Namespace) -> Output:
     if args.file is None:
         kernel = builtin_se_kernel()
     else:
         kernel = loads_kernel(_read_bytes(args.file))
+    # The whole document is the kernel export; feed it back to `kernel validate`.
+    doc = kernel_to_doc(kernel)
     if args.alpha is not None:
         alpha = find_alpha(kernel, args.alpha)
         if alpha is None:
             raise KernelError("UNKNOWN_ALPHA", f"no alpha named {args.alpha!r}")
-        if args.format == "structured":
-            doc = kernel_to_doc(kernel)
-            alpha_doc = next(a for a in doc["alphas"] if a["name"] == alpha.name)
-            _print_doc(alpha_doc)
-        else:
-            print(f"{alpha.name} ({alpha.area})")
-            if alpha.description:
-                print(alpha.description)
-            if alpha.subalphas:
-                print(f"sub-alphas: {', '.join(alpha.subalphas)}")
-            print("states:")
-            marker = " [placeholder]" if has_placeholder_states(alpha) else ""
-            for state in alpha.states:
-                print(f"  {state.name}{marker}")
-                print(f"    summary: {state.summary}")
-                for cp in state.checkpoints:
-                    print(f"    {cp.id}: {cp.text}")
-        return 0
-    if args.format == "structured":
-        # Byte-identical kernel export; feed it back to `kernel validate`.
-        sys.stdout.write(dumps_kernel(kernel))
-    else:
-        print(f"kernel: {kernel.name}")
-        print(f"areas: {', '.join(area.name for area in kernel.areas)}")
-        print("alphas:")
-        for alpha in kernel.alphas:
-            marker = " [placeholder]" if has_placeholder_states(alpha) else ""
-            print(f"  {alpha.name} ({alpha.area}){marker}")
-            print(f"    states: {', '.join(alpha.state_names)}")
-            if alpha.subalphas:
-                print(f"    sub-alphas: {', '.join(alpha.subalphas)}")
-    return 0
+        lines = [f"{alpha.name} ({alpha.area})"]
+        if alpha.description:
+            lines.append(alpha.description)
+        if alpha.subalphas:
+            lines.append(f"sub-alphas: {', '.join(alpha.subalphas)}")
+        lines.append("states:")
+        marker = " [placeholder]" if has_placeholder_states(alpha) else ""
+        for state in alpha.states:
+            lines.append(f"  {state.name}{marker}")
+            lines.append(f"    summary: {state.summary}")
+            lines.extend(f"    {cp.id}: {cp.text}" for cp in state.checkpoints)
+        return 0, next(a for a in doc["alphas"] if a["name"] == alpha.name), lines
+    lines = [
+        f"kernel: {kernel.name}",
+        f"areas: {', '.join(area.name for area in kernel.areas)}",
+        "alphas:",
+    ]
+    for alpha in kernel.alphas:
+        marker = " [placeholder]" if has_placeholder_states(alpha) else ""
+        lines.append(f"  {alpha.name} ({alpha.area}){marker}")
+        lines.append(f"    states: {', '.join(alpha.state_names)}")
+        if alpha.subalphas:
+            lines.append(f"    sub-alphas: {', '.join(alpha.subalphas)}")
+    return 0, doc, lines
 
 
-def _cmd_assess_record(args: argparse.Namespace) -> int:
+def _cmd_assess_record(args: argparse.Namespace) -> Output:
     project = _load_project_file(args.project)
     rec = CheckpointRecord(
         alpha_instance=args.alpha_instance,
@@ -246,187 +251,153 @@ def _cmd_assess_record(args: argparse.Namespace) -> int:
     # Validation failure raises before anything is written back.
     assessment = record_checkpoint(project.assessment, rec)
     _write_bytes(args.project, save_project(replace(project, assessment=assessment)))
-    if args.format == "structured":
-        _print_doc({
-            "recorded": {
-                "alpha-instance": rec.alpha_instance,
-                "state": rec.state,
-                "checkpoint": rec.checkpoint,
-                "satisfied": rec.satisfied,
-                "evidence": list(rec.evidence),
-                "recorded-at": rec.recorded_at,
-            }
-        })
-    else:
-        print(f"recorded {rec.alpha_instance} {rec.state} {rec.checkpoint} "
-              f"satisfied={args.satisfied}")
-    return 0
+    return 0, {
+        "recorded": {
+            "alpha-instance": rec.alpha_instance,
+            "state": rec.state,
+            "checkpoint": rec.checkpoint,
+            "satisfied": rec.satisfied,
+            "evidence": list(rec.evidence),
+            "recorded-at": rec.recorded_at,
+        }
+    }, [f"recorded {rec.alpha_instance} {rec.state} {rec.checkpoint} "
+        f"satisfied={args.satisfied}"]
 
 
-def _cmd_assess_state(args: argparse.Namespace) -> int:
+def _cmd_assess_state(args: argparse.Namespace) -> Output:
     project = _load_project_file(args.project)
     result = alpha_state(project.assessment, args.alpha_instance)
     instance = project.assessment.instance(args.alpha_instance)
-    if args.format == "structured":
-        _print_doc({
-            "instance": instance.id,
-            "alpha": instance.alpha,
-            "achieved": result.achieved,
-            "achieved-index": result.achieved_index,
-            "next": result.next_state,
-            "blocking": _blockers_doc(result.blocking),
-        })
-    else:
-        print(f"instance: {instance.id}")
-        print(f"alpha: {instance.alpha}")
-        print(f"achieved: {result.achieved if result.achieved else '(none)'}")
-        if result.next_state is not None:
-            print(f"next: {result.next_state}")
-        print(f"blocking: {len(result.blocking)}")
-    return 0
+    lines = [
+        f"instance: {instance.id}",
+        f"alpha: {instance.alpha}",
+        f"achieved: {result.achieved if result.achieved else '(none)'}",
+    ]
+    if result.next_state is not None:
+        lines.append(f"next: {result.next_state}")
+    lines.append(f"blocking: {len(result.blocking)}")
+    return 0, {
+        "instance": instance.id,
+        "alpha": instance.alpha,
+        "achieved": result.achieved,
+        "achieved-index": result.achieved_index,
+        "next": result.next_state,
+        "blocking": _blockers_doc(result.blocking),
+    }, lines
 
 
-def _cmd_assess_blocking(args: argparse.Namespace) -> int:
+def _cmd_assess_blocking(args: argparse.Namespace) -> Output:
     project = _load_project_file(args.project)
     blockers = blocking_checkpoints(
         project.assessment, args.alpha_instance, args.target
     )
-    if args.format == "structured":
-        _print_doc({
-            "target": args.target,
-            "count": len(blockers),
-            "blocking": _blockers_doc(blockers),
-        })
-    elif blockers:
-        for b in blockers:
-            print(f"{b.state} {b.checkpoint}: {b.text}")
-    else:
-        print("no blocking checkpoints")
-    return 1 if blockers else 0
+    lines = [f"{b.state} {b.checkpoint}: {b.text}" for b in blockers]
+    return 1 if blockers else 0, {
+        "target": args.target,
+        "count": len(blockers),
+        "blocking": _blockers_doc(blockers),
+    }, lines or ["no blocking checkpoints"]
 
 
-def _cmd_cards(args: argparse.Namespace) -> int:
+def _cmd_cards(args: argparse.Namespace) -> Output:
     project = _load_project_file(args.project)
-    instances = project.assessment.instances
-    cards = [
-        (inst.id, render_card(project.assessment, inst.id)) for inst in instances
-    ]
-    if args.format == "structured":
-        _print_doc({
-            "cards": [{"instance": inst_id, "card": card} for inst_id, card in cards]
-        })
-    elif cards:
-        print("\n\n".join(card for _, card in cards))
-    else:
-        print("(no alpha instances)")
-    return 0
+    cards = {
+        inst.id: render_card(project.assessment, inst.id)
+        for inst in project.assessment.instances
+    }
+    return 0, {
+        "cards": [{"instance": inst_id, "card": card}
+                  for inst_id, card in cards.items()]
+    }, ["\n\n".join(cards.values()) if cards else "(no alpha instances)"]
 
 
-def _cmd_desig_parse(args: argparse.Namespace) -> int:
+def _cmd_desig_parse(args: argparse.Namespace) -> Output:
     d = parse_designation(args.text)
     canonical = format_designation(d)
-    if args.format == "structured":
-        _print_doc({
-            "canonical": canonical,
-            "chains": {
-                chain.aspect.value: list(chain.segments)
-                for chain in sorted(d.chains, key=lambda c: c.aspect.value)
-            },
-        })
-    else:
-        print(canonical)
-        by_aspect = d.by_aspect()
-        for aspect in ASPECT_ORDER:
-            if aspect in by_aspect:
-                print(f"{aspect.value}: {' '.join(by_aspect[aspect].segments)}")
-    return 0
+    by_aspect = d.by_aspect()
+    lines = [canonical]
+    lines.extend(f"{aspect.value}: {' '.join(by_aspect[aspect].segments)}"
+                 for aspect in ASPECT_ORDER if aspect in by_aspect)
+    return 0, {
+        "canonical": canonical,
+        "chains": {
+            chain.aspect.value: list(chain.segments)
+            for chain in sorted(d.chains, key=lambda c: c.aspect.value)
+        },
+    }, lines
 
 
-def _cmd_desig_check(args: argparse.Namespace) -> int:
+def _cmd_desig_check(args: argparse.Namespace) -> Output:
     project = _load_project_file(args.project)
     d = parse_designation(args.text)
     trees = {tree.aspect: tree for tree in project.trees}
     report = check_at_least_one_unambiguous(trees, d)
-    if args.format == "structured":
-        _print_doc({
-            "designation": format_designation(d),
-            "chains": [
-                {
-                    "aspect": r.chain.aspect.value,
-                    "chain": str(r.chain),
-                    "matches": r.count,
-                }
-                for r in report.resolutions
-            ],
-            "pass": report.ok,
-        })
-    else:
-        for r in report.resolutions:
-            noun = "match" if r.count == 1 else "matches"
-            print(f"{r.chain}: {r.count} {noun}")
-        print(f"result: {'pass' if report.ok else 'fail'}")
-    return 0 if report.ok else 1
+    lines = [
+        f"{r.chain}: {r.count} {'match' if r.count == 1 else 'matches'}"
+        for r in report.resolutions
+    ]
+    lines.append(f"result: {'pass' if report.ok else 'fail'}")
+    return 0 if report.ok else 1, {
+        "designation": format_designation(d),
+        "chains": [
+            {
+                "aspect": r.chain.aspect.value,
+                "chain": str(r.chain),
+                "matches": r.count,
+            }
+            for r in report.resolutions
+        ],
+        "pass": report.ok,
+    }, lines
 
 
-def _cmd_doc_parse(args: argparse.Namespace) -> int:
+def _cmd_doc_parse(args: argparse.Namespace) -> Output:
     if args.dcc_table is not None:
         table = loads_dcc_table(_read_bytes(args.dcc_table))
     else:
         table = BUILTIN_DCC_TABLE
     dd = parse_document_designation(args.text, table)
+    system = format_designation(dd.system)
     area_label = table.area_label(dd.area)
     class_label = table.class_label(dd.document_class)
-    if args.format == "structured":
-        _print_doc({
-            "system": format_designation(dd.system),
-            "dcc": dd.dcc,
-            "area": dd.area,
-            "area-label": area_label,
-            "class": dd.document_class,
-            "class-label": class_label,
-            "table": table.name,
-        })
-    else:
-        print(f"system: {format_designation(dd.system)}")
-        print(f"dcc: {dd.dcc}")
-        print(f"area: {dd.area} ({area_label})")
-        if class_label is not None:
-            print(f"class: {dd.document_class} ({class_label})")
-        else:
-            print(f"class: {dd.document_class}")
-    return 0
+    return 0, {
+        "system": system,
+        "dcc": dd.dcc,
+        "area": dd.area,
+        "area-label": area_label,
+        "class": dd.document_class,
+        "class-label": class_label,
+        "table": table.name,
+    }, [
+        f"system: {system}",
+        f"dcc: {dd.dcc}",
+        f"area: {dd.area} ({area_label})",
+        f"class: {dd.document_class}"
+        + ("" if class_label is None else f" ({class_label})"),
+    ]
 
 
-def _cmd_arch_check(args: argparse.Namespace) -> int:
+def _cmd_arch_check(args: argparse.Namespace) -> Output:
     project = _load_project_file(args.project)
     names = args.views.split(",") if args.views else []
     report = viable_architecture(project.description, names)
-    if args.format == "structured":
-        _print_doc({
-            "covered": [t.value for t in report.covered],
-            "missing": [t.value for t in report.missing],
-            "pass": report.ok,
-        })
-    else:
-        covered = ", ".join(t.value for t in report.covered)
-        print(f"covered: {covered if covered else '(none)'}")
-        if report.missing:
-            print(f"missing: {', '.join(t.value for t in report.missing)}")
-        print(f"result: {'pass' if report.ok else 'fail'}")
-    return 0 if report.ok else 1
+    covered = ", ".join(t.value for t in report.covered)
+    lines = [f"covered: {covered if covered else '(none)'}"]
+    if report.missing:
+        lines.append(f"missing: {', '.join(t.value for t in report.missing)}")
+    lines.append(f"result: {'pass' if report.ok else 'fail'}")
+    return 0 if report.ok else 1, {
+        "covered": [t.value for t in report.covered],
+        "missing": [t.value for t in report.missing],
+        "pass": report.ok,
+    }, lines
 
 
-def _cmd_lint_endeavor(args: argparse.Namespace) -> int:
+def _cmd_lint_endeavor(args: argparse.Namespace) -> Output:
     project = _load_project_file(args.project)
     warnings = endeavor_viewpoint_lint(project.description)
-    if args.format == "structured":
-        _print_doc({"warnings": list(warnings)})
-    elif warnings:
-        for warning in warnings:
-            print(f"warning: {warning}")
-    else:
-        print("ok")
-    return 1 if warnings else 0
+    lines = [f"warning: {warning}" for warning in warnings]
+    return 1 if warnings else 0, {"warnings": list(warnings)}, lines or ["ok"]
 
 
 # Plumbing
@@ -466,21 +437,6 @@ def _blockers_doc(blockers) -> list[dict]:
         {"state": b.state, "checkpoint": b.checkpoint, "text": b.text}
         for b in blockers
     ]
-
-
-def _print_doc(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, ensure_ascii=False))
-
-
-def _print_error(fmt: str, err: EssenceError) -> None:
-    if fmt == "structured":
-        body: dict = {"code": err.code, "message": err.message}
-        if err.path:
-            body["path"] = err.path
-        print(json.dumps({"error": body}, indent=2, ensure_ascii=False),
-              file=sys.stderr)
-    else:
-        print(f"error: {err}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -268,11 +268,15 @@ def add_realization_node(
 
 
 def _check_viewpoint(model, vp: Viewpoint) -> None:
+    if not vp.name:
+        raise ModelError("EMPTY_NAME", "viewpoint name is empty")
     if vp.name in model._viewpoints_by_name:
         raise ModelError("DUPLICATE_NAME", f"viewpoint {vp.name!r} already defined")
 
 
 def _check_view(model, view: View) -> None:
+    if not view.name:
+        raise ModelError("EMPTY_NAME", "view name is empty")
     if view.name in model._views_by_name:
         raise ModelError("DUPLICATE_NAME", f"view {view.name!r} already defined")
     if view.viewpoint not in model._viewpoints_by_name:
@@ -289,11 +293,15 @@ def _check_view(model, view: View) -> None:
 
 
 def _check_element(model, elem: ViewElement) -> None:
+    if not elem.id:
+        raise ModelError("EMPTY_NAME", "element id is empty")
     if elem.id in model._elements_by_id:
         raise ModelError("DUPLICATE_NAME", f"element id {elem.id!r} already used")
 
 
 def _check_node(model, node: RealizationNode) -> None:
+    if not node.id:
+        raise ModelError("EMPTY_NAME", "node id is empty")
     if node.id in model._nodes_by_id:
         raise ModelError("DUPLICATE_NAME", f"node id {node.id!r} already used")
 

@@ -418,19 +418,14 @@ def parse_document_designation(
         raise DesignationError(
             "NO_AMPERSAND", "document designation has no '&' separator"
         )
-    system = parse_designation(text[:cut])
-    dcc = text[cut + 1:]
-    if not _DCC_RE.match(dcc):
-        raise DesignationError(
-            "MALFORMED_DCC",
-            f"dcc {dcc!r} is not exactly three uppercase letters",
-        )
-    if table.area_label(dcc[0]) is None:
+    dd = DocumentDesignation(system=parse_designation(text[:cut]),
+                             dcc=text[cut + 1:], table_ref=table.name)
+    if table.area_label(dd.area) is None:
         raise DesignationError(
             "UNKNOWN_TECHNICAL_AREA",
-            f"area letter {dcc[0]!r} not in DCC table {table.name!r}",
+            f"area letter {dd.area!r} not in DCC table {table.name!r}",
         )
-    return DocumentDesignation(system=system, dcc=dcc, table_ref=table.name)
+    return dd
 
 
 def format_document_designation(d: DocumentDesignation) -> str:

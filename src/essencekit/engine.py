@@ -190,6 +190,8 @@ def record_checkpoint(a: Assessment, rec: CheckpointRecord) -> Assessment:
 
 
 def _check_instance(a, inst: AlphaInstance) -> None:
+    if not inst.id:
+        raise AssessmentError("EMPTY_ID", "instance id is empty")
     if find_alpha(a.kernel, inst.alpha) is None:
         raise AssessmentError(
             "UNKNOWN_ALPHA", f"kernel defines no alpha {inst.alpha!r}"
@@ -201,6 +203,8 @@ def _check_instance(a, inst: AlphaInstance) -> None:
 
 
 def _check_work_product(a, wp: WorkProductInstance) -> None:
+    if not wp.id:
+        raise AssessmentError("EMPTY_ID", "work product id is empty")
     if a.kernel.workproduct(wp.definition) is None:
         raise AssessmentError(
             "UNKNOWN_DEFINITION",

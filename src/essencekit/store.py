@@ -95,6 +95,8 @@ class Project:
                 "UNSUPPORTED_VERSION",
                 f"format-version {self.format_version} is not {FORMAT_VERSION}",
             )
+        if not self.project_id:
+            raise ProjectError("EMPTY_ID", "project id is empty")
         trees = tuple(
             sorted(self.trees, key=lambda t: ASPECT_ORDER.index(t.aspect))
         )
@@ -106,6 +108,11 @@ class Project:
                     f"two breakdown trees for aspect {tree.aspect.value}",
                     path=f"trees.{tree.aspect.value}",
                 )
+        if self.assessment.project_id != self.project_id:
+            raise ProjectError(
+                "PROJECT_ID_MISMATCH",
+                f"assessment belongs to project {self.assessment.project_id!r}",
+            )
         if self.builtin_kernel and self.assessment.kernel != builtin_se_kernel():
             raise ProjectError(
                 "KERNEL_MISMATCH",
@@ -129,11 +136,12 @@ def new_project(
     kernel: KernelDefinition | None = None,
     strict_evidence: bool = False,
 ) -> Project:
+    """An empty project; a custom kernel's first finding is a KernelError."""
     return Project(
         project_id=project_id,
         assessment=Assessment(
             project_id=project_id,
-            kernel=kernel if kernel is not None else builtin_se_kernel(),
+            kernel=builtin_se_kernel() if kernel is None else _valid_kernel(kernel),
             strict_evidence=strict_evidence,
         ),
         builtin_kernel=kernel is None,
@@ -211,11 +219,11 @@ def _load_kernel(raw: object) -> tuple[KernelDefinition, bool]:
             f'kernel must be "{BUILTIN_KERNEL_MARKER}" or an inline kernel map',
             path="kernel",
         )
-    return nested(ProjectError, "kernel", _valid_kernel, raw), False
+    return nested(ProjectError, "kernel",
+                  lambda: _valid_kernel(kernel_from_doc(raw))), False
 
 
-def _valid_kernel(doc: dict) -> KernelDefinition:
-    kernel = kernel_from_doc(doc)
+def _valid_kernel(kernel: KernelDefinition) -> KernelDefinition:
     report = validate_kernel(kernel)
     if not report.ok:
         finding = report.findings[0]

@@ -35,6 +35,7 @@ from essencekit import (
     add_work_product,
     builtin_se_kernel,
     dumps_kernel,
+    kernel_to_doc,
     load_project,
     new_project,
     record_checkpoint,
@@ -173,6 +174,44 @@ def test_kernel_validate_bad_file(capsys, tmp_path):
     code, _, err = run(capsys, "kernel", "validate", str(tmp_path / "absent.json"))
     assert code == 2
     assert "IO_ERROR" in err
+
+
+def test_kernel_validate_structured_is_exact(capsys, tmp_path):
+    kernel_file = tmp_path / "kernel.json"
+    kernel_file.write_text(dumps_kernel(builtin_se_kernel()), encoding="utf-8")
+    assert run(capsys, "--format", "structured", "kernel", "validate",
+               str(kernel_file)) == (0, '{\n  "ok": true,\n  "findings": []\n}\n', "")
+    kernel_file.write_text(json.dumps({
+        "name": "k",
+        "areas": ["Customer", "Solution", "Endeavor"],
+        "alphas": [{"name": "A", "area": "Mars", "states": []}],
+    }), encoding="utf-8")
+    assert run(capsys, "--format", "structured", "kernel", "validate",
+               str(kernel_file)) == (1, """\
+{
+  "ok": false,
+  "findings": [
+    {
+      "code": "UNKNOWN_AREA",
+      "path": "alphas[0].area",
+      "message": "alpha 'A' references undefined area 'Mars'"
+    },
+    {
+      "code": "EMPTY_STATES",
+      "path": "alphas[0].states",
+      "message": "alpha 'A' defines no states"
+    }
+  ]
+}
+""", "")
+
+
+def test_kernel_show_alpha_structured_is_the_alphas_kernel_entry(capsys):
+    entry = kernel_to_doc(builtin_se_kernel())["alphas"][3]
+    assert entry["name"] == "System Realization"
+    assert run(capsys, "--format", "structured", "kernel", "show", "--alpha",
+               "System Realization") == (
+        0, json.dumps(entry, indent=2, ensure_ascii=False) + "\n", "")
 
 
 # desig
@@ -479,6 +518,32 @@ def test_cards_deterministic(capsys, project_file):
     assert first == second
 
 
+def test_cards_structured_is_exact(capsys, project_file, tmp_path):
+    card = render_card(load_project(Path(project_file).read_bytes()).assessment,
+                       "sr-1")
+    assert run(capsys, "--format", "structured", "cards", project_file) == (
+        0, '{\n  "cards": [\n    {\n      "instance": "sr-1",\n'
+           f'      "card": {json.dumps(card)}\n    }}\n  ]\n}}\n', "")
+    path = tmp_path / "empty.json"
+    path.write_bytes(save_project(new_project("empty")))
+    assert run(capsys, "--format", "structured", "cards", str(path)) == (
+        0, '{\n  "cards": []\n}\n', "")
+
+
+def test_cards_are_separated_by_a_blank_line(capsys, tmp_path):
+    p = demo_project()
+    a = add_instance(p.assessment, AlphaInstance(id="st-1", alpha="Stakeholders"))
+    path = tmp_path / "two.json"
+    path.write_bytes(save_project(replace(p, assessment=a)))
+    cards = [render_card(a, "sr-1"), render_card(a, "st-1")]
+    assert run(capsys, "cards", str(path)) == (
+        0, f"{cards[0]}\n\n{cards[1]}\n", "")
+    code, out, _ = run(capsys, "--format", "structured", "cards", str(path))
+    assert json.loads(out) == {"cards": [
+        {"instance": "sr-1", "card": cards[0]},
+        {"instance": "st-1", "card": cards[1]}]}
+
+
 # arch / lint
 
 
@@ -543,6 +608,23 @@ def test_lint_endeavor_clean(capsys, tmp_path):
     assert out == "ok\n"
 
 
+def test_lint_endeavor_structured_is_exact(capsys, project_file, tmp_path):
+    assert run(capsys, "--format", "structured", "lint", "endeavor",
+               project_file) == (1, """\
+{
+  "warnings": [
+    "missing endeavor description kind: Practice",
+    "missing endeavor description kind: Process",
+    "missing endeavor description kind: Team"
+  ]
+}
+""", "")
+    path = tmp_path / "ways.json"
+    path.write_bytes(save_project(lint_clean_project()))
+    assert run(capsys, "--format", "structured", "lint", "endeavor",
+               str(path)) == (0, '{\n  "warnings": []\n}\n', "")
+
+
 # usage and error plumbing
 
 
@@ -559,6 +641,25 @@ def test_structured_errors_are_json_on_stderr(capsys):
     assert out == ""
     doc = json.loads(err)
     assert doc["error"]["code"] == "BAD_SEGMENT"
+
+
+def test_structured_error_with_a_path_is_exact(capsys, tmp_path):
+    table = tmp_path / "dcc.json"
+    table.write_text(json.dumps({"name": "plant", "areas": {"X": 5}}),
+                     encoding="utf-8")
+    assert run(capsys, "--format", "structured", "doc", "parse",
+               "--dcc-table", str(table), "=F1&XQA") == (2, "", """\
+{
+  "error": {
+    "code": "SCHEMA_ERROR",
+    "message": "key 'X' must be str",
+    "path": "areas.X"
+  }
+}
+""")
+    assert run(capsys, "doc", "parse", "--dcc-table", str(table),
+               "=F1&XQA") == (
+        2, "", "error: SCHEMA_ERROR: key 'X' must be str (at areas.X)\n")
 
 
 def test_project_parse_error_reported(capsys, tmp_path):

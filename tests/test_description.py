@@ -60,6 +60,22 @@ def test_add_operations_reject_duplicates():
     assert err.value.code == "DUPLICATE_NAME"
 
 
+@pytest.mark.parametrize("op, value", [
+    (add_viewpoint, Viewpoint(name="")),
+    (add_view, View(name="", viewpoint="vp")),
+    (add_element, ViewElement(id="")),
+    (add_realization_node, RealizationNode(id="")),
+], ids=["viewpoint", "view", "element", "node"])
+def test_empty_names_are_refused_by_operation_and_builder(op, value):
+    model = add_viewpoint(DescriptionModel(), Viewpoint(name="vp"))
+    builder = ModelBuilder()
+    builder.add_viewpoint(Viewpoint(name="vp"))
+    for add in (lambda v: op(model, v), getattr(builder, op.__name__)):
+        with pytest.raises(ModelError) as err:
+            add(value)
+        assert (err.value.code, err.value.path) == ("EMPTY_NAME", None)
+
+
 def test_add_view_checks_references():
     model = model_with_elements("e1")
     with pytest.raises(ModelError) as err:

@@ -19,6 +19,7 @@ from essencekit import (
     BreakdownNode,
     BreakdownTree,
     DesignationError,
+    DocumentDesignation,
     MultiAspectDesignation,
     check_at_least_one_unambiguous,
     format_designation,
@@ -362,6 +363,14 @@ def test_document_designation_error_codes():
     assert code_of("=F1&XCA") == "UNKNOWN_TECHNICAL_AREA"
     assert code_of("F1&MCA") == "BAD_PREFIX"
     assert code_of("&MCA") == "EMPTY_INPUT"
+
+
+@pytest.mark.parametrize("dcc", ["MC", "MCAA", "mca", "", "MCA\n"])
+def test_document_designation_value_refuses_a_bad_dcc(dcc):
+    with pytest.raises(DesignationError) as err:
+        DocumentDesignation(system=parse_designation("=F1"), dcc=dcc)
+    assert (err.value.code, err.value.message) == (
+        "MALFORMED_DCC", f"dcc {dcc!r} is not exactly three uppercase letters")
 
 
 def test_only_area_letter_is_validated():

@@ -24,6 +24,7 @@ from essencekit import (
     record_checkpoint,
     render_card,
 )
+from essencekit.engine import AssessmentBuilder
 
 
 def fresh(instance_id: str = "i-1", alpha: str = "System Realization",
@@ -54,6 +55,19 @@ def test_add_instance_checks_alpha():
     with pytest.raises(AssessmentError) as err:
         add_instance(a, AlphaInstance(id="x", alpha="Ghost"))
     assert err.value.code == "UNKNOWN_ALPHA"
+
+
+@pytest.mark.parametrize("op, value", [
+    (add_instance, AlphaInstance(id="", alpha="System Realization")),
+    (add_work_product, WorkProductInstance(id="", definition="Test Report")),
+], ids=["instance", "work-product"])
+def test_empty_ids_are_refused_by_operation_and_builder(op, value):
+    a = Assessment(project_id="t", kernel=builtin_se_kernel())
+    builder = AssessmentBuilder("t", builtin_se_kernel())
+    for add in (lambda v: op(a, v), getattr(builder, op.__name__)):
+        with pytest.raises(AssessmentError) as err:
+            add(value)
+        assert (err.value.code, err.value.path) == ("EMPTY_ID", None)
 
 
 def test_add_instance_rejects_duplicate_id():
@@ -126,6 +140,17 @@ def test_alpha_state_unknown_instance():
     with pytest.raises(AssessmentError) as err:
         alpha_state(fresh(), "ghost")
     assert err.value.code == "UNKNOWN_INSTANCE"
+
+
+def test_alpha_state_of_an_instance_whose_alpha_the_kernel_lacks():
+    # Values built directly are not checked, so such an instance can exist.
+    a = Assessment(project_id="t", kernel=builtin_se_kernel(),
+                   instances=(AlphaInstance(id="i-1", alpha="Ghost"),))
+    with pytest.raises(AssessmentError) as err:
+        alpha_state(a, "i-1")
+    assert err.value.code == "UNKNOWN_INSTANCE"
+    assert err.value.message == (
+        "instance 'i-1' references alpha 'Ghost' absent from the kernel")
 
 
 def test_first_state_achieved_when_its_checklist_is_done():

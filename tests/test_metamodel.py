@@ -137,6 +137,23 @@ def test_findings_carry_paths():
     assert finding.path == "alphas[1]"
 
 
+def test_empty_names_and_repeated_subalphas_are_flagged_where_they_sit():
+    blank = StateDefinition(name="", summary="",
+                            checkpoints=(Checkpoint(id="", text=""),))
+    report = validate_kernel(kernel_of(
+        alpha("", subalphas=("B", "B")),
+        alpha("B", states=(state(), blank)),
+        workproducts=(WorkProductDefinition(name="", evidences="B"),)))
+    assert [(f.code, f.path) for f in report.findings] == [
+        ("EMPTY_ALPHA_NAME", "alphas[0]"),
+        ("EMPTY_STATE_NAME", "alphas[1].states[1]"),
+        ("EMPTY_CHECKPOINT_ID", "alphas[1].states[1].checkpoints[0]"),
+        ("EMPTY_CHECKPOINT_TEXT", "alphas[1].states[1].checkpoints[0]"),
+        ("DUPLICATE_SUBALPHA", "alphas[0].subalphas[1]"),
+        ("EMPTY_WORKPRODUCT_NAME", "workproducts[0]"),
+    ]
+
+
 def test_validate_kernel_is_pure():
     kernel = builtin_se_kernel()
     assert validate_kernel(kernel) == validate_kernel(kernel)
@@ -192,6 +209,16 @@ def test_closure_unknown_alpha():
     assert err.value.code == "UNKNOWN_ALPHA"
 
 
+def test_closure_terminates_on_cycles_and_skips_undefined_subalphas():
+    kernel = kernel_of(
+        alpha("A", subalphas=("B", "Ghost")),
+        alpha("B", subalphas=("C", "A")),
+        alpha("C", subalphas=("B",)))
+    assert not validate_kernel(kernel).ok
+    assert subalpha_closure(kernel, "A") == ["B", "C"]
+    assert subalpha_closure(kernel, "C") == ["B", "A"]
+
+
 def test_closure_never_contains_root():
     kernel = builtin_se_kernel()
     for a in kernel.alphas:
@@ -233,3 +260,11 @@ def test_loads_kernel_schema_errors():
     with pytest.raises(KernelError) as err:
         loads_kernel('{"name": 7, "areas": [], "alphas": []}')
     assert err.value.code == "SCHEMA_ERROR"
+
+
+@pytest.mark.parametrize("doc", [[], "kernel", None])
+def test_kernel_from_doc_refuses_a_non_map(doc):
+    with pytest.raises(KernelError) as err:
+        kernel_from_doc(doc)
+    assert (err.value.code, err.value.path) == ("SCHEMA_ERROR", None)
+    assert err.value.message == "kernel document must be a map"

@@ -181,6 +181,13 @@ SHAPE_ERRORS = [
      "SCHEMA_ERROR", "alphas[0].description"),
     ("dcc", "lone surrogate", dcc(areas={"X": "\ud800"}), "SCHEMA_ERROR",
      "areas.X"),
+    ("project", "designator not text", description(**{"realization-nodes": [
+            {"id": "n", "designators": {"Product": ["-A"]}}]}),
+     "SCHEMA_ERROR", "description.realization-nodes[0].designators.Product"),
+    ("project", "binding not a pair", description(bindings=[["e"]]),
+     "SCHEMA_ERROR", "description.bindings[0]"),
+    ("project", "binding not a pair", description(bindings=[["e", 5]]),
+     "SCHEMA_ERROR", "description.bindings[0]"),
 ]
 
 

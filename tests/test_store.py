@@ -20,6 +20,7 @@ from essencekit import (
     CheckpointRecord,
     DescriptionModel,
     DocumentDesignation,
+    KernelError,
     Project,
     ProjectError,
     RealizationNode,
@@ -391,6 +392,35 @@ def test_kernel_mismatch_guard():
     with pytest.raises(ProjectError) as err:
         Project(project_id="x", assessment=other, builtin_kernel=True)
     assert err.value.code == "KERNEL_MISMATCH"
+
+
+def test_project_refuses_an_assessment_of_another_project():
+    p = new_project("a")
+    with pytest.raises(ProjectError) as err:
+        replace(p, assessment=replace(p.assessment, project_id="b"))
+    assert (err.value.code, err.value.path) == ("PROJECT_ID_MISMATCH", None)
+    assert err.value.message == "assessment belongs to project 'b'"
+
+
+def test_empty_project_id_is_refused():
+    with pytest.raises(ProjectError) as err:
+        new_project("")
+    assert (err.value.code, err.value.path) == ("EMPTY_ID", None)
+    with pytest.raises(ProjectError) as err:
+        Project(project_id="", assessment=Assessment(
+            project_id="", kernel=builtin_se_kernel()))
+    assert err.value.code == "EMPTY_ID"
+
+
+def test_new_project_refuses_an_invalid_custom_kernel():
+    kernel = builtin_se_kernel()
+    twice = replace(kernel, alphas=kernel.alphas + kernel.alphas[:1])
+    with pytest.raises(KernelError) as err:
+        new_project("q", kernel=twice)
+    assert (err.value.code, err.value.path) == ("DUPLICATE_ALPHA", "alphas[15]")
+    custom = genlib.random_kernel(random.Random(9901))
+    p = new_project("q", kernel=custom)
+    assert load_project(save_project(p)) == p
 
 
 def test_unsupported_version_in_constructor():
