@@ -125,21 +125,28 @@ def nested(error: type[EssenceError], path: str, op, *args):
                     path=_at(path, exc.path)) from exc
 
 
-def too_deep(error: type[EssenceError], limit: int,
-             path: str | None) -> EssenceError:
+# The deepest breakdown tree a document holds, a root being level 1.
+# Writing keeps its own stack; the JSON decoder recurses twice per tree
+# level, the project reader once, and the equality, hash, repr and
+# pickling of BreakdownNode about four times. At this depth all of them
+# stay well inside Python's default recursion limit.
+MAX_TREE_DEPTH = 128
+
+
+def too_deep(error: type[EssenceError], path: str | None) -> EssenceError:
     """TREE_TOO_DEEP for the breakdown tree at ``path``."""
     return error("TREE_TOO_DEEP",
-                 f"breakdown tree is more than {limit} levels deep", path=path)
+                 f"breakdown tree is more than {MAX_TREE_DEPTH} levels deep",
+                 path=path)
 
 
-def encode(value: object, error: type[EssenceError],
-           max_tree_depth: int | None = None) -> bytes:
+def encode(value: object, error: type[EssenceError]) -> bytes:
     """``emit(value)`` as UTF-8 with a final newline: a saved document.
 
     Text that UTF-8 cannot hold, a lone surrogate, is UNSUPPORTED_VALUE
     at the path of the first string that holds one.
     """
-    text = emit(value, error, max_tree_depth) + "\n"
+    text = emit(value, error) + "\n"
     try:
         return text.encode("utf-8")
     except UnicodeEncodeError:
@@ -153,8 +160,7 @@ def encode(value: object, error: type[EssenceError],
 _MAP, _LIST, _NODES, _ROOT = range(4)
 
 
-def emit(value: object, error: type[EssenceError],
-         max_tree_depth: int | None = None) -> str:
+def emit(value: object, error: type[EssenceError]) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)``, without recursion.
 
     ``value`` is made of dicts with text keys, lists, text, ints, bools,
@@ -162,8 +168,8 @@ def emit(value: object, error: type[EssenceError],
     ``{"segment": ..., "children": [...]}``, children left out when
     there are none. Any other value, and a map or list inside itself,
     is UNSUPPORTED_VALUE at its path; a node with children at level
-    ``max_tree_depth``, a root being level 1, is TREE_TOO_DEEP at the
-    path of the list that holds the tree's roots.
+    ``MAX_TREE_DEPTH`` is TREE_TOO_DEEP at the path of the list that
+    holds the tree's roots.
     """
     from .designation import BreakdownNode  # designation imports this module
 
@@ -202,12 +208,11 @@ def emit(value: object, error: type[EssenceError],
                 if not item.children:
                     write(head + newline[depth] + "}")
                     continue
-                if level + 1 == max_tree_depth:
+                if level + 1 == MAX_TREE_DEPTH:
                     frames = _frames(stack, kind, key)
                     first = next((i for i, (k, _) in enumerate(frames)
                                   if k == _NODES), len(frames))
-                    raise too_deep(error, max_tree_depth,
-                                   _path_of(frames[:first - 1]))
+                    raise too_deep(error, _path_of(frames[:first - 1]))
                 write(head + "," + newline[depth + 1] + '"children": [')
                 stack.append((items, kind, depth, close, ident, key))
                 items, kind, close, ident = (enumerate(item.children), _NODES,

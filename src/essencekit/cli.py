@@ -14,10 +14,10 @@ Subcommands:
     lint endeavor PROJECT         missing endeavor description kinds
 
 Exit status: 0 = success or passing check; 1 = a check failed (not
-viable, ambiguous, blocked target, lint warnings); 2 = usage, parse, or
-schema error. Results go to stdout, diagnostics to stderr. The global
-``--format structured`` switch emits JSON instead of plain text, through
-the writer that saves project files.
+viable, ambiguous, blocked target, lint warnings); 2 = usage, parse,
+schema or IO error, unwritable output included. Results go to stdout,
+diagnostics to stderr. The global ``--format structured`` switch emits
+JSON instead of plain text, through the writer that saves project files.
 
 Outputs are deterministic: nothing here reads the clock or the
 environment, and record timestamps enter only through ``--at``.
@@ -61,9 +61,10 @@ from .metamodel import (
     loads_kernel,
     validate_kernel,
 )
-from .store import Project, load_project, save_project
+from .store import load_project, record_doc, save_project
 
-# What a handler returns: exit status, structured document, plain lines.
+# What a handler returns, printing nothing: exit status, structured
+# document, plain lines. main writes the one --format asks for.
 Output = tuple[int, dict, list[str]]
 
 
@@ -73,18 +74,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    out = sys.stdout
     try:
         status, doc, lines = args.handler(args)
+        _write_output(sys.stdout, args.format, doc, lines)
     except EssenceError as err:
-        out, status, lines = sys.stderr, 2, [f"error: {err}"]
         doc = {"error": {"code": err.code, "message": err.message}}
         if err.path:
             doc["error"]["path"] = err.path
-    if args.format == "structured":
-        print(emit(doc, EssenceError), file=out)
-    else:
-        print(*lines, sep="\n", file=out)
+        with contextlib.suppress(EssenceError):
+            _write_output(sys.stderr, args.format, doc, [f"error: {err}"])
+        return 2
     return status
 
 
@@ -179,9 +178,6 @@ def commands_of(parser: argparse.ArgumentParser):
 
 
 # Handlers
-#
-# Each handler returns its exit status, its structured document and its
-# plain lines, and prints nothing; main prints the one --format asks for.
 
 
 def _cmd_kernel_validate(args: argparse.Namespace) -> Output:
@@ -239,7 +235,7 @@ def _cmd_kernel_show(args: argparse.Namespace) -> Output:
 
 
 def _cmd_assess_record(args: argparse.Namespace) -> Output:
-    project = _load_project_file(args.project)
+    project = load_project(_read_bytes(args.project))
     rec = CheckpointRecord(
         alpha_instance=args.alpha_instance,
         state=args.state,
@@ -251,21 +247,13 @@ def _cmd_assess_record(args: argparse.Namespace) -> Output:
     # Validation failure raises before anything is written back.
     assessment = record_checkpoint(project.assessment, rec)
     _write_bytes(args.project, save_project(replace(project, assessment=assessment)))
-    return 0, {
-        "recorded": {
-            "alpha-instance": rec.alpha_instance,
-            "state": rec.state,
-            "checkpoint": rec.checkpoint,
-            "satisfied": rec.satisfied,
-            "evidence": list(rec.evidence),
-            "recorded-at": rec.recorded_at,
-        }
-    }, [f"recorded {rec.alpha_instance} {rec.state} {rec.checkpoint} "
+    return 0, {"recorded": record_doc(rec)}, [
+        f"recorded {rec.alpha_instance} {rec.state} {rec.checkpoint} "
         f"satisfied={args.satisfied}"]
 
 
 def _cmd_assess_state(args: argparse.Namespace) -> Output:
-    project = _load_project_file(args.project)
+    project = load_project(_read_bytes(args.project))
     result = alpha_state(project.assessment, args.alpha_instance)
     instance = project.assessment.instance(args.alpha_instance)
     lines = [
@@ -287,7 +275,7 @@ def _cmd_assess_state(args: argparse.Namespace) -> Output:
 
 
 def _cmd_assess_blocking(args: argparse.Namespace) -> Output:
-    project = _load_project_file(args.project)
+    project = load_project(_read_bytes(args.project))
     blockers = blocking_checkpoints(
         project.assessment, args.alpha_instance, args.target
     )
@@ -300,7 +288,7 @@ def _cmd_assess_blocking(args: argparse.Namespace) -> Output:
 
 
 def _cmd_cards(args: argparse.Namespace) -> Output:
-    project = _load_project_file(args.project)
+    project = load_project(_read_bytes(args.project))
     cards = {
         inst.id: render_card(project.assessment, inst.id)
         for inst in project.assessment.instances
@@ -328,7 +316,7 @@ def _cmd_desig_parse(args: argparse.Namespace) -> Output:
 
 
 def _cmd_desig_check(args: argparse.Namespace) -> Output:
-    project = _load_project_file(args.project)
+    project = load_project(_read_bytes(args.project))
     d = parse_designation(args.text)
     trees = {tree.aspect: tree for tree in project.trees}
     report = check_at_least_one_unambiguous(trees, d)
@@ -378,7 +366,7 @@ def _cmd_doc_parse(args: argparse.Namespace) -> Output:
 
 
 def _cmd_arch_check(args: argparse.Namespace) -> Output:
-    project = _load_project_file(args.project)
+    project = load_project(_read_bytes(args.project))
     names = args.views.split(",") if args.views else []
     report = viable_architecture(project.description, names)
     covered = ", ".join(t.value for t in report.covered)
@@ -394,7 +382,7 @@ def _cmd_arch_check(args: argparse.Namespace) -> Output:
 
 
 def _cmd_lint_endeavor(args: argparse.Namespace) -> Output:
-    project = _load_project_file(args.project)
+    project = load_project(_read_bytes(args.project))
     warnings = endeavor_viewpoint_lint(project.description)
     lines = [f"warning: {warning}" for warning in warnings]
     return 1 if warnings else 0, {"warnings": list(warnings)}, lines or ["ok"]
@@ -428,8 +416,17 @@ def _write_bytes(path: str, data: bytes) -> None:
         raise EssenceError("IO_ERROR", f"cannot write {path}: {exc}") from exc
 
 
-def _load_project_file(path: str) -> Project:
-    return load_project(_read_bytes(path))
+def _write_output(out, fmt: str, doc: dict, lines: list[str]) -> None:
+    """Write the output whole to ``out``'s raw file, past the buffer that
+    would retry a failed write at exit, or raise IO_ERROR."""
+    text = emit(doc, EssenceError) if fmt == "structured" else "\n".join(lines)
+    try:
+        data = memoryview((text + "\n").encode(out.encoding, out.errors))
+        raw = getattr(out.buffer, "raw", out.buffer)
+        while data:  # a raw file may take a part
+            data = data[raw.write(data):]
+    except (UnicodeEncodeError, OSError) as exc:
+        raise EssenceError("IO_ERROR", f"cannot write output: {exc}") from exc
 
 
 def _blockers_doc(blockers) -> list[dict]:

@@ -18,8 +18,10 @@ size of the document.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 
 from ._schema import (
+    MAX_TREE_DEPTH,
     check_keys,
     decode,
     encode,
@@ -72,13 +74,6 @@ FORMAT_VERSION = 1
 
 BUILTIN_KERNEL_MARKER = "builtin"
 
-# The deepest breakdown tree a project file holds, a root being level 1.
-# Saving keeps its own stack; the JSON decoder recurses twice per tree
-# level, the tree reader once, and the equality, hash, repr and pickling
-# of BreakdownNode about four times. At this depth all of them stay well
-# inside Python's default recursion limit.
-MAX_TREE_DEPTH = 128
-
 
 @dataclass(frozen=True)
 class Project:
@@ -87,14 +82,8 @@ class Project:
     trees: tuple[BreakdownTree, ...] = ()
     description: DescriptionModel = field(default_factory=DescriptionModel)
     builtin_kernel: bool = True
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self) -> None:
-        if self.format_version != FORMAT_VERSION:
-            raise ProjectError(
-                "UNSUPPORTED_VERSION",
-                f"format-version {self.format_version} is not {FORMAT_VERSION}",
-            )
         if not self.project_id:
             raise ProjectError("EMPTY_ID", "project id is empty")
         trees = tuple(
@@ -177,7 +166,7 @@ def load_project(data: bytes | str) -> Project:
 
 def save_project(p: Project) -> bytes:
     doc = {
-        "format-version": p.format_version,
+        "format-version": FORMAT_VERSION,
         "project-id": p.project_id,
         "kernel": (
             BUILTIN_KERNEL_MARKER if p.builtin_kernel else kernel_to_doc(p.kernel)
@@ -186,7 +175,7 @@ def save_project(p: Project) -> bytes:
         "trees": {tree.aspect.value: list(tree.roots) for tree in p.trees},
         "description": _description_doc(p.description),
     }
-    return encode(doc, ProjectError, MAX_TREE_DEPTH)
+    return encode(doc, ProjectError)
 
 
 # Loading
@@ -231,6 +220,20 @@ def _valid_kernel(kernel: KernelDefinition) -> KernelDefinition:
     return kernel
 
 
+def _maps(raw: dict, key: str, at: str, allowed: frozenset[str]):
+    """Each map of the entry list ``raw[key]`` with its path, keys checked."""
+    for i, item in enumerate(entries(raw, key, dict, at, ProjectError, ())):
+        path = f"{at}.{key}[{i}]"
+        check_keys(item, allowed, path, ProjectError)
+        yield item, path
+
+
+def _member(item: dict, key: str, path: str, default: Enum):
+    """The member of ``default``'s enum that ``item[key]`` names."""
+    value = get(item, key, str, path, ProjectError, default.value)
+    return enum_of(value, type(default), f"{path}.{key}", ProjectError)
+
+
 def _load_assessment(
     raw: dict, *, project_id: str, kernel: KernelDefinition
 ) -> Assessment:
@@ -240,31 +243,20 @@ def _load_assessment(
         kernel,
         get(raw, "strict-evidence", bool, "assessment", ProjectError, False),
     )
-    for i, item in enumerate(entries(raw, "instances", dict, "assessment",
-                                     ProjectError, ())):
-        path = f"assessment.instances[{i}]"
-        check_keys(item, _INSTANCE_KEYS, path, ProjectError)
+    for item, path in _maps(raw, "instances", "assessment", _INSTANCE_KEYS):
         inst = AlphaInstance(
             id=nonempty(item, "id", path, ProjectError),
             alpha=get(item, "alpha", str, path, ProjectError),
-            system_level=enum_of(
-                get(item, "system-level", str, path, ProjectError,
-                    SystemLevel.SYSTEM_OF_INTEREST.value),
-                SystemLevel, f"{path}.system-level", ProjectError,
-            ),
+            system_level=_member(item, "system-level", path,
+                                 SystemLevel.SYSTEM_OF_INTEREST),
         )
         nested(ProjectError, path, a.add_instance, inst)
-    for i, item in enumerate(entries(raw, "work-products", dict, "assessment",
-                                     ProjectError, ())):
-        path = f"assessment.work-products[{i}]"
-        check_keys(item, _WORK_PRODUCT_KEYS, path, ProjectError)
-        designation = None
-        if "document-designation" in item:
-            designation = nested(
-                ProjectError, f"{path}.document-designation",
-                parse_document_designation,
-                get(item, "document-designation", str, path, ProjectError),
-            )
+    for item, path in _maps(raw, "work-products", "assessment",
+                            _WORK_PRODUCT_KEYS):
+        text = get(item, "document-designation", str, path, ProjectError, None)
+        designation = None if text is None else nested(
+            ProjectError, f"{path}.document-designation",
+            parse_document_designation, text)
         wp = WorkProductInstance(
             id=nonempty(item, "id", path, ProjectError),
             definition=get(item, "definition", str, path, ProjectError),
@@ -272,10 +264,7 @@ def _load_assessment(
             document_designation=designation,
         )
         nested(ProjectError, path, a.add_work_product, wp)
-    for i, item in enumerate(entries(raw, "records", dict, "assessment",
-                                     ProjectError, ())):
-        path = f"assessment.records[{i}]"
-        check_keys(item, _RECORD_KEYS, path, ProjectError)
+    for item, path in _maps(raw, "records", "assessment", _RECORD_KEYS):
         rec = CheckpointRecord(
             alpha_instance=get(item, "alpha-instance", str, path, ProjectError),
             state=get(item, "state", str, path, ProjectError),
@@ -320,7 +309,7 @@ def _nodes_from_doc(items: list, at: str, path: str,
         children = get(item, "children", list, here, ProjectError, ())
         if children:
             if depth == MAX_TREE_DEPTH:
-                raise too_deep(ProjectError, MAX_TREE_DEPTH, path)
+                raise too_deep(ProjectError, path)
             children = _nodes_from_doc(children, f"{here}.children", path, depth + 1)
         nodes.append(BreakdownNode(
             segment=get(item, "segment", str, here, ProjectError),
@@ -331,40 +320,25 @@ def _nodes_from_doc(items: list, at: str, path: str,
 def _load_description(raw: dict) -> DescriptionModel:
     check_keys(raw, _DESCRIPTION_KEYS, "description", ProjectError)
     model = ModelBuilder()
-    for i, item in enumerate(entries(raw, "viewpoints", dict, "description",
-                                     ProjectError, ())):
-        path = f"description.viewpoints[{i}]"
-        check_keys(item, _VIEWPOINT_KEYS, path, ProjectError)
+    for item, path in _maps(raw, "viewpoints", "description", _VIEWPOINT_KEYS):
         vp = Viewpoint(
             name=nonempty(item, "name", path, ProjectError),
-            structure_type=enum_of(
-                get(item, "structure-type", str, path, ProjectError,
-                    StructureType.OTHER.value),
-                StructureType, f"{path}.structure-type", ProjectError,
-            ),
+            structure_type=_member(item, "structure-type", path,
+                                   StructureType.OTHER),
             concerns=tuple(texts(item, "concerns", path, ProjectError,
                                  "concerns must be text", ())),
-            description_kind=enum_of(
-                get(item, "description-kind", str, path, ProjectError,
-                    DescriptionKind.OTHER.value),
-                DescriptionKind, f"{path}.description-kind", ProjectError,
-            ),
+            description_kind=_member(item, "description-kind", path,
+                                     DescriptionKind.OTHER),
         )
         nested(ProjectError, path, model.add_viewpoint, vp)
-    for i, item in enumerate(entries(raw, "elements", dict, "description",
-                                     ProjectError, ())):
-        path = f"description.elements[{i}]"
-        check_keys(item, _ELEMENT_KEYS, path, ProjectError)
+    for item, path in _maps(raw, "elements", "description", _ELEMENT_KEYS):
         elem = ViewElement(
             id=nonempty(item, "id", path, ProjectError),
             label=get(item, "label", str, path, ProjectError, ""),
             has_extent=get(item, "has-extent", bool, path, ProjectError, False),
         )
         nested(ProjectError, path, model.add_element, elem)
-    for i, item in enumerate(entries(raw, "views", dict, "description",
-                                     ProjectError, ())):
-        path = f"description.views[{i}]"
-        check_keys(item, _VIEW_KEYS, path, ProjectError)
+    for item, path in _maps(raw, "views", "description", _VIEW_KEYS):
         view = View(
             name=nonempty(item, "name", path, ProjectError),
             viewpoint=get(item, "viewpoint", str, path, ProjectError),
@@ -372,10 +346,8 @@ def _load_description(raw: dict) -> DescriptionModel:
                                  "view elements must be element ids", ())),
         )
         nested(ProjectError, path, model.add_view, view)
-    for i, item in enumerate(entries(raw, "realization-nodes", dict,
-                                     "description", ProjectError, ())):
-        path = f"description.realization-nodes[{i}]"
-        check_keys(item, _REALIZATION_NODE_KEYS, path, ProjectError)
+    for item, path in _maps(raw, "realization-nodes", "description",
+                            _REALIZATION_NODE_KEYS):
         chains = []
         designators = get(item, "designators", dict, path, ProjectError, {})
         for key, text in designators.items():
@@ -448,22 +420,23 @@ def _assessment_doc(a: Assessment) -> dict:
                 )
             item["document-designation"] = text
         work_products.append(item)
-    records = [
-        {
-            "alpha-instance": rec.alpha_instance,
-            "state": rec.state,
-            "checkpoint": rec.checkpoint,
-            "satisfied": rec.satisfied,
-            "evidence": list(rec.evidence),
-            "recorded-at": rec.recorded_at,
-        }
-        for rec in a.records
-    ]
     return {
         "strict-evidence": a.strict_evidence,
         "instances": instances,
         "work-products": work_products,
-        "records": records,
+        "records": [record_doc(rec) for rec in a.records],
+    }
+
+
+def record_doc(rec: CheckpointRecord) -> dict:
+    """The map of a checkpoint record, as a project file holds it."""
+    return {
+        "alpha-instance": rec.alpha_instance,
+        "state": rec.state,
+        "checkpoint": rec.checkpoint,
+        "satisfied": rec.satisfied,
+        "evidence": list(rec.evidence),
+        "recorded-at": rec.recorded_at,
     }
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -719,3 +720,78 @@ def test_module_entry_point_runs_as_subprocess():
         capture_output=True, text=True, timeout=60)
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "=F1"
+
+
+FORMATS = pytest.mark.parametrize("fmt", [[], ["--format", "structured"]],
+                                  ids=["plain", "structured"])
+
+
+def assert_io_error(fmt: list[str], returncode: int, stderr: bytes) -> None:
+    assert returncode == 2
+    text = stderr.decode("ascii")
+    assert "Traceback" not in text and "Exception ignored" not in text
+    if fmt:
+        assert json.loads(text)["error"]["code"] == "IO_ERROR"
+    else:
+        assert text.startswith("error: IO_ERROR: cannot write output: ")
+
+
+@FORMATS
+def test_output_the_stream_cannot_encode_is_an_io_error(fmt):
+    # The alpha's checkpoint texts hold curly quotes, which ASCII lacks.
+    result = subprocess.run(
+        [sys.executable, "-m", "essencekit.cli", *fmt,
+         "kernel", "show", "--alpha", "System Realization"],
+        capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONIOENCODING": "ascii"})
+    assert result.stdout == b""
+    assert_io_error(fmt, result.returncode, result.stderr)
+
+
+@FORMATS
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command, read", [("cards", 1), ("desig", 0)])
+def test_output_into_a_closed_pipe_is_an_io_error(fmt, flags, command, read,
+                                                  tmp_path):
+    # Cards for 1000 instances are a few hundred KB, more than a pipe
+    # holds, so the write is still going when the reader closes after a
+    # byte. The few bytes of a parsed designation go to a pipe whose
+    # reader has closed before the command starts.
+    if command == "cards":
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({
+            "format-version": 1, "project-id": "p", "assessment": {
+                "instances": [{"id": f"i{k}", "alpha": "System Realization"}
+                              for k in range(1000)]}}), encoding="utf-8")
+        argv = ["cards", str(path)]
+    else:
+        argv = ["desig", "parse", "=F1"]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    if not read:
+        os.close(read_end)
+    child = subprocess.Popen(
+        [sys.executable, *flags, "-m", "essencekit.cli", *fmt, *argv],
+        stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    try:
+        if read:
+            assert os.read(read_end, read)
+            os.close(read_end)
+        stderr = child.communicate(timeout=60)[1]
+    finally:
+        child.kill()
+        child.wait()
+    assert_io_error(fmt, child.returncode, stderr)
+
+
+def test_output_and_errors_into_a_closed_pipe_exit_2():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "essencekit.cli", "desig", "parse", "=F1"],
+            stdout=write_end, stderr=write_end, timeout=60)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2

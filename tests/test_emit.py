@@ -29,7 +29,7 @@ from essencekit import (
     kernel_to_doc,
     save_project,
 )
-from essencekit._schema import emit, encode
+from essencekit._schema import MAX_TREE_DEPTH, emit, encode
 
 
 def dumps(value) -> str:
@@ -126,7 +126,8 @@ def test_emit_does_not_recurse():
     assert nested_text(40) == dumps(nested(40))
     depth = 3000
     value, expected = nested(depth), nested_text(depth)
-    root = genlib.chain_tree(Aspect.PRODUCT, depth).roots[0]
+    # The deepest tree a document holds, far deeper than the 30 frames.
+    root = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH).roots[0]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 30)
     try:
@@ -135,7 +136,11 @@ def test_emit_does_not_recurse():
     finally:
         sys.setrecursionlimit(limit)
     assert text == expected
-    assert node_text.count('"segment"') == depth
+    assert node_text.count('"segment"') == MAX_TREE_DEPTH
+    deeper = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH + 1).roots[0]
+    with pytest.raises(ProjectError) as err:
+        emit(deeper, ProjectError)
+    assert err.value.code == "TREE_TOO_DEEP"
 
 
 @pytest.mark.parametrize("value, message, path", [
@@ -174,14 +179,16 @@ def test_encode_refuses_lone_surrogates_at_their_path():
 
 
 def test_tree_depth_is_counted_per_tree():
-    tree = genlib.chain_tree(Aspect.PRODUCT, 3).roots[0]
-    doc = {"t": {"X": [BreakdownNode("R"), tree]}}
-    assert emit(doc, ProjectError, 3) == dumps(
-        {"t": {"X": [{"segment": "R"}, node_doc(tree)]}})
+    # Two trees of the deepest size side by side, in one list and in two:
+    # the depth of one tree does not carry over to the next.
+    tree = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH).roots[0]
+    doc = {"t": {"X": [BreakdownNode("R"), tree, tree], "Y": [tree]}}
+    assert emit(doc, ProjectError) == dumps({"t": {
+        "X": [{"segment": "R"}, node_doc(tree), node_doc(tree)],
+        "Y": [node_doc(tree)]}})
+    deeper = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH + 1).roots[0]
     with pytest.raises(ProjectError) as err:
-        emit(doc, ProjectError, 2)
-    assert (err.value.code, err.value.path) == ("TREE_TOO_DEEP", "t.X")
-    assert err.value.message == "breakdown tree is more than 2 levels deep"
-    # Level 1 is the root: a root with children is too deep at limit 1.
-    with pytest.raises(ProjectError):
-        emit([tree], ProjectError, 1)
+        emit({"t": {"X": [tree, tree], "Y": [deeper]}}, ProjectError)
+    assert (err.value.code, err.value.path) == ("TREE_TOO_DEEP", "t.Y")
+    assert err.value.message == (
+        f"breakdown tree is more than {MAX_TREE_DEPTH} levels deep")

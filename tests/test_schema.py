@@ -188,6 +188,14 @@ SHAPE_ERRORS = [
      "SCHEMA_ERROR", "description.bindings[0]"),
     ("project", "binding not a pair", description(bindings=[["e", 5]]),
      "SCHEMA_ERROR", "description.bindings[0]"),
+    ("project", "bad DCC code", assessment(**{
+        "work-products": [{"id": "w", "definition": "Test Report",
+                           "document-designation": ""}]}),
+     "SCHEMA_ERROR", "assessment.work-products[0].document-designation"),
+    ("project", "wrong type", assessment(**{
+        "work-products": [{"id": "w", "definition": "Test Report",
+                           "document-designation": None}]}),
+     "SCHEMA_ERROR", "assessment.work-products[0].document-designation"),
 ]
 
 

@@ -423,14 +423,6 @@ def test_new_project_refuses_an_invalid_custom_kernel():
     assert load_project(save_project(p)) == p
 
 
-def test_unsupported_version_in_constructor():
-    with pytest.raises(ProjectError) as err:
-        Project(project_id="x",
-                assessment=Assessment(project_id="x", kernel=builtin_se_kernel()),
-                format_version=2)
-    assert err.value.code == "UNSUPPORTED_VERSION"
-
-
 def test_trees_are_kept_in_aspect_order():
     p = new_project("t")
     p = replace(p, trees=(
