@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import lru_cache
 from json.encoder import encode_basestring as _quote
 
 from .errors import EssenceError
@@ -126,10 +127,10 @@ def nested(error: type[EssenceError], path: str, op, *args):
 
 
 # The deepest breakdown tree a document holds, a root being level 1.
-# Writing keeps its own stack; the JSON decoder recurses twice per tree
-# level, the project reader once, and the equality, hash, repr and
-# pickling of BreakdownNode about four times. At this depth all of them
-# stay well inside Python's default recursion limit.
+# Reading and writing keep their own stack; the JSON decoder recurses
+# twice per tree level, and the equality, hash, repr and pickling of
+# BreakdownNode about four times. At this depth all of them stay well
+# inside Python's default recursion limit.
 MAX_TREE_DEPTH = 128
 
 
@@ -155,42 +156,42 @@ def encode(value: object, error: type[EssenceError]) -> bytes:
                     path=None if path is _MISSING else path) from None
 
 
-# Frame kinds of emit: a map, a list, the children of a breakdown node,
-# and the frame that holds the document itself.
-_MAP, _LIST, _NODES, _ROOT = range(4)
+# Frame kinds of emit: a map, a list, and the frame that holds the
+# document itself.
+_MAP, _LIST, _ROOT = range(3)
 
 
 def emit(value: object, error: type[EssenceError]) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)``, without recursion.
 
     ``value`` is made of dicts with text keys, lists, text, ints, bools,
-    None and ``BreakdownNode``, which is written as the map
+    None, ``BreakdownTree``, which is written as the list of its roots,
+    and ``BreakdownNode``, which is written as the map
     ``{"segment": ..., "children": [...]}``, children left out when
     there are none. Any other value, and a map or list inside itself,
     is UNSUPPORTED_VALUE at its path; a node with children at level
-    ``MAX_TREE_DEPTH`` is TREE_TOO_DEEP at the path of the list that
-    holds the tree's roots.
+    ``MAX_TREE_DEPTH`` is TREE_TOO_DEEP at the path of the tree, or of
+    the list that holds the node.
     """
-    from .designation import BreakdownNode  # designation imports this module
+    # designation imports this module
+    from .designation import BreakdownNode, BreakdownTree, _flatten
 
     parts: list[str] = []
     write = parts.append
-    # By depth d: a line break and the indent of d; the same after an
-    # item separator; and the start of a node map written at d.
-    newline, comma, node = ["\n"], [",\n"], []
+    # By depth d: a line break and the indent of d, and the same after
+    # an item separator.
+    newline, comma = ["\n"], [",\n"]
     # The open containers below the current one; each suspended frame
     # keeps the key or index of the item it descended into. open_ids
-    # holds the maps and lists being written, level the number of
-    # breakdown nodes being written.
+    # holds the maps and lists being written.
     stack: list[tuple] = []
     open_ids: set[int] = set()
     items = iter(((None, value),))
-    kind, depth, close, ident, sep, level = _ROOT, 0, "", None, "", 0
+    kind, depth, close, ident, sep = _ROOT, 0, "", None, ""
     while True:
-        while len(newline) <= depth + 2:
+        while len(newline) <= depth + 1:
             newline.append(newline[-1] + "  ")
             comma.append(comma[-1] + "  ")
-            node.append("{" + newline[-1] + '"segment": ')
         for key, item in items:
             if kind == _MAP:
                 if not isinstance(key, str):  # named as its map
@@ -203,25 +204,6 @@ def emit(value: object, error: type[EssenceError]) -> str:
             sep = comma[depth]
             if isinstance(item, str):
                 write(_quote(item))
-            elif isinstance(item, BreakdownNode):
-                head = node[depth] + _quote(item.segment)
-                if not item.children:
-                    write(head + newline[depth] + "}")
-                    continue
-                if level + 1 == MAX_TREE_DEPTH:
-                    frames = _frames(stack, kind, key)
-                    first = next((i for i, (k, _) in enumerate(frames)
-                                  if k == _NODES), len(frames))
-                    raise too_deep(error, _path_of(frames[:first - 1]))
-                write(head + "," + newline[depth + 1] + '"children": [')
-                stack.append((items, kind, depth, close, ident, key))
-                items, kind, close, ident = (enumerate(item.children), _NODES,
-                                             newline[depth + 1] + "]"
-                                             + newline[depth] + "}", None)
-                depth += 2
-                level += 1
-                sep = newline[depth]
-                break
             elif isinstance(item, (dict, list)):
                 if not item:
                     write("{}" if isinstance(item, dict) else "[]")
@@ -251,6 +233,19 @@ def emit(value: object, error: type[EssenceError]) -> str:
                 write("false")
             elif isinstance(item, int):
                 write(int.__repr__(item))
+            elif isinstance(item, BreakdownTree):
+                segments, parents = item._arrays
+                if not segments:
+                    write("[]")
+                    continue
+                write("[" + newline[depth + 1])
+                if not _write_nodes(write, segments, parents, depth + 1):
+                    raise too_deep(error, _path_of(_frames(stack, kind, key)))
+                write(newline[depth] + "]")
+            elif isinstance(item, BreakdownNode):
+                if not _write_nodes(write, *_flatten((item,)), depth):
+                    raise too_deep(error,
+                                   _path_of(_frames(stack, kind, key)[:-1]))
             else:
                 raise error("UNSUPPORTED_VALUE",
                             f"type {type(item).__name__} cannot be saved",
@@ -258,12 +253,56 @@ def emit(value: object, error: type[EssenceError]) -> str:
         else:
             write(close)
             open_ids.discard(ident)
-            if kind == _NODES:
-                level -= 1
             if not stack:
                 return "".join(parts)
             items, kind, depth, close, ident, _ = stack.pop()
             sep = comma[depth]
+
+
+def _write_nodes(write, segments: tuple[str, ...], parents: tuple[int, ...],
+                 depth: int) -> bool:
+    """Write the node maps of depth-first arrays, the roots at ``depth``,
+    the first one's separator left to the caller; False, midway, at a
+    node with children at level ``MAX_TREE_DEPTH``."""
+    first, later, leaf, opened, closed = _node_texts(depth)
+    # The open nodes: the ancestors of the node being written.
+    ups: list[int] = []
+    for pos, (up, segment, below) in enumerate(
+            zip(parents, segments, parents[1:] + (-1,))):
+        while ups and ups[-1] != up:
+            ups.pop()
+            write(closed[len(ups)])
+        level = len(ups)
+        text = (first if up == pos - 1 else later)[level] + _quote(segment)
+        if below == pos:
+            if level + 1 == MAX_TREE_DEPTH:
+                return False
+            ups.append(pos)
+            write(text + opened[level])
+        else:
+            write(text + leaf[level])
+    while ups:
+        ups.pop()
+        write(closed[len(ups)])
+    return True
+
+
+@lru_cache(maxsize=16)
+def _node_texts(depth: int) -> tuple[tuple[str, ...], ...]:
+    """By tree level, for node maps whose roots are at ``depth``: the
+    text before the segment of a first child and of a later one, and
+    the text after the segment of a leaf and of a node with children;
+    then the text that closes a node with children."""
+    first, later, leaf, opened, closed = [], [], [], [], []
+    for level in range(MAX_TREE_DEPTH):
+        indent = "\n" + "  " * (depth + 2 * level)
+        head = "{" + indent + '  "segment": '
+        first.append(head if level == 0 else indent + head)
+        later.append("," + indent + head)
+        leaf.append(indent + "}")
+        opened.append("," + indent + '  "children": [')
+        closed.append(indent + "  ]" + indent + "}")
+    return tuple(map(tuple, (first, later, leaf, opened, closed)))
 
 
 def _frames(stack: list[tuple], kind: int,
@@ -280,8 +319,6 @@ def _path_of(frames: list[tuple[int, object]]) -> str | None:
             path = _at(path, key)
         elif kind == _LIST:
             path = f"{path or ''}[{key}]"
-        elif kind == _NODES:
-            path = f"{path}.children[{key}]"
     return path
 
 

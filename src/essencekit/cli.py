@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import select
 import shutil
 import sys
 import tempfile
@@ -424,7 +425,11 @@ def _write_output(out, fmt: str, doc: dict, lines: list[str]) -> None:
         data = memoryview((text + "\n").encode(out.encoding, out.errors))
         raw = getattr(out.buffer, "raw", out.buffer)
         while data:  # a raw file may take a part
-            data = data[raw.write(data):]
+            written = raw.write(data)
+            if written is None:  # non-blocking and full: wait for room
+                select.select((), (raw,), ())
+            else:
+                data = data[written:]
     except (UnicodeEncodeError, OSError) as exc:
         raise EssenceError("IO_ERROR", f"cannot write output: {exc}") from exc
 

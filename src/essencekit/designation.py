@@ -27,10 +27,9 @@ import string
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ._schema import decode, get, nonempty
-from ._value import fields_state
 from .errors import DesignationError
 
 _SEGMENT_RE = re.compile(r"[A-Z0-9]+\Z")
@@ -202,86 +201,135 @@ class BreakdownNode:
     def __post_init__(self) -> None:
         object.__setattr__(self, "children", tuple(self.children))
         if not _SEGMENT_RE.match(self.segment):
-            raise DesignationError(
-                "BAD_SEGMENT",
-                f"node segment {self.segment!r} is not uppercase-alphanumeric",
-            )
-        _require_unique_siblings(self.children, self.segment)
+            raise _bad_segment(self.segment)
+        _require_unique_siblings(
+            (child.segment for child in self.children), self.segment)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BreakdownTree:
     """One aspect's system hierarchy; sibling segments are unique.
 
-    The first ``paths`` or ``resolve`` call builds an index of the
-    nodes, which the value keeps. Equality, hash, repr, copies and
-    pickles see only ``aspect`` and ``roots``.
+    The value is two arrays of its nodes in depth-first order: each
+    node's segment, and the position of its parent (-1 for a root). A
+    tree built from ``roots`` flattens them on first use; a loaded tree
+    builds ``roots`` on first read. Equality, hash, copies and pickles
+    see ``aspect`` and the arrays, and do not recurse; repr and
+    ``dataclasses.replace`` go through ``roots``. The first ``resolve``
+    also indexes the nodes by segment, which the value keeps.
     """
 
     aspect: Aspect
-    roots: tuple[BreakdownNode, ...] = ()
+    # No class attribute: a tree without roots builds them in __getattr__.
+    roots: tuple[BreakdownNode, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "roots", tuple(self.roots))
-        _require_unique_siblings(self.roots, None)
+        _require_unique_siblings((root.segment for root in self.roots), None)
+
+    @classmethod
+    def _of(cls, aspect: Aspect, segments: list[str],
+            parents: list[int]) -> BreakdownTree:
+        """The tree of checked depth-first arrays, without roots."""
+        tree = object.__new__(cls)
+        tree.__dict__.update(aspect=aspect,
+                             _arrays=(tuple(segments), tuple(parents)))
+        return tree
+
+    def __getattr__(self, name: str):
+        """``roots`` of a tree made by ``_of``, built on first read."""
+        if name != "roots":
+            raise AttributeError(name)
+        roots = self.__dict__["roots"] = _roots(*self._arrays)
+        return roots
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BreakdownTree):
+            return NotImplemented
+        return self.aspect == other.aspect and self._arrays == other._arrays
+
+    def __hash__(self) -> int:
+        return hash((self.aspect, self._arrays))
+
+    def __getstate__(self) -> dict:
+        return {"aspect": self.aspect, "_arrays": self._arrays}
 
     def paths(self) -> tuple[tuple[str, ...], ...]:
         """All root-to-node paths, depth-first."""
-        segments, parents, _ = self._index
         out: list[tuple[str, ...]] = []
-        for segment, parent in zip(segments, parents):
+        for segment, parent in zip(*self._arrays):
             out.append((out[parent] + (segment,)) if parent >= 0 else (segment,))
         return tuple(out)
 
-    def __getstate__(self) -> dict:
-        return fields_state(self)
+    @cached_property
+    def _arrays(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
+        return _flatten(self.roots)
 
     @cached_property
-    def _index(self) -> tuple[list[str], list[int], dict[str, list[int]]]:
-        """The nodes in depth-first order: ``segments[i]`` is node i's
-        segment and ``parents[i]`` the position of its parent (-1 for a
-        root); ``positions`` lists the nodes of each segment in
-        ascending order."""
-        segments: list[str] = []
-        parents: list[int] = []
+    def _positions(self) -> dict[str, list[int]]:
+        """The positions of each segment's nodes, in ascending order."""
         positions: dict[str, list[int]] = {}
-        # The open nodes' child iterators, and the open nodes' positions.
-        stack = [iter(self.roots)]
-        ups = [-1]
-        while stack:
-            up = ups[-1]
-            for node in stack[-1]:
-                pos = len(segments)
-                segment = node.segment
-                segments.append(segment)
-                parents.append(up)
-                same = positions.get(segment)
-                if same is None:
-                    positions[segment] = [pos]
-                else:
-                    same.append(pos)
-                if node.children:
-                    stack.append(iter(node.children))
-                    ups.append(pos)
-                    break
+        for pos, segment in enumerate(self._arrays[0]):
+            same = positions.get(segment)
+            if same is None:
+                positions[segment] = [pos]
             else:
-                stack.pop()
-                ups.pop()
-        return segments, parents, positions
+                same.append(pos)
+        return positions
+
+
+def _flatten(
+    roots: tuple[BreakdownNode, ...]
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The segments and parents of these nodes, in depth-first order."""
+    segments: list[str] = []
+    parents: list[int] = []
+    # The open nodes' child iterators, and the open nodes' positions.
+    stack = [iter(roots)]
+    ups = [-1]
+    while stack:
+        up = ups[-1]
+        for node in stack[-1]:
+            segments.append(node.segment)
+            parents.append(up)
+            if node.children:
+                stack.append(iter(node.children))
+                ups.append(len(parents) - 1)
+                break
+        else:
+            stack.pop()
+            ups.pop()
+    return tuple(segments), tuple(parents)
+
+
+def _roots(segments: tuple[str, ...],
+           parents: tuple[int, ...]) -> tuple[BreakdownNode, ...]:
+    """The roots of depth-first arrays, built bottom-up."""
+    children: dict[int, list[BreakdownNode]] = {}
+    for pos in range(len(segments) - 1, -1, -1):
+        node = BreakdownNode(segments[pos],
+                             tuple(reversed(children.pop(pos, ()))))
+        children.setdefault(parents[pos], []).append(node)
+    return tuple(reversed(children.get(-1, ())))
+
+
+def _bad_segment(segment: str) -> DesignationError:
+    return DesignationError(
+        "BAD_SEGMENT",
+        f"node segment {segment!r} is not uppercase-alphanumeric")
 
 
 def _require_unique_siblings(
-    nodes: tuple[BreakdownNode, ...], parent: str | None
+    segments: Iterable[str], parent: str | None
 ) -> None:
     seen: set[str] = set()
-    for node in nodes:
-        if node.segment in seen:
+    for segment in segments:
+        if segment in seen:
             where = f"under {parent!r}" if parent else "at tree root"
             raise DesignationError(
                 "DUPLICATE_SIBLING",
-                f"sibling segment {node.segment!r} repeats {where}",
-            )
-        seen.add(node.segment)
+                f"sibling segment {segment!r} repeats {where}")
+        seen.add(segment)
 
 
 def resolve(tree: BreakdownTree, chain: AspectChain) -> tuple[tuple[str, ...], ...]:
@@ -297,7 +345,8 @@ def resolve(tree: BreakdownTree, chain: AspectChain) -> tuple[tuple[str, ...], .
             f"{chain.aspect.value} chain resolved against "
             f"{tree.aspect.value} tree",
         )
-    segments, parents, positions = tree._index
+    segments, parents = tree._arrays
+    positions = tree._positions
     rest = chain.segments[-2::-1]  # the suffix above its last segment, upwards
     matches = []
     for pos in positions.get(chain.segments[-1], ()):

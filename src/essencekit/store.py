@@ -47,9 +47,11 @@ from .description import (
 from .designation import (
     ASPECT_ORDER,
     BUILTIN_DCC_TABLE,
+    _SEGMENT_RE,
     Aspect,
-    BreakdownNode,
     BreakdownTree,
+    _bad_segment,
+    _require_unique_siblings,
     format_document_designation,
     parse_designation,
     parse_document_designation,
@@ -62,7 +64,7 @@ from .engine import (
     SystemLevel,
     WorkProductInstance,
 )
-from .errors import KernelError, ProjectError
+from .errors import DesignationError, KernelError, ProjectError
 from .metamodel import (
     KernelDefinition,
     kernel_from_doc,
@@ -172,7 +174,7 @@ def save_project(p: Project) -> bytes:
             BUILTIN_KERNEL_MARKER if p.builtin_kernel else kernel_to_doc(p.kernel)
         ),
         "assessment": _assessment_doc(p.assessment),
-        "trees": {tree.aspect.value: list(tree.roots) for tree in p.trees},
+        "trees": {tree.aspect.value: tree for tree in p.trees},
         "description": _description_doc(p.description),
     }
     return encode(doc, ProjectError)
@@ -190,6 +192,7 @@ _WORK_PRODUCT_KEYS = frozenset({"id", "definition", "label",
 _RECORD_KEYS = frozenset({"alpha-instance", "state", "checkpoint", "satisfied",
                           "evidence", "recorded-at"})
 _NODE_KEYS = frozenset({"segment", "children"})
+_NO_CHILDREN: list = []  # the children of a node map without "children"
 _DESCRIPTION_KEYS = frozenset({"viewpoints", "views", "elements",
                                "realization-nodes", "coextension", "bindings"})
 _VIEWPOINT_KEYS = frozenset({"name", "structure-type", "concerns",
@@ -287,34 +290,85 @@ def _load_trees(raw: dict) -> tuple[BreakdownTree, ...]:
             raise ProjectError(
                 "SCHEMA_ERROR", "tree roots must be a list", path=path
             )
-        trees.append(nested(ProjectError, path, lambda: BreakdownTree(
-            aspect=aspect, roots=_nodes_from_doc(roots, path, path))))
+        trees.append(BreakdownTree._of(
+            aspect, *nested(ProjectError, path, _tree_arrays, roots, path)))
     return tuple(trees)
 
 
-def _nodes_from_doc(items: list, at: str, path: str,
-                    depth: int = 1) -> tuple[BreakdownNode, ...]:
-    """The nodes of tree path's level depth, whose maps are at at[i].
+def _tree_arrays(roots: list, path: str) -> tuple[list[str], list[int]]:
+    """The segments and parents, depth-first, of the tree at ``path``.
 
-    A node's shape is checked before its children, its segment after
-    them. The depth is checked before each descent, so reading recurses
-    at most MAX_TREE_DEPTH levels.
+    A node's shape is checked before its children, its segment and then
+    its children's uniqueness after them; the roots' uniqueness last.
+    The depth is checked before each descent. Shape errors name the
+    node map; segment errors are the ones the node and tree constructors
+    raise. The walk keeps its own stack, and paths are built only when
+    raising.
     """
-    nodes = []
-    for i, item in enumerate(items):
-        here = f"{at}[{i}]"
-        if not isinstance(item, dict):
-            raise ProjectError("SCHEMA_ERROR", "tree node must be a map", path=here)
-        check_keys(item, _NODE_KEYS, here, ProjectError)
-        children = get(item, "children", list, here, ProjectError, ())
-        if children:
-            if depth == MAX_TREE_DEPTH:
-                raise too_deep(ProjectError, path)
-            children = _nodes_from_doc(children, f"{here}.children", path, depth + 1)
-        nodes.append(BreakdownNode(
-            segment=get(item, "segment", str, here, ProjectError),
-            children=children))
-    return tuple(nodes)
+    segments: list[str] = []
+    parents: list[int] = []
+    match = _SEGMENT_RE.match
+    # The levels above the one being read. A level is an iterator over
+    # its node maps, the position and map of their parent (-1 and None
+    # for the roots), and the segments of the maps it has checked.
+    levels: list[tuple] = []
+    items, up, owner, seen = iter(roots), -1, None, set()
+    while True:
+        for item in items:
+            pos = len(parents)
+            parents.append(up)
+            if item.__class__ is not dict:
+                raise ProjectError("SCHEMA_ERROR", "tree node must be a map",
+                                   path=_node_path(path, parents, pos))
+            if not _NODE_KEYS.issuperset(item):
+                check_keys(item, _NODE_KEYS, _node_path(path, parents, pos),
+                           ProjectError)
+            segment = item.get("segment")
+            segments.append(segment)
+            children = item.get("children", _NO_CHILDREN)
+            if children.__class__ is not list:
+                get(item, "children", list, _node_path(path, parents, pos),
+                    ProjectError)
+            if children:
+                if len(levels) + 1 == MAX_TREE_DEPTH:
+                    raise too_deep(ProjectError, path)
+                levels.append((items, up, owner, seen))
+                items, up, owner, seen = iter(children), pos, item, set()
+                break
+            if segment.__class__ is not str or not match(segment):
+                raise _segment_error(item, path, parents, pos)
+            seen.add(segment)
+        else:  # the level is read; a segment repeats if seen is smaller
+            if owner is None:
+                if len(seen) < len(roots):
+                    _require_unique_siblings(
+                        (root["segment"] for root in roots), None)
+                return segments, parents
+            segment = segments[up]
+            if segment.__class__ is not str or not match(segment):
+                raise _segment_error(owner, path, parents, up)
+            if len(seen) < len(owner["children"]):
+                _require_unique_siblings(
+                    (child["segment"] for child in owner["children"]), segment)
+            items, up, owner, seen = levels.pop()
+            seen.add(segment)
+
+
+def _node_path(path: str, parents: list[int], pos: int) -> str:
+    """The path of node ``pos``'s map, as ``path[i].children[j]...``."""
+    steps = []
+    while pos >= 0:
+        up = parents[pos]
+        steps.append(f"[{parents[:pos].count(up)}]")
+        pos = up
+    return path + ".children".join(reversed(steps))
+
+
+def _segment_error(item: dict, path: str, parents: list[int],
+                   pos: int) -> DesignationError:
+    """The error of node ``pos``'s segment, which is not a valid one."""
+    return _bad_segment(get(item, "segment", str,
+                            _node_path(path, parents, pos), ProjectError))
 
 
 def _load_description(raw: dict) -> DescriptionModel:

@@ -56,6 +56,14 @@ from essencekit import (
     record_checkpoint,
     validate_kernel,
 )
+from essencekit._schema import (
+    MAX_TREE_DEPTH,
+    check_keys,
+    enum_of,
+    get,
+    nested,
+    too_deep,
+)
 from essencekit.designation import ASPECT_ORDER
 from essencekit.errors import ModelError
 from essencekit.metamodel import AREA_NAMES
@@ -206,6 +214,106 @@ def chain_tree(aspect: Aspect, depth: int) -> BreakdownTree:
     for level in range(depth - 1, 0, -1):
         node = BreakdownNode(f"N{level}", (node,))
     return BreakdownTree(aspect=aspect, roots=(node,))
+
+
+def reference_trees(raw: dict) -> tuple[BreakdownTree, ...]:
+    """Reference reader of a project document's "trees" map.
+
+    It recurses once per tree level and builds every BreakdownNode, so
+    the node and tree constructors check segments and siblings, and it
+    reports each refusal as load_project does: shape errors at the node
+    map's path, a node or tree constructor's error as SCHEMA_ERROR
+    "<code>: <message>" at the tree's path.
+    """
+    trees = []
+    for key, roots in raw.items():
+        path = f"trees.{key}"
+        aspect = enum_of(key, Aspect, "trees", ProjectError)
+        if not isinstance(roots, list):
+            raise ProjectError(
+                "SCHEMA_ERROR", "tree roots must be a list", path=path)
+        trees.append(nested(ProjectError, path, BreakdownTree, aspect,
+                            _reference_nodes(roots, path, path)))
+    return tuple(trees)
+
+
+def _reference_nodes(items: list, at: str, path: str,
+                     depth: int = 1) -> tuple[BreakdownNode, ...]:
+    """The nodes of tree path's level depth, whose maps are at at[i]: a
+    node's shape checked before its children, its segment after them."""
+    nodes = []
+    for i, item in enumerate(items):
+        here = f"{at}[{i}]"
+        if not isinstance(item, dict):
+            raise ProjectError("SCHEMA_ERROR", "tree node must be a map",
+                               path=here)
+        check_keys(item, frozenset({"segment", "children"}), here,
+                   ProjectError)
+        children = get(item, "children", list, here, ProjectError, ())
+        if children:
+            if depth == MAX_TREE_DEPTH:
+                raise too_deep(ProjectError, path)
+            children = _reference_nodes(children, f"{here}.children", path,
+                                        depth + 1)
+        segment = get(item, "segment", str, here, ProjectError)
+        nodes.append(nested(ProjectError, path, BreakdownNode, segment,
+                            children))
+    return tuple(nodes)
+
+
+TREE_FAULTS = ("not-a-map", "unknown-key", "children-not-a-list",
+               "no-segment", "segment-not-text", "lowercase-segment",
+               "repeated-root", "repeated-sibling", "too-deep")
+
+
+def plant_tree_fault(rng: random.Random, trees: dict) -> str:
+    """Plant one fault of TREE_FAULTS in a "trees" map of node maps;
+    return its kind."""
+    roots = trees[rng.choice(sorted(trees))]
+    # Every list of sibling maps, and every node map with its list.
+    lists, maps = [roots], []
+    for siblings in lists:
+        for node in siblings:
+            if isinstance(node, dict):
+                maps.append((node, siblings))
+                if isinstance(node.get("children"), list):
+                    lists.append(node["children"])
+    kind = rng.choice(TREE_FAULTS)
+    if not maps and kind not in ("repeated-root", "too-deep"):
+        kind = "repeated-root"
+    node, siblings = rng.choice(maps) if maps else ({}, roots)
+    if kind == "not-a-map":
+        at = next(i for i, n in enumerate(siblings) if n is node)
+        siblings[at] = rng.choice(
+            ["A", 7, None, [], [{"segment": "A"}]])
+    elif kind == "unknown-key":
+        node[rng.choice(["extra", "Segment", ""])] = 1
+    elif kind == "children-not-a-list":
+        node["children"] = rng.choice([{}, "A", 0, None, {"segment": "A"}])
+    elif kind == "no-segment":
+        node.pop("segment", None)
+    elif kind == "segment-not-text":
+        node["segment"] = rng.choice([7, None, ["A"], True, {}])
+    elif kind == "lowercase-segment":
+        node["segment"] = rng.choice(["a1", "", "A-1", "\u00c9", "n4"])
+    elif kind == "too-deep":
+        chain = {"segment": "Z"}
+        for _ in range(MAX_TREE_DEPTH):
+            chain = {"segment": "Z", "children": [chain]}
+        siblings.insert(rng.randint(0, len(siblings)), chain)
+    else:  # a repeated segment among the roots or a node's children
+        if kind == "repeated-root":
+            siblings = roots
+        elif not isinstance(node.get("children"), list):
+            siblings = node["children"] = []
+        else:
+            siblings = node["children"]
+        taken = [n["segment"] for n in siblings
+                 if isinstance(n, dict) and "segment" in n]
+        segment = rng.choice(taken or list(SEGMENT_POOL))
+        for _ in range(1 if taken else 2):
+            siblings.insert(rng.randint(0, len(siblings)), {"segment": segment})
+    return kind
 
 
 def random_chain(

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -783,6 +784,44 @@ def test_output_into_a_closed_pipe_is_an_io_error(fmt, flags, command, read,
         child.kill()
         child.wait()
     assert_io_error(fmt, child.returncode, stderr)
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource usage")
+def test_output_into_a_slow_non_blocking_pipe_waits_without_spinning(tmp_path):
+    # A pipe holds less than the cards of 1000 instances, so a writer
+    # into a non-blocking pipe that is read only after a second must
+    # wait for room; spinning on the failed write costs a CPU second.
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({
+        "format-version": 1, "project-id": "p", "assessment": {
+            "instances": [{"id": f"i{k}", "alpha": "System Realization"}
+                          for k in range(1000)]}}), encoding="utf-8")
+    expected = subprocess.run(
+        [sys.executable, "-m", "essencekit.cli", "cards", str(path)],
+        capture_output=True, timeout=60).stdout
+    read_end, write_end = os.pipe()
+    os.set_blocking(write_end, False)
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    start = time.perf_counter()
+    child = subprocess.Popen(
+        [sys.executable, "-m", "essencekit.cli", "cards", str(path)],
+        stdout=write_end)
+    os.close(write_end)
+    chunks = []
+    try:
+        time.sleep(1)
+        with os.fdopen(read_end, "rb") as reader:
+            chunks.extend(iter(lambda: reader.read(65536), b""))
+        child.wait(timeout=60)
+    finally:
+        child.kill()
+        child.wait()
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert child.returncode == 0
+    assert b"".join(chunks) == expected and len(expected) > 65536
+    assert cpu < wall / 2
 
 
 def test_output_and_errors_into_a_closed_pipe_exit_2():

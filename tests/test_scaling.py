@@ -1,13 +1,14 @@
 """Loading and saving grow linearly with the document; resolving, with
 the matches.
 
-Each load test times load_project on a document and on one four times
-its size, best of three: records, a model of many small coextension
-classes, and a model of one class of all its elements, unbound or bound
-to one node. The save test times save_project on a project with a tree
-of 16 000 nodes and on one with a tree four times its size, best of
-five saves each, taken in turn. Linear work costs about 4x, quadratic
-about 16x; the bound of 8x sits between them.
+The records and model tests time load_project on a document and on
+one four times its size, best of three: records, a model of many small
+coextension classes, and a model of one class of all its elements,
+unbound or bound to one node. The tree tests time save_project on a
+project with a tree of 16 000 nodes and on one with a tree four times
+its size, and load_project on their saved documents, best of five
+calls each, taken in turn. Linear work costs about 4x, quadratic about
+16x; the bound of 8x sits between them.
 The resolve test times the same chain, with the same matches, on a tree
 and on one four times its size: it must cost under 2x, where a scan of
 every path costs about 4x. No absolute time is checked, so the tests
@@ -141,17 +142,22 @@ def test_resolve_cost_follows_matches_not_tree_size():
     assert resolve_seconds(large, chain) < 2 * resolve_seconds(small, chain)
 
 
-def save_seconds(*trees: BreakdownTree) -> list[float]:
-    """The best of five saves of a project with each tree. Each round
-    saves every project in turn, so a slow spell of the host hits all."""
-    projects = [replace(new_project("p"), trees=(tree,)) for tree in trees]
-    best = [float("inf")] * len(projects)
+def best_of_rounds(op, *values) -> list[float]:
+    """The best of five calls of op on each value. Each round calls it
+    on every value in turn, so a slow spell of the host hits all."""
+    best = [float("inf")] * len(values)
     for _ in range(5):
-        for i, p in enumerate(projects):
+        for i, value in enumerate(values):
             start = perf_counter()
-            save_project(p)
+            op(value)
             best[i] = min(best[i], perf_counter() - start)
     return best
+
+
+def save_seconds(*trees: BreakdownTree) -> list[float]:
+    """The best of five saves of a project with each tree, in rounds."""
+    return best_of_rounds(save_project, *(
+        replace(new_project("p"), trees=(tree,)) for tree in trees))
 
 
 def test_saving_a_tree_is_linear():
@@ -161,4 +167,14 @@ def test_saving_a_tree_is_linear():
     saved = load_project(save_project(replace(new_project("p"), trees=(large,))))
     assert saved.trees == (large,)
     small_seconds, large_seconds = save_seconds(small, large)
+    assert large_seconds < BOUND * small_seconds
+
+
+def test_loading_a_tree_is_linear():
+    n = 16000
+    small, large = (
+        save_project(replace(new_project("p"), trees=(filler_tree(k),)))
+        for k in (n, 4 * n))
+    assert load_project(large).trees == (filler_tree(4 * n),)
+    small_seconds, large_seconds = best_of_rounds(load_project, small, large)
     assert large_seconds < BOUND * small_seconds

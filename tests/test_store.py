@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import pickle
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genlib
 from essencekit import (
@@ -39,6 +42,7 @@ from essencekit import (
     parse_designation,
     parse_document_designation,
     record_checkpoint,
+    resolve,
     save_project,
 )
 from essencekit.store import MAX_TREE_DEPTH
@@ -490,6 +494,57 @@ def test_load_refuses_trees_deeper_than_the_limit():
                      '{"Function": [{"segment": "F1"}], "Location": ['
                      + tree + "]}}")
     assert (err.code, err.path) == ("TREE_TOO_DEEP", "trees.Location")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+def test_tree_load_errors_are_the_recursive_readers(rng, faults):
+    aspects = rng.sample(list(Aspect), rng.randint(1, 3))
+    project = replace(new_project("p"), trees=tuple(
+        genlib.random_tree(rng, aspect, max_nodes=20) for aspect in aspects))
+    doc = json.loads(save_project(project))
+    kinds = {genlib.plant_tree_fault(rng, doc["trees"]) for _ in range(faults)}
+    blob = json.dumps(doc)
+    with pytest.raises(ProjectError) as expected:
+        genlib.reference_trees(json.loads(blob)["trees"])
+    err = load_error(blob)
+    assert (err.code, err.message, err.path) == (
+        expected.value.code, expected.value.message, expected.value.path), kinds
+
+
+def test_loaded_trees_build_no_nodes():
+    rng = random.Random(4417)
+    trees = 0
+    for _ in range(10):
+        blob = save_project(genlib.random_project(rng))
+        p = load_project(blob)
+        twin = load_project(blob)
+        trees += len(p.trees)
+        for tree in p.trees:
+            for path in tree.paths():
+                chain = AspectChain(tree.aspect, path[-2:])
+                assert path in resolve(tree, chain)
+        assert save_project(p) == blob
+        assert p == twin and hash(p.trees) == hash(twin.trees)
+        assert pickle.loads(pickle.dumps(p)) == copy.deepcopy(p) == p
+        assert not any("roots" in vars(tree) for tree in p.trees + twin.trees)
+        folded = genlib.fold_project(blob).trees
+        assert p.trees == folded
+        assert [t.roots for t in p.trees] == [t.roots for t in folded]
+    assert trees > 10
+
+
+def test_value_operations_on_a_deep_tree_do_not_recurse():
+    tree = genlib.chain_tree(Aspect.LOCATION, 1500)
+    twin = genlib.chain_tree(Aspect.LOCATION, 1500)
+    assert tree == twin and hash(tree) == hash(twin)
+    assert tree != genlib.chain_tree(Aspect.LOCATION, 1499)
+    # The same segments in the same order, in another shape.
+    flat = BreakdownTree(aspect=Aspect.LOCATION, roots=tuple(
+        BreakdownNode(segment) for segment in tree.paths()[-1]))
+    assert flat != tree and flat.paths() != tree.paths()
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    assert copy.deepcopy(tree) == tree
 
 
 def test_random_projects_round_trip():
