@@ -1,18 +1,29 @@
-"""Successors of immutable values, made without rebuilding their indices.
+"""Indices, successors and enum fields of immutable values.
 
-Assessments and description models index each tuple field in a
-``cached_property``. An operation builds the successor's changed
-fields and an updated copy of each changed field's index, and
-``derive`` lays them over the parent's instance dict, so the indices of
-the unchanged fields carry over, built or not. Pickles and copies
-carry the fields only (``fields_state``); a copy builds its indices
-again on first use.
+Kernels, assessments and description models index each tuple field
+they look up by name or id in a ``cached_property`` made by ``index``.
+An operation builds the successor's changed fields and an updated copy
+of each changed field's index, and ``derive`` lays them over the
+parent's instance dict, so the indices of the unchanged fields carry
+over, built or not. Pickles and copies carry the fields only
+(``fields_state``); a copy builds its indices again on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
+from enum import Enum
+from functools import cached_property
+from operator import attrgetter
 from typing import Any
+
+
+def index(field: str, key: str) -> cached_property:
+    """A cached property mapping each ``key`` of the items of the tuple
+    ``field`` to the first item that has it."""
+    items, key_of = attrgetter(field), attrgetter(key)
+    return cached_property(
+        lambda value: {key_of(item): item for item in reversed(items(value))})
 
 
 def derive(value: Any, **changes: Any) -> Any:
@@ -26,3 +37,15 @@ def derive(value: Any, **changes: Any) -> Any:
 def fields_state(value: Any) -> dict[str, Any]:
     """The pickle state of a dataclass value: its fields, no index."""
     return {f.name: value.__dict__[f.name] for f in fields(value)}
+
+
+def member(value: Any, enum: type[Enum], error: type, what: str) -> Enum:
+    """``value`` as a member of ``enum``: a member as it is, a member's
+    value as that member; anything else is ``error`` BAD_ENUM."""
+    if value.__class__ is enum:
+        return value
+    try:
+        return enum(value)
+    except ValueError:
+        names = ", ".join(m.value for m in enum)
+        raise error("BAD_ENUM", f"{what} {value!r} is not one of {names}") from None

@@ -25,7 +25,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
-from ._value import derive, fields_state
+from ._value import derive, fields_state, index, member
 from .designation import ASPECT_ORDER, Aspect, AspectChain
 from .errors import ModelError
 
@@ -63,6 +63,13 @@ class Viewpoint:
     structure_type: StructureType = StructureType.OTHER
     concerns: tuple[str, ...] = ()
     description_kind: DescriptionKind = DescriptionKind.OTHER
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "structure_type", member(
+            self.structure_type, StructureType, ModelError, "structure type"))
+        object.__setattr__(self, "description_kind", member(
+            self.description_kind, DescriptionKind, ModelError,
+            "description kind"))
 
 
 @dataclass(frozen=True)
@@ -139,27 +146,14 @@ class DescriptionModel:
     def binding_of(self, elem_id: str) -> str | None:
         return self._binding.get(elem_id)
 
-    def __getstate__(self) -> dict:
-        return fields_state(self)
+    __getstate__ = fields_state
 
     # Derived indices; the operations hand a successor updated copies.
     # The first item with a name or an id is the one found.
-
-    @cached_property
-    def _viewpoints_by_name(self) -> dict[str, Viewpoint]:
-        return {vp.name: vp for vp in reversed(self.viewpoints)}
-
-    @cached_property
-    def _views_by_name(self) -> dict[str, View]:
-        return {view.name: view for view in reversed(self.views)}
-
-    @cached_property
-    def _elements_by_id(self) -> dict[str, ViewElement]:
-        return {elem.id: elem for elem in reversed(self.elements)}
-
-    @cached_property
-    def _nodes_by_id(self) -> dict[str, RealizationNode]:
-        return {node.id: node for node in reversed(self.realization_nodes)}
+    _viewpoints_by_name = index("viewpoints", "name")
+    _views_by_name = index("views", "name")
+    _elements_by_id = index("elements", "id")
+    _nodes_by_id = index("realization_nodes", "id")
 
     @cached_property
     def _class_of(self) -> dict[str, frozenset[str]]:

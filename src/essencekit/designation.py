@@ -30,6 +30,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from ._schema import decode, get, nonempty
+from ._value import member
 from .errors import DesignationError
 
 _SEGMENT_RE = re.compile(r"[A-Z0-9]+\Z")
@@ -65,6 +66,8 @@ class AspectChain:
     segments: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "aspect", member(
+            self.aspect, Aspect, DesignationError, "aspect"))
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise DesignationError("BAD_SEGMENT", "chain has no segments")
@@ -224,6 +227,8 @@ class BreakdownTree:
     roots: tuple[BreakdownNode, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "aspect", member(
+            self.aspect, Aspect, DesignationError, "aspect"))
         object.__setattr__(self, "roots", tuple(self.roots))
         _require_unique_siblings((root.segment for root in self.roots), None)
 

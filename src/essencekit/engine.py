@@ -19,7 +19,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from ._value import derive, fields_state
+from ._value import derive, fields_state, index, member
 from .designation import DocumentDesignation
 from .errors import AssessmentError
 from .metamodel import AlphaDefinition, KernelDefinition, StateDefinition, find_alpha
@@ -37,6 +37,10 @@ class AlphaInstance:
     id: str
     alpha: str
     system_level: SystemLevel = SystemLevel.SYSTEM_OF_INTEREST
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "system_level", member(
+            self.system_level, SystemLevel, AssessmentError, "system level"))
 
 
 @dataclass(frozen=True)
@@ -80,19 +84,12 @@ class Assessment:
     def work_product(self, wp_id: str) -> WorkProductInstance | None:
         return self._work_products_by_id.get(wp_id)
 
-    def __getstate__(self) -> dict:
-        return fields_state(self)
+    __getstate__ = fields_state
 
     # Indices of the tuple fields; the operations hand a successor
     # updated copies. The first item with an id is the one found.
-
-    @cached_property
-    def _instances_by_id(self) -> dict[str, AlphaInstance]:
-        return {inst.id: inst for inst in reversed(self.instances)}
-
-    @cached_property
-    def _work_products_by_id(self) -> dict[str, WorkProductInstance]:
-        return {wp.id: wp for wp in reversed(self.work_products)}
+    _instances_by_id = index("instances", "id")
+    _work_products_by_id = index("work_products", "id")
 
     @cached_property
     def _record_positions(self) -> dict[tuple[str, str, str], int]:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ._schema import decode, encode, entries, get, texts
+from ._value import fields_state, index
 from .errors import KernelError
 
 #: The fixed vocabulary of areas of concern.
@@ -101,6 +102,12 @@ class KernelDefinition:
     alphas: tuple[AlphaDefinition, ...]
     workproducts: tuple[WorkProductDefinition, ...] = ()
 
+    # Name indices; the first alpha or work product with a name is the
+    # one found. validate_kernel reports the others.
+    _alphas_by_name = index("alphas", "name")
+    _workproducts_by_name = index("workproducts", "name")
+    __getstate__ = fields_state
+
     @property
     def root_alphas(self) -> tuple[AlphaDefinition, ...]:
         """Kernel-level alphas: those not subordinated to any other alpha."""
@@ -108,10 +115,7 @@ class KernelDefinition:
         return tuple(a for a in self.alphas if a.name not in subordinated)
 
     def workproduct(self, name: str) -> WorkProductDefinition | None:
-        for wp in self.workproducts:
-            if wp.name == name:
-                return wp
-        return None
+        return self._workproducts_by_name.get(name)
 
 
 @dataclass(frozen=True)
@@ -138,11 +142,8 @@ class ValidationReport:
 
 
 def find_alpha(kernel: KernelDefinition, name: str) -> AlphaDefinition | None:
-    """Return the alpha with exactly this name, or None."""
-    for alpha in kernel.alphas:
-        if alpha.name == name:
-            return alpha
-    return None
+    """Return the first alpha with exactly this name, or None."""
+    return kernel._alphas_by_name.get(name)
 
 
 def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
@@ -288,10 +289,10 @@ def subalpha_closure(kernel: KernelDefinition, name: str) -> list[str]:
     (a forest) every name appears at most once; a visited guard keeps the
     walk terminating even on malformed input.
     """
-    root = find_alpha(kernel, name)
+    by_name = kernel._alphas_by_name
+    root = by_name.get(name)
     if root is None:
         raise KernelError("UNKNOWN_ALPHA", f"no alpha named {name!r}")
-    by_name = {alpha.name: alpha for alpha in reversed(kernel.alphas)}
     ordered: list[str] = []
     visited: set[str] = {name}
     pending = list(reversed(root.subalphas))

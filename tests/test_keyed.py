@@ -1,8 +1,10 @@
 """Values built from one another keep answering for themselves.
 
 Assessments and description models keep an index per tuple field, and
-an operation hands its result an updated copy of the index of each
-field it changes, and the parent's indices of the others. These tests
+kernels one of their alphas and one of their work products, by name;
+the first item with a name or id is the one found. An operation hands
+its result an updated copy of the index of each field it changes, and
+the parent's indices of the others. These tests
 grow trees of values by random operations on random earlier values, and
 check every value against a plain list kept beside it, or against
 ``dataclasses.replace(value)``, which builds every index afresh.
@@ -22,16 +24,22 @@ import pytest
 
 import genlib
 from essencekit import (
+    AlphaDefinition,
     AlphaInstance,
+    AreaOfConcern,
     Aspect,
     Assessment,
+    Checkpoint,
     CheckpointRecord,
     DescriptionModel,
     EssenceError,
+    KernelDefinition,
     RealizationNode,
+    StateDefinition,
     View,
     ViewElement,
     Viewpoint,
+    WorkProductDefinition,
     WorkProductInstance,
     add_element,
     add_instance,
@@ -49,7 +57,10 @@ from essencekit import (
     load_project,
     new_project,
     record_checkpoint,
+    render_card,
     save_project,
+    subalpha_closure,
+    validate_kernel,
 )
 
 
@@ -120,6 +131,37 @@ def test_raw_duplicate_records_take_the_last():
     assert alpha_state(a, "i0").achieved == state.name
 
 
+def alpha(name: str, state: str, subalphas: tuple[str, ...] = ()):
+    return AlphaDefinition(name, "Solution", states=(StateDefinition(
+        state, "", (Checkpoint("c", "text"),)),), subalphas=subalphas)
+
+
+def test_repeated_kernel_names_resolve_to_the_first():
+    """A kernel built in code, and never validated, that names an alpha
+    and a work product twice: every lookup finds the first of them, and
+    validate_kernel still reports the second."""
+    first, second = alpha("A", "S1", ("B",)), alpha("A", "S2", ("C",))
+    wp_first = WorkProductDefinition("W", evidences="A")
+    wp_second = WorkProductDefinition("W", evidences="B", kind="model")
+    kernel = KernelDefinition(
+        "k", (AreaOfConcern("Solution"),),
+        (first, alpha("B", "S"), second, alpha("C", "S")), (wp_first, wp_second))
+    assert find_alpha(kernel, "A") is first
+    assert kernel.workproduct("W") is wp_first
+    assert subalpha_closure(kernel, "A") == ["B"]
+    a = add_instance(Assessment("t", kernel), AlphaInstance("i", "A"))
+    assert render_card(a, "i").splitlines()[1:] == [
+        "  [ ] S1 0/1", "Achieved: (none)", "Next: S1"]
+    a = record_checkpoint(a, CheckpointRecord("i", "S1", "c", True))
+    assert alpha_state(a, "i").achieved == "S1"
+    with pytest.raises(EssenceError) as err:
+        record_checkpoint(a, CheckpointRecord("i", "S2", "c", True))
+    assert err.value.code == "UNKNOWN_CHECKPOINT"
+    assert [(f.code, f.path) for f in validate_kernel(kernel).findings] == [
+        ("DUPLICATE_ALPHA", "alphas[2]"),
+        ("DUPLICATE_WORKPRODUCT", "workproducts[1]")]
+
+
 def loaded_model() -> DescriptionModel:
     """A model with two coextension classes and bindings, saved and loaded."""
     model = DescriptionModel()
@@ -149,6 +191,12 @@ def model_answers(model: DescriptionModel) -> list:
             for i in range(6)]
 
 
+def kernel_answers(kernel) -> list:
+    return [find_alpha(kernel, "System Realization"),
+            kernel.workproduct("Test Report"),
+            subalpha_closure(kernel, "System Definition")]
+
+
 def test_values_pickle_and_copy_as_their_tuples():
     a = base_assessment()
     for key in KEYS[:5]:
@@ -156,7 +204,8 @@ def test_values_pickle_and_copy_as_their_tuples():
     model = loaded_model()
     assert model.coextension and model.bindings
     for value, answers in ((a, lambda v: alpha_state(v, "i0")),
-                           (model, model_answers)):
+                           (model, model_answers),
+                           (replace(builtin_se_kernel()), kernel_answers)):
         answers(value)  # every index the answers read is built
         # The indices are invisible: the value is what its fields say.
         fresh = replace(value)
@@ -174,7 +223,8 @@ def test_pickles_and_copies_carry_the_fields_only():
     for key in KEYS[:5]:
         a = record_checkpoint(a, CheckpointRecord(*key, True))
     for value, answers in ((a, lambda v: alpha_state(v, "i0")),
-                           (loaded_model(), model_answers)):
+                           (loaded_model(), model_answers),
+                           (replace(builtin_se_kernel()), kernel_answers)):
         answers(value)
         names = {f.name for f in fields(value)}
         indices = set(value.__dict__) - names

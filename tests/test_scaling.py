@@ -4,7 +4,9 @@ the matches.
 The records and model tests time load_project on a document and on
 one four times its size, best of three: records, a model of many small
 coextension classes, and a model of one class of all its elements,
-unbound or bound to one node. The tree tests time save_project on a
+unbound or bound to one node. The kernel test times load_project plus
+a state card of every instance on a project with an inline kernel of
+1000 alphas and on one with 4000, best of three. The tree tests time save_project on a
 project with a tree of 16 000 nodes and on one with a tree four times
 its size, and load_project on their saved documents, best of five
 calls each, taken in turn. Linear work costs about 4x, quadratic about
@@ -31,6 +33,7 @@ from essencekit import (
     builtin_se_kernel,
     load_project,
     new_project,
+    render_card,
     resolve,
     save_project,
 )
@@ -89,6 +92,44 @@ def test_loading_a_description_model_is_linear():
     small, large = model_document(N), model_document(4 * N)
     assert len(load_project(large).description.bindings) == 2 * N
     assert load_seconds(large) < BOUND * load_seconds(small)
+
+
+def kernel_document(n: int) -> str:
+    """An inline kernel of n alphas, each with one state of four
+    checkpoints, an instance of each alpha, and every checkpoint recorded."""
+    alphas, instances, records = [], [], []
+    for i in range(n):
+        checkpoints = [{"id": f"C{k}", "text": "done"} for k in range(4)]
+        alphas.append({"name": f"A{i}", "area": "Solution",
+                       "states": [{"name": "S", "checkpoints": checkpoints}]})
+        instances.append({"id": f"i{i}", "alpha": f"A{i}"})
+        records.extend({"alpha-instance": f"i{i}", "state": "S",
+                        "checkpoint": f"C{k}", "satisfied": True}
+                       for k in range(4))
+    kernel = {"name": "custom", "areas": ["Customer", "Solution", "Endeavor"],
+              "alphas": alphas}
+    return json.dumps({"format-version": 1, "project-id": "p", "kernel": kernel,
+                       "assessment": {"instances": instances, "records": records}})
+
+
+def load_and_cards_seconds(blob: str) -> float:
+    best = float("inf")
+    for _ in range(3):
+        start = perf_counter()
+        a = load_project(blob).assessment
+        for inst in a.instances:
+            render_card(a, inst.id)
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def test_a_custom_kernel_loads_and_renders_in_linear_time():
+    n = 1000
+    small, large = kernel_document(n), kernel_document(4 * n)
+    a = load_project(large).assessment
+    assert len(a.kernel.alphas) == len(a.instances) == 4 * n
+    assert render_card(a, f"i{4 * n - 1}").endswith("Achieved: S")
+    assert load_and_cards_seconds(large) < BOUND * load_and_cards_seconds(small)
 
 
 def one_class_document(n: int, bound: bool) -> str:

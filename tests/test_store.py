@@ -21,17 +21,26 @@ from essencekit import (
     BreakdownNode,
     BreakdownTree,
     CheckpointRecord,
+    AssessmentError,
+    DescriptionKind,
     DescriptionModel,
+    DesignationError,
     DocumentDesignation,
+    EssenceError,
     KernelError,
+    ModelError,
     Project,
     ProjectError,
     RealizationNode,
+    StructureType,
+    SystemLevel,
     ViewElement,
+    Viewpoint,
     WorkProductInstance,
     add_element,
     add_instance,
     add_realization_node,
+    add_viewpoint,
     add_work_product,
     assert_coextension,
     bind_element,
@@ -42,6 +51,7 @@ from essencekit import (
     parse_designation,
     parse_document_designation,
     record_checkpoint,
+    render_card,
     resolve,
     save_project,
 )
@@ -581,3 +591,72 @@ def test_load_refuses_the_entry_the_fold_refuses():
         assert (err.code, err.message, err.path) == (
             folded.value.code, folded.value.message, folded.value.path)
     assert len(kinds) == 7
+
+
+# Enum fields: a member, or a member's value, which becomes the member.
+
+def project_with(field: str, value: object) -> Project:
+    """A project whose only value of ``field`` is ``value``."""
+    p = new_project("p")
+    if field == "chain.aspect":
+        node = RealizationNode("n", (AspectChain(value, ("A",)),))
+        return replace(p, description=add_realization_node(DescriptionModel(), node))
+    if field == "tree.aspect":
+        return replace(p, trees=(BreakdownTree(value, (BreakdownNode("A"),)),))
+    if field == "instance.system_level":
+        inst = AlphaInstance("i", "Team", system_level=value)
+        return replace(p, assessment=add_instance(p.assessment, inst))
+    vp = Viewpoint("vp", **{field.split(".")[1]: value})
+    return replace(p, description=add_viewpoint(DescriptionModel(), vp))
+
+
+ENUM_FIELDS = {
+    "chain.aspect": (Aspect, DesignationError),
+    "tree.aspect": (Aspect, DesignationError),
+    "instance.system_level": (SystemLevel, AssessmentError),
+    "viewpoint.structure_type": (StructureType, ModelError),
+    "viewpoint.description_kind": (DescriptionKind, ModelError),
+}
+ENUMS = (Aspect, SystemLevel, StructureType, DescriptionKind)
+
+
+@pytest.mark.parametrize("field", ENUM_FIELDS)
+def test_enum_fields_take_a_members_value_as_the_member(field):
+    enum, error = ENUM_FIELDS[field]
+    member = list(enum)[-1]
+    p = project_with(field, member.value)
+    assert p == project_with(field, member)
+    assert load_project(save_project(p)) == p
+    with pytest.raises(error) as err:
+        project_with(field, "Nope")
+    assert err.value.code == "BAD_ENUM"
+    assert "'Nope'" in err.value.message
+
+
+def test_values_with_enum_fields_given_as_text_answer():
+    assert str(AspectChain("Product", ("A", "B"))) == "-A-B"
+    p = project_with("instance.system_level", "UsingSystem")
+    card = render_card(p.assessment, "i")
+    assert card.splitlines()[0] == "Team [i] (UsingSystem)"
+    tree = BreakdownTree("Location", (BreakdownNode("A"),))
+    assert resolve(tree, AspectChain(Aspect.LOCATION, ("A",))) == (("A",),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(ENUM_FIELDS)), st.one_of(
+    st.sampled_from([m for enum in ENUMS for m in enum]),
+    st.sampled_from([m.value for enum in ENUMS for m in enum]),
+    st.text(max_size=12), st.none(), st.integers(), st.booleans(),
+    st.lists(st.text(max_size=3), max_size=2)))
+def test_enum_fields_refuse_or_round_trip(field, value):
+    """Built directly, a value either refuses an enum field with a coded
+    error or saves and loads again as it is."""
+    enum, error = ENUM_FIELDS[field]
+    try:
+        p = project_with(field, value)
+    except EssenceError as err:
+        assert type(err) is error and err.code == "BAD_ENUM"
+        assert not any(value == m.value for m in enum)
+        return
+    assert any(value == m.value for m in enum)
+    assert load_project(save_project(p)) == p
