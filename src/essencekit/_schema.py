@@ -1,4 +1,5 @@
-"""Shape checks shared by the kernel, project and DCC table readers.
+"""Shape checks shared by the kernel, project, breakdown tree and DCC
+table readers.
 
 Every reader takes the caller's error class, so a bad kernel document
 raises ``KernelError``, a bad project ``ProjectError`` and a bad DCC
@@ -11,7 +12,8 @@ it; a value of the wrong type names the value itself, as
 reading a well-formed document costs no string formatting here.
 
 ``emit`` and ``encode`` are the one writer: canonical JSON text, made
-without recursion, whatever the nesting.
+without recursion, whatever the nesting. Of designation's values it
+takes ``BreakdownTree`` only, and writes it from its depth-first arrays.
 """
 
 from __future__ import annotations
@@ -165,16 +167,15 @@ def emit(value: object, error: type[EssenceError]) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)``, without recursion.
 
     ``value`` is made of dicts with text keys, lists, text, ints, bools,
-    None, ``BreakdownTree``, which is written as the list of its roots,
-    and ``BreakdownNode``, which is written as the map
-    ``{"segment": ..., "children": [...]}``, children left out when
-    there are none. Any other value, and a map or list inside itself,
-    is UNSUPPORTED_VALUE at its path; a node with children at level
-    ``MAX_TREE_DEPTH`` is TREE_TOO_DEEP at the path of the tree, or of
-    the list that holds the node.
+    None, and ``BreakdownTree``, which is written as the list of its
+    roots, each node as the map ``{"segment": ..., "children": [...]}``,
+    children left out when there are none. Any other value, a bare
+    ``BreakdownNode`` too, and a map or list inside itself, is
+    UNSUPPORTED_VALUE at its path; a tree with a node with children at
+    level ``MAX_TREE_DEPTH`` is TREE_TOO_DEEP at the path of the tree.
     """
     # designation imports this module
-    from .designation import BreakdownNode, BreakdownTree, _flatten
+    from .designation import BreakdownTree
 
     parts: list[str] = []
     write = parts.append
@@ -242,10 +243,6 @@ def emit(value: object, error: type[EssenceError]) -> str:
                 if not _write_nodes(write, segments, parents, depth + 1):
                     raise too_deep(error, _path_of(_frames(stack, kind, key)))
                 write(newline[depth] + "]")
-            elif isinstance(item, BreakdownNode):
-                if not _write_nodes(write, *_flatten((item,)), depth):
-                    raise too_deep(error,
-                                   _path_of(_frames(stack, kind, key)[:-1]))
             else:
                 raise error("UNSUPPORTED_VALUE",
                             f"type {type(item).__name__} cannot be saved",

@@ -23,18 +23,19 @@ letter (the technical area) must exist in the active DCC table.
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from ._schema import decode, get, nonempty
+from ._schema import (MAX_TREE_DEPTH, check_keys, decode, get, nested,
+                      nonempty, too_deep)
 from ._value import member
-from .errors import DesignationError
+from .errors import DesignationError, EssenceError
 
-_SEGMENT_RE = re.compile(r"[A-Z0-9]+\Z")
-_SEGMENT_CHARS = frozenset(string.ascii_uppercase + string.digits)
+# One segment: a chain's segments and a node's segment match it whole,
+# and the parser matches it from each prefix on.
+_SEGMENT_RE = re.compile(r"[A-Z0-9]+")
 
 
 class Aspect(str, Enum):
@@ -68,11 +69,15 @@ class AspectChain:
     def __post_init__(self) -> None:
         object.__setattr__(self, "aspect", member(
             self.aspect, Aspect, DesignationError, "aspect"))
+        if isinstance(self.segments, str):
+            raise DesignationError(
+                "BAD_SEGMENT",
+                f"segments {self.segments!r} are one text, not a sequence")
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise DesignationError("BAD_SEGMENT", "chain has no segments")
         for segment in self.segments:
-            if not _SEGMENT_RE.match(segment):
+            if not isinstance(segment, str) or not _SEGMENT_RE.fullmatch(segment):
                 raise DesignationError(
                     "BAD_SEGMENT",
                     f"segment {segment!r} is not uppercase-alphanumeric",
@@ -154,14 +159,13 @@ def parse_designation(text: str) -> MultiAspectDesignation:
                     f"at column {pos + 1}",
                 )
             pos += 1
-            start = pos
-            while pos < end and text[pos] in _SEGMENT_CHARS:
-                pos += 1
-            if pos == start:
+            found = _SEGMENT_RE.match(text, pos)
+            if found is None:
                 raise DesignationError(
                     "BAD_SEGMENT", f"empty segment at column {pos + 1}"
                 )
-            segments.append(text[start:pos])
+            segments.append(found.group())
+            pos = found.end()
         if aspect in seen:
             raise DesignationError(
                 "DUPLICATE_ASPECT",
@@ -203,7 +207,8 @@ class BreakdownNode:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "children", tuple(self.children))
-        if not _SEGMENT_RE.match(self.segment):
+        if not isinstance(self.segment, str) or not _SEGMENT_RE.fullmatch(
+                self.segment):
             raise _bad_segment(self.segment)
         _require_unique_siblings(
             (child.segment for child in self.children), self.segment)
@@ -214,12 +219,12 @@ class BreakdownTree:
     """One aspect's system hierarchy; sibling segments are unique.
 
     The value is two arrays of its nodes in depth-first order: each
-    node's segment, and the position of its parent (-1 for a root). A
-    tree built from ``roots`` flattens them on first use; a loaded tree
-    builds ``roots`` on first read. Equality, hash, copies and pickles
-    see ``aspect`` and the arrays, and do not recurse; repr and
-    ``dataclasses.replace`` go through ``roots``. The first ``resolve``
-    also indexes the nodes by segment, which the value keeps.
+    node's segment, and the position of its parent (-1 for a root).
+    The constructor flattens ``roots`` into them; a tree from
+    ``from_doc``, a copy or a pickle builds ``roots`` on first read.
+    Equality, hash, copies and pickles see ``aspect`` and the arrays,
+    and do not recurse; repr and ``dataclasses.replace`` go through
+    ``roots``. The first ``resolve`` also indexes nodes by segment.
     """
 
     aspect: Aspect
@@ -231,18 +236,23 @@ class BreakdownTree:
             self.aspect, Aspect, DesignationError, "aspect"))
         object.__setattr__(self, "roots", tuple(self.roots))
         _require_unique_siblings((root.segment for root in self.roots), None)
+        object.__setattr__(self, "_arrays", _flatten(self.roots))
 
     @classmethod
-    def _of(cls, aspect: Aspect, segments: list[str],
-            parents: list[int]) -> BreakdownTree:
-        """The tree of checked depth-first arrays, without roots."""
+    def from_doc(cls, aspect: Aspect, roots: list, path: str,
+                 error: type[EssenceError]) -> BreakdownTree:
+        """The tree of the JSON node maps ``roots`` at ``path``: a map's
+        shape errors are ``error`` at the map's path, its segment errors
+        SCHEMA_ERROR at ``path``, as ``nested`` reports them."""
+        segments, parents = nested(error, path, _tree_arrays, roots, path,
+                                   error)
         tree = object.__new__(cls)
         tree.__dict__.update(aspect=aspect,
                              _arrays=(tuple(segments), tuple(parents)))
         return tree
 
     def __getattr__(self, name: str):
-        """``roots`` of a tree made by ``_of``, built on first read."""
+        """``roots`` of a tree made without them, built on first read."""
         if name != "roots":
             raise AttributeError(name)
         roots = self.__dict__["roots"] = _roots(*self._arrays)
@@ -265,10 +275,6 @@ class BreakdownTree:
         for segment, parent in zip(*self._arrays):
             out.append((out[parent] + (segment,)) if parent >= 0 else (segment,))
         return tuple(out)
-
-    @cached_property
-    def _arrays(self) -> tuple[tuple[str, ...], tuple[int, ...]]:
-        return _flatten(self.roots)
 
     @cached_property
     def _positions(self) -> dict[str, list[int]]:
@@ -316,6 +322,87 @@ def _roots(segments: tuple[str, ...],
                              tuple(reversed(children.pop(pos, ()))))
         children.setdefault(parents[pos], []).append(node)
     return tuple(reversed(children.get(-1, ())))
+
+
+_NODE_KEYS = frozenset({"segment", "children"})
+_NO_CHILDREN: list = []  # the children of a node map without "children"
+
+
+def _tree_arrays(roots: list, path: str,
+                 error: type[EssenceError]) -> tuple[list[str], list[int]]:
+    """The segments and parents, depth-first, of the tree at ``path``.
+
+    A node's shape is checked before its children, its segment and then
+    its children's uniqueness after them; the roots' uniqueness last.
+    The depth is checked before each descent. Shape errors name the
+    node map; segment errors are the ones the node and tree constructors
+    raise. The walk keeps its own stack, and paths are built only when
+    raising.
+    """
+    segments: list[str] = []
+    parents: list[int] = []
+    match = _SEGMENT_RE.fullmatch
+    # The levels above the one being read. A level is an iterator over
+    # its node maps, the position and map of their parent (-1 and None
+    # for the roots), and the segments of the maps it has checked.
+    levels: list[tuple] = []
+    items, up, owner, seen = iter(roots), -1, None, set()
+    while True:
+        for item in items:
+            pos = len(parents)
+            parents.append(up)
+            if item.__class__ is not dict:
+                raise error("SCHEMA_ERROR", "tree node must be a map",
+                            path=_node_path(path, parents, pos))
+            if not _NODE_KEYS.issuperset(item):
+                check_keys(item, _NODE_KEYS, _node_path(path, parents, pos),
+                           error)
+            segment = item.get("segment")
+            segments.append(segment)
+            children = item.get("children", _NO_CHILDREN)
+            if children.__class__ is not list:
+                get(item, "children", list, _node_path(path, parents, pos),
+                    error)
+            if children:
+                if len(levels) + 1 == MAX_TREE_DEPTH:
+                    raise too_deep(error, path)
+                levels.append((items, up, owner, seen))
+                items, up, owner, seen = iter(children), pos, item, set()
+                break
+            if segment.__class__ is not str or not match(segment):
+                raise _segment_error(item, path, parents, pos, error)
+            seen.add(segment)
+        else:  # the level is read; a segment repeats if seen is smaller
+            if owner is None:
+                if len(seen) < len(roots):
+                    _require_unique_siblings(
+                        (root["segment"] for root in roots), None)
+                return segments, parents
+            segment = segments[up]
+            if segment.__class__ is not str or not match(segment):
+                raise _segment_error(owner, path, parents, up, error)
+            if len(seen) < len(owner["children"]):
+                _require_unique_siblings(
+                    (child["segment"] for child in owner["children"]), segment)
+            items, up, owner, seen = levels.pop()
+            seen.add(segment)
+
+
+def _node_path(path: str, parents: list[int], pos: int) -> str:
+    """The path of node ``pos``'s map, as ``path[i].children[j]...``."""
+    steps = []
+    while pos >= 0:
+        up = parents[pos]
+        steps.append(f"[{parents[:pos].count(up)}]")
+        pos = up
+    return path + ".children".join(reversed(steps))
+
+
+def _segment_error(item: dict, path: str, parents: list[int], pos: int,
+                   error: type[EssenceError]) -> DesignationError:
+    """The error of node ``pos``'s segment, which is not a valid one."""
+    return _bad_segment(get(item, "segment", str,
+                            _node_path(path, parents, pos), error))
 
 
 def _bad_segment(segment: str) -> DesignationError:
@@ -445,7 +532,7 @@ class DocumentDesignation:
     table_ref: str = BUILTIN_DCC_TABLE.name
 
     def __post_init__(self) -> None:
-        if not _DCC_RE.match(self.dcc):
+        if not isinstance(self.dcc, str) or not _DCC_RE.match(self.dcc):
             raise DesignationError(
                 "MALFORMED_DCC",
                 f"dcc {self.dcc!r} is not exactly three uppercase letters",

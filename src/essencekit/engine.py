@@ -202,6 +202,13 @@ def _check_instance(a, inst: AlphaInstance) -> None:
 def _check_work_product(a, wp: WorkProductInstance) -> None:
     if not wp.id:
         raise AssessmentError("EMPTY_ID", "work product id is empty")
+    if not isinstance(wp.document_designation,
+                      (DocumentDesignation, type(None))):
+        raise AssessmentError(
+            "UNSUPPORTED_VALUE",
+            "document designation must be a DocumentDesignation, not "
+            f"{type(wp.document_designation).__name__}",
+        )
     if a.kernel.workproduct(wp.definition) is None:
         raise AssessmentError(
             "UNKNOWN_DEFINITION",
@@ -214,6 +221,17 @@ def _check_work_product(a, wp: WorkProductInstance) -> None:
 
 
 def _check_record(a, rec: CheckpointRecord) -> None:
+    if not isinstance(rec.satisfied, bool):
+        raise AssessmentError(
+            "UNSUPPORTED_VALUE",
+            f"satisfied must be a bool, not {type(rec.satisfied).__name__}",
+        )
+    if (isinstance(rec.recorded_at, bool)
+            or not isinstance(rec.recorded_at, int)):
+        raise AssessmentError(
+            "UNSUPPORTED_VALUE",
+            f"recorded_at must be an int, not {type(rec.recorded_at).__name__}",
+        )
     alpha = _alpha_of(a, rec.alpha_instance)
     state = alpha.state(rec.state)
     if state is None:

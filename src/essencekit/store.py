@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from ._schema import (
-    MAX_TREE_DEPTH,
+    MAX_TREE_DEPTH,  # re-exported as essencekit.store.MAX_TREE_DEPTH
     check_keys,
     decode,
     encode,
@@ -31,7 +31,6 @@ from ._schema import (
     nested,
     nonempty,
     texts,
-    too_deep,
 )
 from .builtin_kernel import builtin_se_kernel
 from .description import (
@@ -47,11 +46,9 @@ from .description import (
 from .designation import (
     ASPECT_ORDER,
     BUILTIN_DCC_TABLE,
-    _SEGMENT_RE,
     Aspect,
     BreakdownTree,
-    _bad_segment,
-    _require_unique_siblings,
+    DocumentDesignation,
     format_document_designation,
     parse_designation,
     parse_document_designation,
@@ -64,7 +61,7 @@ from .engine import (
     SystemLevel,
     WorkProductInstance,
 )
-from .errors import DesignationError, KernelError, ProjectError
+from .errors import KernelError, ProjectError
 from .metamodel import (
     KernelDefinition,
     kernel_from_doc,
@@ -191,8 +188,6 @@ _WORK_PRODUCT_KEYS = frozenset({"id", "definition", "label",
                                 "document-designation"})
 _RECORD_KEYS = frozenset({"alpha-instance", "state", "checkpoint", "satisfied",
                           "evidence", "recorded-at"})
-_NODE_KEYS = frozenset({"segment", "children"})
-_NO_CHILDREN: list = []  # the children of a node map without "children"
 _DESCRIPTION_KEYS = frozenset({"viewpoints", "views", "elements",
                                "realization-nodes", "coextension", "bindings"})
 _VIEWPOINT_KEYS = frozenset({"name", "structure-type", "concerns",
@@ -290,85 +285,8 @@ def _load_trees(raw: dict) -> tuple[BreakdownTree, ...]:
             raise ProjectError(
                 "SCHEMA_ERROR", "tree roots must be a list", path=path
             )
-        trees.append(BreakdownTree._of(
-            aspect, *nested(ProjectError, path, _tree_arrays, roots, path)))
+        trees.append(BreakdownTree.from_doc(aspect, roots, path, ProjectError))
     return tuple(trees)
-
-
-def _tree_arrays(roots: list, path: str) -> tuple[list[str], list[int]]:
-    """The segments and parents, depth-first, of the tree at ``path``.
-
-    A node's shape is checked before its children, its segment and then
-    its children's uniqueness after them; the roots' uniqueness last.
-    The depth is checked before each descent. Shape errors name the
-    node map; segment errors are the ones the node and tree constructors
-    raise. The walk keeps its own stack, and paths are built only when
-    raising.
-    """
-    segments: list[str] = []
-    parents: list[int] = []
-    match = _SEGMENT_RE.match
-    # The levels above the one being read. A level is an iterator over
-    # its node maps, the position and map of their parent (-1 and None
-    # for the roots), and the segments of the maps it has checked.
-    levels: list[tuple] = []
-    items, up, owner, seen = iter(roots), -1, None, set()
-    while True:
-        for item in items:
-            pos = len(parents)
-            parents.append(up)
-            if item.__class__ is not dict:
-                raise ProjectError("SCHEMA_ERROR", "tree node must be a map",
-                                   path=_node_path(path, parents, pos))
-            if not _NODE_KEYS.issuperset(item):
-                check_keys(item, _NODE_KEYS, _node_path(path, parents, pos),
-                           ProjectError)
-            segment = item.get("segment")
-            segments.append(segment)
-            children = item.get("children", _NO_CHILDREN)
-            if children.__class__ is not list:
-                get(item, "children", list, _node_path(path, parents, pos),
-                    ProjectError)
-            if children:
-                if len(levels) + 1 == MAX_TREE_DEPTH:
-                    raise too_deep(ProjectError, path)
-                levels.append((items, up, owner, seen))
-                items, up, owner, seen = iter(children), pos, item, set()
-                break
-            if segment.__class__ is not str or not match(segment):
-                raise _segment_error(item, path, parents, pos)
-            seen.add(segment)
-        else:  # the level is read; a segment repeats if seen is smaller
-            if owner is None:
-                if len(seen) < len(roots):
-                    _require_unique_siblings(
-                        (root["segment"] for root in roots), None)
-                return segments, parents
-            segment = segments[up]
-            if segment.__class__ is not str or not match(segment):
-                raise _segment_error(owner, path, parents, up)
-            if len(seen) < len(owner["children"]):
-                _require_unique_siblings(
-                    (child["segment"] for child in owner["children"]), segment)
-            items, up, owner, seen = levels.pop()
-            seen.add(segment)
-
-
-def _node_path(path: str, parents: list[int], pos: int) -> str:
-    """The path of node ``pos``'s map, as ``path[i].children[j]...``."""
-    steps = []
-    while pos >= 0:
-        up = parents[pos]
-        steps.append(f"[{parents[:pos].count(up)}]")
-        pos = up
-    return path + ".children".join(reversed(steps))
-
-
-def _segment_error(item: dict, path: str, parents: list[int],
-                   pos: int) -> DesignationError:
-    """The error of node ``pos``'s segment, which is not a valid one."""
-    return _bad_segment(get(item, "segment", str,
-                            _node_path(path, parents, pos), ProjectError))
 
 
 def _load_description(raw: dict) -> DescriptionModel:
@@ -462,6 +380,13 @@ def _assessment_doc(a: Assessment) -> dict:
         item = {"id": wp.id, "definition": wp.definition, "label": wp.label}
         designation = wp.document_designation
         if designation is not None:
+            path = f"assessment.work-products[{i}].document-designation"
+            if not isinstance(designation, DocumentDesignation):
+                raise ProjectError(
+                    "UNSUPPORTED_VALUE",
+                    f"type {type(designation).__name__} cannot be saved",
+                    path=path,
+                )
             text = format_document_designation(designation)
             # Only the builtin table loads back, so refuse what would not.
             if (designation.table_ref != BUILTIN_DCC_TABLE.name
@@ -470,7 +395,7 @@ def _assessment_doc(a: Assessment) -> dict:
                     "CUSTOM_DCC_TABLE",
                     f"{text!r} is not a document designation of the builtin "
                     "DCC table",
-                    path=f"assessment.work-products[{i}].document-designation",
+                    path=path,
                 )
             item["document-designation"] = text
         work_products.append(item)

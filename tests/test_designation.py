@@ -127,6 +127,23 @@ def test_chain_rejects_bad_segments():
         assert err.value.code == "BAD_SEGMENT"
 
 
+@pytest.mark.parametrize("make, code", [
+    (lambda: BreakdownNode(5), "BAD_SEGMENT"),
+    (lambda: BreakdownNode(None), "BAD_SEGMENT"),
+    (lambda: AspectChain(Aspect.PRODUCT, (5,)), "BAD_SEGMENT"),
+    (lambda: AspectChain(Aspect.PRODUCT, ("A", b"B")), "BAD_SEGMENT"),
+    (lambda: AspectChain(Aspect.PRODUCT, "A1"), "BAD_SEGMENT"),
+    (lambda: DocumentDesignation(parse_designation("=F1"), 5), "MALFORMED_DCC"),
+    (lambda: DocumentDesignation(parse_designation("=F1"), None),
+     "MALFORMED_DCC"),
+], ids=["node-int", "node-none", "chain-int", "chain-bytes", "chain-text",
+        "dcc-int", "dcc-none"])
+def test_constructors_refuse_values_of_other_types_with_their_codes(make, code):
+    with pytest.raises(DesignationError) as err:
+        make()
+    assert err.value.code == code
+
+
 def test_designation_needs_chains():
     with pytest.raises(DesignationError) as err:
         MultiAspectDesignation(chains=())

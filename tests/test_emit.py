@@ -1,10 +1,11 @@
 """The one canonical writer: ``_schema.emit`` and ``_schema.encode``.
 
 ``json.dumps(value, indent=2, ensure_ascii=False)`` is the oracle for
-every value the writer accepts, breakdown nodes written as their maps.
-The writer keeps its own stack, so nesting depth is bounded by memory,
-not by the recursion limit; what it cannot write it refuses with a coded
-error at the value's path.
+every value the writer accepts, a breakdown tree written as the list of
+its roots' node maps. The writer keeps its own stack, so nesting depth
+is bounded by memory, not by the recursion limit; what it cannot write,
+a bare breakdown node included, it refuses with a coded error at the
+value's path.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import genlib
 from essencekit import (
     Aspect,
     BreakdownNode,
+    BreakdownTree,
     KernelError,
     ProjectError,
     builtin_se_kernel,
@@ -54,6 +56,9 @@ nodes = st.recursive(
         BreakdownNode, st.sampled_from(["A", "B", "C1", "9"]),
         st.lists(inner, max_size=3, unique_by=lambda n: n.segment)),
     max_leaves=20)
+trees = st.builds(
+    BreakdownTree, st.sampled_from(list(Aspect)),
+    st.lists(nodes, max_size=3, unique_by=lambda n: n.segment).map(tuple))
 
 
 def node_doc(node: BreakdownNode) -> dict:
@@ -63,6 +68,10 @@ def node_doc(node: BreakdownNode) -> dict:
     return doc
 
 
+def tree_doc(tree: BreakdownTree) -> list:
+    return [node_doc(root) for root in tree.roots]
+
+
 @settings(max_examples=300, deadline=None)
 @given(json_values)
 def test_emit_equals_json_dumps(value):
@@ -70,9 +79,9 @@ def test_emit_equals_json_dumps(value):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.dictionaries(texts, st.lists(nodes, max_size=3), max_size=3))
+@given(st.dictionaries(texts, st.lists(trees, max_size=3), max_size=3))
 def test_emit_writes_breakdown_nodes_as_their_maps(forest):
-    as_maps = {key: [node_doc(n) for n in roots] for key, roots in forest.items()}
+    as_maps = {key: [tree_doc(t) for t in ts] for key, ts in forest.items()}
     assert emit(forest, ProjectError) == dumps(as_maps)
 
 
@@ -127,17 +136,17 @@ def test_emit_does_not_recurse():
     depth = 3000
     value, expected = nested(depth), nested_text(depth)
     # The deepest tree a document holds, far deeper than the 30 frames.
-    root = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH).roots[0]
+    tree = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 30)
     try:
         text = emit(value, ProjectError)
-        node_text = emit(root, ProjectError)
+        tree_text = emit(tree, ProjectError)
     finally:
         sys.setrecursionlimit(limit)
     assert text == expected
-    assert node_text.count('"segment"') == MAX_TREE_DEPTH
-    deeper = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH + 1).roots[0]
+    assert tree_text.count('"segment"') == MAX_TREE_DEPTH
+    deeper = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH + 1)
     with pytest.raises(ProjectError) as err:
         emit(deeper, ProjectError)
     assert err.value.code == "TREE_TOO_DEEP"
@@ -149,8 +158,11 @@ def test_emit_does_not_recurse():
     ({"a": {"b": {1: 2}}}, "map key 1 is not text", "a.b"),
     ([{"x": object()}], "type object cannot be saved", "[0].x"),
     (float("nan"), "type float cannot be saved", None),
-    ({"t": [BreakdownNode("A", (BreakdownNode("B"),))], "x": {1}},
+    ({"t": BreakdownTree(Aspect.PRODUCT,
+                         (BreakdownNode("A", (BreakdownNode("B"),)),)),
+      "x": {1}},
      "type set cannot be saved", "x"),
+    ({"t": [BreakdownNode("A")]}, "type BreakdownNode cannot be saved", "t[0]"),
 ])
 def test_emit_refuses_what_it_cannot_write(value, message, path):
     with pytest.raises(KernelError) as err:
@@ -179,16 +191,17 @@ def test_encode_refuses_lone_surrogates_at_their_path():
 
 
 def test_tree_depth_is_counted_per_tree():
-    # Two trees of the deepest size side by side, in one list and in two:
+    # Trees of the deepest size side by side, in one list and beside it:
     # the depth of one tree does not carry over to the next.
-    tree = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH).roots[0]
-    doc = {"t": {"X": [BreakdownNode("R"), tree, tree], "Y": [tree]}}
+    tree = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH)
+    flat = BreakdownTree(Aspect.PRODUCT, (BreakdownNode("R"),))
+    doc = {"t": {"X": [flat, tree, tree], "Y": tree}}
     assert emit(doc, ProjectError) == dumps({"t": {
-        "X": [{"segment": "R"}, node_doc(tree), node_doc(tree)],
-        "Y": [node_doc(tree)]}})
-    deeper = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH + 1).roots[0]
+        "X": [[{"segment": "R"}], tree_doc(tree), tree_doc(tree)],
+        "Y": tree_doc(tree)}})
+    deeper = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH + 1)
     with pytest.raises(ProjectError) as err:
-        emit({"t": {"X": [tree, tree], "Y": [deeper]}}, ProjectError)
+        emit({"t": {"X": [tree, tree], "Y": deeper}}, ProjectError)
     assert (err.value.code, err.value.path) == ("TREE_TOO_DEEP", "t.Y")
     assert err.value.message == (
         f"breakdown tree is more than {MAX_TREE_DEPTH} levels deep")

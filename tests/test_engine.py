@@ -70,6 +70,27 @@ def test_empty_ids_are_refused_by_operation_and_builder(op, value):
         assert (err.value.code, err.value.path) == ("EMPTY_ID", None)
 
 
+@pytest.mark.parametrize("op, value", [
+    (record_checkpoint, rec("Raw materials", "RM-1", 1)),
+    (record_checkpoint, rec("Raw materials", "RM-1", None)),
+    (record_checkpoint, rec("Raw materials", "RM-1", recorded_at="x")),
+    (record_checkpoint, rec("Raw materials", "RM-1", recorded_at=True)),
+    (record_checkpoint, rec("Raw materials", "RM-1", recorded_at=1.5)),
+    (add_work_product, WorkProductInstance(
+        id="wp", definition="Test Report", document_designation="=A1&AAA")),
+], ids=["satisfied-int", "satisfied-none", "recorded-at-text",
+        "recorded-at-bool", "recorded-at-float", "designation-text"])
+def test_values_a_file_cannot_hold_are_refused_by_operation_and_builder(
+        op, value):
+    a = fresh()
+    builder = AssessmentBuilder("t", builtin_se_kernel())
+    builder.add_instance(AlphaInstance(id="i-1", alpha="System Realization"))
+    for add in (lambda v: op(a, v), getattr(builder, op.__name__)):
+        with pytest.raises(AssessmentError) as err:
+            add(value)
+        assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
+
+
 def test_add_instance_rejects_duplicate_id():
     a = fresh()
     with pytest.raises(AssessmentError) as err:

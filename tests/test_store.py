@@ -186,6 +186,18 @@ def test_save_refuses_values_a_document_cannot_hold():
         "assessment.records[0].recorded-at")
 
 
+def test_save_refuses_a_document_designation_of_another_type():
+    p = sample_project()
+    a = p.assessment
+    odd = replace(a, work_products=(replace(
+        a.work_products[0], document_designation="=F1&MCA"),))
+    with pytest.raises(ProjectError) as err:
+        save_project(replace(p, assessment=odd))
+    assert (err.value.code, err.value.message, err.value.path) == (
+        "UNSUPPORTED_VALUE", "type str cannot be saved",
+        "assessment.work-products[0].document-designation")
+
+
 def test_load_refuses_lone_surrogates_where_they_sit():
     escaped = '{"format-version": 1, "project-id": "p\\ud800"}'
     raw = ('{"format-version": 1, "project-id": "p", "assessment": '
@@ -542,6 +554,21 @@ def test_loaded_trees_build_no_nodes():
         assert p.trees == folded
         assert [t.roots for t in p.trees] == [t.roots for t in folded]
     assert trees > 10
+
+
+def test_every_tree_holds_its_arrays_from_construction():
+    built = [BreakdownTree(aspect=Aspect.FUNCTION), sample_project().trees[0],
+             genlib.chain_tree(Aspect.LOCATION, 3)]
+    loaded = load_project(save_project(
+        replace(new_project("p"), trees=built))).trees
+    read = BreakdownTree.from_doc(Aspect.PRODUCT, [{"segment": "A"}],
+                                  "trees.Product", ProjectError)
+    for tree in built + list(loaded) + [read]:
+        assert "_arrays" in vars(tree)
+        assert "_arrays" in vars(pickle.loads(pickle.dumps(tree)))
+    assert all("roots" in vars(tree) for tree in built)
+    assert not any("roots" in vars(tree) for tree in list(loaded) + [read])
+    assert list(loaded) == built and read.paths() == (("A",),)
 
 
 def test_value_operations_on_a_deep_tree_do_not_recurse():
