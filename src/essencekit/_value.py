@@ -1,4 +1,4 @@
-"""Indices, successors and enum fields of immutable values.
+"""Indices, successors and checked fields of immutable values.
 
 Kernels, assessments and description models index each tuple field
 they look up by name or id in a ``cached_property`` made by ``index``.
@@ -49,3 +49,10 @@ def member(value: Any, enum: type[Enum], error: type, what: str) -> Enum:
     except ValueError:
         names = ", ".join(m.value for m in enum)
         raise error("BAD_ENUM", f"{what} {value!r} is not one of {names}") from None
+
+
+def unsupported(error: type, what: str, kind: str, value: Any) -> Exception:
+    """``error`` UNSUPPORTED_VALUE: ``what`` must be ``kind``, as a
+    project file holds it, and ``value`` is not."""
+    return error("UNSUPPORTED_VALUE",
+                 f"{what} must be {kind}, not {type(value).__name__}")

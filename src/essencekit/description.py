@@ -25,7 +25,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
-from ._value import derive, fields_state, index, member
+from ._value import derive, fields_state, index, member, unsupported
 from .designation import ASPECT_ORDER, Aspect, AspectChain
 from .errors import ModelError
 
@@ -96,6 +96,10 @@ class RealizationNode:
     designators: tuple[AspectChain, ...] = ()
 
     def __post_init__(self) -> None:
+        for chain in self.designators:
+            if not isinstance(chain, AspectChain):
+                raise unsupported(ModelError, "designator", "an AspectChain",
+                                  chain)
         chains = tuple(
             sorted(self.designators, key=lambda c: ASPECT_ORDER.index(c.aspect))
         )
@@ -262,23 +266,34 @@ def add_realization_node(
 
 
 def _check_viewpoint(model, vp: Viewpoint) -> None:
+    if not isinstance(vp.name, str):
+        raise unsupported(ModelError, "viewpoint name", "text", vp.name)
     if not vp.name:
         raise ModelError("EMPTY_NAME", "viewpoint name is empty")
+    for concern in vp.concerns:
+        if not isinstance(concern, str):
+            raise unsupported(ModelError, "concern", "text", concern)
     if vp.name in model._viewpoints_by_name:
         raise ModelError("DUPLICATE_NAME", f"viewpoint {vp.name!r} already defined")
 
 
 def _check_view(model, view: View) -> None:
+    if not isinstance(view.name, str):
+        raise unsupported(ModelError, "view name", "text", view.name)
     if not view.name:
         raise ModelError("EMPTY_NAME", "view name is empty")
     if view.name in model._views_by_name:
         raise ModelError("DUPLICATE_NAME", f"view {view.name!r} already defined")
+    if not isinstance(view.viewpoint, str):
+        raise unsupported(ModelError, "viewpoint name", "text", view.viewpoint)
     if view.viewpoint not in model._viewpoints_by_name:
         raise ModelError(
             "UNKNOWN_REFERENCE", f"view {view.name!r} cites viewpoint "
             f"{view.viewpoint!r} which is not defined"
         )
     for elem_id in view.elements:
+        if not isinstance(elem_id, str):
+            raise unsupported(ModelError, "element id", "text", elem_id)
         if elem_id not in model._elements_by_id:
             raise ModelError(
                 "UNKNOWN_REFERENCE",
@@ -287,13 +302,21 @@ def _check_view(model, view: View) -> None:
 
 
 def _check_element(model, elem: ViewElement) -> None:
+    if not isinstance(elem.id, str):
+        raise unsupported(ModelError, "element id", "text", elem.id)
     if not elem.id:
         raise ModelError("EMPTY_NAME", "element id is empty")
+    if not isinstance(elem.label, str):
+        raise unsupported(ModelError, "element label", "text", elem.label)
+    if not isinstance(elem.has_extent, bool):
+        raise unsupported(ModelError, "has_extent", "a bool", elem.has_extent)
     if elem.id in model._elements_by_id:
         raise ModelError("DUPLICATE_NAME", f"element id {elem.id!r} already used")
 
 
 def _check_node(model, node: RealizationNode) -> None:
+    if not isinstance(node.id, str):
+        raise unsupported(ModelError, "node id", "text", node.id)
     if not node.id:
         raise ModelError("EMPTY_NAME", "node id is empty")
     if node.id in model._nodes_by_id:

@@ -206,7 +206,7 @@ class BreakdownNode:
     children: tuple[BreakdownNode, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+        object.__setattr__(self, "children", _nodes(self.children))
         if not isinstance(self.segment, str) or not _SEGMENT_RE.fullmatch(
                 self.segment):
             raise _bad_segment(self.segment)
@@ -234,7 +234,7 @@ class BreakdownTree:
     def __post_init__(self) -> None:
         object.__setattr__(self, "aspect", member(
             self.aspect, Aspect, DesignationError, "aspect"))
-        object.__setattr__(self, "roots", tuple(self.roots))
+        object.__setattr__(self, "roots", _nodes(self.roots))
         _require_unique_siblings((root.segment for root in self.roots), None)
         object.__setattr__(self, "_arrays", _flatten(self.roots))
 
@@ -403,6 +403,16 @@ def _segment_error(item: dict, path: str, parents: list[int], pos: int,
     """The error of node ``pos``'s segment, which is not a valid one."""
     return _bad_segment(get(item, "segment", str,
                             _node_path(path, parents, pos), error))
+
+
+def _nodes(items: Iterable[BreakdownNode]) -> tuple[BreakdownNode, ...]:
+    """The children or roots ``items`` as a tuple, each a node."""
+    nodes = tuple(items)
+    for node in nodes:
+        if not isinstance(node, BreakdownNode):
+            raise DesignationError(
+                "BAD_SEGMENT", f"tree node {node!r} is not a BreakdownNode")
+    return nodes
 
 
 def _bad_segment(segment: str) -> DesignationError:

@@ -19,10 +19,10 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from ._value import derive, fields_state, index, member
+from ._value import derive, fields_state, index, member, unsupported
 from .designation import DocumentDesignation
 from .errors import AssessmentError
-from .metamodel import AlphaDefinition, KernelDefinition, StateDefinition, find_alpha
+from .metamodel import AlphaDefinition, Checkpoint, KernelDefinition, find_alpha
 
 
 class SystemLevel(str, Enum):
@@ -187,8 +187,12 @@ def record_checkpoint(a: Assessment, rec: CheckpointRecord) -> Assessment:
 
 
 def _check_instance(a, inst: AlphaInstance) -> None:
+    if not isinstance(inst.id, str):
+        raise unsupported(AssessmentError, "instance id", "text", inst.id)
     if not inst.id:
         raise AssessmentError("EMPTY_ID", "instance id is empty")
+    if not isinstance(inst.alpha, str):
+        raise unsupported(AssessmentError, "alpha name", "text", inst.alpha)
     if find_alpha(a.kernel, inst.alpha) is None:
         raise AssessmentError(
             "UNKNOWN_ALPHA", f"kernel defines no alpha {inst.alpha!r}"
@@ -200,15 +204,20 @@ def _check_instance(a, inst: AlphaInstance) -> None:
 
 
 def _check_work_product(a, wp: WorkProductInstance) -> None:
+    if not isinstance(wp.id, str):
+        raise unsupported(AssessmentError, "work product id", "text", wp.id)
     if not wp.id:
         raise AssessmentError("EMPTY_ID", "work product id is empty")
+    if not isinstance(wp.definition, str):
+        raise unsupported(AssessmentError, "work product definition", "text",
+                          wp.definition)
+    if not isinstance(wp.label, str):
+        raise unsupported(AssessmentError, "work product label", "text",
+                          wp.label)
     if not isinstance(wp.document_designation,
                       (DocumentDesignation, type(None))):
-        raise AssessmentError(
-            "UNSUPPORTED_VALUE",
-            "document designation must be a DocumentDesignation, not "
-            f"{type(wp.document_designation).__name__}",
-        )
+        raise unsupported(AssessmentError, "document designation",
+                          "a DocumentDesignation", wp.document_designation)
     if a.kernel.workproduct(wp.definition) is None:
         raise AssessmentError(
             "UNKNOWN_DEFINITION",
@@ -222,16 +231,14 @@ def _check_work_product(a, wp: WorkProductInstance) -> None:
 
 def _check_record(a, rec: CheckpointRecord) -> None:
     if not isinstance(rec.satisfied, bool):
-        raise AssessmentError(
-            "UNSUPPORTED_VALUE",
-            f"satisfied must be a bool, not {type(rec.satisfied).__name__}",
-        )
+        raise unsupported(AssessmentError, "satisfied", "a bool", rec.satisfied)
     if (isinstance(rec.recorded_at, bool)
             or not isinstance(rec.recorded_at, int)):
-        raise AssessmentError(
-            "UNSUPPORTED_VALUE",
-            f"recorded_at must be an int, not {type(rec.recorded_at).__name__}",
-        )
+        raise unsupported(AssessmentError, "recorded_at", "an int",
+                          rec.recorded_at)
+    if not isinstance(rec.alpha_instance, str):
+        raise unsupported(AssessmentError, "alpha instance", "text",
+                          rec.alpha_instance)
     alpha = _alpha_of(a, rec.alpha_instance)
     state = alpha.state(rec.state)
     if state is None:
@@ -245,6 +252,8 @@ def _check_record(a, rec: CheckpointRecord) -> None:
             f"state {state.name!r} has no checkpoint {rec.checkpoint!r}",
         )
     for wp_id in rec.evidence:
+        if not isinstance(wp_id, str):
+            raise unsupported(AssessmentError, "evidence id", "text", wp_id)
         if wp_id not in a._work_products_by_id:
             raise AssessmentError(
                 "UNKNOWN_EVIDENCE", f"evidence {wp_id!r} is not a work product id"
@@ -254,7 +263,7 @@ def _check_record(a, rec: CheckpointRecord) -> None:
 def alpha_state(a: Assessment, instance_id: str) -> StateResult:
     """Largest fully satisfied prefix of the alpha's state list."""
     alpha = _alpha_of(a, instance_id)
-    return _state_result(alpha, _satisfied_keys(a, instance_id, alpha))
+    return _state_result(alpha, _open_checkpoints(a, instance_id, alpha))
 
 
 def blocking_checkpoints(
@@ -262,16 +271,15 @@ def blocking_checkpoints(
 ) -> tuple[Blocker, ...]:
     """Unsatisfied checkpoints in every state up to and including target."""
     alpha = _alpha_of(a, instance_id)
-    if alpha.state(target_state) is None:
+    blockers: list[Blocker] = []
+    for state, open_ in zip(alpha.states, _open_checkpoints(a, instance_id, alpha)):
+        blockers.extend(_blockers(state.name, open_))
+        if state.name == target_state:
+            break
+    else:
         raise AssessmentError(
             "UNKNOWN_STATE", f"alpha {alpha.name!r} has no state {target_state!r}"
         )
-    satisfied = _satisfied_keys(a, instance_id, alpha)
-    blockers: list[Blocker] = []
-    for state in alpha.states:
-        blockers.extend(_unsatisfied(state, satisfied))
-        if state.name == target_state:
-            break
     return tuple(blockers)
 
 
@@ -279,18 +287,14 @@ def render_card(a: Assessment, instance_id: str) -> str:
     """Plain-text state card; deterministic for a given assessment."""
     inst = a.instance(instance_id)
     alpha = _alpha_of(a, instance_id)
-    satisfied = _satisfied_keys(a, instance_id, alpha)
-    result = _state_result(alpha, satisfied)
+    walk = _open_checkpoints(a, instance_id, alpha)
+    result = _state_result(alpha, walk)
     width = max(len(state.name) for state in alpha.states)
     lines = [f"{alpha.name} [{inst.id}] ({inst.system_level.value})"]
-    for i, state in enumerate(alpha.states):
-        done = sum(
-            1 for cp in state.checkpoints if (state.name, cp.id) in satisfied
-        )
+    for i, (state, open_) in enumerate(zip(alpha.states, walk)):
+        total = len(state.checkpoints)
         mark = "x" if i <= result.achieved_index else " "
-        lines.append(
-            f"  [{mark}] {state.name:<{width}} {done}/{len(state.checkpoints)}"
-        )
+        lines.append(f"  [{mark}] {state.name:<{width}} {total - len(open_)}/{total}")
     lines.append(f"Achieved: {result.achieved if result.achieved else '(none)'}")
     if result.next_state is not None:
         lines.append(f"Next: {result.next_state}")
@@ -313,55 +317,35 @@ def _alpha_of(a, instance_id: str) -> AlphaDefinition:
     return alpha
 
 
-def _state_result(
-    alpha: AlphaDefinition, satisfied: set[tuple[str, str]]
-) -> StateResult:
-    achieved_index = -1
-    for i, state in enumerate(alpha.states):
-        if not _state_complete(state, satisfied):
-            break
-        achieved_index = i
-    achieved = alpha.states[achieved_index].name if achieved_index >= 0 else None
-    if achieved_index + 1 < len(alpha.states):
-        next_def = alpha.states[achieved_index + 1]
-        next_state = next_def.name
-        blocking = _unsatisfied(next_def, satisfied)
-    else:
-        next_state = None
-        blocking = ()
-    return StateResult(
-        achieved=achieved,
-        achieved_index=achieved_index,
-        next_state=next_state,
-        blocking=blocking,
-    )
-
-
-def _satisfied_keys(
+def _open_checkpoints(
     a: Assessment, instance_id: str, alpha: AlphaDefinition
-) -> set[tuple[str, str]]:
-    """(state, checkpoint) pairs effectively satisfied for the instance."""
-    out: set[tuple[str, str]] = set()
+) -> list[list[Checkpoint]]:
+    """Per state of the alpha, its checkpoints not effectively satisfied:
+    a key's last record counts, and in strict-evidence mode only a
+    record with evidence."""
+    positions, records = a._record_positions, a.records
+    strict = a.strict_evidence
+    walk = []
     for state in alpha.states:
+        open_ = []
         for cp in state.checkpoints:
-            pos = a._record_positions.get((instance_id, state.name, cp.id))
-            rec = a.records[pos] if pos is not None else None
-            if rec is not None and rec.satisfied and (
-                not a.strict_evidence or rec.evidence
-            ):
-                out.add((state.name, cp.id))
-    return out
+            pos = positions.get((instance_id, state.name, cp.id))
+            rec = None if pos is None else records[pos]
+            if rec is None or not rec.satisfied or strict and not rec.evidence:
+                open_.append(cp)
+        walk.append(open_)
+    return walk
 
 
-def _state_complete(state: StateDefinition, satisfied: set[tuple[str, str]]) -> bool:
-    return all((state.name, cp.id) in satisfied for cp in state.checkpoints)
+def _state_result(alpha: AlphaDefinition, walk: list[list[Checkpoint]]) -> StateResult:
+    """The states before the first with an open checkpoint are achieved."""
+    n = next((i for i, open_ in enumerate(walk) if open_), len(walk))
+    achieved = alpha.states[n - 1].name if n else None
+    if n == len(walk):
+        return StateResult(achieved, n - 1, None, ())
+    name = alpha.states[n].name
+    return StateResult(achieved, n - 1, name, _blockers(name, walk[n]))
 
 
-def _unsatisfied(
-    state: StateDefinition, satisfied: set[tuple[str, str]]
-) -> tuple[Blocker, ...]:
-    return tuple(
-        Blocker(state=state.name, checkpoint=cp.id, text=cp.text)
-        for cp in state.checkpoints
-        if (state.name, cp.id) not in satisfied
-    )
+def _blockers(state: str, open_: list[Checkpoint]) -> tuple[Blocker, ...]:
+    return tuple(Blocker(state, cp.id, cp.text) for cp in open_)

@@ -32,6 +32,7 @@ from ._schema import (
     nonempty,
     texts,
 )
+from ._value import unsupported
 from .builtin_kernel import builtin_se_kernel
 from .description import (
     DescriptionKind,
@@ -83,8 +84,13 @@ class Project:
     builtin_kernel: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.project_id, str):
+            raise unsupported(ProjectError, "project id", "text", self.project_id)
         if not self.project_id:
             raise ProjectError("EMPTY_ID", "project id is empty")
+        if not isinstance(self.assessment.strict_evidence, bool):
+            raise unsupported(ProjectError, "strict_evidence", "a bool",
+                              self.assessment.strict_evidence)
         trees = tuple(
             sorted(self.trees, key=lambda t: ASPECT_ORDER.index(t.aspect))
         )

@@ -76,6 +76,33 @@ def test_empty_names_are_refused_by_operation_and_builder(op, value):
         assert (err.value.code, err.value.path) == ("EMPTY_NAME", None)
 
 
+@pytest.mark.parametrize("op, value", [
+    (add_element, ViewElement(id="e", label=7)),
+    (add_element, ViewElement(id="e", has_extent=1)),
+    (add_element, ViewElement(id=["e"])),
+    (add_viewpoint, Viewpoint(name="v", concerns=(1,))),
+    (add_realization_node, RealizationNode(id=5)),
+    (add_view, View(name="v", viewpoint=["vp"])),
+    (add_view, View(name="v", viewpoint="vp", elements=([1],))),
+], ids=["label-int", "has-extent-int", "element-id-list", "concern-int",
+        "node-id-int", "viewpoint-list", "view-element-list"])
+def test_values_a_file_cannot_hold_are_refused_by_operation_and_builder(
+        op, value):
+    model = add_viewpoint(DescriptionModel(), Viewpoint(name="vp"))
+    builder = ModelBuilder()
+    builder.add_viewpoint(Viewpoint(name="vp"))
+    for add in (lambda v: op(model, v), getattr(builder, op.__name__)):
+        with pytest.raises(ModelError) as err:
+            add(value)
+        assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
+
+
+def test_realization_node_refuses_a_designator_that_is_no_chain():
+    with pytest.raises(ModelError) as err:
+        RealizationNode(id="n", designators=("x",))
+    assert err.value.code == "UNSUPPORTED_VALUE"
+
+
 def test_add_view_checks_references():
     model = model_with_elements("e1")
     with pytest.raises(ModelError) as err:

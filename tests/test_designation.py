@@ -136,8 +136,11 @@ def test_chain_rejects_bad_segments():
     (lambda: DocumentDesignation(parse_designation("=F1"), 5), "MALFORMED_DCC"),
     (lambda: DocumentDesignation(parse_designation("=F1"), None),
      "MALFORMED_DCC"),
+    (lambda: BreakdownNode("A", (5,)), "BAD_SEGMENT"),
+    (lambda: BreakdownNode("A", "B"), "BAD_SEGMENT"),
+    (lambda: BreakdownTree(Aspect.PRODUCT, ("A",)), "BAD_SEGMENT"),
 ], ids=["node-int", "node-none", "chain-int", "chain-bytes", "chain-text",
-        "dcc-int", "dcc-none"])
+        "dcc-int", "dcc-none", "child-int", "children-text", "root-text"])
 def test_constructors_refuse_values_of_other_types_with_their_codes(make, code):
     with pytest.raises(DesignationError) as err:
         make()

@@ -91,6 +91,29 @@ def test_values_a_file_cannot_hold_are_refused_by_operation_and_builder(
         assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
 
 
+@pytest.mark.parametrize("op, value", [
+    (add_instance, AlphaInstance(id=5, alpha="System Realization")),
+    (add_instance, AlphaInstance(id=["i"], alpha="System Realization")),
+    (add_instance, AlphaInstance(id="i-2", alpha=["System Realization"])),
+    (add_work_product, WorkProductInstance(
+        id="wp", definition="Test Report", label=5)),
+    (add_work_product, WorkProductInstance(id="wp", definition=["Test Report"])),
+    (record_checkpoint, CheckpointRecord(["i-1"], "Raw materials", "RM-1", True)),
+    (record_checkpoint, rec("Raw materials", "RM-1", evidence=(["wp"],))),
+], ids=["instance-id-int", "instance-id-list", "instance-alpha-list",
+        "label-int", "definition-list", "record-instance-list",
+        "evidence-item-list"])
+def test_text_fields_a_file_cannot_hold_are_refused_by_operation_and_builder(
+        op, value):
+    a = fresh()
+    builder = AssessmentBuilder("t", builtin_se_kernel())
+    builder.add_instance(AlphaInstance(id="i-1", alpha="System Realization"))
+    for add in (lambda v: op(a, v), getattr(builder, op.__name__)):
+        with pytest.raises(AssessmentError) as err:
+            add(value)
+        assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
+
+
 def test_add_instance_rejects_duplicate_id():
     a = fresh()
     with pytest.raises(AssessmentError) as err:
@@ -328,6 +351,37 @@ def test_replaying_records_reproduces_state():
         for r in a.records:
             fresh_a = record_checkpoint(fresh_a, r)
         assert alpha_state(fresh_a, instance_id) == alpha_state(a, instance_id)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["relaxed", "strict"])
+def test_blocking_and_cards_match_the_effective_record_oracle(strict):
+    """For every target state, the blockers and each card line equal
+    what the fold of the last records per key gives."""
+    rng = random.Random(1313 + strict)
+    for _ in range(120):
+        a, instance_id = genlib.random_assessment(rng, strict=strict)
+        inst = a.instances[0]
+        alpha = find_alpha(a.kernel, inst.alpha)
+        done = genlib.effective_satisfied(a, instance_id)
+        achieved = genlib.prefix_oracle(alpha, done)
+        opened = [(s.name, cp.id, cp.text) for s in alpha.states
+                  for cp in s.checkpoints if (s.name, cp.id) not in done]
+        for i, state in enumerate(alpha.states):
+            upto = {s.name for s in alpha.states[:i + 1]}
+            assert list(blocking_checkpoints(a, instance_id, state.name)) == [
+                b for b in opened if b[0] in upto]
+        width = max(len(s.name) for s in alpha.states)
+        card = [f"{alpha.name} [{instance_id}] ({inst.system_level.value})"]
+        for i, s in enumerate(alpha.states):
+            count = sum((s.name, cp.id) in done for cp in s.checkpoints)
+            mark = "x" if i <= achieved else " "
+            card.append(f"  [{mark}] {s.name.ljust(width)} "
+                        f"{count}/{len(s.checkpoints)}")
+        card.append("Achieved: " + (alpha.states[achieved].name
+                                    if achieved >= 0 else "(none)"))
+        if achieved + 1 < len(alpha.states):
+            card.append(f"Next: {alpha.states[achieved + 1].name}")
+        assert render_card(a, instance_id).split("\n") == card
 
 
 EXPECTED_EMPTY_SD_CARD = (

@@ -6,6 +6,7 @@ import copy
 import json
 import pickle
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -34,12 +35,14 @@ from essencekit import (
     RealizationNode,
     StructureType,
     SystemLevel,
+    View,
     ViewElement,
     Viewpoint,
     WorkProductInstance,
     add_element,
     add_instance,
     add_realization_node,
+    add_view,
     add_viewpoint,
     add_work_product,
     assert_coextension,
@@ -686,4 +689,107 @@ def test_enum_fields_refuse_or_round_trip(field, value):
         assert not any(value == m.value for m in enum)
         return
     assert any(value == m.value for m in enum)
+    assert load_project(save_project(p)) == p
+
+
+@pytest.mark.parametrize("make", [
+    lambda: new_project(5),
+    lambda: new_project(["p"]),
+    lambda: new_project("p", strict_evidence=1),
+], ids=["id-int", "id-list", "strict-evidence-int"])
+def test_new_project_refuses_what_a_file_cannot_hold(make):
+    with pytest.raises(ProjectError) as err:
+        make()
+    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
+
+
+# Entries built directly and added by their operations: each either is
+# refused with a coded error or saves and loads again as it is.
+
+SCALARS = st.one_of(st.text(max_size=4), st.integers(), st.booleans(),
+                    st.none())
+ANY = st.one_of(SCALARS, st.lists(SCALARS, max_size=2),
+                st.lists(SCALARS, max_size=2).map(tuple))
+P_CHAIN = AspectChain(Aspect.PRODUCT, ("A",))
+L_CHAIN = AspectChain(Aspect.LOCATION, ("B",))
+NODE = BreakdownNode("B", (BreakdownNode("C"),))
+ITEMS = st.lists(st.one_of(ANY, st.sampled_from(["e", P_CHAIN, NODE])),
+                 min_size=1, max_size=3).map(tuple)
+
+
+def field(*holds, other=ANY):
+    """Values a field can hold, and the strategy of any other value."""
+    return holds, other
+
+
+def items(*holds):
+    return field(*holds, other=ITEMS)
+
+
+def with_assessment(p: Project, op, value) -> Project:
+    return replace(p, assessment=op(p.assessment, value))
+
+
+def with_model(p: Project, op, value) -> Project:
+    return replace(p, description=op(p.description, value))
+
+
+def with_tree(p: Project, *roots) -> Project:
+    return replace(p, trees=(BreakdownTree(Aspect.PRODUCT, roots),))
+
+
+ENTRIES = {
+    "project": ((field("p", "q", ""),), lambda p, pid: new_project(pid)),
+    "instance": ((field("j", "i", ""), field("Team", "Work", "Ghost")),
+                 lambda p, *v: with_assessment(p, add_instance,
+                                               AlphaInstance(*v))),
+    "work-product": ((field("wp2", "wp", ""), field("Test Report", "Ghost"),
+                      field("", "label")),
+                     lambda p, *v: with_assessment(p, add_work_product,
+                                                   WorkProductInstance(*v))),
+    "record": ((field("i", "j"), field("Unspecified"), field("U-1"),
+                field(True, False), items((), ("wp",)), field(0, 17)),
+               lambda p, *v: with_assessment(p, record_checkpoint,
+                                             CheckpointRecord(*v))),
+    "viewpoint": ((field("vp2", "vp", ""), items((), ("c", ""))),
+                  lambda p, name, concerns: with_model(
+                      p, add_viewpoint, Viewpoint(name, concerns=concerns))),
+    "view": ((field("v", ""), field("vp", "nope"), items((), ("e",))),
+             lambda p, *v: with_model(p, add_view, View(*v))),
+    "element": ((field("e2", "e", ""), field("", "x"), field(True, False)),
+                lambda p, *v: with_model(p, add_element, ViewElement(*v))),
+    "node": ((field("n", ""), items((), (P_CHAIN,), (P_CHAIN, L_CHAIN))),
+             lambda p, *v: with_model(p, add_realization_node,
+                                      RealizationNode(*v))),
+    "tree-node": ((field("A", "B1", "a"), items((), (BreakdownNode("C"),))),
+                  lambda p, *v: with_tree(p, BreakdownNode(*v))),
+    "tree": ((items((BreakdownNode("A"),), (BreakdownNode("A"), NODE)),),
+             lambda p, roots: with_tree(p, *roots)),
+}
+
+
+def entry_base() -> Project:
+    """A project with one entry of each kind that the entries cite."""
+    p = new_project("p")
+    a = add_instance(p.assessment, AlphaInstance("i", "Team"))
+    a = add_work_product(a, WorkProductInstance("wp", "Test Report"))
+    model = add_viewpoint(DescriptionModel(), Viewpoint("vp"))
+    model = add_element(model, ViewElement("e", has_extent=True))
+    return replace(p, assessment=a, description=model)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_entries_refuse_or_round_trip(entry, data):
+    """Each field a value it can hold, but at most one drawn from any."""
+    fields, add = ENTRIES[entry]
+    other = data.draw(st.sets(st.sampled_from(range(len(fields))), max_size=1))
+    values = [data.draw(any_value if i in other else st.sampled_from(holds))
+              for i, (holds, any_value) in enumerate(fields)]
+    try:
+        p = add(entry_base(), *values)
+    except EssenceError as err:
+        assert re.fullmatch(r"[A-Z]+(_[A-Z]+)*", err.code)
+        return
     assert load_project(save_project(p)) == p
