@@ -326,7 +326,11 @@ def _check_node(model, node: RealizationNode) -> None:
 def _check_binding(model, elem_id: str, node_id: str) -> frozenset[str]:
     """The class of the element, which the binding extends to."""
     _require_extended(model, elem_id)
-    if node_id not in model._nodes_by_id:
+    try:
+        known = node_id in model._nodes_by_id
+    except TypeError:  # an unhashable id, which no node has
+        known = False
+    if not known:
         raise ModelError(
             "UNKNOWN_REFERENCE", f"no realization node {node_id!r}"
         )
@@ -392,7 +396,10 @@ def viable_architecture(
     """Minimally one view per structure type, else not yet viable."""
     covered: set[StructureType] = set()
     for name in views:
-        view = model.view(name)
+        try:
+            view = model.view(name)
+        except TypeError:  # an unhashable name, which no view has
+            view = None
         if view is None:
             raise ModelError("UNKNOWN_REFERENCE", f"no view {name!r}")
         vp = model.viewpoint(view.viewpoint)
@@ -443,7 +450,10 @@ def bind_designator(
 
 
 def _require_extended(model, elem_id: str) -> ViewElement:
-    elem = model._elements_by_id.get(elem_id)
+    try:
+        elem = model._elements_by_id.get(elem_id)
+    except TypeError:  # an unhashable id, which no element has
+        elem = None
     if elem is None:
         raise ModelError("UNKNOWN_REFERENCE", f"no element {elem_id!r}")
     if not elem.has_extent:

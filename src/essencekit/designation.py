@@ -33,9 +33,14 @@ from ._schema import (MAX_TREE_DEPTH, check_keys, decode, get, nested,
 from ._value import member
 from .errors import DesignationError, EssenceError
 
-# One segment: a chain's segments and a node's segment match it whole,
-# and the parser matches it from each prefix on.
+# One segment: a chain's segments and a node's segment match it whole.
 _SEGMENT_RE = re.compile(r"[A-Z0-9]+")
+# One chain of a designation: a prefix, segments that each follow that
+# same prefix, and the separator after the chain, if one follows.
+_CHAIN_RE = re.compile(r"([=+-])([A-Z0-9]+(?:\1[A-Z0-9]+)*)( */ *)?")
+# A parsed value is built as its constructor would build it, less the
+# checks the match has made; no instance dict is materialized.
+_new, _put = object.__new__, object.__setattr__
 
 
 class Aspect(str, Enum):
@@ -134,62 +139,65 @@ def parse_designation(text: str) -> MultiAspectDesignation:
     """Parse a designation string; raises DesignationError on any deviation.
 
     Error codes: EMPTY_INPUT, BAD_PREFIX, BAD_SEGMENT, MIXED_CHAIN,
-    DUPLICATE_ASPECT. Every input yields a value or exactly one of these.
+    DUPLICATE_ASPECT. Every input yields a value or exactly one of these;
+    input that is not text is BAD_PREFIX. Each chain is one match of
+    _CHAIN_RE, and an error's code and column come from where it stops.
     """
+    if not isinstance(text, str):
+        raise _not_text("designation", text)
     if text == "":
         raise DesignationError("EMPTY_INPUT", "designation is empty")
     chains: list[AspectChain] = []
-    seen: set[Aspect] = set()
-    pos = 0
-    end = len(text)
+    pos, end = 0, len(text)
     while True:
-        if pos == end or text[pos] not in _ASPECT_BY_PREFIX:
+        found = _CHAIN_RE.match(text, pos)
+        if found is None:
+            if pos == end or text[pos] not in _ASPECT_BY_PREFIX:
+                raise DesignationError(
+                    "BAD_PREFIX",
+                    f"expected aspect prefix '=', '-' or '+' at column {pos + 1}",
+                )
             raise DesignationError(
-                "BAD_PREFIX",
-                f"expected aspect prefix '=', '-' or '+' at column {pos + 1}",
+                "BAD_SEGMENT", f"empty segment at column {pos + 2}")
+        prefix, body, separator = found.groups()
+        pos = found.end(2)
+        if separator is None and pos < end and text[pos] in _ASPECT_BY_PREFIX:
+            if text[pos] == prefix:
+                raise DesignationError(
+                    "BAD_SEGMENT", f"empty segment at column {pos + 2}")
+            raise DesignationError(
+                "MIXED_CHAIN",
+                f"prefix {text[pos]!r} after {prefix!r} within one chain "
+                f"at column {pos + 1}",
             )
-        prefix = text[pos]
         aspect = _ASPECT_BY_PREFIX[prefix]
-        segments: list[str] = []
-        while pos < end and text[pos] in _ASPECT_BY_PREFIX:
-            if text[pos] != prefix:
+        for earlier in chains:
+            if earlier.aspect is aspect:
                 raise DesignationError(
-                    "MIXED_CHAIN",
-                    f"prefix {text[pos]!r} after {prefix!r} within one chain "
-                    f"at column {pos + 1}",
+                    "DUPLICATE_ASPECT",
+                    f"aspect {aspect.value} appears in two chains",
                 )
-            pos += 1
-            found = _SEGMENT_RE.match(text, pos)
-            if found is None:
-                raise DesignationError(
-                    "BAD_SEGMENT", f"empty segment at column {pos + 1}"
-                )
-            segments.append(found.group())
+        chain = _new(AspectChain)
+        _put(chain, "aspect", aspect)
+        _put(chain, "segments", tuple(body.split(prefix)))
+        chains.append(chain)
+        if separator is not None:
             pos = found.end()
-        if aspect in seen:
-            raise DesignationError(
-                "DUPLICATE_ASPECT",
-                f"aspect {aspect.value} appears in two chains",
-            )
-        seen.add(aspect)
-        chains.append(AspectChain(aspect=aspect, segments=tuple(segments)))
-        if pos == end:
-            return MultiAspectDesignation(chains=tuple(chains))
-        ws_start = pos
-        while pos < end and text[pos] == " ":
-            pos += 1
-        if pos == end:
-            raise DesignationError(
-                "BAD_SEGMENT", f"trailing whitespace at column {ws_start + 1}"
-            )
-        if text[pos] != "/":
-            raise DesignationError(
-                "BAD_SEGMENT",
-                f"unexpected character {text[pos]!r} at column {pos + 1}",
-            )
-        pos += 1
-        while pos < end and text[pos] == " ":
-            pos += 1
+        elif pos == end:
+            designation = _new(MultiAspectDesignation)
+            _put(designation, "chains", tuple(chains))
+            return designation
+        else:
+            rest = text[pos:].lstrip(" ")
+            raise DesignationError("BAD_SEGMENT", (
+                f"unexpected character {rest[0]!r} at column "
+                f"{end - len(rest) + 1}" if rest
+                else f"trailing whitespace at column {pos + 1}"))
+
+
+def _not_text(what: str, value: object) -> DesignationError:
+    return DesignationError(
+        "BAD_PREFIX", f"{what} must be text, not {type(value).__name__}")
 
 
 def format_designation(d: MultiAspectDesignation) -> str:
@@ -441,6 +449,9 @@ def resolve(tree: BreakdownTree, chain: AspectChain) -> tuple[tuple[str, ...], .
     matches. Suffix matching is what makes partial designators useful
     and, possibly, ambiguous.
     """
+    if not isinstance(chain, AspectChain):
+        raise DesignationError(
+            "BAD_SEGMENT", f"chain {chain!r} is not an AspectChain")
     if chain.aspect is not tree.aspect:
         raise DesignationError(
             "ASPECT_MISMATCH",
@@ -564,6 +575,8 @@ def parse_document_designation(
     text: str, table: DccTable = BUILTIN_DCC_TABLE
 ) -> DocumentDesignation:
     """Split ``<system designation>&<DCC>`` and validate the area letter."""
+    if not isinstance(text, str):
+        raise _not_text("document designation", text)
     cut = text.find("&")
     if cut < 0:
         raise DesignationError(

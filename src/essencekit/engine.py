@@ -285,8 +285,8 @@ def blocking_checkpoints(
 
 def render_card(a: Assessment, instance_id: str) -> str:
     """Plain-text state card; deterministic for a given assessment."""
-    inst = a.instance(instance_id)
     alpha = _alpha_of(a, instance_id)
+    inst = a.instance(instance_id)
     walk = _open_checkpoints(a, instance_id, alpha)
     result = _state_result(alpha, walk)
     width = max(len(state.name) for state in alpha.states)
@@ -302,7 +302,10 @@ def render_card(a: Assessment, instance_id: str) -> str:
 
 
 def _alpha_of(a, instance_id: str) -> AlphaDefinition:
-    inst = a._instances_by_id.get(instance_id)
+    try:
+        inst = a._instances_by_id.get(instance_id)
+    except TypeError:  # an unhashable id, which no instance has
+        inst = None
     if inst is None:
         raise AssessmentError(
             "UNKNOWN_INSTANCE", f"no alpha instance {instance_id!r}"

@@ -88,9 +88,18 @@ class Project:
             raise unsupported(ProjectError, "project id", "text", self.project_id)
         if not self.project_id:
             raise ProjectError("EMPTY_ID", "project id is empty")
+        if not isinstance(self.assessment, Assessment):
+            raise unsupported(ProjectError, "assessment", "an Assessment",
+                              self.assessment)
         if not isinstance(self.assessment.strict_evidence, bool):
             raise unsupported(ProjectError, "strict_evidence", "a bool",
                               self.assessment.strict_evidence)
+        if not isinstance(self.description, DescriptionModel):
+            raise unsupported(ProjectError, "description",
+                              "a DescriptionModel", self.description)
+        for tree in self.trees:
+            if not isinstance(tree, BreakdownTree):
+                raise unsupported(ProjectError, "tree", "a BreakdownTree", tree)
         trees = tuple(
             sorted(self.trees, key=lambda t: ASPECT_ORDER.index(t.aspect))
         )
@@ -217,6 +226,8 @@ def _load_kernel(raw: object) -> tuple[KernelDefinition, bool]:
 
 
 def _valid_kernel(kernel: KernelDefinition) -> KernelDefinition:
+    if not isinstance(kernel, KernelDefinition):
+        raise unsupported(ProjectError, "kernel", "a KernelDefinition", kernel)
     report = validate_kernel(kernel)
     if not report.ok:
         finding = report.findings[0]

@@ -26,8 +26,10 @@ from essencekit import (
     CheckpointRecord,
     DescriptionKind,
     DescriptionModel,
+    DesignationError,
     EssenceError,
     KernelDefinition,
+    MultiAspectDesignation,
     Project,
     ProjectError,
     RealizationNode,
@@ -64,7 +66,7 @@ from essencekit._schema import (
     nested,
     too_deep,
 )
-from essencekit.designation import ASPECT_ORDER
+from essencekit.designation import ASPECT_ORDER, _ASPECT_BY_PREFIX, _SEGMENT_RE
 from essencekit.errors import ModelError
 from essencekit.metamodel import AREA_NAMES
 
@@ -328,6 +330,67 @@ def random_chain(
     segments = tuple(
         rng.choice(SEGMENT_POOL) for _ in range(rng.randint(1, 3)))
     return AspectChain(aspect=aspect, segments=segments)
+
+
+def reference_parse_designation(text: str) -> MultiAspectDesignation:
+    """The character scanner ``parse_designation`` was before it matched
+    each chain whole: every value, code, message and column it gives is
+    the one the parser must give. It builds its values through their
+    constructors."""
+    if text == "":
+        raise DesignationError("EMPTY_INPUT", "designation is empty")
+    chains: list[AspectChain] = []
+    seen: set[Aspect] = set()
+    pos = 0
+    end = len(text)
+    while True:
+        if pos == end or text[pos] not in _ASPECT_BY_PREFIX:
+            raise DesignationError(
+                "BAD_PREFIX",
+                f"expected aspect prefix '=', '-' or '+' at column {pos + 1}",
+            )
+        prefix = text[pos]
+        aspect = _ASPECT_BY_PREFIX[prefix]
+        segments: list[str] = []
+        while pos < end and text[pos] in _ASPECT_BY_PREFIX:
+            if text[pos] != prefix:
+                raise DesignationError(
+                    "MIXED_CHAIN",
+                    f"prefix {text[pos]!r} after {prefix!r} within one chain "
+                    f"at column {pos + 1}",
+                )
+            pos += 1
+            found = _SEGMENT_RE.match(text, pos)
+            if found is None:
+                raise DesignationError(
+                    "BAD_SEGMENT", f"empty segment at column {pos + 1}"
+                )
+            segments.append(found.group())
+            pos = found.end()
+        if aspect in seen:
+            raise DesignationError(
+                "DUPLICATE_ASPECT",
+                f"aspect {aspect.value} appears in two chains",
+            )
+        seen.add(aspect)
+        chains.append(AspectChain(aspect=aspect, segments=tuple(segments)))
+        if pos == end:
+            return MultiAspectDesignation(chains=tuple(chains))
+        ws_start = pos
+        while pos < end and text[pos] == " ":
+            pos += 1
+        if pos == end:
+            raise DesignationError(
+                "BAD_SEGMENT", f"trailing whitespace at column {ws_start + 1}"
+            )
+        if text[pos] != "/":
+            raise DesignationError(
+                "BAD_SEGMENT",
+                f"unexpected character {text[pos]!r} at column {pos + 1}",
+            )
+        pos += 1
+        while pos < end and text[pos] == " ":
+            pos += 1
 
 
 # Description models

@@ -168,6 +168,25 @@ def test_definition_only_elements_have_no_extent_to_share():
     assert err.value.code == "NO_EXTENT"
 
 
+@pytest.mark.parametrize("query", [
+    lambda m: coextension_class(m, ["e1"]),
+    lambda m: assert_coextension(m, "e1", ["e1"]),
+    lambda m: assert_coextension(m, {"e1": 1}, "e1"),
+    lambda m: bind_element(m, ["e1"], "n1"),
+    lambda m: bind_element(m, "e1", ["n1"]),
+    lambda m: viable_architecture(m, [["v"]]),
+], ids=["class", "coextension-second", "coextension-first", "bind-element",
+        "bind-node", "view"])
+def test_queries_refuse_an_unhashable_id_as_unknown(query):
+    model = add_realization_node(model_with_elements("e1"),
+                                 RealizationNode(id="n1"))
+    with pytest.raises(ModelError) as err:
+        query(model)
+    assert err.value.code == "UNKNOWN_REFERENCE"
+    assert err.value.message.startswith(("no element [", "no element {",
+                                         "no realization node [", "no view ["))
+
+
 def test_unknown_elements_are_flagged():
     model = model_with_elements("e1")
     with pytest.raises(ModelError) as err:

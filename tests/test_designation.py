@@ -198,6 +198,72 @@ def test_parser_is_total_over_text(text):
         assert err.code in PARSE_ERROR_CODES
 
 
+def parse_outcome(parse, text):
+    """The chains a parser gives, in order, or the (code, message) it
+    raises."""
+    try:
+        return parse(text).chains
+    except DesignationError as err:
+        return err.code, err.message
+
+
+@settings(max_examples=1000)
+@given(st.one_of(
+    st.text(alphabet="=+-/ ABZ019az\t&.", max_size=24),
+    st.text(max_size=24),
+    st.lists(st.sampled_from(["=", "-", "+", "A1", "Z", "/", " / ", " ", "a"]),
+             max_size=12).map("".join)))
+def test_parser_agrees_with_the_character_scanner(text):
+    assert parse_outcome(parse_designation, text) == parse_outcome(
+        genlib.reference_parse_designation, text)
+
+
+def test_parser_agrees_with_the_character_scanner_on_long_chains():
+    for text in ("-" + "-".join(["AB12"] * 5000),
+                 "=A" * 3000 + " / " + "+B" * 3000,
+                 "-A" * 3000 + "-",
+                 "-A" * 3000 + "=A",
+                 "-A" * 3000 + "  ",
+                 "-A" * 3000 + " / " + "-A"):
+        assert parse_outcome(parse_designation, text) == parse_outcome(
+            genlib.reference_parse_designation, text)
+
+
+def test_parsed_values_are_the_values_their_constructors_build():
+    parsed = parse_designation("+M13 / -12-N4-DN18")
+    built = MultiAspectDesignation(chains=(
+        AspectChain(Aspect.LOCATION, ("M13",)),
+        AspectChain(Aspect.PRODUCT, ("12", "N4", "DN18"))))
+    pairs = [*zip(parsed.chains, built.chains), (parsed, built)]
+    for value, expected in pairs:
+        assert value == expected
+        assert hash(value) == hash(expected)
+        assert repr(value) == repr(expected)
+        assert str(value) == str(expected)
+        assert pickle.loads(pickle.dumps(value)) == expected
+        assert copy.deepcopy(value) == expected
+    with pytest.raises(DesignationError) as err:
+        dataclasses.replace(parsed.chains[0], segments=("x",))
+    assert err.value.code == "BAD_SEGMENT"
+    with pytest.raises(DesignationError) as err:
+        dataclasses.replace(parsed, chains=parsed.chains * 2)
+    assert err.value.code == "DUPLICATE_ASPECT"
+
+
+@pytest.mark.parametrize("text", [None, 5, b"=F1", ["=F1"]],
+                         ids=["none", "int", "bytes", "list"])
+def test_parsers_refuse_input_that_is_not_text(text):
+    kind = type(text).__name__
+    with pytest.raises(DesignationError) as err:
+        parse_designation(text)
+    assert (err.value.code, err.value.message) == (
+        "BAD_PREFIX", f"designation must be text, not {kind}")
+    with pytest.raises(DesignationError) as err:
+        parse_document_designation(text)
+    assert (err.value.code, err.value.message) == (
+        "BAD_PREFIX", f"document designation must be text, not {kind}")
+
+
 # Breakdown trees and resolution
 
 
@@ -254,6 +320,15 @@ def test_resolve_wrong_aspect():
     with pytest.raises(DesignationError) as err:
         resolve(product_tree(), AspectChain(Aspect.FUNCTION, ("F1",)))
     assert err.value.code == "ASPECT_MISMATCH"
+
+
+@pytest.mark.parametrize("chain", ["-12", ("12",), None],
+                         ids=["text", "tuple", "none"])
+def test_resolve_refuses_a_chain_that_is_no_chain(chain):
+    with pytest.raises(DesignationError) as err:
+        resolve(product_tree(), chain)
+    assert (err.value.code, err.value.message) == (
+        "BAD_SEGMENT", f"chain {chain!r} is not an AspectChain")
 
 
 def test_resolve_matches_suffix_oracle_on_random_trees():

@@ -186,6 +186,20 @@ def test_alpha_state_unknown_instance():
     assert err.value.code == "UNKNOWN_INSTANCE"
 
 
+@pytest.mark.parametrize("query", [
+    lambda a, i: alpha_state(a, i),
+    lambda a, i: render_card(a, i),
+    lambda a, i: blocking_checkpoints(a, i, "Parts"),
+], ids=["alpha-state", "render-card", "blocking-checkpoints"])
+@pytest.mark.parametrize("instance_id", [["i-1"], {"i-1": 1}, {"i-1"}],
+                         ids=["list", "dict", "set"])
+def test_state_queries_refuse_an_unhashable_instance_id(query, instance_id):
+    with pytest.raises(AssessmentError) as err:
+        query(fresh(), instance_id)
+    assert (err.value.code, err.value.message) == (
+        "UNKNOWN_INSTANCE", f"no alpha instance {instance_id!r}")
+
+
 def test_alpha_state_of_an_instance_whose_alpha_the_kernel_lacks():
     # Values built directly are not checked, so such an instance can exist.
     a = Assessment(project_id="t", kernel=builtin_se_kernel(),

@@ -696,7 +696,13 @@ def test_enum_fields_refuse_or_round_trip(field, value):
     lambda: new_project(5),
     lambda: new_project(["p"]),
     lambda: new_project("p", strict_evidence=1),
-], ids=["id-int", "id-list", "strict-evidence-int"])
+    lambda: new_project("p", kernel=5),
+    lambda: Project("p", 5),
+    lambda: Project("p", None),
+    lambda: Project("p", new_project("p").assessment, trees=(5,)),
+    lambda: Project("p", new_project("p").assessment, description=5),
+], ids=["id-int", "id-list", "strict-evidence-int", "kernel-int",
+        "assessment-int", "assessment-none", "tree-int", "description-int"])
 def test_new_project_refuses_what_a_file_cannot_hold(make):
     with pytest.raises(ProjectError) as err:
         make()
