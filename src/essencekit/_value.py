@@ -1,7 +1,8 @@
 """Indices, successors and checked fields of immutable values.
 
 Kernels, assessments and description models index each tuple field
-they look up by name or id in a ``cached_property`` made by ``index``.
+they look up by name or id in a ``cached_property`` made by ``index``,
+and every lookup by name or id goes through ``find``.
 An operation builds the successor's changed fields and an updated copy
 of each changed field's index, and ``derive`` lays them over the
 parent's instance dict, so the indices of the unchanged fields carry
@@ -24,6 +25,15 @@ def index(field: str, key: str) -> cached_property:
     items, key_of = attrgetter(field), attrgetter(key)
     return cached_property(
         lambda value: {key_of(item): item for item in reversed(items(value))})
+
+
+def find(index: dict, key: Any) -> Any:
+    """The item ``index`` holds for ``key``, or None: a key that cannot
+    be hashed, such as a list, names nothing."""
+    try:
+        return index.get(key)
+    except TypeError:
+        return None
 
 
 def derive(value: Any, **changes: Any) -> Any:

@@ -20,12 +20,12 @@ process-, and team-based ways of working are all needed.
 from __future__ import annotations
 
 from bisect import insort
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
 
-from ._value import derive, fields_state, index, member, unsupported
+from ._value import derive, fields_state, find, index, member, unsupported
 from .designation import ASPECT_ORDER, Aspect, AspectChain
 from .errors import ModelError
 
@@ -96,12 +96,16 @@ class RealizationNode:
     designators: tuple[AspectChain, ...] = ()
 
     def __post_init__(self) -> None:
-        for chain in self.designators:
+        if not isinstance(self.designators, Iterable):
+            raise unsupported(ModelError, "designators",
+                              "a sequence of AspectChains", self.designators)
+        chains = tuple(self.designators)
+        for chain in chains:
             if not isinstance(chain, AspectChain):
                 raise unsupported(ModelError, "designator", "an AspectChain",
                                   chain)
         chains = tuple(
-            sorted(self.designators, key=lambda c: ASPECT_ORDER.index(c.aspect))
+            sorted(chains, key=lambda c: ASPECT_ORDER.index(c.aspect))
         )
         object.__setattr__(self, "designators", chains)
         seen: set[Aspect] = set()
@@ -136,19 +140,19 @@ class DescriptionModel:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def viewpoint(self, name: str) -> Viewpoint | None:
-        return self._viewpoints_by_name.get(name)
+        return find(self._viewpoints_by_name, name)
 
     def view(self, name: str) -> View | None:
-        return self._views_by_name.get(name)
+        return find(self._views_by_name, name)
 
     def element(self, elem_id: str) -> ViewElement | None:
-        return self._elements_by_id.get(elem_id)
+        return find(self._elements_by_id, elem_id)
 
     def realization_node(self, node_id: str) -> RealizationNode | None:
-        return self._nodes_by_id.get(node_id)
+        return find(self._nodes_by_id, node_id)
 
     def binding_of(self, elem_id: str) -> str | None:
-        return self._binding.get(elem_id)
+        return find(self._binding, elem_id)
 
     __getstate__ = fields_state
 
@@ -217,7 +221,7 @@ class ModelBuilder:
             self._class_of.update(dict.fromkeys(cls, cls))
 
     def bind_element(self, elem_id: str, node_id: str) -> None:
-        if self._binding.get(elem_id) == node_id:
+        if find(self._binding, elem_id) == node_id:
             return  # and so is its whole class
         cls = _check_binding(self, elem_id, node_id)
         self._binding.update(dict.fromkeys(cls, node_id))
@@ -270,6 +274,8 @@ def _check_viewpoint(model, vp: Viewpoint) -> None:
         raise unsupported(ModelError, "viewpoint name", "text", vp.name)
     if not vp.name:
         raise ModelError("EMPTY_NAME", "viewpoint name is empty")
+    if vp.concerns.__class__ is not tuple:
+        raise unsupported(ModelError, "concerns", "a tuple", vp.concerns)
     for concern in vp.concerns:
         if not isinstance(concern, str):
             raise unsupported(ModelError, "concern", "text", concern)
@@ -291,6 +297,8 @@ def _check_view(model, view: View) -> None:
             "UNKNOWN_REFERENCE", f"view {view.name!r} cites viewpoint "
             f"{view.viewpoint!r} which is not defined"
         )
+    if view.elements.__class__ is not tuple:
+        raise unsupported(ModelError, "view elements", "a tuple", view.elements)
     for elem_id in view.elements:
         if not isinstance(elem_id, str):
             raise unsupported(ModelError, "element id", "text", elem_id)
@@ -326,11 +334,7 @@ def _check_node(model, node: RealizationNode) -> None:
 def _check_binding(model, elem_id: str, node_id: str) -> frozenset[str]:
     """The class of the element, which the binding extends to."""
     _require_extended(model, elem_id)
-    try:
-        known = node_id in model._nodes_by_id
-    except TypeError:  # an unhashable id, which no node has
-        known = False
-    if not known:
+    if find(model._nodes_by_id, node_id) is None:
         raise ModelError(
             "UNKNOWN_REFERENCE", f"no realization node {node_id!r}"
         )
@@ -394,15 +398,15 @@ def viable_architecture(
     model: DescriptionModel, views: Iterable[str]
 ) -> "ArchitectureReport":
     """Minimally one view per structure type, else not yet viable."""
+    if not isinstance(views, Iterable):
+        raise unsupported(ModelError, "views", "an iterable of view names",
+                          views)
     covered: set[StructureType] = set()
     for name in views:
-        try:
-            view = model.view(name)
-        except TypeError:  # an unhashable name, which no view has
-            view = None
+        view = find(model._views_by_name, name)
         if view is None:
             raise ModelError("UNKNOWN_REFERENCE", f"no view {name!r}")
-        vp = model.viewpoint(view.viewpoint)
+        vp = find(model._viewpoints_by_name, view.viewpoint)
         covered.add(vp.structure_type)
     return ArchitectureReport(
         covered=tuple(t for t in REQUIRED_STRUCTURE_TYPES if t in covered),
@@ -433,6 +437,8 @@ def endeavor_viewpoint_lint(model: DescriptionModel) -> tuple[str, ...]:
 def bind_designator(
     model: DescriptionModel, node_id: str, chain: AspectChain
 ) -> DescriptionModel:
+    if not isinstance(chain, AspectChain):
+        raise unsupported(ModelError, "designator", "an AspectChain", chain)
     node = model.realization_node(node_id)
     if node is None:
         raise ModelError("UNKNOWN_REFERENCE", f"no realization node {node_id!r}")
@@ -450,10 +456,7 @@ def bind_designator(
 
 
 def _require_extended(model, elem_id: str) -> ViewElement:
-    try:
-        elem = model._elements_by_id.get(elem_id)
-    except TypeError:  # an unhashable id, which no element has
-        elem = None
+    elem = find(model._elements_by_id, elem_id)
     if elem is None:
         raise ModelError("UNKNOWN_REFERENCE", f"no element {elem_id!r}")
     if not elem.has_extent:

@@ -23,10 +23,10 @@ letter (the technical area) must exist in the active DCC table.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from ._schema import (MAX_TREE_DEPTH, check_keys, decode, get, nested,
                       nonempty, too_deep)
@@ -74,11 +74,12 @@ class AspectChain:
     def __post_init__(self) -> None:
         object.__setattr__(self, "aspect", member(
             self.aspect, Aspect, DesignationError, "aspect"))
-        if isinstance(self.segments, str):
+        segments = self.segments
+        if isinstance(segments, str) or not isinstance(segments, Iterable):
             raise DesignationError(
                 "BAD_SEGMENT",
-                f"segments {self.segments!r} are one text, not a sequence")
-        object.__setattr__(self, "segments", tuple(self.segments))
+                f"segments {segments!r} are not a sequence of texts")
+        object.__setattr__(self, "segments", tuple(segments))
         if not self.segments:
             raise DesignationError("BAD_SEGMENT", "chain has no segments")
         for segment in self.segments:
@@ -105,11 +106,15 @@ class MultiAspectDesignation:
     chains: tuple[AspectChain, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.chains, Iterable):
+            raise DesignationError(
+                "BAD_SEGMENT", f"chains {self.chains!r} are not a sequence")
         object.__setattr__(self, "chains", tuple(self.chains))
         if not self.chains:
             raise DesignationError("EMPTY_INPUT", "designation has no chains")
         seen: set[Aspect] = set()
         for chain in self.chains:
+            _require_chain(chain)
             if chain.aspect in seen:
                 raise DesignationError(
                     "DUPLICATE_ASPECT",
@@ -198,6 +203,18 @@ def parse_designation(text: str) -> MultiAspectDesignation:
 def _not_text(what: str, value: object) -> DesignationError:
     return DesignationError(
         "BAD_PREFIX", f"{what} must be text, not {type(value).__name__}")
+
+
+def _require_chain(chain: object) -> None:
+    if not isinstance(chain, AspectChain):
+        raise DesignationError(
+            "BAD_SEGMENT", f"chain {chain!r} is not an AspectChain")
+
+
+def _require_designation(d: object) -> None:
+    if not isinstance(d, MultiAspectDesignation):
+        raise DesignationError(
+            "BAD_PREFIX", f"designation {d!r} is not a MultiAspectDesignation")
 
 
 def format_designation(d: MultiAspectDesignation) -> str:
@@ -415,6 +432,10 @@ def _segment_error(item: dict, path: str, parents: list[int], pos: int,
 
 def _nodes(items: Iterable[BreakdownNode]) -> tuple[BreakdownNode, ...]:
     """The children or roots ``items`` as a tuple, each a node."""
+    # A tuple skips the slower check: ``roots`` builds a node per position.
+    if items.__class__ is not tuple and not isinstance(items, Iterable):
+        raise DesignationError(
+            "BAD_SEGMENT", f"tree nodes {items!r} are not a sequence")
     nodes = tuple(items)
     for node in nodes:
         if not isinstance(node, BreakdownNode):
@@ -449,9 +470,10 @@ def resolve(tree: BreakdownTree, chain: AspectChain) -> tuple[tuple[str, ...], .
     matches. Suffix matching is what makes partial designators useful
     and, possibly, ambiguous.
     """
-    if not isinstance(chain, AspectChain):
+    _require_chain(chain)
+    if not isinstance(tree, BreakdownTree):
         raise DesignationError(
-            "BAD_SEGMENT", f"chain {chain!r} is not an AspectChain")
+            "MISSING_TREE", f"tree {tree!r} is not a BreakdownTree")
     if chain.aspect is not tree.aspect:
         raise DesignationError(
             "ASPECT_MISMATCH",
@@ -504,6 +526,10 @@ def check_at_least_one_unambiguous(
     trees: Mapping[Aspect, BreakdownTree], d: MultiAspectDesignation
 ) -> UnambiguityReport:
     """Not every chain must be unambiguous, but at least one must be."""
+    if not isinstance(trees, Mapping):
+        raise DesignationError(
+            "MISSING_TREE", f"trees {trees!r} are not a map of aspects to trees")
+    _require_designation(d)
     resolutions = []
     for chain in d.chains:
         tree = trees.get(chain.aspect)
@@ -553,6 +579,7 @@ class DocumentDesignation:
     table_ref: str = BUILTIN_DCC_TABLE.name
 
     def __post_init__(self) -> None:
+        _require_designation(self.system)
         if not isinstance(self.dcc, str) or not _DCC_RE.match(self.dcc):
             raise DesignationError(
                 "MALFORMED_DCC",

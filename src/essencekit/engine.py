@@ -19,7 +19,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from ._value import derive, fields_state, index, member, unsupported
+from ._value import derive, fields_state, find, index, member, unsupported
 from .designation import DocumentDesignation
 from .errors import AssessmentError
 from .metamodel import AlphaDefinition, Checkpoint, KernelDefinition, find_alpha
@@ -79,10 +79,10 @@ class Assessment:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def instance(self, instance_id: str) -> AlphaInstance | None:
-        return self._instances_by_id.get(instance_id)
+        return find(self._instances_by_id, instance_id)
 
     def work_product(self, wp_id: str) -> WorkProductInstance | None:
-        return self._work_products_by_id.get(wp_id)
+        return find(self._work_products_by_id, wp_id)
 
     __getstate__ = fields_state
 
@@ -239,6 +239,8 @@ def _check_record(a, rec: CheckpointRecord) -> None:
     if not isinstance(rec.alpha_instance, str):
         raise unsupported(AssessmentError, "alpha instance", "text",
                           rec.alpha_instance)
+    if rec.evidence.__class__ is not tuple:
+        raise unsupported(AssessmentError, "evidence", "a tuple", rec.evidence)
     alpha = _alpha_of(a, rec.alpha_instance)
     state = alpha.state(rec.state)
     if state is None:
@@ -302,10 +304,7 @@ def render_card(a: Assessment, instance_id: str) -> str:
 
 
 def _alpha_of(a, instance_id: str) -> AlphaDefinition:
-    try:
-        inst = a._instances_by_id.get(instance_id)
-    except TypeError:  # an unhashable id, which no instance has
-        inst = None
+    inst = find(a._instances_by_id, instance_id)
     if inst is None:
         raise AssessmentError(
             "UNKNOWN_INSTANCE", f"no alpha instance {instance_id!r}"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ._schema import decode, encode, entries, get, texts
-from ._value import fields_state, index
+from ._value import fields_state, find, index
 from .errors import KernelError
 
 #: The fixed vocabulary of areas of concern.
@@ -115,7 +115,7 @@ class KernelDefinition:
         return tuple(a for a in self.alphas if a.name not in subordinated)
 
     def workproduct(self, name: str) -> WorkProductDefinition | None:
-        return self._workproducts_by_name.get(name)
+        return find(self._workproducts_by_name, name)
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ class ValidationReport:
 
 def find_alpha(kernel: KernelDefinition, name: str) -> AlphaDefinition | None:
     """Return the first alpha with exactly this name, or None."""
-    return kernel._alphas_by_name.get(name)
+    return find(kernel._alphas_by_name, name)
 
 
 def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
@@ -290,7 +290,7 @@ def subalpha_closure(kernel: KernelDefinition, name: str) -> list[str]:
     walk terminating even on malformed input.
     """
     by_name = kernel._alphas_by_name
-    root = by_name.get(name)
+    root = find(by_name, name)
     if root is None:
         raise KernelError("UNKNOWN_ALPHA", f"no alpha named {name!r}")
     ordered: list[str] = []

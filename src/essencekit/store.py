@@ -17,6 +17,7 @@ size of the document.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -97,12 +98,14 @@ class Project:
         if not isinstance(self.description, DescriptionModel):
             raise unsupported(ProjectError, "description",
                               "a DescriptionModel", self.description)
-        for tree in self.trees:
+        if not isinstance(self.trees, Iterable):
+            raise unsupported(ProjectError, "trees",
+                              "a sequence of BreakdownTrees", self.trees)
+        trees = tuple(self.trees)
+        for tree in trees:
             if not isinstance(tree, BreakdownTree):
                 raise unsupported(ProjectError, "tree", "a BreakdownTree", tree)
-        trees = tuple(
-            sorted(self.trees, key=lambda t: ASPECT_ORDER.index(t.aspect))
-        )
+        trees = tuple(sorted(trees, key=lambda t: ASPECT_ORDER.index(t.aspect)))
         object.__setattr__(self, "trees", trees)
         for earlier, tree in zip(trees, trees[1:]):
             if tree.aspect is earlier.aspect:

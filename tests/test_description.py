@@ -84,8 +84,13 @@ def test_empty_names_are_refused_by_operation_and_builder(op, value):
     (add_realization_node, RealizationNode(id=5)),
     (add_view, View(name="v", viewpoint=["vp"])),
     (add_view, View(name="v", viewpoint="vp", elements=([1],))),
+    (add_viewpoint, Viewpoint(name="v", concerns=None)),
+    (add_viewpoint, Viewpoint(name="v", concerns=["c"])),
+    (add_view, View(name="v", viewpoint="vp", elements=None)),
+    (add_view, View(name="v", viewpoint="vp", elements=[])),
 ], ids=["label-int", "has-extent-int", "element-id-list", "concern-int",
-        "node-id-int", "viewpoint-list", "view-element-list"])
+        "node-id-int", "viewpoint-list", "view-element-list", "concerns-none",
+        "concerns-list", "view-elements-none", "view-elements-list"])
 def test_values_a_file_cannot_hold_are_refused_by_operation_and_builder(
         op, value):
     model = add_viewpoint(DescriptionModel(), Viewpoint(name="vp"))
@@ -101,6 +106,24 @@ def test_realization_node_refuses_a_designator_that_is_no_chain():
     with pytest.raises(ModelError) as err:
         RealizationNode(id="n", designators=("x",))
     assert err.value.code == "UNSUPPORTED_VALUE"
+
+
+def test_realization_node_keeps_designators_given_as_an_iterator():
+    chain = AspectChain(Aspect.PRODUCT, ("A",))
+    node = RealizationNode(id="n", designators=iter([chain]))
+    assert node.designators == (chain,)
+
+
+@pytest.mark.parametrize("make", [
+    lambda m: RealizationNode(id="n", designators=None),
+    lambda m: bind_designator(m, "n1", "-A"),
+    lambda m: viable_architecture(m, 5),
+], ids=["designators-none", "designator-text", "views-int"])
+def test_arguments_of_other_types_are_refused(make):
+    model = add_realization_node(DescriptionModel(), RealizationNode(id="n1"))
+    with pytest.raises(ModelError) as err:
+        make(model)
+    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
 
 
 def test_add_view_checks_references():
@@ -175,8 +198,9 @@ def test_definition_only_elements_have_no_extent_to_share():
     lambda m: bind_element(m, ["e1"], "n1"),
     lambda m: bind_element(m, "e1", ["n1"]),
     lambda m: viable_architecture(m, [["v"]]),
+    lambda m: bind_designator(m, ["n1"], AspectChain(Aspect.PRODUCT, ("A",))),
 ], ids=["class", "coextension-second", "coextension-first", "bind-element",
-        "bind-node", "view"])
+        "bind-node", "view", "bind-designator"])
 def test_queries_refuse_an_unhashable_id_as_unknown(query):
     model = add_realization_node(model_with_elements("e1"),
                                  RealizationNode(id="n1"))
@@ -185,6 +209,18 @@ def test_queries_refuse_an_unhashable_id_as_unknown(query):
     assert err.value.code == "UNKNOWN_REFERENCE"
     assert err.value.message.startswith(("no element [", "no element {",
                                          "no realization node [", "no view ["))
+
+
+@pytest.mark.parametrize("key", [["e1"], {"e1": 1}, {"e1"}],
+                         ids=["list", "dict", "set"])
+def test_accessors_find_nothing_for_an_unhashable_id(key):
+    model = add_realization_node(model_with_elements("e1"),
+                                 RealizationNode(id="e1"))
+    model = add_viewpoint(bind_element(model, "e1", "e1"), Viewpoint("e1"))
+    model = add_view(model, View("e1", "e1"))
+    for lookup in (model.viewpoint, model.view, model.element,
+                   model.realization_node, model.binding_of):
+        assert lookup(key) is None
 
 
 def test_unknown_elements_are_flagged():

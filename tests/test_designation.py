@@ -139,8 +139,16 @@ def test_chain_rejects_bad_segments():
     (lambda: BreakdownNode("A", (5,)), "BAD_SEGMENT"),
     (lambda: BreakdownNode("A", "B"), "BAD_SEGMENT"),
     (lambda: BreakdownTree(Aspect.PRODUCT, ("A",)), "BAD_SEGMENT"),
+    (lambda: AspectChain(Aspect.PRODUCT, 5), "BAD_SEGMENT"),
+    (lambda: BreakdownNode("A", 5), "BAD_SEGMENT"),
+    (lambda: BreakdownTree(Aspect.PRODUCT, None), "BAD_SEGMENT"),
+    (lambda: MultiAspectDesignation(5), "BAD_SEGMENT"),
+    (lambda: MultiAspectDesignation(("x",)), "BAD_SEGMENT"),
+    (lambda: DocumentDesignation(system="x", dcc="MCA"), "BAD_PREFIX"),
 ], ids=["node-int", "node-none", "chain-int", "chain-bytes", "chain-text",
-        "dcc-int", "dcc-none", "child-int", "children-text", "root-text"])
+        "dcc-int", "dcc-none", "child-int", "children-text", "root-text",
+        "segments-int", "children-int", "roots-none", "chains-int",
+        "chains-text", "system-text"])
 def test_constructors_refuse_values_of_other_types_with_their_codes(make, code):
     with pytest.raises(DesignationError) as err:
         make()
@@ -329,6 +337,21 @@ def test_resolve_refuses_a_chain_that_is_no_chain(chain):
         resolve(product_tree(), chain)
     assert (err.value.code, err.value.message) == (
         "BAD_SEGMENT", f"chain {chain!r} is not an AspectChain")
+
+
+@pytest.mark.parametrize("check, code", [
+    (lambda: resolve("x", AspectChain(Aspect.PRODUCT, ("12",))),
+     "MISSING_TREE"),
+    (lambda: check_at_least_one_unambiguous(
+        ["x"], parse_designation("-12")), "MISSING_TREE"),
+    (lambda: check_at_least_one_unambiguous(
+        {Aspect.PRODUCT: "x"}, parse_designation("-12")), "MISSING_TREE"),
+    (lambda: check_at_least_one_unambiguous({}, "x"), "BAD_PREFIX"),
+], ids=["resolve-tree-text", "trees-list", "tree-text", "designation-text"])
+def test_checks_refuse_trees_and_designations_of_other_types(check, code):
+    with pytest.raises(DesignationError) as err:
+        check()
+    assert err.value.code == code
 
 
 def test_resolve_matches_suffix_oracle_on_random_trees():

@@ -78,8 +78,12 @@ def test_empty_ids_are_refused_by_operation_and_builder(op, value):
     (record_checkpoint, rec("Raw materials", "RM-1", recorded_at=1.5)),
     (add_work_product, WorkProductInstance(
         id="wp", definition="Test Report", document_designation="=A1&AAA")),
+    (record_checkpoint, rec("Raw materials", "RM-1", evidence=None)),
+    (record_checkpoint, rec("Raw materials", "RM-1", evidence=["wp"])),
+    (record_checkpoint, rec("Raw materials", "RM-1", evidence="wp")),
 ], ids=["satisfied-int", "satisfied-none", "recorded-at-text",
-        "recorded-at-bool", "recorded-at-float", "designation-text"])
+        "recorded-at-bool", "recorded-at-float", "designation-text",
+        "evidence-none", "evidence-list", "evidence-text"])
 def test_values_a_file_cannot_hold_are_refused_by_operation_and_builder(
         op, value):
     a = fresh()
@@ -198,6 +202,14 @@ def test_state_queries_refuse_an_unhashable_instance_id(query, instance_id):
         query(fresh(), instance_id)
     assert (err.value.code, err.value.message) == (
         "UNKNOWN_INSTANCE", f"no alpha instance {instance_id!r}")
+
+
+@pytest.mark.parametrize("instance_id", [["i-1"], {"i-1": 1}, {"i-1"}],
+                         ids=["list", "dict", "set"])
+def test_accessors_find_nothing_for_an_unhashable_id(instance_id):
+    a = add_work_product(fresh(), WorkProductInstance("i-1", "Test Report"))
+    assert a.instance(instance_id) is None
+    assert a.work_product(instance_id) is None
 
 
 def test_alpha_state_of_an_instance_whose_alpha_the_kernel_lacks():

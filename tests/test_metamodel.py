@@ -209,6 +209,18 @@ def test_closure_unknown_alpha():
     assert err.value.code == "UNKNOWN_ALPHA"
 
 
+@pytest.mark.parametrize("name", [["Team"], {"Team": 1}, {"Team"}],
+                         ids=["list", "dict", "set"])
+def test_lookups_find_nothing_for_an_unhashable_name(name):
+    kernel = builtin_se_kernel()
+    assert find_alpha(kernel, name) is None
+    assert kernel.workproduct(name) is None
+    with pytest.raises(KernelError) as err:
+        subalpha_closure(kernel, name)
+    assert (err.value.code, err.value.message) == (
+        "UNKNOWN_ALPHA", f"no alpha named {name!r}")
+
+
 def test_closure_terminates_on_cycles_and_skips_undefined_subalphas():
     kernel = kernel_of(
         alpha("A", subalphas=("B", "Ghost")),

@@ -701,12 +701,20 @@ def test_enum_fields_refuse_or_round_trip(field, value):
     lambda: Project("p", None),
     lambda: Project("p", new_project("p").assessment, trees=(5,)),
     lambda: Project("p", new_project("p").assessment, description=5),
+    lambda: Project("p", new_project("p").assessment, trees=None),
 ], ids=["id-int", "id-list", "strict-evidence-int", "kernel-int",
-        "assessment-int", "assessment-none", "tree-int", "description-int"])
+        "assessment-int", "assessment-none", "tree-int", "description-int",
+        "trees-none"])
 def test_new_project_refuses_what_a_file_cannot_hold(make):
     with pytest.raises(ProjectError) as err:
         make()
     assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
+
+
+def test_project_keeps_trees_given_as_an_iterator():
+    tree = BreakdownTree(Aspect.PRODUCT, (BreakdownNode("A"),))
+    assessment = new_project("p").assessment
+    assert Project("p", assessment, trees=iter([tree])).trees == (tree,)
 
 
 # Entries built directly and added by their operations: each either is
@@ -719,8 +727,10 @@ ANY = st.one_of(SCALARS, st.lists(SCALARS, max_size=2),
 P_CHAIN = AspectChain(Aspect.PRODUCT, ("A",))
 L_CHAIN = AspectChain(Aspect.LOCATION, ("B",))
 NODE = BreakdownNode("B", (BreakdownNode("C"),))
-ITEMS = st.lists(st.one_of(ANY, st.sampled_from(["e", P_CHAIN, NODE])),
-                 min_size=1, max_size=3).map(tuple)
+ITEM = st.one_of(ANY, st.sampled_from(["e", "wp", P_CHAIN, NODE]))
+# Tuples of any items, and fields that are no tuple: None, a list, a text.
+ITEMS = st.one_of(st.lists(ITEM, min_size=1, max_size=3).map(tuple),
+                  st.none(), st.lists(ITEM, max_size=3), st.text(max_size=3))
 
 
 def field(*holds, other=ANY):
@@ -770,7 +780,8 @@ ENTRIES = {
     "tree-node": ((field("A", "B1", "a"), items((), (BreakdownNode("C"),))),
                   lambda p, *v: with_tree(p, BreakdownNode(*v))),
     "tree": ((items((BreakdownNode("A"),), (BreakdownNode("A"), NODE)),),
-             lambda p, roots: with_tree(p, *roots)),
+             lambda p, roots: replace(p, trees=(
+                 BreakdownTree(Aspect.PRODUCT, roots),))),
 }
 
 
