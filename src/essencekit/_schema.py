@@ -11,6 +11,11 @@ it; a value of the wrong type names the value itself, as
 ``a.b[i].key``. Paths of bad values are built only when raising, so
 reading a well-formed document costs no string formatting here.
 
+An entry class states its fields once, in its ``_FIELDS`` table: an
+``(attribute, file key, kind, what)`` row per dataclass field, in field
+order, ``what`` naming the field in a refusal. Its key set, reader,
+writer and the operations' type checks all come from the table.
+
 ``emit`` and ``encode`` are the one writer: canonical JSON text, made
 without recursion, whatever the nesting. Of designation's values it
 takes ``BreakdownTree`` only, and writes it from its depth-first arrays.
@@ -21,8 +26,11 @@ from __future__ import annotations
 import json
 import re
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring as _quote
+from operator import attrgetter
 
+from ._value import noun, unsupported
 from .errors import EssenceError
 
 _MISSING = object()
@@ -81,18 +89,6 @@ def entries(doc: dict, key: str, kind: type, path: str | None,
     return values
 
 
-def texts(doc: dict, key: str, path: str | None, error: type[EssenceError],
-          message: str, default: object = _MISSING) -> list:
-    """The list of text under ``key``; ``message`` words a non-text entry."""
-    values = doc.get(key)
-    if values.__class__ is not list:  # missing or mistyped: get() decides
-        values = get(doc, key, list, path, error, default)
-    for i, value in enumerate(values):
-        if not isinstance(value, str):
-            raise error("SCHEMA_ERROR", message, path=f"{_at(path, key)}[{i}]")
-    return values
-
-
 def enum_of(value: str, enum_type: type, path: str | None,
             error: type[EssenceError]):
     """The member of ``enum_type`` whose value is ``value``."""
@@ -126,6 +122,162 @@ def nested(error: type[EssenceError], path: str, op, *args):
     except EssenceError as exc:
         raise error("SCHEMA_ERROR", f"{exc.code}: {exc.message}",
                     path=_at(path, exc.path)) from exc
+
+
+class Kind:
+    """What an entry field holds: ``value``s, which a project file holds
+    as JSON ``raw``s; with an ``empty`` code, text of one character or
+    more. A bool is no other kind's value."""
+
+    omit = False  # True: a file leaves out a key whose value is empty
+
+    def __init__(self, value: type, raw: type | None = None,
+                 empty: str | None = None) -> None:
+        self.value, self.raw, self.empty = value, raw or value, empty
+        # The class whose values fit, and a file holds, as they are.
+        self.plain = value if raw is None and empty is None else None
+
+    def fits(self, value: object) -> bool:
+        return isinstance(value, self.value) and (
+            value.__class__ is not bool or self.value is bool)
+
+    def check(self, value, what: str, error: type[EssenceError]) -> None:
+        """Refuse, UNSUPPORTED_VALUE, a value that a file cannot hold."""
+        if not self.fits(value):
+            raise unsupported(error, what, noun(self.value), value)
+        if self.empty and not value:
+            raise error(self.empty, f"{what} is empty")
+
+    def load(self, raw, path: str, key: str, error: type[EssenceError]):
+        """The value that ``raw``, a ``self.raw`` at ``path.key``, holds."""
+        if self.empty and not raw:
+            raise error("SCHEMA_ERROR", f"key {key!r} must be nonempty",
+                        path=_at(path, key))
+        return raw
+
+    def dump(self, values: list, path: str | None, key: str,
+             error: type[EssenceError]) -> list:
+        """The file values of ``values``, the field ``key`` of each entry
+        of the list at ``path``: UNSUPPORTED_VALUE at the first that no
+        file holds. One class check covers a column of plain values."""
+        if not {self.value}.issuperset(map(type, values)):
+            for i, value in enumerate(values):
+                if not self.fits(value):
+                    raise cannot_save(value, _at(path and f"{path}[{i}]", key),
+                                      error)
+        return values
+
+
+TEXT, BOOL, INT = Kind(str), Kind(bool), Kind(int)
+
+
+class Member(Kind):
+    """A member of the enum ``value``, which a file holds as its value."""
+
+    def load(self, raw, path, key, error):
+        return enum_of(raw, self.value, _at(path, key), error)
+
+    def dump(self, values, path, key, error):
+        return [member.value for member in super().dump(values, path, key, error)]
+
+
+class Texts(Kind):
+    """A tuple of text, held as a list; ``item`` names an item in an
+    operation's refusal, ``message`` words a file's non-text item."""
+
+    def __init__(self, item: str, message: str, omit: bool = False) -> None:
+        super().__init__(tuple, list)
+        self.item, self.message, self.omit = item, message, omit
+
+    def check(self, value, what, error):
+        if value.__class__ is not tuple:
+            super().check(value, what, error)
+        for item in value:
+            if not isinstance(item, str):
+                raise unsupported(error, self.item, "text", item)
+
+    def load(self, raw, path, key, error):
+        for i, item in enumerate(raw):
+            if item.__class__ is not str:
+                raise error("SCHEMA_ERROR", self.message,
+                            path=f"{_at(path, key)}[{i}]")
+        return tuple(raw)
+
+    def dump(self, values, path, key, error):
+        values = super().dump(values, path, key, error)
+        if not {str}.issuperset(map(type, chain.from_iterable(values))):
+            for i, value in enumerate(values):  # refuse the item at its path
+                TEXT.dump(value, _at(path and f"{path}[{i}]", key), None, error)
+        return list(map(list, values))
+
+
+class Entries(Kind):
+    """A tuple of ``cls`` entries, which a file holds as a list of maps."""
+
+    def __init__(self, cls: type, omit: bool = False) -> None:
+        super().__init__(tuple, list)
+        self.cls, self.omit = cls, omit
+
+    def load(self, raw, path, key, error):
+        at = _at(path, key)
+        for i, item in enumerate(raw):
+            if item.__class__ is not dict:
+                raise error("SCHEMA_ERROR", "entry must be a map", path=f"{at}[{i}]")
+        return tuple(read_entry(self.cls, item, f"{at}[{i}]", error)
+                     for i, item in enumerate(raw))
+
+    def dump(self, values, path, key, error):
+        return [entry_docs(value, _at(path and f"{path}[{i}]", key), error)
+                for i, value in enumerate(super().dump(values, path, key, error))]
+
+
+def cannot_save(value: object, path: str | None,
+                error: type[EssenceError]) -> EssenceError:
+    return error("UNSUPPORTED_VALUE",
+                 f"type {type(value).__name__} cannot be saved", path=path)
+
+
+def read_entry(cls: type, item: dict, path: str, error: type[EssenceError]):
+    """The ``cls`` entry that the map ``item`` at ``path`` holds."""
+    values = []
+    for attr, key, kind, _ in cls._FIELDS:
+        raw = item.get(key, _MISSING)
+        if raw.__class__ is kind.plain:
+            values.append(raw)
+        elif raw.__class__ is kind.raw:
+            values.append(kind.load(raw, path, key, error))
+        elif raw is _MISSING and hasattr(cls, attr):  # a dataclass default
+            values.append(getattr(cls, attr))
+        else:
+            get(item, key, kind.raw, path, error)  # raises the shape error
+    return cls(*values)
+
+
+def entry_docs(values: tuple, path: str | None,
+               error: type[EssenceError]) -> list[dict]:
+    """The maps that a file holds for ``values``, the entries of one class
+    of the list at ``path``; with no ``path``, one entry at the root.
+    Each field is written for all entries at once."""
+    docs = [{} for _ in values]
+    for attr, key, kind, _ in values[0]._FIELDS if values else ():
+        column = kind.dump(list(map(attrgetter(attr), values)), path, key, error)
+        for doc, raw in zip(docs, column):
+            doc[key] = raw
+        if kind.omit:
+            for doc in docs:
+                if not doc[key]:
+                    del doc[key]
+    return docs
+
+
+def check_fields(entry: object, cls: type, error: type[EssenceError]) -> None:
+    """Refuse an ``entry`` that is no ``cls``, and each field as its kind does."""
+    if entry.__class__ is not cls:
+        raise unsupported(error, "entry", noun(cls), entry)
+    for attr, _, kind, what in cls._FIELDS:
+        value = getattr(entry, attr)
+        if value.__class__ is not kind.plain:
+            kind.check(value, what, error)
 
 
 # The deepest breakdown tree a document holds, a root being level 1.
@@ -244,9 +396,7 @@ def emit(value: object, error: type[EssenceError]) -> str:
                     raise too_deep(error, _path_of(_frames(stack, kind, key)))
                 write(newline[depth] + "]")
             else:
-                raise error("UNSUPPORTED_VALUE",
-                            f"type {type(item).__name__} cannot be saved",
-                            path=_path_of(_frames(stack, kind, key)))
+                raise cannot_save(item, _path_of(_frames(stack, kind, key)), error)
         else:
             write(close)
             open_ids.discard(ident)

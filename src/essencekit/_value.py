@@ -12,6 +12,7 @@ over, built or not. Pickles and copies carry the fields only
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import fields
 from enum import Enum
 from functools import cached_property
@@ -66,3 +67,27 @@ def unsupported(error: type, what: str, kind: str, value: Any) -> Exception:
     project file holds it, and ``value`` is not."""
     return error("UNSUPPORTED_VALUE",
                  f"{what} must be {kind}, not {type(value).__name__}")
+
+
+def noun(kind: type) -> str:
+    """How a refusal names a value of class ``kind``."""
+    if kind is str:
+        return "text"
+    name = kind.__name__
+    return f"{'an' if name[0] in 'aeiouAEIOU' else 'a'} {name}"
+
+
+def tuple_fields(value: Any, error: type, *rows: tuple[str, type, str]) -> None:
+    """Make each ``(field, item class, item name)`` field of the frozen
+    dataclass ``value`` a tuple of such items: ``error``
+    UNSUPPORTED_VALUE when it cannot be iterated or holds another."""
+    for name, item, what in rows:
+        items = getattr(value, name)
+        if not isinstance(items, Iterable):
+            plural = "texts" if item is str else f"{item.__name__}s"
+            raise unsupported(error, name, f"a sequence of {plural}", items)
+        items = tuple(items)
+        for x in items:
+            if not isinstance(x, item):
+                raise unsupported(error, what, noun(item), x)
+        object.__setattr__(value, name, items)

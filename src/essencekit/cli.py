@@ -36,7 +36,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from ._schema import emit
+from ._schema import emit, entry_docs
 from .builtin_kernel import builtin_se_kernel, has_placeholder_states
 from .description import endeavor_viewpoint_lint, viable_architecture
 from .designation import (
@@ -55,14 +55,14 @@ from .engine import (
     record_checkpoint,
     render_card,
 )
-from .errors import EssenceError, KernelError
+from .errors import EssenceError, KernelError, ProjectError
 from .metamodel import (
     find_alpha,
     kernel_to_doc,
     loads_kernel,
     validate_kernel,
 )
-from .store import load_project, record_doc, save_project
+from .store import load_project, save_project
 
 # What a handler returns, printing nothing: exit status, structured
 # document, plain lines. main writes the one --format asks for.
@@ -248,7 +248,7 @@ def _cmd_assess_record(args: argparse.Namespace) -> Output:
     # Validation failure raises before anything is written back.
     assessment = record_checkpoint(project.assessment, rec)
     _write_bytes(args.project, save_project(replace(project, assessment=assessment)))
-    return 0, {"recorded": record_doc(rec)}, [
+    return 0, {"recorded": entry_docs((rec,), None, ProjectError)[0]}, [
         f"recorded {rec.alpha_instance} {rec.state} {rec.checkpoint} "
         f"satisfied={args.satisfied}"]
 

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from ._value import derive, fields_state, find, index, member, unsupported
-from .designation import ASPECT_ORDER, Aspect, AspectChain
+from ._schema import BOOL, TEXT, Kind, Member, Texts, check_fields, enum_of, nested
+from ._value import derive, fields_state, find, index, member, tuple_fields, unsupported
+from .designation import ASPECT_ORDER, Aspect, AspectChain, parse_designation
 from .errors import ModelError
 
 
@@ -57,12 +58,48 @@ REQUIRED_DESCRIPTION_KINDS = (
 )
 
 
+class _Designators(Kind):
+    """A tuple of AspectChains, which a file holds as the map of each
+    chain's aspect to its text."""
+
+    def load(self, raw, path, key, error):
+        at = f"{path}.{key}"
+        chains = []
+        for name, text in raw.items():
+            chain_path = f"{at}.{name}"
+            aspect = enum_of(name, Aspect, at, error)
+            if not isinstance(text, str):
+                raise error("SCHEMA_ERROR", "designator must be text",
+                            path=chain_path)
+            parsed = nested(error, chain_path, parse_designation, text)
+            if len(parsed.chains) != 1 or parsed.chains[0].aspect is not aspect:
+                raise error("SCHEMA_ERROR", "designator must be a single "
+                            f"{aspect.value} chain", path=chain_path)
+            chains.append(parsed.chains[0])
+        return tuple(chains)
+
+    def dump(self, values, path, key, error):
+        return [{chain.aspect.value: str(chain) for chain in chains}
+                for chains in super().dump(values, path, key, error)]
+
+
+_NAME = Kind(str, empty="EMPTY_NAME")
+
+
 @dataclass(frozen=True)
 class Viewpoint:
     name: str
     structure_type: StructureType = StructureType.OTHER
     concerns: tuple[str, ...] = ()
     description_kind: DescriptionKind = DescriptionKind.OTHER
+
+    _FIELDS = (("name", "name", _NAME, "viewpoint name"),
+               ("structure_type", "structure-type", Member(StructureType, str),
+                "structure type"),
+               ("concerns", "concerns", Texts("concern", "concerns must be text"),
+                "concerns"),
+               ("description_kind", "description-kind",
+                Member(DescriptionKind, str), "description kind"))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "structure_type", member(
@@ -78,6 +115,12 @@ class View:
     viewpoint: str
     elements: tuple[str, ...] = ()
 
+    _FIELDS = (("name", "name", _NAME, "view name"),
+               ("viewpoint", "viewpoint", TEXT, "viewpoint name"),
+               ("elements", "elements",
+                Texts("element id", "view elements must be element ids"),
+                "view elements"))
+
 
 @dataclass(frozen=True)
 class ViewElement:
@@ -87,6 +130,10 @@ class ViewElement:
     # False: definition-only entity (pure information has no extent).
     has_extent: bool = False
 
+    _FIELDS = (("id", "id", _NAME, "element id"),
+               ("label", "label", TEXT, "element label"),
+               ("has_extent", "has-extent", BOOL, "has_extent"))
+
 
 @dataclass(frozen=True)
 class RealizationNode:
@@ -95,18 +142,14 @@ class RealizationNode:
     id: str
     designators: tuple[AspectChain, ...] = ()
 
+    _FIELDS = (("id", "id", _NAME, "node id"),
+               ("designators", "designators", _Designators(tuple, dict),
+                "designators"))
+
     def __post_init__(self) -> None:
-        if not isinstance(self.designators, Iterable):
-            raise unsupported(ModelError, "designators",
-                              "a sequence of AspectChains", self.designators)
-        chains = tuple(self.designators)
-        for chain in chains:
-            if not isinstance(chain, AspectChain):
-                raise unsupported(ModelError, "designator", "an AspectChain",
-                                  chain)
-        chains = tuple(
-            sorted(chains, key=lambda c: ASPECT_ORDER.index(c.aspect))
-        )
+        tuple_fields(self, ModelError, ("designators", AspectChain, "designator"))
+        chains = tuple(sorted(self.designators,
+                              key=lambda c: ASPECT_ORDER.index(c.aspect)))
         object.__setattr__(self, "designators", chains)
         seen: set[Aspect] = set()
         for chain in chains:
@@ -136,8 +179,11 @@ class DescriptionModel:
     bindings: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("viewpoints", "views", "elements", "realization_nodes"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        tuple_fields(self, ModelError,
+                     ("viewpoints", Viewpoint, "viewpoint"),
+                     ("views", View, "view"),
+                     ("elements", ViewElement, "element"),
+                     ("realization_nodes", RealizationNode, "realization node"))
 
     def viewpoint(self, name: str) -> Viewpoint | None:
         return find(self._viewpoints_by_name, name)
@@ -270,38 +316,21 @@ def add_realization_node(
 
 
 def _check_viewpoint(model, vp: Viewpoint) -> None:
-    if not isinstance(vp.name, str):
-        raise unsupported(ModelError, "viewpoint name", "text", vp.name)
-    if not vp.name:
-        raise ModelError("EMPTY_NAME", "viewpoint name is empty")
-    if vp.concerns.__class__ is not tuple:
-        raise unsupported(ModelError, "concerns", "a tuple", vp.concerns)
-    for concern in vp.concerns:
-        if not isinstance(concern, str):
-            raise unsupported(ModelError, "concern", "text", concern)
+    check_fields(vp, Viewpoint, ModelError)
     if vp.name in model._viewpoints_by_name:
         raise ModelError("DUPLICATE_NAME", f"viewpoint {vp.name!r} already defined")
 
 
 def _check_view(model, view: View) -> None:
-    if not isinstance(view.name, str):
-        raise unsupported(ModelError, "view name", "text", view.name)
-    if not view.name:
-        raise ModelError("EMPTY_NAME", "view name is empty")
+    check_fields(view, View, ModelError)
     if view.name in model._views_by_name:
         raise ModelError("DUPLICATE_NAME", f"view {view.name!r} already defined")
-    if not isinstance(view.viewpoint, str):
-        raise unsupported(ModelError, "viewpoint name", "text", view.viewpoint)
     if view.viewpoint not in model._viewpoints_by_name:
         raise ModelError(
             "UNKNOWN_REFERENCE", f"view {view.name!r} cites viewpoint "
             f"{view.viewpoint!r} which is not defined"
         )
-    if view.elements.__class__ is not tuple:
-        raise unsupported(ModelError, "view elements", "a tuple", view.elements)
     for elem_id in view.elements:
-        if not isinstance(elem_id, str):
-            raise unsupported(ModelError, "element id", "text", elem_id)
         if elem_id not in model._elements_by_id:
             raise ModelError(
                 "UNKNOWN_REFERENCE",
@@ -310,23 +339,13 @@ def _check_view(model, view: View) -> None:
 
 
 def _check_element(model, elem: ViewElement) -> None:
-    if not isinstance(elem.id, str):
-        raise unsupported(ModelError, "element id", "text", elem.id)
-    if not elem.id:
-        raise ModelError("EMPTY_NAME", "element id is empty")
-    if not isinstance(elem.label, str):
-        raise unsupported(ModelError, "element label", "text", elem.label)
-    if not isinstance(elem.has_extent, bool):
-        raise unsupported(ModelError, "has_extent", "a bool", elem.has_extent)
+    check_fields(elem, ViewElement, ModelError)
     if elem.id in model._elements_by_id:
         raise ModelError("DUPLICATE_NAME", f"element id {elem.id!r} already used")
 
 
 def _check_node(model, node: RealizationNode) -> None:
-    if not isinstance(node.id, str):
-        raise unsupported(ModelError, "node id", "text", node.id)
-    if not node.id:
-        raise ModelError("EMPTY_NAME", "node id is empty")
+    check_fields(node, RealizationNode, ModelError)
     if node.id in model._nodes_by_id:
         raise ModelError("DUPLICATE_NAME", f"node id {node.id!r} already used")
 
@@ -437,8 +456,7 @@ def endeavor_viewpoint_lint(model: DescriptionModel) -> tuple[str, ...]:
 def bind_designator(
     model: DescriptionModel, node_id: str, chain: AspectChain
 ) -> DescriptionModel:
-    if not isinstance(chain, AspectChain):
-        raise unsupported(ModelError, "designator", "an AspectChain", chain)
+    Kind(AspectChain).check(chain, "designator", ModelError)
     node = model.realization_node(node_id)
     if node is None:
         raise ModelError("UNKNOWN_REFERENCE", f"no realization node {node_id!r}")

@@ -19,8 +19,11 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from ._value import derive, fields_state, find, index, member, unsupported
-from .designation import DocumentDesignation
+from ._schema import BOOL, INT, TEXT, Kind, Member, Texts, check_fields, nested
+from ._value import derive, fields_state, find, index, member, tuple_fields, unsupported
+from .designation import (
+    BUILTIN_DCC_TABLE, DocumentDesignation, format_document_designation,
+    parse_document_designation)
 from .errors import AssessmentError
 from .metamodel import AlphaDefinition, Checkpoint, KernelDefinition, find_alpha
 
@@ -32,11 +35,43 @@ class SystemLevel(str, Enum):
     USING_SYSTEM = "UsingSystem"
 
 
+class _Designation(Kind):
+    """A DocumentDesignation or None, which a file holds as its text or
+    leaves out; only designations of the builtin DCC table load back."""
+
+    omit = True
+
+    def fits(self, value: object) -> bool:
+        return value is None or isinstance(value, DocumentDesignation)
+
+    def load(self, raw, path, key, error):
+        return nested(error, f"{path}.{key}", parse_document_designation, raw)
+
+    def dump(self, values, path, key, error):
+        texts = [value and format_document_designation(value)
+                 for value in super().dump(values, path, key, error)]
+        for i, value in enumerate(values):
+            if value and (value.table_ref != BUILTIN_DCC_TABLE.name
+                          or BUILTIN_DCC_TABLE.area_label(value.area) is None):
+                raise error("CUSTOM_DCC_TABLE", f"{texts[i]!r} is not a document "
+                            "designation of the builtin DCC table",
+                            path=f"{path}[{i}].{key}")
+        return texts
+
+
+_ID = Kind(str, empty="EMPTY_ID")
+
+
 @dataclass(frozen=True)
 class AlphaInstance:
     id: str
     alpha: str
     system_level: SystemLevel = SystemLevel.SYSTEM_OF_INTEREST
+
+    _FIELDS = (("id", "id", _ID, "instance id"),
+               ("alpha", "alpha", TEXT, "alpha name"),
+               ("system_level", "system-level", Member(SystemLevel, str),
+                "system level"))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "system_level", member(
@@ -50,6 +85,12 @@ class WorkProductInstance:
     label: str = ""
     document_designation: DocumentDesignation | None = None
 
+    _FIELDS = (("id", "id", _ID, "work product id"),
+               ("definition", "definition", TEXT, "work product definition"),
+               ("label", "label", TEXT, "work product label"),
+               ("document_designation", "document-designation",
+                _Designation(DocumentDesignation, str), "document designation"))
+
 
 @dataclass(frozen=True)
 class CheckpointRecord:
@@ -59,6 +100,14 @@ class CheckpointRecord:
     satisfied: bool
     evidence: tuple[str, ...] = ()
     recorded_at: int = 0  # informational only; never affects computation
+
+    _FIELDS = (("alpha_instance", "alpha-instance", TEXT, "alpha instance"),
+               ("state", "state", TEXT, "state"),
+               ("checkpoint", "checkpoint", TEXT, "checkpoint"),
+               ("satisfied", "satisfied", BOOL, "satisfied"),
+               ("evidence", "evidence",
+                Texts("evidence id", "evidence ids must be text"), "evidence"),
+               ("recorded_at", "recorded-at", INT, "recorded_at"))
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -75,8 +124,10 @@ class Assessment:
     strict_evidence: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("instances", "work_products", "records"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        tuple_fields(self, AssessmentError,
+                     ("instances", AlphaInstance, "instance"),
+                     ("work_products", WorkProductInstance, "work product"),
+                     ("records", CheckpointRecord, "record"))
 
     def instance(self, instance_id: str) -> AlphaInstance | None:
         return find(self._instances_by_id, instance_id)
@@ -187,12 +238,7 @@ def record_checkpoint(a: Assessment, rec: CheckpointRecord) -> Assessment:
 
 
 def _check_instance(a, inst: AlphaInstance) -> None:
-    if not isinstance(inst.id, str):
-        raise unsupported(AssessmentError, "instance id", "text", inst.id)
-    if not inst.id:
-        raise AssessmentError("EMPTY_ID", "instance id is empty")
-    if not isinstance(inst.alpha, str):
-        raise unsupported(AssessmentError, "alpha name", "text", inst.alpha)
+    check_fields(inst, AlphaInstance, AssessmentError)
     if find_alpha(a.kernel, inst.alpha) is None:
         raise AssessmentError(
             "UNKNOWN_ALPHA", f"kernel defines no alpha {inst.alpha!r}"
@@ -204,20 +250,7 @@ def _check_instance(a, inst: AlphaInstance) -> None:
 
 
 def _check_work_product(a, wp: WorkProductInstance) -> None:
-    if not isinstance(wp.id, str):
-        raise unsupported(AssessmentError, "work product id", "text", wp.id)
-    if not wp.id:
-        raise AssessmentError("EMPTY_ID", "work product id is empty")
-    if not isinstance(wp.definition, str):
-        raise unsupported(AssessmentError, "work product definition", "text",
-                          wp.definition)
-    if not isinstance(wp.label, str):
-        raise unsupported(AssessmentError, "work product label", "text",
-                          wp.label)
-    if not isinstance(wp.document_designation,
-                      (DocumentDesignation, type(None))):
-        raise unsupported(AssessmentError, "document designation",
-                          "a DocumentDesignation", wp.document_designation)
+    check_fields(wp, WorkProductInstance, AssessmentError)
     if a.kernel.workproduct(wp.definition) is None:
         raise AssessmentError(
             "UNKNOWN_DEFINITION",
@@ -230,17 +263,7 @@ def _check_work_product(a, wp: WorkProductInstance) -> None:
 
 
 def _check_record(a, rec: CheckpointRecord) -> None:
-    if not isinstance(rec.satisfied, bool):
-        raise unsupported(AssessmentError, "satisfied", "a bool", rec.satisfied)
-    if (isinstance(rec.recorded_at, bool)
-            or not isinstance(rec.recorded_at, int)):
-        raise unsupported(AssessmentError, "recorded_at", "an int",
-                          rec.recorded_at)
-    if not isinstance(rec.alpha_instance, str):
-        raise unsupported(AssessmentError, "alpha instance", "text",
-                          rec.alpha_instance)
-    if rec.evidence.__class__ is not tuple:
-        raise unsupported(AssessmentError, "evidence", "a tuple", rec.evidence)
+    check_fields(rec, CheckpointRecord, AssessmentError)
     alpha = _alpha_of(a, rec.alpha_instance)
     state = alpha.state(rec.state)
     if state is None:
@@ -254,8 +277,6 @@ def _check_record(a, rec: CheckpointRecord) -> None:
             f"state {state.name!r} has no checkpoint {rec.checkpoint!r}",
         )
     for wp_id in rec.evidence:
-        if not isinstance(wp_id, str):
-            raise unsupported(AssessmentError, "evidence id", "text", wp_id)
         if wp_id not in a._work_products_by_id:
             raise AssessmentError(
                 "UNKNOWN_EVIDENCE", f"evidence {wp_id!r} is not a work product id"
@@ -304,6 +325,8 @@ def render_card(a: Assessment, instance_id: str) -> str:
 
 
 def _alpha_of(a, instance_id: str) -> AlphaDefinition:
+    if not isinstance(a, (Assessment, AssessmentBuilder)):
+        raise unsupported(AssessmentError, "assessment", "an Assessment", a)
     inst = find(a._instances_by_id, instance_id)
     if inst is None:
         raise AssessmentError(

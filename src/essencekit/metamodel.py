@@ -12,8 +12,8 @@ value is safe to share between threads. ``validate_kernel`` reports
 invariant violations as data rather than raising, so a definition under
 construction can be inspected without try/except scaffolding.
 
-Kernel definitions interchange as JSON documents; see ``kernel_from_doc``
-for the schema.
+Kernel definitions interchange as JSON documents, whose schema the
+``_FIELDS`` tables of the value classes state.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ._schema import decode, encode, entries, get, texts
-from ._value import fields_state, find, index
+from ._schema import TEXT, Entries, Texts, decode, encode, entry_docs, read_entry
+from ._value import fields_state, find, index, tuple_fields
 from .errors import KernelError
 
 #: The fixed vocabulary of areas of concern.
@@ -47,14 +47,24 @@ class Checkpoint:
     id: str
     text: str
 
+    _FIELDS = (("id", "id", TEXT, "checkpoint id"),
+               ("text", "text", TEXT, "checkpoint text"))
+
 
 @dataclass(frozen=True)
 class StateDefinition:
     """A named state with its checklist; order of states is significant."""
 
     name: str
-    summary: str
-    checkpoints: tuple[Checkpoint, ...]
+    summary: str = ""
+    checkpoints: tuple[Checkpoint, ...] = ()
+
+    _FIELDS = (("name", "name", TEXT, "state name"),
+               ("summary", "summary", TEXT, "state summary"),
+               ("checkpoints", "checkpoints", Entries(Checkpoint), "checkpoints"))
+
+    def __post_init__(self) -> None:
+        tuple_fields(self, KernelError, ("checkpoints", Checkpoint, "checkpoint"))
 
     def checkpoint(self, checkpoint_id: str) -> Checkpoint | None:
         for cp in self.checkpoints:
@@ -72,6 +82,18 @@ class AlphaDefinition:
     description: str = ""
     states: tuple[StateDefinition, ...] = ()
     subalphas: tuple[str, ...] = ()
+
+    _FIELDS = (("name", "name", TEXT, "alpha name"),
+               ("area", "area", TEXT, "area"),
+               ("description", "description", TEXT, "description"),
+               ("states", "states", Entries(StateDefinition), "states"),
+               ("subalphas", "subalphas", Texts(
+                   "sub-alpha reference", "sub-alpha reference must be text",
+                   omit=True), "subalphas"))
+
+    def __post_init__(self) -> None:
+        tuple_fields(self, KernelError, ("states", StateDefinition, "state"),
+                     ("subalphas", str, "sub-alpha reference"))
 
     @property
     def state_names(self) -> tuple[str, ...]:
@@ -92,6 +114,21 @@ class WorkProductDefinition:
     evidences: str
     kind: str = "document"
 
+    _FIELDS = (("name", "name", TEXT, "work product name"),
+               ("evidences", "evidences", TEXT, "evidenced alpha"),
+               ("kind", "kind", TEXT, "work product kind"))
+
+
+class _Areas(Texts):
+    """Areas of concern, which a file holds as the list of their names."""
+
+    def load(self, raw, path, key, error):
+        return tuple(map(AreaOfConcern, super().load(raw, path, key, error)))
+
+    def dump(self, values, path, key, error):
+        return super().dump([tuple(area.name for area in areas) for areas in values],
+                            path, key, error)
+
 
 @dataclass(frozen=True)
 class KernelDefinition:
@@ -101,6 +138,17 @@ class KernelDefinition:
     areas: tuple[AreaOfConcern, ...]
     alphas: tuple[AlphaDefinition, ...]
     workproducts: tuple[WorkProductDefinition, ...] = ()
+
+    _FIELDS = (("name", "name", TEXT, "kernel name"),
+               ("areas", "areas", _Areas("area", "area must be text"), "areas"),
+               ("alphas", "alphas", Entries(AlphaDefinition), "alphas"),
+               ("workproducts", "workproducts",
+                Entries(WorkProductDefinition, omit=True), "work products"))
+
+    def __post_init__(self) -> None:
+        tuple_fields(self, KernelError, ("areas", AreaOfConcern, "area"),
+                     ("alphas", AlphaDefinition, "alpha"),
+                     ("workproducts", WorkProductDefinition, "work product"))
 
     # Name indices; the first alpha or work product with a name is the
     # one found. validate_kernel reports the others.
@@ -310,20 +358,9 @@ def subalpha_closure(kernel: KernelDefinition, name: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Kernel document interchange (JSON)
+# Kernel document interchange (JSON): the map of a KernelDefinition, each
+# value's keys as its _FIELDS table names them.
 # ---------------------------------------------------------------------------
-#
-# {
-#   "name": "...",
-#   "areas": ["Customer", "Solution", "Endeavor"],
-#   "alphas": [
-#     {"name": "...", "area": "...", "description": "...",
-#      "states": [{"name": "...", "summary": "...",
-#                  "checkpoints": [{"id": "...", "text": "..."}]}],
-#      "subalphas": ["..."]}
-#   ],
-#   "workproducts": [{"name": "...", "evidences": "...", "kind": "..."}]
-# }
 
 
 def kernel_from_doc(doc: Any) -> KernelDefinition:
@@ -336,79 +373,12 @@ def kernel_from_doc(doc: Any) -> KernelDefinition:
     """
     if not isinstance(doc, dict):
         raise KernelError("SCHEMA_ERROR", "kernel document must be a map")
-    name = get(doc, "name", str, None, KernelError)
-    areas = texts(doc, "areas", None, KernelError, "area must be text")
-    alphas = []
-    for i, adoc in enumerate(entries(doc, "alphas", dict, None, KernelError)):
-        apath = f"alphas[{i}]"
-        states = []
-        for j, sdoc in enumerate(
-                entries(adoc, "states", dict, apath, KernelError, ())):
-            spath = f"{apath}.states[{j}]"
-            checkpoints = []
-            for k, cdoc in enumerate(
-                    entries(sdoc, "checkpoints", dict, spath, KernelError, ())):
-                cpath = f"{spath}.checkpoints[{k}]"
-                checkpoints.append(Checkpoint(
-                    id=get(cdoc, "id", str, cpath, KernelError),
-                    text=get(cdoc, "text", str, cpath, KernelError)))
-            states.append(StateDefinition(
-                name=get(sdoc, "name", str, spath, KernelError),
-                summary=get(sdoc, "summary", str, spath, KernelError, ""),
-                checkpoints=tuple(checkpoints)))
-        subalphas = texts(adoc, "subalphas", apath, KernelError,
-                          "sub-alpha reference must be text", ())
-        alphas.append(AlphaDefinition(
-            name=get(adoc, "name", str, apath, KernelError),
-            area=get(adoc, "area", str, apath, KernelError),
-            description=get(adoc, "description", str, apath, KernelError, ""),
-            states=tuple(states),
-            subalphas=tuple(subalphas)))
-    workproducts = []
-    for i, wdoc in enumerate(
-            entries(doc, "workproducts", dict, None, KernelError, ())):
-        wpath = f"workproducts[{i}]"
-        workproducts.append(WorkProductDefinition(
-            name=get(wdoc, "name", str, wpath, KernelError),
-            evidences=get(wdoc, "evidences", str, wpath, KernelError),
-            kind=get(wdoc, "kind", str, wpath, KernelError, "document")))
-    return KernelDefinition(
-        name=name,
-        areas=tuple(AreaOfConcern(a) for a in areas),
-        alphas=tuple(alphas),
-        workproducts=tuple(workproducts))
+    return read_entry(KernelDefinition, doc, None, KernelError)
 
 
 def kernel_to_doc(kernel: KernelDefinition) -> dict[str, Any]:
     """Serialize a kernel to its document tree, keys in schema order."""
-    doc: dict[str, Any] = {
-        "name": kernel.name,
-        "areas": [a.name for a in kernel.areas],
-        "alphas": [],
-    }
-    for alpha in kernel.alphas:
-        adoc: dict[str, Any] = {
-            "name": alpha.name,
-            "area": alpha.area,
-            "description": alpha.description,
-            "states": [
-                {
-                    "name": s.name,
-                    "summary": s.summary,
-                    "checkpoints": [{"id": c.id, "text": c.text} for c in s.checkpoints],
-                }
-                for s in alpha.states
-            ],
-        }
-        if alpha.subalphas:
-            adoc["subalphas"] = list(alpha.subalphas)
-        doc["alphas"].append(adoc)
-    if kernel.workproducts:
-        doc["workproducts"] = [
-            {"name": w.name, "evidences": w.evidences, "kind": w.kind}
-            for w in kernel.workproducts
-        ]
-    return doc
+    return entry_docs((kernel,), None, KernelError)[0]
 
 
 def loads_kernel(text: str | bytes) -> KernelDefinition:

@@ -17,50 +17,39 @@ size of the document.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
-from enum import Enum
 
 from ._schema import (
+    BOOL,
     MAX_TREE_DEPTH,  # re-exported as essencekit.store.MAX_TREE_DEPTH
+    Kind,
     check_keys,
     decode,
     encode,
     entries,
+    entry_docs,
     enum_of,
     get,
     nested,
     nonempty,
-    texts,
+    read_entry,
 )
-from ._value import unsupported
+from ._value import tuple_fields
 from .builtin_kernel import builtin_se_kernel
 from .description import (
-    DescriptionKind,
     DescriptionModel,
     ModelBuilder,
     RealizationNode,
-    StructureType,
     View,
     ViewElement,
     Viewpoint,
 )
-from .designation import (
-    ASPECT_ORDER,
-    BUILTIN_DCC_TABLE,
-    Aspect,
-    BreakdownTree,
-    DocumentDesignation,
-    format_document_designation,
-    parse_designation,
-    parse_document_designation,
-)
+from .designation import ASPECT_ORDER, Aspect, BreakdownTree
 from .engine import (
     AlphaInstance,
     Assessment,
     AssessmentBuilder,
     CheckpointRecord,
-    SystemLevel,
     WorkProductInstance,
 )
 from .errors import KernelError, ProjectError
@@ -85,27 +74,12 @@ class Project:
     builtin_kernel: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.project_id, str):
-            raise unsupported(ProjectError, "project id", "text", self.project_id)
-        if not self.project_id:
-            raise ProjectError("EMPTY_ID", "project id is empty")
-        if not isinstance(self.assessment, Assessment):
-            raise unsupported(ProjectError, "assessment", "an Assessment",
-                              self.assessment)
-        if not isinstance(self.assessment.strict_evidence, bool):
-            raise unsupported(ProjectError, "strict_evidence", "a bool",
-                              self.assessment.strict_evidence)
-        if not isinstance(self.description, DescriptionModel):
-            raise unsupported(ProjectError, "description",
-                              "a DescriptionModel", self.description)
-        if not isinstance(self.trees, Iterable):
-            raise unsupported(ProjectError, "trees",
-                              "a sequence of BreakdownTrees", self.trees)
-        trees = tuple(self.trees)
-        for tree in trees:
-            if not isinstance(tree, BreakdownTree):
-                raise unsupported(ProjectError, "tree", "a BreakdownTree", tree)
-        trees = tuple(sorted(trees, key=lambda t: ASPECT_ORDER.index(t.aspect)))
+        Kind(str, empty="EMPTY_ID").check(self.project_id, "project id", ProjectError)
+        Kind(Assessment).check(self.assessment, "assessment", ProjectError)
+        BOOL.check(self.assessment.strict_evidence, "strict_evidence", ProjectError)
+        Kind(DescriptionModel).check(self.description, "description", ProjectError)
+        tuple_fields(self, ProjectError, ("trees", BreakdownTree, "tree"))
+        trees = tuple(sorted(self.trees, key=lambda t: ASPECT_ORDER.index(t.aspect)))
         object.__setattr__(self, "trees", trees)
         for earlier, tree in zip(trees, trees[1:]):
             if tree.aspect is earlier.aspect:
@@ -182,15 +156,34 @@ def load_project(data: bytes | str) -> Project:
 
 
 def save_project(p: Project) -> bytes:
+    a, model = p.assessment, p.description
     doc = {
         "format-version": FORMAT_VERSION,
         "project-id": p.project_id,
         "kernel": (
             BUILTIN_KERNEL_MARKER if p.builtin_kernel else kernel_to_doc(p.kernel)
         ),
-        "assessment": _assessment_doc(p.assessment),
+        "assessment": {
+            "strict-evidence": a.strict_evidence,
+            "instances": entry_docs(a.instances, "assessment.instances",
+                                    ProjectError),
+            "work-products": entry_docs(a.work_products,
+                                        "assessment.work-products", ProjectError),
+            "records": entry_docs(a.records, "assessment.records", ProjectError),
+        },
         "trees": {tree.aspect.value: tree for tree in p.trees},
-        "description": _description_doc(p.description),
+        "description": {
+            "viewpoints": entry_docs(model.viewpoints, "description.viewpoints",
+                                     ProjectError),
+            "views": entry_docs(model.views, "description.views", ProjectError),
+            "elements": entry_docs(model.elements, "description.elements",
+                                   ProjectError),
+            "realization-nodes": entry_docs(
+                model.realization_nodes, "description.realization-nodes",
+                ProjectError),
+            "coextension": sorted(sorted(cls) for cls in model.coextension),
+            "bindings": [list(pair) for pair in model.bindings],
+        },
     }
     return encode(doc, ProjectError)
 
@@ -199,20 +192,6 @@ def save_project(p: Project) -> bytes:
 
 _PROJECT_KEYS = frozenset({"format-version", "project-id", "kernel",
                            "assessment", "trees", "description"})
-_ASSESSMENT_KEYS = frozenset({"strict-evidence", "instances", "work-products",
-                              "records"})
-_INSTANCE_KEYS = frozenset({"id", "alpha", "system-level"})
-_WORK_PRODUCT_KEYS = frozenset({"id", "definition", "label",
-                                "document-designation"})
-_RECORD_KEYS = frozenset({"alpha-instance", "state", "checkpoint", "satisfied",
-                          "evidence", "recorded-at"})
-_DESCRIPTION_KEYS = frozenset({"viewpoints", "views", "elements",
-                               "realization-nodes", "coextension", "bindings"})
-_VIEWPOINT_KEYS = frozenset({"name", "structure-type", "concerns",
-                             "description-kind"})
-_ELEMENT_KEYS = frozenset({"id", "label", "has-extent"})
-_VIEW_KEYS = frozenset({"name", "viewpoint", "elements"})
-_REALIZATION_NODE_KEYS = frozenset({"id", "designators"})
 
 
 def _load_kernel(raw: object) -> tuple[KernelDefinition, bool]:
@@ -229,8 +208,7 @@ def _load_kernel(raw: object) -> tuple[KernelDefinition, bool]:
 
 
 def _valid_kernel(kernel: KernelDefinition) -> KernelDefinition:
-    if not isinstance(kernel, KernelDefinition):
-        raise unsupported(ProjectError, "kernel", "a KernelDefinition", kernel)
+    Kind(KernelDefinition).check(kernel, "kernel", ProjectError)
     report = validate_kernel(kernel)
     if not report.ok:
         finding = report.findings[0]
@@ -238,61 +216,31 @@ def _valid_kernel(kernel: KernelDefinition) -> KernelDefinition:
     return kernel
 
 
-def _maps(raw: dict, key: str, at: str, allowed: frozenset[str]):
-    """Each map of the entry list ``raw[key]`` with its path, keys checked."""
-    for i, item in enumerate(entries(raw, key, dict, at, ProjectError, ())):
-        path = f"{at}.{key}[{i}]"
-        check_keys(item, allowed, path, ProjectError)
-        yield item, path
-
-
-def _member(item: dict, key: str, path: str, default: Enum):
-    """The member of ``default``'s enum that ``item[key]`` names."""
-    value = get(item, key, str, path, ProjectError, default.value)
-    return enum_of(value, type(default), f"{path}.{key}", ProjectError)
+def _add_entries(raw: dict, at: str, others: set[str],
+                 *lists: tuple[str, type, object]) -> None:
+    """Read each entry of each ``(key, entry class, add)`` list of ``raw``,
+    the map at ``at`` whose other keys are ``others``, and ``add`` it."""
+    check_keys(raw, others.union(key for key, _, _ in lists), at, ProjectError)
+    for key, cls, add in lists:
+        keys = frozenset(key for _, key, _, _ in cls._FIELDS)
+        for i, item in enumerate(entries(raw, key, dict, at, ProjectError, ())):
+            path = f"{at}.{key}[{i}]"
+            check_keys(item, keys, path, ProjectError)
+            nested(ProjectError, path, add, read_entry(cls, item, path, ProjectError))
 
 
 def _load_assessment(
     raw: dict, *, project_id: str, kernel: KernelDefinition
 ) -> Assessment:
-    check_keys(raw, _ASSESSMENT_KEYS, "assessment", ProjectError)
     a = AssessmentBuilder(
         project_id,
         kernel,
         get(raw, "strict-evidence", bool, "assessment", ProjectError, False),
     )
-    for item, path in _maps(raw, "instances", "assessment", _INSTANCE_KEYS):
-        inst = AlphaInstance(
-            id=nonempty(item, "id", path, ProjectError),
-            alpha=get(item, "alpha", str, path, ProjectError),
-            system_level=_member(item, "system-level", path,
-                                 SystemLevel.SYSTEM_OF_INTEREST),
-        )
-        nested(ProjectError, path, a.add_instance, inst)
-    for item, path in _maps(raw, "work-products", "assessment",
-                            _WORK_PRODUCT_KEYS):
-        text = get(item, "document-designation", str, path, ProjectError, None)
-        designation = None if text is None else nested(
-            ProjectError, f"{path}.document-designation",
-            parse_document_designation, text)
-        wp = WorkProductInstance(
-            id=nonempty(item, "id", path, ProjectError),
-            definition=get(item, "definition", str, path, ProjectError),
-            label=get(item, "label", str, path, ProjectError, ""),
-            document_designation=designation,
-        )
-        nested(ProjectError, path, a.add_work_product, wp)
-    for item, path in _maps(raw, "records", "assessment", _RECORD_KEYS):
-        rec = CheckpointRecord(
-            alpha_instance=get(item, "alpha-instance", str, path, ProjectError),
-            state=get(item, "state", str, path, ProjectError),
-            checkpoint=get(item, "checkpoint", str, path, ProjectError),
-            satisfied=get(item, "satisfied", bool, path, ProjectError),
-            evidence=tuple(texts(item, "evidence", path, ProjectError,
-                                 "evidence ids must be text", ())),
-            recorded_at=get(item, "recorded-at", int, path, ProjectError, 0),
-        )
-        nested(ProjectError, path, a.record_checkpoint, rec)
+    _add_entries(raw, "assessment", {"strict-evidence"},
+                 ("instances", AlphaInstance, a.add_instance),
+                 ("work-products", WorkProductInstance, a.add_work_product),
+                 ("records", CheckpointRecord, a.record_checkpoint))
     return a.build()
 
 
@@ -310,56 +258,12 @@ def _load_trees(raw: dict) -> tuple[BreakdownTree, ...]:
 
 
 def _load_description(raw: dict) -> DescriptionModel:
-    check_keys(raw, _DESCRIPTION_KEYS, "description", ProjectError)
     model = ModelBuilder()
-    for item, path in _maps(raw, "viewpoints", "description", _VIEWPOINT_KEYS):
-        vp = Viewpoint(
-            name=nonempty(item, "name", path, ProjectError),
-            structure_type=_member(item, "structure-type", path,
-                                   StructureType.OTHER),
-            concerns=tuple(texts(item, "concerns", path, ProjectError,
-                                 "concerns must be text", ())),
-            description_kind=_member(item, "description-kind", path,
-                                     DescriptionKind.OTHER),
-        )
-        nested(ProjectError, path, model.add_viewpoint, vp)
-    for item, path in _maps(raw, "elements", "description", _ELEMENT_KEYS):
-        elem = ViewElement(
-            id=nonempty(item, "id", path, ProjectError),
-            label=get(item, "label", str, path, ProjectError, ""),
-            has_extent=get(item, "has-extent", bool, path, ProjectError, False),
-        )
-        nested(ProjectError, path, model.add_element, elem)
-    for item, path in _maps(raw, "views", "description", _VIEW_KEYS):
-        view = View(
-            name=nonempty(item, "name", path, ProjectError),
-            viewpoint=get(item, "viewpoint", str, path, ProjectError),
-            elements=tuple(texts(item, "elements", path, ProjectError,
-                                 "view elements must be element ids", ())),
-        )
-        nested(ProjectError, path, model.add_view, view)
-    for item, path in _maps(raw, "realization-nodes", "description",
-                            _REALIZATION_NODE_KEYS):
-        chains = []
-        designators = get(item, "designators", dict, path, ProjectError, {})
-        for key, text in designators.items():
-            chain_path = f"{path}.designators.{key}"
-            aspect = enum_of(key, Aspect, f"{path}.designators", ProjectError)
-            if not isinstance(text, str):
-                raise ProjectError(
-                    "SCHEMA_ERROR", "designator must be text", path=chain_path
-                )
-            parsed = nested(ProjectError, chain_path, parse_designation, text)
-            if len(parsed.chains) != 1 or parsed.chains[0].aspect is not aspect:
-                raise ProjectError(
-                    "SCHEMA_ERROR",
-                    f"designator must be a single {aspect.value} chain",
-                    path=chain_path,
-                )
-            chains.append(parsed.chains[0])
-        node = RealizationNode(id=nonempty(item, "id", path, ProjectError),
-                               designators=tuple(chains))
-        nested(ProjectError, path, model.add_realization_node, node)
+    _add_entries(raw, "description", {"coextension", "bindings"},
+                 ("viewpoints", Viewpoint, model.add_viewpoint),
+                 ("elements", ViewElement, model.add_element),
+                 ("views", View, model.add_view),
+                 ("realization-nodes", RealizationNode, model.add_realization_node))
     for i, members in enumerate(entries(raw, "coextension", list,
                                         "description", ProjectError, ())):
         path = f"description.coextension[{i}]"
@@ -381,96 +285,3 @@ def _load_description(raw: dict) -> DescriptionModel:
             )
         nested(ProjectError, path, model.bind_element, pair[0], pair[1])
     return model.build()
-
-
-# Saving
-
-
-def _assessment_doc(a: Assessment) -> dict:
-    instances = [
-        {
-            "id": inst.id,
-            "alpha": inst.alpha,
-            "system-level": inst.system_level.value,
-        }
-        for inst in a.instances
-    ]
-    work_products = []
-    for i, wp in enumerate(a.work_products):
-        item = {"id": wp.id, "definition": wp.definition, "label": wp.label}
-        designation = wp.document_designation
-        if designation is not None:
-            path = f"assessment.work-products[{i}].document-designation"
-            if not isinstance(designation, DocumentDesignation):
-                raise ProjectError(
-                    "UNSUPPORTED_VALUE",
-                    f"type {type(designation).__name__} cannot be saved",
-                    path=path,
-                )
-            text = format_document_designation(designation)
-            # Only the builtin table loads back, so refuse what would not.
-            if (designation.table_ref != BUILTIN_DCC_TABLE.name
-                    or BUILTIN_DCC_TABLE.area_label(designation.area) is None):
-                raise ProjectError(
-                    "CUSTOM_DCC_TABLE",
-                    f"{text!r} is not a document designation of the builtin "
-                    "DCC table",
-                    path=path,
-                )
-            item["document-designation"] = text
-        work_products.append(item)
-    return {
-        "strict-evidence": a.strict_evidence,
-        "instances": instances,
-        "work-products": work_products,
-        "records": [record_doc(rec) for rec in a.records],
-    }
-
-
-def record_doc(rec: CheckpointRecord) -> dict:
-    """The map of a checkpoint record, as a project file holds it."""
-    return {
-        "alpha-instance": rec.alpha_instance,
-        "state": rec.state,
-        "checkpoint": rec.checkpoint,
-        "satisfied": rec.satisfied,
-        "evidence": list(rec.evidence),
-        "recorded-at": rec.recorded_at,
-    }
-
-
-def _description_doc(model: DescriptionModel) -> dict:
-    return {
-        "viewpoints": [
-            {
-                "name": vp.name,
-                "structure-type": vp.structure_type.value,
-                "concerns": list(vp.concerns),
-                "description-kind": vp.description_kind.value,
-            }
-            for vp in model.viewpoints
-        ],
-        "views": [
-            {
-                "name": view.name,
-                "viewpoint": view.viewpoint,
-                "elements": list(view.elements),
-            }
-            for view in model.views
-        ],
-        "elements": [
-            {"id": elem.id, "label": elem.label, "has-extent": elem.has_extent}
-            for elem in model.elements
-        ],
-        "realization-nodes": [
-            {
-                "id": node.id,
-                "designators": {
-                    chain.aspect.value: str(chain) for chain in node.designators
-                },
-            }
-            for node in model.realization_nodes
-        ],
-        "coextension": sorted(sorted(cls) for cls in model.coextension),
-        "bindings": [list(pair) for pair in model.bindings],
-    }

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -721,6 +722,26 @@ def test_module_entry_point_runs_as_subprocess():
         capture_output=True, text=True, timeout=60)
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "=F1"
+
+
+def test_console_script_target_refuses_a_mixed_chain_without_traceback():
+    # What pip's generated ``essencekit`` wrapper runs; tomllib is not
+    # in Python 3.10, so the target is read from pyproject.toml directly.
+    root = Path(__file__).resolve().parent.parent
+    scripts = (root / "pyproject.toml").read_text(encoding="utf-8").split(
+        "[project.scripts]", 1)[1]
+    module, function = re.search(
+        r'^essencekit\s*=\s*"([\w.]+):(\w+)"', scripts, re.MULTILINE).groups()
+    wrapper = (f"import sys\nfrom {module} import {function}\n"
+               f"sys.argv[0] = 'essencekit'\nsys.exit({function}())\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", wrapper, "desig", "parse", "=F1-N4"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert result.returncode == 2
+    assert "MIXED_CHAIN" in result.stderr and "column 4" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 FORMATS = pytest.mark.parametrize("fmt", [[], ["--format", "structured"]],

@@ -88,9 +88,14 @@ def test_empty_names_are_refused_by_operation_and_builder(op, value):
     (add_viewpoint, Viewpoint(name="v", concerns=["c"])),
     (add_view, View(name="v", viewpoint="vp", elements=None)),
     (add_view, View(name="v", viewpoint="vp", elements=[])),
+    (add_element, "e"),
+    (add_viewpoint, None),
+    (add_view, Viewpoint(name="v")),
+    (add_realization_node, 5),
 ], ids=["label-int", "has-extent-int", "element-id-list", "concern-int",
         "node-id-int", "viewpoint-list", "view-element-list", "concerns-none",
-        "concerns-list", "view-elements-none", "view-elements-list"])
+        "concerns-list", "view-elements-none", "view-elements-list",
+        "element-text", "viewpoint-none", "view-viewpoint", "node-int"])
 def test_values_a_file_cannot_hold_are_refused_by_operation_and_builder(
         op, value):
     model = add_viewpoint(DescriptionModel(), Viewpoint(name="vp"))
@@ -118,7 +123,12 @@ def test_realization_node_keeps_designators_given_as_an_iterator():
     lambda m: RealizationNode(id="n", designators=None),
     lambda m: bind_designator(m, "n1", "-A"),
     lambda m: viable_architecture(m, 5),
-], ids=["designators-none", "designator-text", "views-int"])
+    lambda m: DescriptionModel(views=5),
+    lambda m: DescriptionModel(viewpoints=None),
+    lambda m: DescriptionModel(elements=("e",)),
+    lambda m: DescriptionModel(realization_nodes=(ViewElement("n"),)),
+], ids=["designators-none", "designator-text", "views-int", "model-views-int",
+        "model-viewpoints-none", "model-element-text", "model-node-element"])
 def test_arguments_of_other_types_are_refused(make):
     model = add_realization_node(DescriptionModel(), RealizationNode(id="n1"))
     with pytest.raises(ModelError) as err:

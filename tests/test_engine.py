@@ -81,9 +81,13 @@ def test_empty_ids_are_refused_by_operation_and_builder(op, value):
     (record_checkpoint, rec("Raw materials", "RM-1", evidence=None)),
     (record_checkpoint, rec("Raw materials", "RM-1", evidence=["wp"])),
     (record_checkpoint, rec("Raw materials", "RM-1", evidence="wp")),
+    (add_instance, 5),
+    (add_work_product, None),
+    (record_checkpoint, "x"),
 ], ids=["satisfied-int", "satisfied-none", "recorded-at-text",
         "recorded-at-bool", "recorded-at-float", "designation-text",
-        "evidence-none", "evidence-list", "evidence-text"])
+        "evidence-none", "evidence-list", "evidence-text", "instance-int",
+        "work-product-none", "record-text"])
 def test_values_a_file_cannot_hold_are_refused_by_operation_and_builder(
         op, value):
     a = fresh()
@@ -104,9 +108,11 @@ def test_values_a_file_cannot_hold_are_refused_by_operation_and_builder(
     (add_work_product, WorkProductInstance(id="wp", definition=["Test Report"])),
     (record_checkpoint, CheckpointRecord(["i-1"], "Raw materials", "RM-1", True)),
     (record_checkpoint, rec("Raw materials", "RM-1", evidence=(["wp"],))),
+    (record_checkpoint, rec(5, "RM-1")),
+    (record_checkpoint, rec("Raw materials", None)),
 ], ids=["instance-id-int", "instance-id-list", "instance-alpha-list",
         "label-int", "definition-list", "record-instance-list",
-        "evidence-item-list"])
+        "evidence-item-list", "record-state-int", "record-checkpoint-none"])
 def test_text_fields_a_file_cannot_hold_are_refused_by_operation_and_builder(
         op, value):
     a = fresh()
@@ -116,6 +122,22 @@ def test_text_fields_a_file_cannot_hold_are_refused_by_operation_and_builder(
         with pytest.raises(AssessmentError) as err:
             add(value)
         assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
+
+
+@pytest.mark.parametrize("make", [
+    lambda k: Assessment("t", k, instances=None),
+    lambda k: Assessment("t", k, work_products=5),
+    lambda k: Assessment("t", k, records=("x",)),
+    lambda k: Assessment("t", k, instances=(CheckpointRecord("i", "s", "c", True),)),
+    lambda k: alpha_state(5, "i-1"),
+    lambda k: render_card(None, "i-1"),
+    lambda k: blocking_checkpoints("a", "i-1", "Parts"),
+], ids=["instances-none", "work-products-int", "record-text", "instance-record",
+        "alpha-state", "render-card", "blocking-checkpoints"])
+def test_values_of_another_class_are_refused(make):
+    with pytest.raises(AssessmentError) as err:
+        make(builtin_se_kernel())
+    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
 
 
 def test_add_instance_rejects_duplicate_id():

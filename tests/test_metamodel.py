@@ -280,3 +280,39 @@ def test_kernel_from_doc_refuses_a_non_map(doc):
         kernel_from_doc(doc)
     assert (err.value.code, err.value.path) == ("SCHEMA_ERROR", None)
     assert err.value.message == "kernel document must be a map"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: KernelDefinition("k", None, ()),
+    lambda: KernelDefinition("k", (), None),
+    lambda: validate_kernel(KernelDefinition("k", (), None)),
+    lambda: KernelDefinition("k", ("Customer",), ()),
+    lambda: KernelDefinition("k", (), (), workproducts=5),
+    lambda: StateDefinition("s", "", None),
+    lambda: StateDefinition("s", "", (5,)),
+    lambda: AlphaDefinition("a", "Solution", states=None),
+    lambda: AlphaDefinition("a", "Solution", subalphas=("b", 5)),
+], ids=["areas-none", "alphas-none", "validate-alphas-none", "area-text",
+        "workproducts-int", "checkpoints-none", "checkpoint-int", "states-none",
+        "subalpha-int"])
+def test_tuple_fields_of_other_types_are_refused(make):
+    with pytest.raises(KernelError) as err:
+        make()
+    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
+
+
+def test_tuple_fields_given_as_lists_become_tuples():
+    s = StateDefinition("s", "", [Checkpoint("c", "t")])
+    assert s.checkpoints == (Checkpoint("c", "t"),)
+    assert hash(AlphaDefinition("a", "Solution", states=[s], subalphas=["b"]))
+
+
+def test_kernel_documents_refuse_what_they_cannot_hold():
+    kernel = KernelDefinition("k", (AreaOfConcern("Customer"),), (
+        AlphaDefinition("a", "Customer", description=None),))
+    for write in (kernel_to_doc, dumps_kernel):
+        with pytest.raises(KernelError) as err:
+            write(kernel)
+        assert (err.value.code, err.value.message, err.value.path) == (
+            "UNSUPPORTED_VALUE", "type NoneType cannot be saved",
+            "alphas[0].description")

@@ -8,6 +8,7 @@ lone surrogate, escaped or as raw bytes, is refused where it sits.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -17,10 +18,22 @@ from hypothesis import strategies as st
 
 import genlib
 from essencekit import (
+    AlphaInstance,
+    Aspect,
+    AspectChain,
+    CheckpointRecord,
+    DescriptionKind,
     DesignationError,
     EssenceError,
     KernelError,
     ProjectError,
+    RealizationNode,
+    StructureType,
+    SystemLevel,
+    View,
+    ViewElement,
+    Viewpoint,
+    WorkProductInstance,
     builtin_se_kernel,
     kernel_to_doc,
     load_project,
@@ -30,6 +43,7 @@ from essencekit import (
     save_project,
     validate_kernel,
 )
+from essencekit._schema import entry_docs, read_entry
 
 READERS = {
     "project": (load_project, ProjectError),
@@ -390,3 +404,37 @@ def test_mutated_dcc_tables_stay_in_contract(case):
         for letter in table.areas:
             assert parse_document_designation(
                 f"=F1&{letter}CA", table).table_ref == table.name
+
+
+# Each entry class states its fields once, in its _FIELDS table.
+
+def full_entries() -> list:
+    """One value of each entry class, every field one a file writes."""
+    k = builtin_se_kernel()
+    return [
+        AlphaInstance("i", "Team", SystemLevel.USING_SYSTEM),
+        WorkProductInstance("w", "Test Report", "l",
+                            parse_document_designation("=F1&MCA")),
+        CheckpointRecord("i", "s", "c", True, ("w",), 3),
+        Viewpoint("v", StructureType.ALLOCATION, ("c",), DescriptionKind.TEAM),
+        View("v", "vp", ("e",)),
+        ViewElement("e", "l", True),
+        RealizationNode("n", (AspectChain(Aspect.PRODUCT, ("A",)),)),
+        k.alphas[0].states[0].checkpoints[0], k.alphas[0].states[0],
+        next(a for a in k.alphas if a.subalphas), k.workproducts[0], k,
+    ]
+
+
+@pytest.mark.parametrize("entry", full_entries(),
+                         ids=lambda entry: type(entry).__name__)
+def test_each_table_names_every_field_once_and_is_what_a_file_holds(entry):
+    cls = type(entry)
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert [attr for attr, *_ in cls._FIELDS] == names
+    # read_entry takes a missing key's default from the class attribute.
+    assert [hasattr(cls, f.name) for f in dataclasses.fields(cls)] == [
+        f.default is not dataclasses.MISSING for f in dataclasses.fields(cls)]
+    error = KernelError if cls.__module__.endswith("metamodel") else ProjectError
+    doc = entry_docs((entry,), None, error)[0]
+    assert list(doc) == [key for _, key, *_ in cls._FIELDS]
+    assert read_entry(cls, json.loads(json.dumps(doc)), "e", error) == entry

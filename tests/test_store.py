@@ -189,6 +189,37 @@ def test_save_refuses_values_a_document_cannot_hold():
         "assessment.records[0].recorded-at")
 
 
+@pytest.mark.parametrize("entries, path", [
+    ({"instances": (AlphaInstance(5, "Team"),)}, "assessment.instances[0].id"),
+    ({"work_products": (WorkProductInstance("w", "Test Report", None),)},
+     "assessment.work-products[0].label"),
+    ({"records": (CheckpointRecord("i", "s", "c", 1),)},
+     "assessment.records[0].satisfied"),
+    ({"records": (CheckpointRecord("i", "s", "c", True, ["w"]),)},
+     "assessment.records[0].evidence"),
+    ({"records": (CheckpointRecord("i", "s", "c", True),
+                  CheckpointRecord("i", "s", "c", True, ("w", 5)))},
+     "assessment.records[1].evidence[1]"),
+    ({"elements": (ViewElement("e", has_extent=1),)},
+     "description.elements[0].has-extent"),
+    ({"views": (View("v", "vp", ("e",)), View("w", None))},
+     "description.views[1].viewpoint"),
+    ({"viewpoints": (Viewpoint("v", concerns=(None,)),)},
+     "description.viewpoints[0].concerns[0]"),
+], ids=["instance-id-int", "label-none", "satisfied-int", "evidence-list",
+        "evidence-item-int", "has-extent-int", "viewpoint-none", "concern-none"])
+def test_save_refuses_entry_fields_a_file_cannot_hold(entries, path):
+    """Containers built directly are not checked field by field; saving
+    refuses what loading would."""
+    p = new_project("p")
+    a = {k: v for k, v in entries.items() if k in Assessment.__annotations__}
+    model = DescriptionModel(**{k: v for k, v in entries.items() if k not in a})
+    p = replace(p, assessment=replace(p.assessment, **a), description=model)
+    with pytest.raises(ProjectError) as err:
+        save_project(p)
+    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", path)
+
+
 def test_save_refuses_a_document_designation_of_another_type():
     p = sample_project()
     a = p.assessment
