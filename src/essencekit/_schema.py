@@ -18,7 +18,8 @@ writer and the operations' type checks all come from the table.
 
 ``emit`` and ``encode`` are the one writer: canonical JSON text, made
 without recursion, whatever the nesting. Of designation's values it
-takes ``BreakdownTree`` only, and writes it from its depth-first arrays.
+takes ``BreakdownTree`` only, and writes it from its depth-first arrays;
+a list of entries it takes as ``Rows``, and writes it from its columns.
 """
 
 from __future__ import annotations
@@ -256,18 +257,122 @@ def read_entry(cls: type, item: dict, path: str, error: type[EssenceError]):
 def entry_docs(values: tuple, path: str | None,
                error: type[EssenceError]) -> list[dict]:
     """The maps that a file holds for ``values``, the entries of one class
-    of the list at ``path``; with no ``path``, one entry at the root.
-    Each field is written for all entries at once."""
-    docs = [{} for _ in values]
-    for attr, key, kind, _ in values[0]._FIELDS if values else ():
-        column = kind.dump(list(map(attrgetter(attr), values)), path, key, error)
-        for doc, raw in zip(docs, column):
-            doc[key] = raw
+    of the list at ``path``; with no ``path``, one entry at the root."""
+    return entry_rows(values, path, error).doc()
+
+
+def entry_rows(values: tuple, path: str | None,
+               error: type[EssenceError]) -> Rows:
+    """``values``, the entries of one class of the list at ``path``, as
+    ``Rows``: each field is dumped for all entries at once."""
+    fields = values[0]._FIELDS if values else ()
+    return Rows(fields, [kind.dump(list(map(attrgetter(attr), values)), path,
+                                   key, error) for attr, key, kind, _ in fields])
+
+
+def text_lists(lists: list, path: str, error: type[EssenceError],
+               fewest: int, most: float, message: str) -> Rows:
+    """The tuples of text ``lists``, the list at ``path``, as ``Rows``:
+    UNSUPPORTED_VALUE, ``message``, at the first of fewer than ``fewest``
+    or more than ``most`` items, then as ``Texts`` refuses a value."""
+    for i, items in enumerate(lists):
+        if not fewest <= len(items) <= most:
+            raise error("UNSUPPORTED_VALUE", message, path=f"{path}[{i}]")
+    return Rows(None, [Texts("text", "").dump(lists, path, None, error)])
+
+
+class Rows:
+    """A list that a file holds, checked and dumped ahead of ``emit``: a
+    column of file values per field of ``fields`` or, with no ``fields``,
+    the column of its items."""
+
+    __slots__ = ("fields", "columns")
+
+    def __init__(self, fields: tuple | None, columns: list[list]) -> None:
+        self.fields, self.columns = fields, columns
+
+    def doc(self) -> list:
+        """The list itself: its items, or a map per entry."""
+        if self.fields is None:
+            return self.columns[0]
+        return [{key: raw for (_, key, kind, _), raw in zip(self.fields, row)
+                 if raw or not kind.omit} for row in zip(*self.columns)]
+
+    def write(self, write, depth: int, error: type[EssenceError]) -> None:
+        """Write the list as ``emit`` does at ``depth``: each entry made by
+        one %-template from the texts of its fields' values."""
+        if self.fields is None:
+            rows = _value_texts(self.columns[0], depth + 1, error)
+        else:
+            template, wraps = _template(self.fields, depth + 1)
+            columns = []
+            for wrap, column in zip(wraps, self.columns):
+                if wrap is None:
+                    columns.append(_value_texts(column, depth + 2, error))
+                    continue
+                head, tail = wrap  # an omit field: a left-out value writes nothing
+                texts = iter(_value_texts(list(filter(None, column)), depth + 2,
+                                          error))
+                columns.append([head + next(texts) + tail if value else ""
+                                for value in column])
+            rows = map(template.__mod__, zip(*columns))
+        indent = "\n" + "  " * (depth + 1)
+        body = ("," + indent).join(rows)
+        if body:  # written as it is, not copied into the brackets' text
+            write("[" + indent)
+            write(body)
+            write("\n" + "  " * depth + "]")
+        else:
+            write("[]")
+
+
+_SCALAR_TEXTS = {str: _quote, bool: {True: "true", False: "false"}.__getitem__,
+                 int: int.__repr__}
+
+
+def _value_texts(values: list, depth: int, error: type[EssenceError]):
+    """The text of each of ``values`` as ``emit`` writes it at ``depth``:
+    one C-level step for a column of one scalar class, one join for
+    each list of text or map of text to text."""
+    classes = set(map(type, values))
+    cls = classes.pop() if len(classes) == 1 else None
+    if cls in _SCALAR_TEXTS:
+        return map(_SCALAR_TEXTS[cls], values)
+    newline = "\n" + "  " * depth
+    sep = "," + newline + "  "
+    if cls is list and {str}.issuperset(map(type, chain.from_iterable(values))):
+        brackets = "[]"
+        bodies = [sep.join(map(_quote, items)) for items in values]
+    elif cls is dict and {str}.issuperset(map(type, chain.from_iterable(
+            chain.from_iterable(map(dict.items, values))))):
+        brackets = "{}"
+        bodies = [sep.join(map(": ".join, zip(map(_quote, pairs),
+                                               map(_quote, pairs.values()))))
+                  for pairs in values]
+    else:  # _quote escapes every line break, so each one left is emit's
+        return [emit(value, error).replace("\n", newline) for value in values]
+    return [f"{brackets[0]}{sep[1:]}{body}{newline}{brackets[1]}" if body
+            else brackets for body in bodies]
+
+
+@lru_cache(maxsize=64)
+def _template(fields: tuple, depth: int) -> tuple[str, tuple]:
+    """The %-template of an entry map of ``fields`` at ``depth``, and per
+    field ``None`` or, for an omit field, the texts around its value: it
+    writes its own separator, after it if no field that is not omit
+    comes before it. A table has a field that is not omit."""
+    indent = "\n" + "  " * (depth + 1)
+    parts, wraps, first = ["{"], [], True
+    for _, key, kind, _ in fields:
+        head = indent + _quote(key) + ": "
         if kind.omit:
-            for doc in docs:
-                if not doc[key]:
-                    del doc[key]
-    return docs
+            parts.append("%s")
+            wraps.append((head, ",") if first else ("," + head, ""))
+        else:
+            parts.append(("" if first else ",") + head + "%s")
+            wraps.append(None)
+            first = False
+    return "".join(parts) + "\n" + "  " * depth + "}", tuple(wraps)
 
 
 def check_fields(entry: object, cls: type, error: type[EssenceError]) -> None:
@@ -319,9 +424,9 @@ def emit(value: object, error: type[EssenceError]) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)``, without recursion.
 
     ``value`` is made of dicts with text keys, lists, text, ints, bools,
-    None, and ``BreakdownTree``, which is written as the list of its
-    roots, each node as the map ``{"segment": ..., "children": [...]}``,
-    children left out when there are none. Any other value, a bare
+    None, ``Rows``, and ``BreakdownTree``, which is written as the list
+    of its roots, each node as the map ``{"segment": ..., "children":
+    [...]}``, children left out when there are none. Any other value, a bare
     ``BreakdownNode`` too, and a map or list inside itself, is
     UNSUPPORTED_VALUE at its path; a tree with a node with children at
     level ``MAX_TREE_DEPTH`` is TREE_TOO_DEEP at the path of the tree.
@@ -386,6 +491,8 @@ def emit(value: object, error: type[EssenceError]) -> str:
                 write("false")
             elif isinstance(item, int):
                 write(int.__repr__(item))
+            elif item.__class__ is Rows:
+                item.write(write, depth, error)
             elif isinstance(item, BreakdownTree):
                 segments, parents = item._arrays
                 if not segments:
@@ -510,6 +617,8 @@ def _lone_surrogate_path(doc: object) -> object:
         elif isinstance(value, list):
             stack.extend((item, f"{path or ''}[{i}]")
                          for i, item in reversed(list(enumerate(value))))
+        elif value.__class__ is Rows:
+            stack.append((value.doc(), path))
     return _MISSING
 
 

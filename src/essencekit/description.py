@@ -84,6 +84,7 @@ class _Designators(Kind):
 
 
 _NAME = Kind(str, empty="EMPTY_NAME")
+_SET = Kind(frozenset)
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,13 @@ class DescriptionModel:
                      ("viewpoints", Viewpoint, "viewpoint"),
                      ("views", View, "view"),
                      ("elements", ViewElement, "element"),
-                     ("realization_nodes", RealizationNode, "realization node"))
+                     ("realization_nodes", RealizationNode, "realization node"),
+                     ("bindings", tuple, "binding"))
+        _SET.check(self.coextension, "coextension", ModelError)
+        for cls in self.coextension:
+            _SET.check(cls, "coextension class", ModelError)
+            for elem in cls:
+                TEXT.check(elem, "element id", ModelError)
 
     def viewpoint(self, name: str) -> Viewpoint | None:
         return find(self._viewpoints_by_name, name)

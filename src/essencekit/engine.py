@@ -124,6 +124,7 @@ class Assessment:
     strict_evidence: bool = False
 
     def __post_init__(self) -> None:
+        Kind(KernelDefinition).check(self.kernel, "kernel", AssessmentError)
         tuple_fields(self, AssessmentError,
                      ("instances", AlphaInstance, "instance"),
                      ("work_products", WorkProductInstance, "work product"),

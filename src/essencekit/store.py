@@ -27,12 +27,13 @@ from ._schema import (
     decode,
     encode,
     entries,
-    entry_docs,
+    entry_rows,
     enum_of,
     get,
     nested,
     nonempty,
     read_entry,
+    text_lists,
 )
 from ._value import tuple_fields
 from .builtin_kernel import builtin_se_kernel
@@ -165,27 +166,40 @@ def save_project(p: Project) -> bytes:
         ),
         "assessment": {
             "strict-evidence": a.strict_evidence,
-            "instances": entry_docs(a.instances, "assessment.instances",
+            "instances": entry_rows(a.instances, "assessment.instances",
                                     ProjectError),
-            "work-products": entry_docs(a.work_products,
+            "work-products": entry_rows(a.work_products,
                                         "assessment.work-products", ProjectError),
-            "records": entry_docs(a.records, "assessment.records", ProjectError),
+            "records": entry_rows(a.records, "assessment.records", ProjectError),
         },
         "trees": {tree.aspect.value: tree for tree in p.trees},
         "description": {
-            "viewpoints": entry_docs(model.viewpoints, "description.viewpoints",
+            "viewpoints": entry_rows(model.viewpoints, "description.viewpoints",
                                      ProjectError),
-            "views": entry_docs(model.views, "description.views", ProjectError),
-            "elements": entry_docs(model.elements, "description.elements",
+            "views": entry_rows(model.views, "description.views", ProjectError),
+            "elements": entry_rows(model.elements, "description.elements",
                                    ProjectError),
-            "realization-nodes": entry_docs(
+            "realization-nodes": entry_rows(
                 model.realization_nodes, "description.realization-nodes",
                 ProjectError),
-            "coextension": sorted(sorted(cls) for cls in model.coextension),
-            "bindings": [list(pair) for pair in model.bindings],
+            "coextension": text_lists(sorted(tuple(sorted(cls))
+                                             for cls in model.coextension),
+                                      "description.coextension", ProjectError,
+                                      *_TEXT_LISTS["coextension"]),
+            "bindings": text_lists(model.bindings, "description.bindings",
+                                   ProjectError, *_TEXT_LISTS["bindings"]),
         },
     }
     return encode(doc, ProjectError)
+
+
+# The description's lists of element ids and node ids: the fewest and
+# most items of each, and what a list of another size is refused with.
+_TEXT_LISTS = {
+    "coextension": (2, float("inf"),
+                    "coextension class must list two or more element ids"),
+    "bindings": (2, 2, "binding must be a pair of element id and node id"),
+}
 
 
 # Loading
@@ -264,24 +278,14 @@ def _load_description(raw: dict) -> DescriptionModel:
                  ("elements", ViewElement, model.add_element),
                  ("views", View, model.add_view),
                  ("realization-nodes", RealizationNode, model.add_realization_node))
-    for i, members in enumerate(entries(raw, "coextension", list,
-                                        "description", ProjectError, ())):
-        path = f"description.coextension[{i}]"
-        if len(members) < 2 or not all(isinstance(m, str) for m in members):
-            raise ProjectError(
-                "SCHEMA_ERROR",
-                "coextension class must list two or more element ids",
-                path=path,
-            )
-        nested(ProjectError, path, model.add_class, members)
-    for i, pair in enumerate(entries(raw, "bindings", list, "description",
-                                     ProjectError, ())):
-        path = f"description.bindings[{i}]"
-        if len(pair) != 2 or not all(isinstance(p, str) for p in pair):
-            raise ProjectError(
-                "SCHEMA_ERROR",
-                "binding must be a pair of element id and node id",
-                path=path,
-            )
-        nested(ProjectError, path, model.bind_element, pair[0], pair[1])
+    for key, add in (("coextension", model.add_class),
+                     ("bindings", lambda pair: model.bind_element(*pair))):
+        fewest, most, message = _TEXT_LISTS[key]
+        for i, items in enumerate(entries(raw, key, list, "description",
+                                          ProjectError, ())):
+            path = f"description.{key}[{i}]"
+            if (not fewest <= len(items) <= most
+                    or not all(isinstance(item, str) for item in items)):
+                raise ProjectError("SCHEMA_ERROR", message, path=path)
+            nested(ProjectError, path, add, items)
     return model.build()

@@ -2,10 +2,12 @@
 
 ``json.dumps(value, indent=2, ensure_ascii=False)`` is the oracle for
 every value the writer accepts, a breakdown tree written as the list of
-its roots' node maps. The writer keeps its own stack, so nesting depth
-is bounded by memory, not by the recursion limit; what it cannot write,
-a bare breakdown node included, it refuses with a coded error at the
-value's path.
+its roots' node maps. A project's entry lists, written column by column
+as ``Rows``, have a second oracle: ``emit`` of their ``entry_docs``
+maps. The writer keeps its own stack, so nesting depth is bounded by
+memory, not by the recursion limit; what it cannot write, a bare
+breakdown node included, it refuses with a coded error at the value's
+path.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,17 +23,39 @@ from hypothesis import strategies as st
 
 import genlib
 from essencekit import (
+    AlphaInstance,
     Aspect,
     BreakdownNode,
     BreakdownTree,
+    CheckpointRecord,
+    DescriptionKind,
+    DescriptionModel,
     KernelError,
     ProjectError,
+    RealizationNode,
+    StructureType,
+    SystemLevel,
+    View,
+    ViewElement,
+    Viewpoint,
+    WorkProductInstance,
     builtin_se_kernel,
     dumps_kernel,
     kernel_to_doc,
+    new_project,
+    parse_designation,
+    parse_document_designation,
     save_project,
 )
-from essencekit._schema import MAX_TREE_DEPTH, emit, encode
+from essencekit._schema import (
+    MAX_TREE_DEPTH,
+    TEXT,
+    Texts,
+    emit,
+    encode,
+    entry_docs,
+    entry_rows,
+)
 
 
 def dumps(value) -> str:
@@ -205,3 +229,100 @@ def test_tree_depth_is_counted_per_tree():
     assert (err.value.code, err.value.path) == ("TREE_TOO_DEEP", "t.Y")
     assert err.value.message == (
         f"breakdown tree is more than {MAX_TREE_DEPTH} levels deep")
+
+
+# Text a file holds: quotes, backslashes, control characters, line
+# breaks, U+2028 and astral characters; no lone surrogate.
+file_texts = st.text(max_size=6) | st.sampled_from([
+    "", '"', "\\", "\x00", "\x1f", "\n", "\u2028", "\U0001F600", 'a"b\\c\nd\te'])
+text_tuples = st.lists(file_texts, max_size=3).map(tuple)
+designations = st.none() | st.sampled_from(["=F1&MCA", "=F1=12&ACA"]).map(
+    parse_document_designation)
+chains = st.lists(st.sampled_from(["=F1", "-12-N4", "+M13"]), unique=True,
+                  max_size=3).map(lambda texts: tuple(
+                      parse_designation(text).chains[0] for text in texts))
+entry_lists = {
+    "instances": st.builds(AlphaInstance, file_texts, file_texts,
+                           st.sampled_from(list(SystemLevel))),
+    "work_products": st.builds(WorkProductInstance, file_texts, file_texts,
+                               file_texts, designations),
+    "records": st.builds(CheckpointRecord, file_texts, file_texts, file_texts,
+                         st.booleans(), text_tuples, st.integers()),
+    "viewpoints": st.builds(Viewpoint, file_texts,
+                            st.sampled_from(list(StructureType)), text_tuples,
+                            st.sampled_from(list(DescriptionKind))),
+    "views": st.builds(View, file_texts, file_texts, text_tuples),
+    "elements": st.builds(ViewElement, file_texts, file_texts, st.booleans()),
+    "realization_nodes": st.builds(RealizationNode, file_texts, chains),
+}
+projects = st.builds(
+    lambda assessment, model: replace(
+        new_project("p"), assessment=replace(new_project("p").assessment,
+                                             **assessment),
+        description=DescriptionModel(**model)),
+    st.fixed_dictionaries({key: st.lists(entry_lists[key], max_size=4)
+                           for key in ("instances", "work_products", "records")}),
+    st.fixed_dictionaries({
+        **{key: st.lists(entry_lists[key], max_size=4)
+           for key in ("viewpoints", "views", "elements", "realization_nodes")},
+        "coextension": st.frozensets(st.frozensets(file_texts, min_size=2,
+                                                   max_size=3), max_size=3),
+        "bindings": st.lists(st.tuples(file_texts, file_texts), max_size=3),
+    }))
+
+
+def document_of(p) -> dict:
+    """The project document of ``p`` as maps: the entry lists as
+    ``entry_docs`` makes them."""
+    a, model = p.assessment, p.description
+
+    def docs(key: str, values: tuple) -> list[dict]:
+        return entry_docs(values, key, ProjectError)
+
+    return {
+        "format-version": 1, "project-id": p.project_id, "kernel": "builtin",
+        "assessment": {
+            "strict-evidence": a.strict_evidence,
+            "instances": docs("assessment.instances", a.instances),
+            "work-products": docs("assessment.work-products", a.work_products),
+            "records": docs("assessment.records", a.records)},
+        "trees": {},
+        "description": {
+            "viewpoints": docs("description.viewpoints", model.viewpoints),
+            "views": docs("description.views", model.views),
+            "elements": docs("description.elements", model.elements),
+            "realization-nodes": docs("description.realization-nodes",
+                                      model.realization_nodes),
+            "coextension": sorted(sorted(cls) for cls in model.coextension),
+            "bindings": [list(pair) for pair in model.bindings]}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(projects)
+def test_entry_lists_are_written_as_their_maps_would_be(p):
+    saved = save_project(p)
+    assert saved == (dumps(json.loads(saved)) + "\n").encode("utf-8")
+    assert saved == encode(document_of(p), ProjectError)
+
+
+@dataclass(frozen=True)
+class Tagged:
+    """Entries whose omit fields come first and last."""
+
+    tags: tuple = ()
+    name: str = ""
+    notes: tuple = ()
+
+    _FIELDS = (("tags", "tags", Texts("tag", "", omit=True), "tags"),
+               ("name", "name", TEXT, "name"),
+               ("notes", "notes", Texts("note", "", omit=True), "notes"))
+
+
+def test_an_omit_field_left_out_writes_no_separator():
+    values = (Tagged(), Tagged(("a",)), Tagged((), "n", ("b", "c")),
+              Tagged(("d",), "m", ("e",)))
+    rows = entry_rows(values, "x", ProjectError)
+    docs = entry_docs(values, "x", ProjectError)
+    for at in (lambda v: v, lambda v: {"x": v}, lambda v: [{"x": [v]}]):
+        assert emit(at(rows), ProjectError) == emit(at(docs), ProjectError)
+        assert emit(at(rows), ProjectError) == dumps(at(docs))

@@ -132,8 +132,9 @@ def test_text_fields_a_file_cannot_hold_are_refused_by_operation_and_builder(
     lambda k: alpha_state(5, "i-1"),
     lambda k: render_card(None, "i-1"),
     lambda k: blocking_checkpoints("a", "i-1", "Parts"),
+    lambda k: add_instance(Assessment("t", 5), AlphaInstance("i", "Team")),
 ], ids=["instances-none", "work-products-int", "record-text", "instance-record",
-        "alpha-state", "render-card", "blocking-checkpoints"])
+        "alpha-state", "render-card", "blocking-checkpoints", "kernel-int"])
 def test_values_of_another_class_are_refused(make):
     with pytest.raises(AssessmentError) as err:
         make(builtin_se_kernel())

@@ -9,7 +9,9 @@ a state card of every instance on a project with an inline kernel of
 1000 alphas and on one with 4000, best of three. The tree tests time save_project on a
 project with a tree of 16 000 nodes and on one with a tree four times
 its size, and load_project on their saved documents, best of five
-calls each, taken in turn. Linear work costs about 4x, quadratic about
+calls each, taken in turn. The save tests time save_project, the same
+way, on the loaded records and model documents of 4800 and 19 200
+records or elements. Linear work costs about 4x, quadratic about
 16x; the bound of 8x sits between them.
 The resolve test times the same chain, with the same matches, on a tree
 and on one four times its size: it must cost under 2x, where a scan of
@@ -218,4 +220,15 @@ def test_loading_a_tree_is_linear():
         for k in (n, 4 * n))
     assert load_project(large).trees == (filler_tree(4 * n),)
     small_seconds, large_seconds = best_of_rounds(load_project, small, large)
+    assert large_seconds < BOUND * small_seconds
+
+
+@pytest.mark.parametrize("document", [records_document, model_document],
+                         ids=["records", "elements"])
+def test_saving_entry_lists_is_linear(document):
+    # Large enough that no save is short next to a scheduler time slice.
+    n = 4 * N
+    small, large = (load_project(document(k)) for k in (n, 4 * n))
+    assert load_project(save_project(large)) == large
+    small_seconds, large_seconds = best_of_rounds(save_project, small, large)
     assert large_seconds < BOUND * small_seconds

@@ -206,8 +206,12 @@ def test_save_refuses_values_a_document_cannot_hold():
      "description.views[1].viewpoint"),
     ({"viewpoints": (Viewpoint("v", concerns=(None,)),)},
      "description.viewpoints[0].concerns[0]"),
+    ({"bindings": (("e", "n"), ("a",))}, "description.bindings[1]"),
+    ({"bindings": (("e", 5),)}, "description.bindings[0][1]"),
+    ({"coextension": frozenset({frozenset({"a"})})}, "description.coextension[0]"),
 ], ids=["instance-id-int", "label-none", "satisfied-int", "evidence-list",
-        "evidence-item-int", "has-extent-int", "viewpoint-none", "concern-none"])
+        "evidence-item-int", "has-extent-int", "viewpoint-none", "concern-none",
+        "binding-of-one", "binding-node-int", "class-of-one"])
 def test_save_refuses_entry_fields_a_file_cannot_hold(entries, path):
     """Containers built directly are not checked field by field; saving
     refuses what loading would."""
@@ -540,6 +544,18 @@ def test_save_names_the_tree_that_is_too_deep():
     assert (err.value.code, err.value.path) == ("TREE_TOO_DEEP", "trees.Location")
     assert err.value.message == (
         f"breakdown tree is more than {MAX_TREE_DEPTH} levels deep")
+
+
+def test_save_refuses_entry_fields_before_a_tree_too_deep():
+    """Entry lists are checked before any tree is written, so of a bad
+    entry field and a tree too deep, the field is refused first."""
+    p = replace(deep_project(MAX_TREE_DEPTH + 1), description=DescriptionModel(
+        elements=(ViewElement("e", label=5),)))
+    with pytest.raises(ProjectError) as err:
+        save_project(p)
+    assert (err.value.code, err.value.message, err.value.path) == (
+        "UNSUPPORTED_VALUE", "type int cannot be saved",
+        "description.elements[0].label")
 
 
 def test_load_refuses_trees_deeper_than_the_limit():
