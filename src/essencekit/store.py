@@ -1,12 +1,13 @@
 """Whole-project persistence: one deterministic document per project.
 
 A project file carries the kernel reference ("builtin" or an inline
-kernel definition), the assessment (instances, work products, records),
-the per-aspect breakdown trees, and the description model, as a single
-JSON document. Serialization is canonical: fixed key order, insertion
-order for lists, coextension classes and bindings sorted, two-space
-indent, UTF-8, newline-terminated. Saving the same project twice yields
-identical bytes.
+kernel definition), the assessment, the per-aspect breakdown trees, and
+the description model, as a single JSON document. One table, ``_LISTS``,
+states the lists of the assessment and description maps for both
+reading and writing. Serialization is canonical: fixed key order,
+insertion order for lists, coextension classes and bindings sorted,
+two-space indent, UTF-8, newline-terminated. Saving the same project
+twice yields identical bytes.
 
 Loading checks every entry with the checks of the module operations
 that would have built the value, so every dangling reference or
@@ -18,6 +19,7 @@ size of the document.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from ._schema import (
     BOOL,
@@ -139,14 +141,14 @@ def load_project(data: bytes | str) -> Project:
         )
     project_id = nonempty(doc, "project-id", None, ProjectError)
     kernel, builtin = _load_kernel(doc.get("kernel", BUILTIN_KERNEL_MARKER))
-    assessment = _load_assessment(
-        get(doc, "assessment", dict, None, ProjectError, {}),
-        project_id=project_id, kernel=kernel,
-    )
+    raw = get(doc, "assessment", dict, None, ProjectError, {})
+    assessment = _read_lists(raw, "assessment", AssessmentBuilder(
+        project_id, kernel,
+        get(raw, "strict-evidence", bool, "assessment", ProjectError, False),
+    ), "strict-evidence")
     trees = _load_trees(get(doc, "trees", dict, None, ProjectError, {}))
-    description = _load_description(
-        get(doc, "description", dict, None, ProjectError, {})
-    )
+    description = _read_lists(get(doc, "description", dict, None, ProjectError, {}),
+                              "description", ModelBuilder())
     return Project(
         project_id=project_id,
         assessment=assessment,
@@ -157,48 +159,52 @@ def load_project(data: bytes | str) -> Project:
 
 
 def save_project(p: Project) -> bytes:
-    a, model = p.assessment, p.description
     doc = {
         "format-version": FORMAT_VERSION,
         "project-id": p.project_id,
         "kernel": (
             BUILTIN_KERNEL_MARKER if p.builtin_kernel else kernel_to_doc(p.kernel)
         ),
-        "assessment": {
-            "strict-evidence": a.strict_evidence,
-            "instances": entry_rows(a.instances, "assessment.instances",
-                                    ProjectError),
-            "work-products": entry_rows(a.work_products,
-                                        "assessment.work-products", ProjectError),
-            "records": entry_rows(a.records, "assessment.records", ProjectError),
-        },
+        "assessment": {"strict-evidence": p.assessment.strict_evidence},
         "trees": {tree.aspect.value: tree for tree in p.trees},
-        "description": {
-            "viewpoints": entry_rows(model.viewpoints, "description.viewpoints",
-                                     ProjectError),
-            "views": entry_rows(model.views, "description.views", ProjectError),
-            "elements": entry_rows(model.elements, "description.elements",
-                                   ProjectError),
-            "realization-nodes": entry_rows(
-                model.realization_nodes, "description.realization-nodes",
-                ProjectError),
-            "coextension": text_lists(sorted(tuple(sorted(cls))
-                                             for cls in model.coextension),
-                                      "description.coextension", ProjectError,
-                                      *_TEXT_LISTS["coextension"]),
-            "bindings": text_lists(model.bindings, "description.bindings",
-                                   ProjectError, *_TEXT_LISTS["bindings"]),
-        },
+        "description": {},
     }
+    for at, value in (("assessment", p.assessment), ("description", p.description)):
+        for key, shape, _, _ in _LISTS[at]:
+            items, path = getattr(value, key.replace("-", "_")), f"{at}.{key}"
+            if isinstance(shape, tuple):
+                if isinstance(items, frozenset):  # a set of classes: sorted
+                    items = sorted(tuple(sorted(cls)) for cls in items)
+                doc[at][key] = text_lists(items, path, ProjectError, *shape)
+            else:
+                doc[at][key] = entry_rows(items, path, ProjectError)
     return encode(doc, ProjectError)
 
 
-# The description's lists of element ids and node ids: the fewest and
-# most items of each, and what a list of another size is refused with.
-_TEXT_LISTS = {
-    "coextension": (2, float("inf"),
-                    "coextension class must list two or more element ids"),
-    "bindings": (2, 2, "binding must be a pair of element id and node id"),
+class _List(NamedTuple):
+    key: str  # the file key; in snake case, the section value's attribute
+    shape: type | tuple  # entry class, or an id list's fewest, most, refusal
+    add: Callable  # the builder operation that adds an item
+    after: str = ""  # the list, held later in the file, to read this after
+
+
+# The lists of the assessment and description maps, in file order.
+_LISTS = {
+    "assessment": (
+        _List("instances", AlphaInstance, AssessmentBuilder.add_instance),
+        _List("work-products", WorkProductInstance, AssessmentBuilder.add_work_product),
+        _List("records", CheckpointRecord, AssessmentBuilder.record_checkpoint),
+    ),
+    "description": (
+        _List("viewpoints", Viewpoint, ModelBuilder.add_viewpoint),
+        _List("views", View, ModelBuilder.add_view, after="elements"),
+        _List("elements", ViewElement, ModelBuilder.add_element),
+        _List("realization-nodes", RealizationNode, ModelBuilder.add_realization_node),
+        _List("coextension", (2, float("inf"), "coextension class must list "
+                              "two or more element ids"), ModelBuilder.add_class),
+        _List("bindings", (2, 2, "binding must be a pair of element id and node id"),
+              lambda model, pair: model.bind_element(*pair)),
+    ),
 }
 
 
@@ -230,34 +236,6 @@ def _valid_kernel(kernel: KernelDefinition) -> KernelDefinition:
     return kernel
 
 
-def _add_entries(raw: dict, at: str, others: set[str],
-                 *lists: tuple[str, type, object]) -> None:
-    """Read each entry of each ``(key, entry class, add)`` list of ``raw``,
-    the map at ``at`` whose other keys are ``others``, and ``add`` it."""
-    check_keys(raw, others.union(key for key, _, _ in lists), at, ProjectError)
-    for key, cls, add in lists:
-        keys = frozenset(key for _, key, _, _ in cls._FIELDS)
-        for i, item in enumerate(entries(raw, key, dict, at, ProjectError, ())):
-            path = f"{at}.{key}[{i}]"
-            check_keys(item, keys, path, ProjectError)
-            nested(ProjectError, path, add, read_entry(cls, item, path, ProjectError))
-
-
-def _load_assessment(
-    raw: dict, *, project_id: str, kernel: KernelDefinition
-) -> Assessment:
-    a = AssessmentBuilder(
-        project_id,
-        kernel,
-        get(raw, "strict-evidence", bool, "assessment", ProjectError, False),
-    )
-    _add_entries(raw, "assessment", {"strict-evidence"},
-                 ("instances", AlphaInstance, a.add_instance),
-                 ("work-products", WorkProductInstance, a.add_work_product),
-                 ("records", CheckpointRecord, a.record_checkpoint))
-    return a.build()
-
-
 def _load_trees(raw: dict) -> tuple[BreakdownTree, ...]:
     trees = []
     for key, roots in raw.items():
@@ -271,21 +249,28 @@ def _load_trees(raw: dict) -> tuple[BreakdownTree, ...]:
     return tuple(trees)
 
 
-def _load_description(raw: dict) -> DescriptionModel:
-    model = ModelBuilder()
-    _add_entries(raw, "description", {"coextension", "bindings"},
-                 ("viewpoints", Viewpoint, model.add_viewpoint),
-                 ("elements", ViewElement, model.add_element),
-                 ("views", View, model.add_view),
-                 ("realization-nodes", RealizationNode, model.add_realization_node))
-    for key, add in (("coextension", model.add_class),
-                     ("bindings", lambda pair: model.bind_element(*pair))):
-        fewest, most, message = _TEXT_LISTS[key]
-        for i, items in enumerate(entries(raw, key, list, "description",
-                                          ProjectError, ())):
-            path = f"description.{key}[{i}]"
-            if (not fewest <= len(items) <= most
-                    or not all(isinstance(item, str) for item in items)):
-                raise ProjectError("SCHEMA_ERROR", message, path=path)
-            nested(ProjectError, path, add, items)
-    return model.build()
+def _read_lists(raw: dict, at: str, builder: AssessmentBuilder | ModelBuilder,
+                *others: str) -> Assessment | DescriptionModel:
+    """What ``builder`` builds from the ``at`` map ``raw``, whose keys
+    besides its lists' are ``others``: each item read and added as its
+    list's row says, the lists in file order but each after its ``after``."""
+    rows = _LISTS[at]
+    keys = [row.key for row in rows]
+    check_keys(raw, {*others, *keys}, at, ProjectError)
+    for key, shape, add, _ in sorted(rows, key=lambda row: (
+            keys.index(row.after or row.key), row.after)):
+        id_lists = isinstance(shape, tuple)
+        fields = None if id_lists else frozenset(f[1] for f in shape._FIELDS)
+        for i, item in enumerate(entries(raw, key, list if id_lists else dict,
+                                         at, ProjectError, ())):
+            path = f"{at}.{key}[{i}]"
+            if id_lists:
+                fewest, most, message = shape
+                if (not fewest <= len(item) <= most
+                        or not all(isinstance(text, str) for text in item)):
+                    raise ProjectError("SCHEMA_ERROR", message, path=path)
+            else:
+                check_keys(item, fields, path, ProjectError)
+                item = read_entry(shape, item, path, ProjectError)
+            nested(ProjectError, path, add, builder, item)
+    return builder.build()

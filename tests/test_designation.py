@@ -7,6 +7,7 @@ import dataclasses
 import pickle
 import random
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -420,6 +421,34 @@ def test_deep_chain_tree_resolves_without_recursion():
         {Aspect.LOCATION: tree}, parse_designation(f"+N{depth - 1}+N{depth}"))
     assert report.ok
     assert report.resolutions[0].matches == (full,)
+
+
+def stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_value_operations_on_a_deep_tree_keep_their_own_stack():
+    # Equality, hash, pickles, copies and replace work on the tree's
+    # depth-first arrays; only repr and node equality go through the
+    # nodes' generated methods, which recurse once or more per level.
+    tree = genlib.chain_tree(Aspect.LOCATION, 1500)
+    twin = genlib.chain_tree(Aspect.LOCATION, 1500)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 30)
+    try:
+        same = tree == twin and hash(tree) == hash(twin)
+        clones = (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree),
+                  dataclasses.replace(tree))
+        shorter = tree == genlib.chain_tree(Aspect.LOCATION, 1499)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert same and not shorter
+    for clone in clones:
+        assert clone == tree and hash(clone) == hash(tree)
+        assert clone.paths() == tree.paths()
 
 
 def test_unambiguity_check_pass_and_fail():

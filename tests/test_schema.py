@@ -210,6 +210,15 @@ SHAPE_ERRORS = [
         "work-products": [{"id": "w", "definition": "Test Report",
                            "document-designation": None}]}),
      "SCHEMA_ERROR", "assessment.work-products[0].document-designation"),
+    ("project", "unknown key", assessment(notes=[]), "SCHEMA_ERROR", "assessment"),
+    ("project", "unknown key", description(notes=[]), "SCHEMA_ERROR",
+     "description"),
+    ("project", "wrong type", description(views={}), "SCHEMA_ERROR",
+     "description.views"),
+    ("project", "unknown key", description(elements=[{"id": "e", "x": 1}]),
+     "SCHEMA_ERROR", "description.elements[0]"),
+    ("project", "wrong type", assessment(**{"strict-evidence": 1}),
+     "SCHEMA_ERROR", "assessment.strict-evidence"),
 ]
 
 
@@ -253,6 +262,7 @@ def test_entry_messages_are_stable():
     assert message(project(trees={"Product": [5]})) == "tree node must be a map"
     assert message(project(trees={"Product": 5})) == "tree roots must be a list"
     assert message(description(coextension=[5])) == "entry must be a list"
+    assert message(description(views={})) == "key 'views' must be list"
     assert message(assessment(instances=[INSTANCE], records=[
         {**RECORD, "evidence": [5]}])) == "evidence ids must be text"
     assert message(description(views=[

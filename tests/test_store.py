@@ -670,6 +670,23 @@ def test_load_refuses_the_entry_the_fold_refuses():
     assert len(kinds) == 7
 
 
+def test_load_refuses_the_first_of_two_faults_the_fold_refuses():
+    # With two faults, the first refused depends on the order in which
+    # the loader reads the lists: views after elements, all before
+    # coextension and bindings, as the fold does.
+    rng = random.Random(7373)
+    for _ in range(300):
+        doc = json.loads(save_project(genlib.random_project(rng)))
+        genlib.mutate_document(rng, doc)
+        genlib.mutate_document(rng, doc)
+        blob = json.dumps(doc)
+        with pytest.raises(ProjectError) as folded:
+            genlib.fold_project(blob)
+        err = load_error(blob)
+        assert (err.code, err.message, err.path) == (
+            folded.value.code, folded.value.message, folded.value.path)
+
+
 # Enum fields: a member, or a member's value, which becomes the member.
 
 def project_with(field: str, value: object) -> Project:
