@@ -135,8 +135,9 @@ class Kind:
     def __init__(self, value: type, raw: type | None = None,
                  empty: str | None = None) -> None:
         self.value, self.raw, self.empty = value, raw or value, empty
-        # The class whose values fit, and a file holds, as they are.
-        self.plain = value if raw is None and empty is None else None
+        # The class whose values fit, and a file holds, as they are; with
+        # an ``empty`` code, those that are not empty.
+        self.plain = value if raw is None else None
 
     def fits(self, value: object) -> bool:
         return isinstance(value, self.value) and (
@@ -243,7 +244,7 @@ def read_entry(cls: type, item: dict, path: str, error: type[EssenceError]):
     values = []
     for attr, key, kind, _ in cls._FIELDS:
         raw = item.get(key, _MISSING)
-        if raw.__class__ is kind.plain:
+        if raw.__class__ is kind.plain and (raw or not kind.empty):
             values.append(raw)
         elif raw.__class__ is kind.raw:
             values.append(kind.load(raw, path, key, error))
@@ -381,15 +382,16 @@ def check_fields(entry: object, cls: type, error: type[EssenceError]) -> None:
         raise unsupported(error, "entry", noun(cls), entry)
     for attr, _, kind, what in cls._FIELDS:
         value = getattr(entry, attr)
-        if value.__class__ is not kind.plain:
+        if value.__class__ is not kind.plain or kind.empty and not value:
             kind.check(value, what, error)
 
 
 # The deepest breakdown tree a document holds, a root being level 1.
-# Reading and writing keep their own stack; the JSON decoder recurses
-# twice per tree level, and the equality, hash, repr and pickling of
-# BreakdownNode about four times. At this depth all of them stay well
-# inside Python's default recursion limit.
+# Reading and writing keep their own stack, and so do the equality,
+# hash and repr of BreakdownNode; the JSON decoder recurses twice per
+# tree level, and the pickling of BreakdownNode about four times. At
+# this depth all of them stay well inside Python's default recursion
+# limit.
 MAX_TREE_DEPTH = 128
 
 

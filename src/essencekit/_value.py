@@ -87,7 +87,8 @@ def tuple_fields(value: Any, error: type, *rows: tuple[str, type, str]) -> None:
             plural = "texts" if item is str else f"{item.__name__}s"
             raise unsupported(error, name, f"a sequence of {plural}", items)
         items = tuple(items)
-        for x in items:
-            if not isinstance(x, item):
-                raise unsupported(error, what, noun(item), x)
+        if not {item}.issuperset(map(type, items)):
+            for x in items:
+                if not isinstance(x, item):
+                    raise unsupported(error, what, noun(item), x)
         object.__setattr__(value, name, items)

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from ._schema import BOOL, TEXT, Kind, Member, Texts, check_fields, enum_of, nested
+from ._schema import BOOL, TEXT, Kind, Member, Texts, _at, check_fields, enum_of, nested
 from ._value import derive, fields_state, find, index, member, tuple_fields, unsupported
-from .designation import ASPECT_ORDER, Aspect, AspectChain, parse_designation
+from .designation import (_CHAIN_RE, ASPECT_ORDER, Aspect, AspectChain, _new, _put,
+                          parse_designation)
 from .errors import ModelError
 
 
@@ -63,24 +64,38 @@ class _Designators(Kind):
     chain's aspect to its text."""
 
     def load(self, raw, path, key, error):
-        at = f"{path}.{key}"
         chains = []
         for name, text in raw.items():
-            chain_path = f"{at}.{name}"
-            aspect = enum_of(name, Aspect, at, error)
-            if not isinstance(text, str):
-                raise error("SCHEMA_ERROR", "designator must be text",
-                            path=chain_path)
-            parsed = nested(error, chain_path, parse_designation, text)
-            if len(parsed.chains) != 1 or parsed.chains[0].aspect is not aspect:
-                raise error("SCHEMA_ERROR", "designator must be a single "
-                            f"{aspect.value} chain", path=chain_path)
-            chains.append(parsed.chains[0])
+            found = text.__class__ is str and _CHAIN_RE.fullmatch(text)
+            aspect = found and found[3] is None and _ASPECT_OF.get((name, found[1]))
+            if aspect:  # one chain of its key's aspect, built as parsed
+                chain = _new(AspectChain)
+                _put(chain, "aspect", aspect)
+                _put(chain, "segments", tuple(found[2].split(found[1])))
+            else:  # the general parser words the refusal
+                at = _at(path, key)
+                chain_path = f"{at}.{name}"
+                aspect = enum_of(name, Aspect, at, error)
+                if not isinstance(text, str):
+                    raise error("SCHEMA_ERROR", "designator must be text",
+                                path=chain_path)
+                parsed = nested(error, chain_path, parse_designation, text)
+                if len(parsed.chains) != 1 or parsed.chains[0].aspect is not aspect:
+                    raise error("SCHEMA_ERROR", "designator must be a single "
+                                f"{aspect.value} chain", path=chain_path)
+                chain = parsed.chains[0]
+            chains.append(chain)
         return tuple(chains)
 
     def dump(self, values, path, key, error):
-        return [{chain.aspect.value: str(chain) for chain in chains}
+        return [{_FILE_KEYS[chain.aspect]: str(chain) for chain in chains}
                 for chains in super().dump(values, path, key, error)]
+
+
+# A designator's aspect by its file key and its chain's prefix, and the
+# file key by its aspect.
+_ASPECT_OF = {(aspect.value, aspect.prefix): aspect for aspect in Aspect}
+_FILE_KEYS = {aspect: aspect.value for aspect in Aspect}
 
 
 _NAME = Kind(str, empty="EMPTY_NAME")
@@ -187,10 +202,12 @@ class DescriptionModel:
                      ("realization_nodes", RealizationNode, "realization node"),
                      ("bindings", tuple, "binding"))
         _SET.check(self.coextension, "coextension", ModelError)
-        for cls in self.coextension:
-            _SET.check(cls, "coextension class", ModelError)
-            for elem in cls:
-                TEXT.check(elem, "element id", ModelError)
+        if not ({frozenset}.issuperset(map(type, self.coextension))
+                and {str}.issuperset(map(type, frozenset().union(*self.coextension)))):
+            for cls in self.coextension:
+                _SET.check(cls, "coextension class", ModelError)
+                for elem in cls:
+                    TEXT.check(elem, "element id", ModelError)
 
     def viewpoint(self, name: str) -> Viewpoint | None:
         return find(self._viewpoints_by_name, name)

@@ -91,7 +91,7 @@ class AspectChain:
 
     def __str__(self) -> str:
         prefix = self.aspect.prefix
-        return "".join(prefix + segment for segment in self.segments)
+        return prefix + prefix.join(self.segments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,8 +225,12 @@ def format_designation(d: MultiAspectDesignation) -> str:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BreakdownNode:
+    """A node and its subtree. Equality and hash see the subtree's
+    depth-first arrays, and repr keeps its own stack, so none of them
+    recurses; repr's text is the generated dataclass repr."""
+
     segment: str
     children: tuple[BreakdownNode, ...] = ()
 
@@ -237,6 +241,34 @@ class BreakdownNode:
             raise _bad_segment(self.segment)
         _require_unique_siblings(
             (child.segment for child in self.children), self.segment)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _flatten((self,)) == _flatten((other,))
+
+    def __hash__(self) -> int:
+        return hash(_flatten((self,)))
+
+    def __repr__(self) -> str:
+        # The open nodes, and an iterator over this node alone below one
+        # over each open node's numbered children.
+        parts: list[str] = []
+        opened: list[BreakdownNode] = []
+        levels = [enumerate((self,))]
+        while levels:
+            for i, node in levels[-1]:
+                parts.append(f"{', ' if i else ''}{type(node).__qualname__}"
+                             f"(segment={node.segment!r}, children=(")
+                opened.append(node)
+                levels.append(enumerate(node.children))
+                break
+            else:
+                levels.pop()
+                if opened:  # a one-item tuple's repr ends in a comma
+                    parts.append(",))" if len(opened.pop().children) == 1
+                                 else "))")
+        return "".join(parts)
 
 
 @dataclass(frozen=True, eq=False)

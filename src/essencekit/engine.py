@@ -19,7 +19,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from ._schema import BOOL, INT, TEXT, Kind, Member, Texts, check_fields, nested
+from ._schema import BOOL, INT, TEXT, Kind, Member, Texts, _at, check_fields, nested
 from ._value import derive, fields_state, find, index, member, tuple_fields, unsupported
 from .designation import (
     BUILTIN_DCC_TABLE, DocumentDesignation, format_document_designation,
@@ -45,7 +45,7 @@ class _Designation(Kind):
         return value is None or isinstance(value, DocumentDesignation)
 
     def load(self, raw, path, key, error):
-        return nested(error, f"{path}.{key}", parse_document_designation, raw)
+        return nested(error, _at(path, key), parse_document_designation, raw)
 
     def dump(self, values, path, key, error):
         texts = [value and format_document_designation(value)

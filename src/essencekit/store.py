@@ -19,12 +19,14 @@ size of the document.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from ._schema import (
     BOOL,
     MAX_TREE_DEPTH,  # re-exported as essencekit.store.MAX_TREE_DEPTH
     Kind,
+    _at,
     check_keys,
     decode,
     encode,
@@ -55,7 +57,7 @@ from .engine import (
     CheckpointRecord,
     WorkProductInstance,
 )
-from .errors import KernelError, ProjectError
+from .errors import EssenceError, KernelError, ProjectError
 from .metamodel import (
     KernelDefinition,
     kernel_from_doc,
@@ -253,24 +255,34 @@ def _read_lists(raw: dict, at: str, builder: AssessmentBuilder | ModelBuilder,
                 *others: str) -> Assessment | DescriptionModel:
     """What ``builder`` builds from the ``at`` map ``raw``, whose keys
     besides its lists' are ``others``: each item read and added as its
-    list's row says, the lists in file order but each after its ``after``."""
-    rows = _LISTS[at]
-    keys = [row.key for row in rows]
-    check_keys(raw, {*others, *keys}, at, ProjectError)
-    for key, shape, add, _ in sorted(rows, key=lambda row: (
-            keys.index(row.after or row.key), row.after)):
-        id_lists = isinstance(shape, tuple)
-        fields = None if id_lists else frozenset(f[1] for f in shape._FIELDS)
-        for i, item in enumerate(entries(raw, key, list if id_lists else dict,
-                                         at, ProjectError, ())):
-            path = f"{at}.{key}[{i}]"
-            if id_lists:
-                fewest, most, message = shape
-                if (not fewest <= len(item) <= most
-                        or not all(isinstance(text, str) for text in item)):
-                    raise ProjectError("SCHEMA_ERROR", message, path=path)
-            else:
-                check_keys(item, fields, path, ProjectError)
-                item = read_entry(shape, item, path, ProjectError)
-            nested(ProjectError, path, add, builder, item)
+    list's row says, in ``_READ`` order. A refusal is placed at its item
+    and a builder's worded, as ``nested`` does."""
+    check_keys(raw, {*others, *(row.key for row in _LISTS[at])}, at, ProjectError)
+    for (key, shape, add, _), fields in _READ[at]:
+        items = entries(raw, key, dict if fields else list, at, ProjectError, ())
+        texts = not fields and {str}.issuperset(map(type, chain.from_iterable(items)))
+        try:
+            for i, item in enumerate(items):
+                if fields:
+                    if not fields.issuperset(item):
+                        check_keys(item, fields, None, ProjectError)
+                    item = read_entry(shape, item, None, ProjectError)
+                elif not shape[0] <= len(item) <= shape[1] or not texts and not all(
+                        isinstance(text, str) for text in item):
+                    raise ProjectError("SCHEMA_ERROR", shape[2])
+                add(builder, item)
+        except EssenceError as exc:
+            own = isinstance(exc, ProjectError)
+            raise ProjectError(
+                exc.code if own else "SCHEMA_ERROR",
+                exc.message if own else f"{exc.code}: {exc.message}",
+                path=_at(f"{at}.{key}[{i}]", exc.path)) from exc
     return builder.build()
+
+
+# Each section's lists in read order, with the keys their entries may hold.
+_READ = {at: [(row, isinstance(row.shape, type)
+               and frozenset(field[1] for field in row.shape._FIELDS))
+              for row in sorted(rows, key=lambda row: (
+                  [r.key for r in rows].index(row.after or row.key), row.after))]
+         for at, rows in _LISTS.items()}

@@ -393,6 +393,27 @@ def reference_parse_designation(text: str) -> MultiAspectDesignation:
             pos += 1
 
 
+def reference_designators(raw: dict, path: str,
+                           error: type[EssenceError]) -> tuple[AspectChain, ...]:
+    """The designator reader a load used before it matched each
+    designator whole: every text goes through ``parse_designation``.
+    Every value, code, message and path it gives for the designators map
+    ``raw`` at ``path`` is the one a load must give."""
+    chains = []
+    for name, text in raw.items():
+        chain_path = f"{path}.{name}"
+        aspect = enum_of(name, Aspect, path, error)
+        if not isinstance(text, str):
+            raise error("SCHEMA_ERROR", "designator must be text",
+                        path=chain_path)
+        parsed = nested(error, chain_path, parse_designation, text)
+        if len(parsed.chains) != 1 or parsed.chains[0].aspect is not aspect:
+            raise error("SCHEMA_ERROR", "designator must be a single "
+                        f"{aspect.value} chain", path=chain_path)
+        chains.append(parsed.chains[0])
+    return tuple(chains)
+
+
 # Description models
 
 

@@ -432,8 +432,7 @@ def stack_depth() -> int:
 
 def test_value_operations_on_a_deep_tree_keep_their_own_stack():
     # Equality, hash, pickles, copies and replace work on the tree's
-    # depth-first arrays; only repr and node equality go through the
-    # nodes' generated methods, which recurse once or more per level.
+    # depth-first arrays.
     tree = genlib.chain_tree(Aspect.LOCATION, 1500)
     twin = genlib.chain_tree(Aspect.LOCATION, 1500)
     limit = sys.getrecursionlimit()
@@ -449,6 +448,42 @@ def test_value_operations_on_a_deep_tree_keep_their_own_stack():
     for clone in clones:
         assert clone == tree and hash(clone) == hash(tree)
         assert clone.paths() == tree.paths()
+
+
+def generated_repr(node: BreakdownNode) -> str:
+    """The repr that dataclass generates for a node, by recursion."""
+    children = ", ".join(map(generated_repr, node.children))
+    comma = "," if len(node.children) == 1 else ""
+    return f"BreakdownNode(segment={node.segment!r}, children=({children}{comma}))"
+
+
+def test_node_repr_is_the_dataclass_repr():
+    assert repr(BreakdownNode("A", (BreakdownNode("B"),))) == (
+        "BreakdownNode(segment='A', children=(BreakdownNode(segment='B', "
+        "children=()),))")
+    rng = random.Random(2718)
+    for _ in range(50):
+        for root in genlib.random_tree(rng, Aspect.PRODUCT, max_nodes=30).roots:
+            assert repr(root) == generated_repr(root)
+
+
+def test_deep_nodes_compare_hash_and_repr_with_their_own_stack():
+    node = genlib.chain_tree(Aspect.PRODUCT, 2000).roots[0]
+    twin = genlib.chain_tree(Aspect.PRODUCT, 2000).roots[0]
+    shorter = genlib.chain_tree(Aspect.PRODUCT, 1999).roots[0]
+    tree = BreakdownTree(Aspect.PRODUCT, (node,))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 30)
+    try:
+        equal = node == twin and node != shorter and hash(node) == hash(twin)
+        text = repr(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert equal
+    assert text == ("BreakdownTree(aspect=<Aspect.PRODUCT: 'Product'>, roots=("
+                    + "".join(f"BreakdownNode(segment='N{level}', children=("
+                              for level in range(1, 2001))
+                    + "))" + ",))" * 1999 + ",))")
 
 
 def test_unambiguity_check_pass_and_fail():

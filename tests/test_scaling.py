@@ -1,22 +1,26 @@
 """Loading and saving grow linearly with the document; resolving, with
 the matches.
 
+Every test times an operation on a small input and on one four times
+its size, in five rounds that each time the small input and then the
+large one, and compares each side's fastest time: a slow spell of the
+host then slows both sides of a round, and one stall costs one sample.
+
 The records and model tests time load_project on a document and on
-one four times its size, best of three: records, a model of many small
-coextension classes, and a model of one class of all its elements,
-unbound or bound to one node. The kernel test times load_project plus
-a state card of every instance on a project with an inline kernel of
-1000 alphas and on one with 4000, best of three. The tree tests time save_project on a
+one four times its size: records, a model of many small coextension
+classes, and a model of one class of all its elements, unbound or
+bound to one node. The kernel test times load_project plus a state
+card of every instance on a project with an inline kernel of 1000
+alphas and on one with 4000. The tree tests time save_project on a
 project with a tree of 16 000 nodes and on one with a tree four times
-its size, and load_project on their saved documents, best of five
-calls each, taken in turn. The save tests time save_project, the same
-way, on the loaded records and model documents of 4800 and 19 200
-records or elements. Linear work costs about 4x, quadratic about
-16x; the bound of 8x sits between them.
-The resolve test times the same chain, with the same matches, on a tree
-and on one four times its size: it must cost under 2x, where a scan of
-every path costs about 4x. No absolute time is checked, so the tests
-hold on slow or busy machines.
+its size, and load_project on their saved documents. The save tests
+time save_project on the loaded records and model documents of 4800
+and 19 200 records or elements. Linear work costs about 4x, quadratic
+about 16x; the bound of 8x sits between them.
+The resolve test times 200 resolves of the same chain, with the same
+matches, on a tree and on one four times its size: it must cost under
+2x, where a scan of every path costs about 4x. No absolute time is
+checked, so the tests hold on slow or busy machines.
 """
 
 from __future__ import annotations
@@ -75,25 +79,33 @@ def model_document(n: int) -> str:
         "coextension": classes, "bindings": bindings}})
 
 
-def load_seconds(blob: bytes) -> float:
-    best = float("inf")
-    for _ in range(3):
-        start = perf_counter()
-        load_project(blob)
-        best = min(best, perf_counter() - start)
+def best_of_rounds(op, *values) -> list[float]:
+    """The best of five calls of op on each value. Each round calls it
+    on every value in turn, so a slow spell of the host hits all."""
+    best = [float("inf")] * len(values)
+    for _ in range(5):
+        for i, value in enumerate(values):
+            start = perf_counter()
+            op(value)
+            best[i] = min(best[i], perf_counter() - start)
     return best
+
+
+def assert_linear(op, small, large) -> None:
+    small_seconds, large_seconds = best_of_rounds(op, small, large)
+    assert large_seconds < BOUND * small_seconds
 
 
 def test_loading_records_is_linear():
     small, large = records_document(N), records_document(4 * N)
     assert len(load_project(large).assessment.records) == 4 * N
-    assert load_seconds(large) < BOUND * load_seconds(small)
+    assert_linear(load_project, small, large)
 
 
 def test_loading_a_description_model_is_linear():
     small, large = model_document(N), model_document(4 * N)
     assert len(load_project(large).description.bindings) == 2 * N
-    assert load_seconds(large) < BOUND * load_seconds(small)
+    assert_linear(load_project, small, large)
 
 
 def kernel_document(n: int) -> str:
@@ -114,15 +126,10 @@ def kernel_document(n: int) -> str:
                        "assessment": {"instances": instances, "records": records}})
 
 
-def load_and_cards_seconds(blob: str) -> float:
-    best = float("inf")
-    for _ in range(3):
-        start = perf_counter()
-        a = load_project(blob).assessment
-        for inst in a.instances:
-            render_card(a, inst.id)
-        best = min(best, perf_counter() - start)
-    return best
+def load_and_cards(blob: str) -> None:
+    a = load_project(blob).assessment
+    for inst in a.instances:
+        render_card(a, inst.id)
 
 
 def test_a_custom_kernel_loads_and_renders_in_linear_time():
@@ -131,7 +138,7 @@ def test_a_custom_kernel_loads_and_renders_in_linear_time():
     a = load_project(large).assessment
     assert len(a.kernel.alphas) == len(a.instances) == 4 * n
     assert render_card(a, f"i{4 * n - 1}").endswith("Achieved: S")
-    assert load_and_cards_seconds(large) < BOUND * load_and_cards_seconds(small)
+    assert_linear(load_and_cards, small, large)
 
 
 def one_class_document(n: int, bound: bool) -> str:
@@ -151,7 +158,7 @@ def test_loading_one_large_coextension_class_is_linear(bound):
     model = load_project(large).description
     assert len(model.coextension) == 1
     assert len(model.bindings) == (4 * N if bound else 0)
-    assert load_seconds(large) < BOUND * load_seconds(small)
+    assert_linear(load_project, small, large)
 
 
 def filler_tree(n: int) -> BreakdownTree:
@@ -165,52 +172,28 @@ def filler_tree(n: int) -> BreakdownTree:
     return BreakdownTree(aspect=Aspect.PRODUCT, roots=roots)
 
 
-def resolve_seconds(tree: BreakdownTree, chain: AspectChain) -> float:
-    resolve(tree, chain)  # warm-up
-    best = float("inf")
-    for _ in range(3):
-        start = perf_counter()
-        for _ in range(200):
-            resolve(tree, chain)
-        best = min(best, perf_counter() - start)
-    return best
-
-
 def test_resolve_cost_follows_matches_not_tree_size():
     n = 4000
     small, large = filler_tree(n), filler_tree(4 * n)
     chain = AspectChain(Aspect.PRODUCT, ("X",))
     assert len(resolve(small, chain)) == len(resolve(large, chain)) == 16
     assert len(large.paths()) > 4 * n
-    assert resolve_seconds(large, chain) < 2 * resolve_seconds(small, chain)
 
+    def resolve_200(tree: BreakdownTree) -> None:
+        for _ in range(200):
+            resolve(tree, chain)
 
-def best_of_rounds(op, *values) -> list[float]:
-    """The best of five calls of op on each value. Each round calls it
-    on every value in turn, so a slow spell of the host hits all."""
-    best = [float("inf")] * len(values)
-    for _ in range(5):
-        for i, value in enumerate(values):
-            start = perf_counter()
-            op(value)
-            best[i] = min(best[i], perf_counter() - start)
-    return best
-
-
-def save_seconds(*trees: BreakdownTree) -> list[float]:
-    """The best of five saves of a project with each tree, in rounds."""
-    return best_of_rounds(save_project, *(
-        replace(new_project("p"), trees=(tree,)) for tree in trees))
+    small_seconds, large_seconds = best_of_rounds(resolve_200, small, large)
+    assert large_seconds < 2 * small_seconds
 
 
 def test_saving_a_tree_is_linear():
     # Large enough that no save is short next to a scheduler time slice.
     n = 16000
-    small, large = filler_tree(n), filler_tree(4 * n)
-    saved = load_project(save_project(replace(new_project("p"), trees=(large,))))
-    assert saved.trees == (large,)
-    small_seconds, large_seconds = save_seconds(small, large)
-    assert large_seconds < BOUND * small_seconds
+    small, large = (replace(new_project("p"), trees=(filler_tree(k),))
+                    for k in (n, 4 * n))
+    assert load_project(save_project(large)).trees == (filler_tree(4 * n),)
+    assert_linear(save_project, small, large)
 
 
 def test_loading_a_tree_is_linear():
@@ -219,8 +202,7 @@ def test_loading_a_tree_is_linear():
         save_project(replace(new_project("p"), trees=(filler_tree(k),)))
         for k in (n, 4 * n))
     assert load_project(large).trees == (filler_tree(4 * n),)
-    small_seconds, large_seconds = best_of_rounds(load_project, small, large)
-    assert large_seconds < BOUND * small_seconds
+    assert_linear(load_project, small, large)
 
 
 @pytest.mark.parametrize("document", [records_document, model_document],
@@ -230,5 +212,4 @@ def test_saving_entry_lists_is_linear(document):
     n = 4 * N
     small, large = (load_project(document(k)) for k in (n, 4 * n))
     assert load_project(save_project(large)) == large
-    small_seconds, large_seconds = best_of_rounds(save_project, small, large)
-    assert large_seconds < BOUND * small_seconds
+    assert_linear(save_project, small, large)

@@ -10,7 +10,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genlib
@@ -402,6 +402,36 @@ def test_designator_must_be_single_matching_chain():
     multi = dict(base, description={
         "realization-nodes": [{"id": "n", "designators": {"Product": "-12/+M1"}}]})
     assert load_error(json.dumps(multi)).code == "SCHEMA_ERROR"
+
+
+DESIGNATOR_TOKENS = ["=", "-", "+", "/", " / ", " ", "F1", "12", "N4", "a",
+                     "=F1", "-12-N4", "+M13"]
+
+
+@settings(max_examples=500, deadline=None)
+@example({"Function": "=F1 /"})
+@example({"Product": "=F1", "Function": "=F1"})
+@example({"Location": "+M13+A1", "Product": "-12-N4"})
+@given(st.dictionaries(
+    st.sampled_from(["Function", "Product", "Location", "function", "", "Shape"]),
+    st.one_of(st.text(alphabet="=+-/ AZ09az", max_size=12),
+              st.lists(st.sampled_from(DESIGNATOR_TOKENS), max_size=6).map("".join),
+              st.sampled_from([None, 5, ["=F1"], {"Function": "=F1"}])),
+    max_size=3))
+def test_designators_load_as_the_general_parser_reads_them(designators):
+    doc = {"format-version": 1, "project-id": "p", "description": {
+        "realization-nodes": [{"id": "n", "designators": designators}]}}
+    try:
+        expected = RealizationNode("n", genlib.reference_designators(
+            designators, "description.realization-nodes[0].designators",
+            ProjectError))
+    except ProjectError as exc:
+        err = load_error(json.dumps(doc))
+        assert (type(err), err.code, err.message, err.path) == (
+            type(exc), exc.code, exc.message, exc.path)
+    else:
+        assert load_project(json.dumps(doc)).description.realization_nodes == (
+            expected,)
 
 
 def test_coextension_class_needs_two_members():
