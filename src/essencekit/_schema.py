@@ -16,10 +16,10 @@ An entry class states its fields once, in its ``_FIELDS`` table: an
 order, ``what`` naming the field in a refusal. Its key set, reader,
 writer and the operations' type checks all come from the table.
 
-``emit`` and ``encode`` are the one writer: canonical JSON text, made
-without recursion, whatever the nesting. Of designation's values it
-takes ``BreakdownTree`` only, and writes it from its depth-first arrays;
-a list of entries it takes as ``Rows``, and writes it from its columns.
+``emit`` and ``encode`` write what ``json.dumps(doc, indent=2,
+ensure_ascii=False)`` would, through ``json.dumps`` itself but for two
+values in a document's maps: ``Rows``, written from its columns, and a
+``BreakdownTree``, written from its arrays without recursion.
 """
 
 from __future__ import annotations
@@ -38,8 +38,11 @@ _MISSING = object()
 
 
 def decode(data: bytes | str, error: type[EssenceError], what: str) -> dict:
-    """The JSON map in ``data``; PARSE_ERROR when it is not JSON, or
-    nests or weighs more than the decoder can take."""
+    """The JSON map in text or bytes ``data``, else UNSUPPORTED_VALUE;
+    PARSE_ERROR when it is not JSON, or nests or weighs more than the
+    decoder can take."""
+    if not isinstance(data, (str, bytes, bytearray)):
+        raise unsupported(error, what, "text or bytes", data)
     try:
         doc = json.loads(data)
     except (ValueError, UnicodeDecodeError, RecursionError,
@@ -48,7 +51,7 @@ def decode(data: bytes | str, error: type[EssenceError], what: str) -> dict:
     if not isinstance(doc, dict):
         raise error("SCHEMA_ERROR", f"{what} must be a map")
     if _may_hold_surrogates(data):
-        path = _lone_surrogate_path(doc)
+        path = _first_path(doc, _lone_surrogate)
         if path is not _MISSING:
             raise error("SCHEMA_ERROR", _LONE_SURROGATE, path=path)
     return doc
@@ -299,21 +302,20 @@ class Rows:
         return [{key: raw for (_, key, kind, _), raw in zip(self.fields, row)
                  if raw or not kind.omit} for row in zip(*self.columns)]
 
-    def write(self, write, depth: int, error: type[EssenceError]) -> None:
+    def write(self, write, depth: int) -> None:
         """Write the list as ``emit`` does at ``depth``: each entry made by
         one %-template from the texts of its fields' values."""
         if self.fields is None:
-            rows = _value_texts(self.columns[0], depth + 1, error)
+            rows = _value_texts(self.columns[0], depth + 1)
         else:
             template, wraps = _template(self.fields, depth + 1)
             columns = []
             for wrap, column in zip(wraps, self.columns):
                 if wrap is None:
-                    columns.append(_value_texts(column, depth + 2, error))
+                    columns.append(_value_texts(column, depth + 2))
                     continue
                 head, tail = wrap  # an omit field: a left-out value writes nothing
-                texts = iter(_value_texts(list(filter(None, column)), depth + 2,
-                                          error))
+                texts = iter(_value_texts(list(filter(None, column)), depth + 2))
                 columns.append([head + next(texts) + tail if value else ""
                                 for value in column])
             rows = map(template.__mod__, zip(*columns))
@@ -331,7 +333,7 @@ _SCALAR_TEXTS = {str: _quote, bool: {True: "true", False: "false"}.__getitem__,
                  int: int.__repr__}
 
 
-def _value_texts(values: list, depth: int, error: type[EssenceError]):
+def _value_texts(values: list, depth: int):
     """The text of each of ``values`` as ``emit`` writes it at ``depth``:
     one C-level step for a column of one scalar class, one join for
     each list of text or map of text to text."""
@@ -350,8 +352,8 @@ def _value_texts(values: list, depth: int, error: type[EssenceError]):
         bodies = [sep.join(map(": ".join, zip(map(_quote, pairs),
                                                map(_quote, pairs.values()))))
                   for pairs in values]
-    else:  # _quote escapes every line break, so each one left is emit's
-        return [emit(value, error).replace("\n", newline) for value in values]
+    else:
+        return [_dumps(value, depth) for value in values]
     return [f"{brackets[0]}{sep[1:]}{body}{newline}{brackets[1]}" if body
             else brackets for body in bodies]
 
@@ -412,115 +414,76 @@ def encode(value: object, error: type[EssenceError]) -> bytes:
     try:
         return text.encode("utf-8")
     except UnicodeEncodeError:
-        path = _lone_surrogate_path(value)
+        path = _first_path(value, _lone_surrogate)
         raise error("UNSUPPORTED_VALUE", _LONE_SURROGATE,
                     path=None if path is _MISSING else path) from None
 
 
-# Frame kinds of emit: a map, a list, and the frame that holds the
-# document itself.
-_MAP, _LIST, _ROOT = range(3)
-
-
 def emit(value: object, error: type[EssenceError]) -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=False)``, without recursion.
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, maps walked.
 
-    ``value`` is made of dicts with text keys, lists, text, ints, bools,
-    None, ``Rows``, and ``BreakdownTree``, which is written as the list
-    of its roots, each node as the map ``{"segment": ..., "children":
-    [...]}``, children left out when there are none. Any other value, a bare
-    ``BreakdownNode`` too, and a map or list inside itself, is
-    UNSUPPORTED_VALUE at its path; a tree with a node with children at
-    level ``MAX_TREE_DEPTH`` is TREE_TOO_DEEP at the path of the tree.
+    The document, or a value of one of its maps, may be ``Rows``, or a
+    ``BreakdownTree``: the list of its roots' node maps ``{"segment":
+    ..., "children": [...]}``, children left out when there are none.
+    What ``json.dumps`` cannot write is UNSUPPORTED_VALUE at its path;
+    a tree with a node with children at level ``MAX_TREE_DEPTH`` is
+    TREE_TOO_DEEP at the path of the tree.
     """
+    parts: list[str] = []
+    try:
+        _write(value, 0, parts.append)
+    except _Refused as refused:
+        item, deep = refused.args
+        path = _first_path(value, lambda found: found is item)
+        raise (too_deep(error, path) if deep
+               else cannot_save(item, path, error)) from None
+    return "".join(parts)
+
+
+class _Refused(Exception):
+    """``(value, is a tree too deep)``, raised for ``emit`` to place."""
+
+
+def _refuse(value: object):  # json.dumps's hook for what it cannot write
+    raise _Refused(value, False)
+
+
+def _dumps(value: object, depth: int) -> str:
+    """``value`` as ``json.dumps`` writes it, indented to ``depth``: a
+    line break left is its own, as it escapes those in text."""
+    text = json.dumps(value, indent=2, ensure_ascii=False, default=_refuse)
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _write(item: object, depth: int, write) -> None:
+    """Write ``item`` at ``depth`` as ``emit`` does: a map walked, any
+    other value by its own writer."""
     # designation imports this module
     from .designation import BreakdownTree
 
-    parts: list[str] = []
-    write = parts.append
-    # By depth d: a line break and the indent of d, and the same after
-    # an item separator.
-    newline, comma = ["\n"], [",\n"]
-    # The open containers below the current one; each suspended frame
-    # keeps the key or index of the item it descended into. open_ids
-    # holds the maps and lists being written.
-    stack: list[tuple] = []
-    open_ids: set[int] = set()
-    items = iter(((None, value),))
-    kind, depth, close, ident, sep = _ROOT, 0, "", None, ""
-    while True:
-        while len(newline) <= depth + 1:
-            newline.append(newline[-1] + "  ")
-            comma.append(comma[-1] + "  ")
-        for key, item in items:
-            if kind == _MAP:
-                if not isinstance(key, str):  # named as its map
-                    raise error("UNSUPPORTED_VALUE",
-                                f"map key {key!r} is not text",
-                                path=_path_of(_frames(stack, kind, key)[:-1]))
-                write(sep + _quote(key) + ": ")
-            else:
-                write(sep)
-            sep = comma[depth]
-            if isinstance(item, str):
-                write(_quote(item))
-            elif isinstance(item, (dict, list)):
-                if not item:
-                    write("{}" if isinstance(item, dict) else "[]")
-                    continue
-                if id(item) in open_ids:
-                    raise error("UNSUPPORTED_VALUE", "value contains itself",
-                                path=_path_of(_frames(stack, kind, key)))
-                stack.append((items, kind, depth, close, ident, key))
-                ident = id(item)
-                open_ids.add(ident)
-                if isinstance(item, dict):
-                    write("{")
-                    items, kind = iter(item.items()), _MAP
-                    close = newline[depth] + "}"
-                else:
-                    write("[")
-                    items, kind = enumerate(item), _LIST
-                    close = newline[depth] + "]"
-                depth += 1
-                sep = newline[depth]
-                break
-            elif item is None:
-                write("null")
-            elif item is True:
-                write("true")
-            elif item is False:
-                write("false")
-            elif isinstance(item, int):
-                write(int.__repr__(item))
-            elif item.__class__ is Rows:
-                item.write(write, depth, error)
-            elif isinstance(item, BreakdownTree):
-                segments, parents = item._arrays
-                if not segments:
-                    write("[]")
-                    continue
-                write("[" + newline[depth + 1])
-                if not _write_nodes(write, segments, parents, depth + 1):
-                    raise too_deep(error, _path_of(_frames(stack, kind, key)))
-                write(newline[depth] + "]")
-            else:
-                raise cannot_save(item, _path_of(_frames(stack, kind, key)), error)
-        else:
-            write(close)
-            open_ids.discard(ident)
-            if not stack:
-                return "".join(parts)
-            items, kind, depth, close, ident, _ = stack.pop()
-            sep = comma[depth]
+    if isinstance(item, dict) and item:
+        indent = "\n" + "  " * (depth + 1)
+        sep = "{" + indent
+        for key, inner in item.items():
+            write(sep + _quote(key) + ": ")
+            _write(inner, depth + 1, write)
+            sep = "," + indent
+        write("\n" + "  " * depth + "}")
+    elif item.__class__ is Rows:
+        item.write(write, depth)
+    elif isinstance(item, BreakdownTree):
+        _write_nodes(write, item, depth)
+    else:
+        write(_dumps(item, depth))
 
 
-def _write_nodes(write, segments: tuple[str, ...], parents: tuple[int, ...],
-                 depth: int) -> bool:
-    """Write the node maps of depth-first arrays, the roots at ``depth``,
-    the first one's separator left to the caller; False, midway, at a
-    node with children at level ``MAX_TREE_DEPTH``."""
-    first, later, leaf, opened, closed = _node_texts(depth)
+def _write_nodes(write, tree, depth: int) -> None:
+    """Write the list of the node maps of ``tree`` at ``depth`` from its
+    depth-first arrays; ``_Refused``, midway, at a node with children at
+    level ``MAX_TREE_DEPTH``."""
+    segments, parents = tree._arrays
+    first, later, leaf, opened, closed = _node_texts(depth + 1)
+    write("[")
     # The open nodes: the ancestors of the node being written.
     ups: list[int] = []
     for pos, (up, segment, below) in enumerate(
@@ -532,7 +495,7 @@ def _write_nodes(write, segments: tuple[str, ...], parents: tuple[int, ...],
         text = (first if up == pos - 1 else later)[level] + _quote(segment)
         if below == pos:
             if level + 1 == MAX_TREE_DEPTH:
-                return False
+                raise _Refused(tree, True)
             ups.append(pos)
             write(text + opened[level])
         else:
@@ -540,7 +503,7 @@ def _write_nodes(write, segments: tuple[str, ...], parents: tuple[int, ...],
     while ups:
         ups.pop()
         write(closed[len(ups)])
-    return True
+    write("\n" + "  " * depth + "]" if segments else "]")
 
 
 @lru_cache(maxsize=16)
@@ -553,29 +516,12 @@ def _node_texts(depth: int) -> tuple[tuple[str, ...], ...]:
     for level in range(MAX_TREE_DEPTH):
         indent = "\n" + "  " * (depth + 2 * level)
         head = "{" + indent + '  "segment": '
-        first.append(head if level == 0 else indent + head)
+        first.append(indent + head)
         later.append("," + indent + head)
         leaf.append(indent + "}")
         opened.append("," + indent + '  "children": [')
         closed.append(indent + "  ]" + indent + "}")
     return tuple(map(tuple, (first, later, leaf, opened, closed)))
-
-
-def _frames(stack: list[tuple], kind: int,
-            key: object) -> list[tuple[int, object]]:
-    """The kind and current key of each open frame of emit, root first."""
-    return [*((frame[1], frame[5]) for frame in stack), (kind, key)]
-
-
-def _path_of(frames: list[tuple[int, object]]) -> str | None:
-    """The path of the item that the last of these (kind, key) frames is at."""
-    path = None
-    for kind, key in frames:
-        if kind == _MAP:
-            path = _at(path, key)
-        elif kind == _LIST:
-            path = f"{path or ''}[{key}]"
-    return path
 
 
 _LONE_SURROGATE = "text holds a lone surrogate"
@@ -601,22 +547,19 @@ def _may_hold_surrogates(data: bytes | str) -> bool:
             or (b"\xed" in data and _ENCODED_SURROGATE.search(data) is not None))
 
 
-def _lone_surrogate_path(doc: object) -> object:
-    """The path of the first string in ``doc``, in document order, that
-    holds a lone surrogate, a key counting as its map; ``_MISSING`` if
-    there is none. Only maps and lists are entered."""
+def _first_path(doc: object, hit) -> object:
+    """The path of the first value in ``doc``, in document order, for
+    which ``hit`` is true, a key counting as its map; ``_MISSING`` if
+    there is none. Only maps, lists, tuples and ``Rows`` are entered."""
     stack: list[tuple[object, str | None]] = [(doc, None)]
     while stack:
         value, path = stack.pop()
-        if isinstance(value, str):
-            if _lone_surrogate(value):
-                return path
-        elif isinstance(value, dict):
-            if any(_lone_surrogate(key) for key in value):
-                return path
+        if hit(value) or isinstance(value, dict) and any(map(hit, value)):
+            return path
+        if isinstance(value, dict):
             stack.extend((item, _at(path, key))
                          for key, item in reversed(value.items()))
-        elif isinstance(value, list):
+        elif isinstance(value, (list, tuple)):
             stack.extend((item, f"{path or ''}[{i}]")
                          for i, item in reversed(list(enumerate(value))))
         elif value.__class__ is Rows:
@@ -624,10 +567,11 @@ def _lone_surrogate_path(doc: object) -> object:
     return _MISSING
 
 
-def _lone_surrogate(text: str) -> bool:
-    # Decoded JSON joins an escaped pair into one character, so any
-    # surrogate left is lone.
-    return not text.isascii() and _SURROGATE.search(text) is not None
+def _lone_surrogate(value: object) -> bool:
+    """Text that holds a lone surrogate. Decoded JSON joins an escaped
+    pair into one character, so any surrogate left is lone."""
+    return (isinstance(value, str) and not value.isascii()
+            and _SURROGATE.search(value) is not None)
 
 
 def _at(path: str | None, key: str | None) -> str | None:

@@ -27,7 +27,7 @@ from functools import cached_property
 
 from ._schema import BOOL, TEXT, Kind, Member, Texts, _at, check_fields, enum_of, nested
 from ._value import derive, fields_state, find, index, member, tuple_fields, unsupported
-from .designation import (_CHAIN_RE, ASPECT_ORDER, Aspect, AspectChain, _new, _put,
+from .designation import (_CHAIN_RE, Aspect, AspectChain, _new, _put, in_aspect_order,
                           parse_designation)
 from .errors import ModelError
 
@@ -164,17 +164,10 @@ class RealizationNode:
 
     def __post_init__(self) -> None:
         tuple_fields(self, ModelError, ("designators", AspectChain, "designator"))
-        chains = tuple(sorted(self.designators,
-                              key=lambda c: ASPECT_ORDER.index(c.aspect)))
-        object.__setattr__(self, "designators", chains)
-        seen: set[Aspect] = set()
-        for chain in chains:
-            if chain.aspect in seen:
-                raise ModelError(
-                    "DUPLICATE_ASPECT",
-                    f"node {self.id!r} has two {chain.aspect.value} designators",
-                )
-            seen.add(chain.aspect)
+        object.__setattr__(self, "designators", in_aspect_order(
+            self.designators, lambda aspect: ModelError(
+                "DUPLICATE_ASPECT",
+                f"node {self.id!r} has two {aspect.value} designators")))
 
     def designator(self, aspect: Aspect) -> AspectChain | None:
         for chain in self.designators:

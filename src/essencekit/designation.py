@@ -62,6 +62,23 @@ _ASPECT_BY_PREFIX = {prefix: aspect for aspect, prefix in _PREFIX_BY_ASPECT.item
 
 # Canonical chain order within a designation.
 ASPECT_ORDER = (Aspect.FUNCTION, Aspect.PRODUCT, Aspect.LOCATION)
+_RANK = {aspect: rank for rank, aspect in enumerate(ASPECT_ORDER)}
+
+
+def in_aspect_order(items: Iterable, twice) -> tuple:
+    """``items`` in ``ASPECT_ORDER`` of their ``aspect``, placed in one
+    pass; ``twice(aspect)`` is the error raised for the first aspect in
+    that order that two of them share."""
+    slots: list = [None, None, None]
+    repeated = 3  # the rank of the first aspect held twice; 3 if none is
+    for item in items:
+        rank = _RANK[item.aspect]
+        if slots[rank] is not None and rank < repeated:
+            repeated = rank
+        slots[rank] = item
+    if repeated < 3:
+        raise twice(ASPECT_ORDER[repeated])
+    return tuple([item for item in slots if item is not None])
 
 
 @dataclass(frozen=True)

@@ -313,7 +313,7 @@ def render_card(a: Assessment, instance_id: str) -> str:
     inst = a.instance(instance_id)
     walk = _open_checkpoints(a, instance_id, alpha)
     result = _state_result(alpha, walk)
-    width = max(len(state.name) for state in alpha.states)
+    width = max((len(state.name) for state in alpha.states), default=0)
     lines = [f"{alpha.name} [{inst.id}] ({inst.system_level.value})"]
     for i, (state, open_) in enumerate(zip(alpha.states, walk)):
         total = len(state.checkpoints)

@@ -49,7 +49,7 @@ from .description import (
     ViewElement,
     Viewpoint,
 )
-from .designation import ASPECT_ORDER, Aspect, BreakdownTree
+from .designation import Aspect, BreakdownTree, in_aspect_order
 from .engine import (
     AlphaInstance,
     Assessment,
@@ -84,15 +84,10 @@ class Project:
         BOOL.check(self.assessment.strict_evidence, "strict_evidence", ProjectError)
         Kind(DescriptionModel).check(self.description, "description", ProjectError)
         tuple_fields(self, ProjectError, ("trees", BreakdownTree, "tree"))
-        trees = tuple(sorted(self.trees, key=lambda t: ASPECT_ORDER.index(t.aspect)))
-        object.__setattr__(self, "trees", trees)
-        for earlier, tree in zip(trees, trees[1:]):
-            if tree.aspect is earlier.aspect:
-                raise ProjectError(
-                    "DUPLICATE_ASPECT",
-                    f"two breakdown trees for aspect {tree.aspect.value}",
-                    path=f"trees.{tree.aspect.value}",
-                )
+        object.__setattr__(self, "trees", in_aspect_order(
+            self.trees, lambda aspect: ProjectError(
+                "DUPLICATE_ASPECT", f"two breakdown trees for aspect {aspect.value}",
+                path=f"trees.{aspect.value}")))
         if self.assessment.project_id != self.project_id:
             raise ProjectError(
                 "PROJECT_ID_MISMATCH",

@@ -4,10 +4,9 @@
 every value the writer accepts, a breakdown tree written as the list of
 its roots' node maps. A project's entry lists, written column by column
 as ``Rows``, have a second oracle: ``emit`` of their ``entry_docs``
-maps. The writer keeps its own stack, so nesting depth is bounded by
-memory, not by the recursion limit; what it cannot write, a bare
-breakdown node included, it refuses with a coded error at the value's
-path.
+maps. A tree, the one part of a document that nests deeply, is written
+from its arrays without recursion; what ``json.dumps`` cannot write the
+writer refuses with a coded error at the value's path.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from essencekit import (
 from essencekit._schema import (
     MAX_TREE_DEPTH,
     TEXT,
+    Rows,
     Texts,
     emit,
     encode,
@@ -103,10 +103,15 @@ def test_emit_equals_json_dumps(value):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.dictionaries(texts, st.lists(trees, max_size=3), max_size=3))
+@given(st.dictionaries(texts, trees | st.dictionaries(texts, trees, max_size=3),
+                       max_size=3))
 def test_emit_writes_breakdown_nodes_as_their_maps(forest):
-    as_maps = {key: [tree_doc(t) for t in ts] for key, ts in forest.items()}
-    assert emit(forest, ProjectError) == dumps(as_maps)
+    def as_maps(value):
+        if isinstance(value, dict):
+            return {key: as_maps(inner) for key, inner in value.items()}
+        return tree_doc(value)
+
+    assert emit(forest, ProjectError) == dumps(as_maps(forest))
 
 
 def test_saves_are_json_dumps_of_their_own_document():
@@ -127,27 +132,6 @@ def test_kernel_export_is_json_dumps_of_its_document():
     assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", "name")
 
 
-def nested(depth: int):
-    """Lists and single-key maps, alternating, ``depth`` deep around 0."""
-    value: object = 0
-    for level in reversed(range(depth)):
-        value = [value] if level % 2 == 0 else {"k": value}
-    return value
-
-
-def nested_text(depth: int) -> str:
-    opens, closes = [], []
-    for level in range(depth):
-        inner = "\n" + "  " * (level + 1)
-        if level % 2 == 0:
-            opens.append("[" + inner)
-            closes.append("\n" + "  " * level + "]")
-        else:
-            opens.append("{" + inner + '"k": ')
-            closes.append("\n" + "  " * level + "}")
-    return "".join(opens) + "0" + "".join(reversed(closes))
-
-
 def stack_depth() -> int:
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -155,38 +139,40 @@ def stack_depth() -> int:
     return depth
 
 
+def tree_project(*trees: BreakdownTree):
+    return replace(new_project("p"), trees=trees)
+
+
 def test_emit_does_not_recurse():
-    assert nested_text(40) == dumps(nested(40))
-    depth = 3000
-    value, expected = nested(depth), nested_text(depth)
     # The deepest tree a document holds, far deeper than the 30 frames.
-    tree = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH)
+    p = tree_project(genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 30)
     try:
-        text = emit(value, ProjectError)
-        tree_text = emit(tree, ProjectError)
+        saved = save_project(p)
     finally:
         sys.setrecursionlimit(limit)
-    assert text == expected
-    assert tree_text.count('"segment"') == MAX_TREE_DEPTH
-    deeper = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH + 1)
+    assert saved.count(b'"segment"') == MAX_TREE_DEPTH
+    assert saved == (dumps(json.loads(saved)) + "\n").encode("utf-8")
+    deeper = tree_project(genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH + 1))
     with pytest.raises(ProjectError) as err:
-        emit(deeper, ProjectError)
-    assert err.value.code == "TREE_TOO_DEEP"
+        save_project(deeper)
+    assert (err.value.code, err.value.path) == ("TREE_TOO_DEEP", "trees.Product")
 
 
 @pytest.mark.parametrize("value, message, path", [
-    ({"a": [1, 1.5]}, "type float cannot be saved", "a[1]"),
-    ({"a": (1,)}, "type tuple cannot be saved", "a"),
-    ({"a": {"b": {1: 2}}}, "map key 1 is not text", "a.b"),
+    ({"a": [1, b"x"]}, "type bytes cannot be saved", "a[1]"),
+    ({"t": [BreakdownTree(Aspect.PRODUCT)]},
+     "type BreakdownTree cannot be saved", "t[0]"),
+    ({"a": {"b": [Rows(None, [["x"]])]}}, "type Rows cannot be saved", "a.b[0]"),
     ([{"x": object()}], "type object cannot be saved", "[0].x"),
-    (float("nan"), "type float cannot be saved", None),
+    (1j, "type complex cannot be saved", None),
     ({"t": BreakdownTree(Aspect.PRODUCT,
                          (BreakdownNode("A", (BreakdownNode("B"),)),)),
       "x": {1}},
      "type set cannot be saved", "x"),
     ({"t": [BreakdownNode("A")]}, "type BreakdownNode cannot be saved", "t[0]"),
+    ({"a": (1, {2: frozenset()})}, "type frozenset cannot be saved", "a[1].2"),
 ])
 def test_emit_refuses_what_it_cannot_write(value, message, path):
     with pytest.raises(KernelError) as err:
@@ -195,14 +181,10 @@ def test_emit_refuses_what_it_cannot_write(value, message, path):
         "UNSUPPORTED_VALUE", message, path)
 
 
-def test_emit_refuses_a_value_inside_itself_and_writes_shared_ones():
-    loop: list = [1]
-    loop.append({"again": loop})
-    with pytest.raises(ProjectError) as err:
-        emit({"x": loop}, ProjectError)
-    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", "x[1].again")
+def test_emit_writes_a_value_held_twice():
     shared = {"k": [1]}
-    assert emit([shared, shared], ProjectError) == dumps([shared, shared])
+    for doc in ([shared, shared], {"a": shared, "b": {"c": shared}}):
+        assert emit(doc, ProjectError) == dumps(doc)
 
 
 def test_encode_refuses_lone_surrogates_at_their_path():
@@ -215,18 +197,24 @@ def test_encode_refuses_lone_surrogates_at_their_path():
 
 
 def test_tree_depth_is_counted_per_tree():
-    # Trees of the deepest size side by side, in one list and beside it:
-    # the depth of one tree does not carry over to the next.
-    tree = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH)
-    flat = BreakdownTree(Aspect.PRODUCT, (BreakdownNode("R"),))
-    doc = {"t": {"X": [flat, tree, tree], "Y": tree}}
-    assert emit(doc, ProjectError) == dumps({"t": {
-        "X": [[{"segment": "R"}], tree_doc(tree), tree_doc(tree)],
-        "Y": tree_doc(tree)}})
-    deeper = genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH + 1)
+    # Trees of the deepest size side by side: the depth of one tree does
+    # not carry over to the next.
+    def chain(aspect, depth=MAX_TREE_DEPTH):
+        return genlib.chain_tree(aspect, depth)
+
+    flat = BreakdownTree(Aspect.FUNCTION, (BreakdownNode("R"),))
+    saved = save_project(tree_project(flat, chain(Aspect.PRODUCT),
+                                      chain(Aspect.LOCATION)))
+    assert json.loads(saved)["trees"] == {
+        "Function": [{"segment": "R"}],
+        "Product": tree_doc(chain(Aspect.PRODUCT)),
+        "Location": tree_doc(chain(Aspect.LOCATION))}
+    deeper = tree_project(chain(Aspect.FUNCTION),
+                          chain(Aspect.PRODUCT, MAX_TREE_DEPTH + 1),
+                          chain(Aspect.LOCATION))
     with pytest.raises(ProjectError) as err:
-        emit({"t": {"X": [tree, tree], "Y": deeper}}, ProjectError)
-    assert (err.value.code, err.value.path) == ("TREE_TOO_DEEP", "t.Y")
+        save_project(deeper)
+    assert (err.value.code, err.value.path) == ("TREE_TOO_DEEP", "trees.Product")
     assert err.value.message == (
         f"breakdown tree is more than {MAX_TREE_DEPTH} levels deep")
 
@@ -323,6 +311,6 @@ def test_an_omit_field_left_out_writes_no_separator():
               Tagged(("d",), "m", ("e",)))
     rows = entry_rows(values, "x", ProjectError)
     docs = entry_docs(values, "x", ProjectError)
-    for at in (lambda v: v, lambda v: {"x": v}, lambda v: [{"x": [v]}]):
+    for at in (lambda v: v, lambda v: {"x": v}, lambda v: {"x": {"y": v}}):
         assert emit(at(rows), ProjectError) == emit(at(docs), ProjectError)
         assert emit(at(rows), ProjectError) == dumps(at(docs))

@@ -9,10 +9,13 @@ import pytest
 
 import genlib
 from essencekit import (
+    AlphaDefinition,
     AlphaInstance,
+    AreaOfConcern,
     Assessment,
     AssessmentError,
     CheckpointRecord,
+    KernelDefinition,
     SystemLevel,
     WorkProductInstance,
     add_instance,
@@ -23,6 +26,7 @@ from essencekit import (
     find_alpha,
     record_checkpoint,
     render_card,
+    validate_kernel,
 )
 from essencekit.engine import AssessmentBuilder
 
@@ -476,6 +480,17 @@ def test_render_card_shows_system_level():
     a = add_instance(a, AlphaInstance(
         id="us", alpha="Stakeholders", system_level=SystemLevel.USING_SYSTEM))
     assert render_card(a, "us").splitlines()[0] == "Stakeholders [us] (UsingSystem)"
+
+
+def test_render_card_of_an_alpha_with_no_states():
+    """A kernel built in code, which validation refuses, still renders."""
+    kernel = KernelDefinition("k", (AreaOfConcern("Solution"),),
+                              (AlphaDefinition("A", "Solution"),))
+    assert "EMPTY_STATES" in validate_kernel(kernel).codes()
+    a = Assessment("p", kernel, instances=(AlphaInstance("i", "A"),))
+    result = alpha_state(a, "i")
+    assert (result.achieved, result.next_state) == (None, None)
+    assert render_card(a, "i") == "A [i] (SystemOfInterest)\nAchieved: (none)"
 
 
 def test_render_card_deterministic():

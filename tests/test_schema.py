@@ -246,6 +246,23 @@ def test_memory_error_while_decoding_is_a_parse_error(kind, monkeypatch):
     assert err.value.code == "PARSE_ERROR"
 
 
+@pytest.mark.parametrize("kind, what", [
+    ("project", "project document"), ("kernel", "kernel document"),
+    ("dcc", "DCC table")])
+def test_loaders_refuse_input_that_is_neither_text_nor_bytes(kind, what):
+    read, error = READERS[kind]
+    for data, name in ((5, "int"), (None, "NoneType"), (memoryview(b"{}"),
+                                                        "memoryview")):
+        with pytest.raises(error) as err:
+            read(data)
+        assert (err.value.code, err.value.message, err.value.path) == (
+            "UNSUPPORTED_VALUE", f"{what} must be text or bytes, not {name}",
+            None)
+    with pytest.raises(error) as err:  # bytearray is read as bytes are
+        read(bytearray(b"[]"))
+    assert err.value.code == "SCHEMA_ERROR"
+
+
 def test_kernel_documents_accept_unknown_keys():
     k = loads_kernel(json.dumps(kernel(notes="free text")))
     assert k.name == "k"

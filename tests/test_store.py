@@ -539,6 +539,24 @@ def test_one_tree_per_aspect():
     assert err.value.message == "two breakdown trees for aspect Product"
 
 
+def test_the_first_repeated_aspect_in_canonical_order_is_named():
+    """Location repeats first in the input, Product first in canonical
+    order; the canonical one is named, for a node as for a project."""
+    chains = tuple(parse_designation(text).chains[0]
+                   for text in ("+L1", "-P1", "+L2", "-P2"))
+    with pytest.raises(ModelError) as err:
+        RealizationNode("n", chains)
+    assert (err.value.code, err.value.message, err.value.path) == (
+        "DUPLICATE_ASPECT", "node 'n' has two Product designators", None)
+    trees = tuple(BreakdownTree(aspect) for aspect in (
+        Aspect.LOCATION, Aspect.PRODUCT, Aspect.LOCATION, Aspect.PRODUCT))
+    with pytest.raises(ProjectError) as err:
+        replace(new_project("p"), trees=trees)
+    assert (err.value.code, err.value.message, err.value.path) == (
+        "DUPLICATE_ASPECT", "two breakdown trees for aspect Product",
+        "trees.Product")
+
+
 def deep_project(depth: int) -> Project:
     return replace(new_project("deep"),
                    trees=(genlib.chain_tree(Aspect.PRODUCT, depth),))
