@@ -17,9 +17,10 @@ order, ``what`` naming the field in a refusal. Its key set, reader,
 writer and the operations' type checks all come from the table.
 
 ``emit`` and ``encode`` write what ``json.dumps(doc, indent=2,
-ensure_ascii=False)`` would, through ``json.dumps`` itself but for two
-values in a document's maps: ``Rows``, written from its columns, and a
-``BreakdownTree``, written from its arrays without recursion.
+ensure_ascii=False)`` would, through ``json.dumps`` itself but for the
+values in a document's maps that write themselves: ``Rows``, from its
+columns, and breakdown trees, whose format only ``designation`` knows.
+This module imports no library module but ``_value`` and ``errors``.
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ class Rows:
         return [{key: raw for (_, key, kind, _), raw in zip(self.fields, row)
                  if raw or not kind.omit} for row in zip(*self.columns)]
 
-    def write(self, write, depth: int) -> None:
+    def _write_json(self, write, depth: int) -> None:
         """Write the list as ``emit`` does at ``depth``: each entry made by
         one %-template from the texts of its fields' values."""
         if self.fields is None:
@@ -388,22 +389,6 @@ def check_fields(entry: object, cls: type, error: type[EssenceError]) -> None:
             kind.check(value, what, error)
 
 
-# The deepest breakdown tree a document holds, a root being level 1.
-# Reading and writing keep their own stack, and so do the equality,
-# hash and repr of BreakdownNode; the JSON decoder recurses twice per
-# tree level, and the pickling of BreakdownNode about four times. At
-# this depth all of them stay well inside Python's default recursion
-# limit.
-MAX_TREE_DEPTH = 128
-
-
-def too_deep(error: type[EssenceError], path: str | None) -> EssenceError:
-    """TREE_TOO_DEEP for the breakdown tree at ``path``."""
-    return error("TREE_TOO_DEEP",
-                 f"breakdown tree is more than {MAX_TREE_DEPTH} levels deep",
-                 path=path)
-
-
 def encode(value: object, error: type[EssenceError]) -> bytes:
     """``emit(value)`` as UTF-8 with a final newline: a saved document.
 
@@ -422,30 +407,28 @@ def encode(value: object, error: type[EssenceError]) -> bytes:
 def emit(value: object, error: type[EssenceError]) -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)``, maps walked.
 
-    The document, or a value of one of its maps, may be ``Rows``, or a
-    ``BreakdownTree``: the list of its roots' node maps ``{"segment":
-    ..., "children": [...]}``, children left out when there are none.
-    What ``json.dumps`` cannot write is UNSUPPORTED_VALUE at its path;
-    a tree with a node with children at level ``MAX_TREE_DEPTH`` is
-    TREE_TOO_DEEP at the path of the tree.
+    The document, or a value of one of its maps, may write itself: it
+    has a ``_write_json(write, depth)`` method, as ``Rows`` has. What
+    ``json.dumps`` cannot write is UNSUPPORTED_VALUE at its path; a
+    value that writes itself may refuse, with ``_Refused``, to be
+    written.
     """
     parts: list[str] = []
     try:
         _write(value, 0, parts.append)
     except _Refused as refused:
-        item, deep = refused.args
+        item, refusal = refused.args
         path = _first_path(value, lambda found: found is item)
-        raise (too_deep(error, path) if deep
-               else cannot_save(item, path, error)) from None
+        raise refusal(error, path) from None
     return "".join(parts)
 
 
 class _Refused(Exception):
-    """``(value, is a tree too deep)``, raised for ``emit`` to place."""
+    """``(value, refusal)``: ``emit`` raises ``refusal(error, path of value)``."""
 
 
 def _refuse(value: object):  # json.dumps's hook for what it cannot write
-    raise _Refused(value, False)
+    raise _Refused(value, lambda error, path: cannot_save(value, path, error))
 
 
 def _dumps(value: object, depth: int) -> str:
@@ -456,11 +439,9 @@ def _dumps(value: object, depth: int) -> str:
 
 
 def _write(item: object, depth: int, write) -> None:
-    """Write ``item`` at ``depth`` as ``emit`` does: a map walked, any
-    other value by its own writer."""
-    # designation imports this module
-    from .designation import BreakdownTree
-
+    """Write ``item`` at ``depth`` as ``emit`` does: a map walked, a
+    value that writes itself by its own writer, any other by
+    ``json.dumps``."""
     if isinstance(item, dict) and item:
         indent = "\n" + "  " * (depth + 1)
         sep = "{" + indent
@@ -469,59 +450,10 @@ def _write(item: object, depth: int, write) -> None:
             _write(inner, depth + 1, write)
             sep = "," + indent
         write("\n" + "  " * depth + "}")
-    elif item.__class__ is Rows:
-        item.write(write, depth)
-    elif isinstance(item, BreakdownTree):
-        _write_nodes(write, item, depth)
+    elif hasattr(item, "_write_json"):
+        item._write_json(write, depth)
     else:
         write(_dumps(item, depth))
-
-
-def _write_nodes(write, tree, depth: int) -> None:
-    """Write the list of the node maps of ``tree`` at ``depth`` from its
-    depth-first arrays; ``_Refused``, midway, at a node with children at
-    level ``MAX_TREE_DEPTH``."""
-    segments, parents = tree._arrays
-    first, later, leaf, opened, closed = _node_texts(depth + 1)
-    write("[")
-    # The open nodes: the ancestors of the node being written.
-    ups: list[int] = []
-    for pos, (up, segment, below) in enumerate(
-            zip(parents, segments, parents[1:] + (-1,))):
-        while ups and ups[-1] != up:
-            ups.pop()
-            write(closed[len(ups)])
-        level = len(ups)
-        text = (first if up == pos - 1 else later)[level] + _quote(segment)
-        if below == pos:
-            if level + 1 == MAX_TREE_DEPTH:
-                raise _Refused(tree, True)
-            ups.append(pos)
-            write(text + opened[level])
-        else:
-            write(text + leaf[level])
-    while ups:
-        ups.pop()
-        write(closed[len(ups)])
-    write("\n" + "  " * depth + "]" if segments else "]")
-
-
-@lru_cache(maxsize=16)
-def _node_texts(depth: int) -> tuple[tuple[str, ...], ...]:
-    """By tree level, for node maps whose roots are at ``depth``: the
-    text before the segment of a first child and of a later one, and
-    the text after the segment of a leaf and of a node with children;
-    then the text that closes a node with children."""
-    first, later, leaf, opened, closed = [], [], [], [], []
-    for level in range(MAX_TREE_DEPTH):
-        indent = "\n" + "  " * (depth + 2 * level)
-        head = "{" + indent + '  "segment": '
-        first.append(indent + head)
-        later.append("," + indent + head)
-        leaf.append(indent + "}")
-        opened.append("," + indent + '  "children": [')
-        closed.append(indent + "  ]" + indent + "}")
-    return tuple(map(tuple, (first, later, leaf, opened, closed)))
 
 
 _LONE_SURROGATE = "text holds a lone surrogate"

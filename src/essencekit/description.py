@@ -462,6 +462,7 @@ class ArchitectureReport:
 
 def endeavor_viewpoint_lint(model: DescriptionModel) -> tuple[str, ...]:
     """One warning per missing endeavor description kind; need them all."""
+    Kind(DescriptionModel).check(model, "model", ModelError)
     present = {vp.description_kind for vp in model.viewpoints}
     return tuple(
         f"missing endeavor description kind: {kind.value}"

@@ -15,6 +15,11 @@ Chains resolve against per-aspect breakdown trees by path-suffix match,
 so a partial designator may be ambiguous; a designation is acceptable
 when at least one of its chains is not.
 
+A breakdown tree is two depth-first arrays, and its file format lives
+here alone: ``read_trees`` reads a project file's ``trees`` map into
+the arrays, a tree writes its node maps from them for ``_schema.emit``,
+and ``MAX_TREE_DEPTH`` bounds both.
+
 Document designations follow IEC 61355 in shape: a system designation,
 ``&``, and a three-letter document classification code whose first
 letter (the technical area) must exist in the active DCC table.
@@ -26,10 +31,11 @@ import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
+from json.encoder import encode_basestring as _quote
 
-from ._schema import (MAX_TREE_DEPTH, check_keys, decode, get, nested,
-                      nonempty, too_deep)
+from ._schema import (_Refused, check_keys, decode, enum_of, get, nested,
+                      nonempty)
 from ._value import member
 from .errors import DesignationError, EssenceError
 
@@ -236,6 +242,7 @@ def _require_designation(d: object) -> None:
 
 def format_designation(d: MultiAspectDesignation) -> str:
     """Canonical form: aspect order Function, Product, Location; " / " joins."""
+    _require_designation(d)
     by_aspect = d.by_aspect()
     return " / ".join(
         str(by_aspect[aspect]) for aspect in ASPECT_ORDER if aspect in by_aspect
@@ -295,7 +302,7 @@ class BreakdownTree:
     The value is two arrays of its nodes in depth-first order: each
     node's segment, and the position of its parent (-1 for a root).
     The constructor flattens ``roots`` into them; a tree from
-    ``from_doc``, a copy or a pickle builds ``roots`` on first read.
+    ``read_trees``, a copy or a pickle builds ``roots`` on first read.
     Equality, hash, copies and pickles see ``aspect`` and the arrays,
     and do not recurse; repr and ``dataclasses.replace`` go through
     ``roots``. The first ``resolve`` also indexes nodes by segment.
@@ -311,19 +318,6 @@ class BreakdownTree:
         object.__setattr__(self, "roots", _nodes(self.roots))
         _require_unique_siblings((root.segment for root in self.roots), None)
         object.__setattr__(self, "_arrays", _flatten(self.roots))
-
-    @classmethod
-    def from_doc(cls, aspect: Aspect, roots: list, path: str,
-                 error: type[EssenceError]) -> BreakdownTree:
-        """The tree of the JSON node maps ``roots`` at ``path``: a map's
-        shape errors are ``error`` at the map's path, its segment errors
-        SCHEMA_ERROR at ``path``, as ``nested`` reports them."""
-        segments, parents = nested(error, path, _tree_arrays, roots, path,
-                                   error)
-        tree = object.__new__(cls)
-        tree.__dict__.update(aspect=aspect,
-                             _arrays=(tuple(segments), tuple(parents)))
-        return tree
 
     def __getattr__(self, name: str):
         """``roots`` of a tree made without them, built on first read."""
@@ -361,6 +355,90 @@ class BreakdownTree:
             else:
                 same.append(pos)
         return positions
+
+    def _write_json(self, write, depth: int) -> None:
+        """Write the list of the roots' node maps ``{"segment": ...,
+        "children": [...]}``, children left out when there are none, as
+        ``_schema.emit`` does at ``depth``, from the arrays; refused,
+        midway, as TREE_TOO_DEEP at a node with children at level
+        ``MAX_TREE_DEPTH``."""
+        segments, parents = self._arrays
+        first, later, leaf, opened, closed = _node_texts(depth + 1)
+        write("[")
+        # The open nodes: the ancestors of the node being written.
+        ups: list[int] = []
+        for pos, (up, segment, below) in enumerate(
+                zip(parents, segments, parents[1:] + (-1,))):
+            while ups and ups[-1] != up:
+                ups.pop()
+                write(closed[len(ups)])
+            level = len(ups)
+            text = (first if up == pos - 1 else later)[level] + _quote(segment)
+            if below == pos:
+                if level + 1 == MAX_TREE_DEPTH:
+                    raise _Refused(self, too_deep)
+                ups.append(pos)
+                write(text + opened[level])
+            else:
+                write(text + leaf[level])
+        while ups:
+            ups.pop()
+            write(closed[len(ups)])
+        write("\n" + "  " * depth + "]" if segments else "]")
+
+
+# The deepest breakdown tree a document holds, a root being level 1.
+# Reading and writing keep their own stack, and so do the equality,
+# hash and repr of BreakdownNode; the JSON decoder recurses twice per
+# tree level, and the pickling of BreakdownNode about four times. At
+# this depth all of them stay well inside Python's default recursion
+# limit.
+MAX_TREE_DEPTH = 128
+
+
+def too_deep(error: type[EssenceError], path: str | None) -> EssenceError:
+    """TREE_TOO_DEEP for the breakdown tree at ``path``."""
+    return error("TREE_TOO_DEEP",
+                 f"breakdown tree is more than {MAX_TREE_DEPTH} levels deep",
+                 path=path)
+
+
+@lru_cache(maxsize=16)
+def _node_texts(depth: int) -> tuple[tuple[str, ...], ...]:
+    """By tree level, for node maps whose roots are at ``depth``: the
+    text before the segment of a first child and of a later one, and
+    the text after the segment of a leaf and of a node with children;
+    then the text that closes a node with children."""
+    first, later, leaf, opened, closed = [], [], [], [], []
+    for level in range(MAX_TREE_DEPTH):
+        indent = "\n" + "  " * (depth + 2 * level)
+        head = "{" + indent + '  "segment": '
+        first.append(indent + head)
+        later.append("," + indent + head)
+        leaf.append(indent + "}")
+        opened.append("," + indent + '  "children": [')
+        closed.append(indent + "  ]" + indent + "}")
+    return tuple(map(tuple, (first, later, leaf, opened, closed)))
+
+
+def read_trees(doc: dict, error: type[EssenceError]) -> tuple[BreakdownTree, ...]:
+    """The trees of a project file's ``trees`` map ``doc``, each read
+    from its roots' node maps straight into its arrays. Errors are
+    ``error``: a map's shape errors at the map's path, a segment's
+    SCHEMA_ERROR at the tree's path ``trees.<Aspect>``, as ``nested``
+    reports them."""
+    trees = []
+    for key, roots in doc.items():
+        path = f"trees.{key}"
+        aspect = enum_of(key, Aspect, "trees", error)
+        if not isinstance(roots, list):
+            raise error("SCHEMA_ERROR", "tree roots must be a list", path=path)
+        segments, parents = nested(error, path, _tree_arrays, roots, path, error)
+        tree = object.__new__(BreakdownTree)
+        tree.__dict__.update(aspect=aspect,
+                             _arrays=(tuple(segments), tuple(parents)))
+        trees.append(tree)
+    return tuple(trees)
 
 
 def _flatten(
@@ -669,6 +747,9 @@ def parse_document_designation(
 
 
 def format_document_designation(d: DocumentDesignation) -> str:
+    if not isinstance(d, DocumentDesignation):
+        raise DesignationError("BAD_PREFIX", f"document designation {d!r} "
+                               "is not a DocumentDesignation")
     return f"{format_designation(d.system)}&{d.dcc}"
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ._schema import TEXT, Entries, Texts, decode, encode, entry_docs, read_entry
+from ._schema import TEXT, Entries, Kind, Texts, decode, encode, entry_docs, read_entry
 from ._value import fields_state, find, index, tuple_fields
 from .errors import KernelError
 
@@ -198,8 +198,10 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
     """Check every meta-model invariant; violations come back as findings.
 
     Pure: equal kernels yield equal reports. Findings are data, never
-    exceptions, so partially built kernels can be inspected freely.
+    exceptions, so partially built kernels can be inspected freely. A
+    ``kernel`` that is no kernel is refused, UNSUPPORTED_VALUE.
     """
+    Kind(KernelDefinition).check(kernel, "kernel", KernelError)
     findings: list[Finding] = []
 
     def flag(code: str, path: str, message: str) -> None:
@@ -378,6 +380,7 @@ def kernel_from_doc(doc: Any) -> KernelDefinition:
 
 def kernel_to_doc(kernel: KernelDefinition) -> dict[str, Any]:
     """Serialize a kernel to its document tree, keys in schema order."""
+    Kind(KernelDefinition).check(kernel, "kernel", KernelError)
     return entry_docs((kernel,), None, KernelError)[0]
 
 

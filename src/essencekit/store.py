@@ -24,7 +24,6 @@ from typing import Callable, NamedTuple
 
 from ._schema import (
     BOOL,
-    MAX_TREE_DEPTH,  # re-exported as essencekit.store.MAX_TREE_DEPTH
     Kind,
     _at,
     check_keys,
@@ -32,7 +31,6 @@ from ._schema import (
     encode,
     entries,
     entry_rows,
-    enum_of,
     get,
     nested,
     nonempty,
@@ -49,7 +47,8 @@ from .description import (
     ViewElement,
     Viewpoint,
 )
-from .designation import Aspect, BreakdownTree, in_aspect_order
+from .designation import MAX_TREE_DEPTH  # re-exported as store.MAX_TREE_DEPTH
+from .designation import Aspect, BreakdownTree, in_aspect_order, read_trees
 from .engine import (
     AlphaInstance,
     Assessment,
@@ -143,7 +142,7 @@ def load_project(data: bytes | str) -> Project:
         project_id, kernel,
         get(raw, "strict-evidence", bool, "assessment", ProjectError, False),
     ), "strict-evidence")
-    trees = _load_trees(get(doc, "trees", dict, None, ProjectError, {}))
+    trees = read_trees(get(doc, "trees", dict, None, ProjectError, {}), ProjectError)
     description = _read_lists(get(doc, "description", dict, None, ProjectError, {}),
                               "description", ModelBuilder())
     return Project(
@@ -156,6 +155,7 @@ def load_project(data: bytes | str) -> Project:
 
 
 def save_project(p: Project) -> bytes:
+    Kind(Project).check(p, "project", ProjectError)
     doc = {
         "format-version": FORMAT_VERSION,
         "project-id": p.project_id,
@@ -231,19 +231,6 @@ def _valid_kernel(kernel: KernelDefinition) -> KernelDefinition:
         finding = report.findings[0]
         raise KernelError(finding.code, finding.message, path=finding.path)
     return kernel
-
-
-def _load_trees(raw: dict) -> tuple[BreakdownTree, ...]:
-    trees = []
-    for key, roots in raw.items():
-        path = f"trees.{key}"
-        aspect = enum_of(key, Aspect, "trees", ProjectError)
-        if not isinstance(roots, list):
-            raise ProjectError(
-                "SCHEMA_ERROR", "tree roots must be a list", path=path
-            )
-        trees.append(BreakdownTree.from_doc(aspect, roots, path, ProjectError))
-    return tuple(trees)
 
 
 def _read_lists(raw: dict, at: str, builder: AssessmentBuilder | ModelBuilder,

@@ -59,14 +59,13 @@ from essencekit import (
     validate_kernel,
 )
 from essencekit._schema import (
-    MAX_TREE_DEPTH,
     check_keys,
     enum_of,
     get,
     nested,
-    too_deep,
 )
-from essencekit.designation import ASPECT_ORDER, _ASPECT_BY_PREFIX, _SEGMENT_RE
+from essencekit.designation import (
+    ASPECT_ORDER, MAX_TREE_DEPTH, _ASPECT_BY_PREFIX, _SEGMENT_RE, too_deep)
 from essencekit.errors import ModelError
 from essencekit.metamodel import AREA_NAMES
 

@@ -132,10 +132,11 @@ def test_realization_node_keeps_designators_given_as_an_iterator():
     lambda m: DescriptionModel(coextension=5),
     lambda m: DescriptionModel(coextension=frozenset({("a", "b")})),
     lambda m: DescriptionModel(coextension=frozenset({frozenset({"a", 5})})),
+    lambda m: endeavor_viewpoint_lint(5),
 ], ids=["designators-none", "designator-text", "views-int", "model-views-int",
         "model-viewpoints-none", "model-element-text", "model-node-element",
         "model-bindings-int", "model-binding-list", "model-coextension-int",
-        "model-class-tuple", "model-class-member-int"])
+        "model-class-tuple", "model-class-member-int", "lint-int"])
 def test_arguments_of_other_types_are_refused(make):
     model = add_realization_node(DescriptionModel(), RealizationNode(id="n1"))
     with pytest.raises(ModelError) as err:

@@ -348,7 +348,10 @@ def test_resolve_refuses_a_chain_that_is_no_chain(chain):
     (lambda: check_at_least_one_unambiguous(
         {Aspect.PRODUCT: "x"}, parse_designation("-12")), "MISSING_TREE"),
     (lambda: check_at_least_one_unambiguous({}, "x"), "BAD_PREFIX"),
-], ids=["resolve-tree-text", "trees-list", "tree-text", "designation-text"])
+    (lambda: format_designation(5), "BAD_PREFIX"),
+    (lambda: format_document_designation(5), "BAD_PREFIX"),
+], ids=["resolve-tree-text", "trees-list", "tree-text", "designation-text",
+        "format-int", "format-document-int"])
 def test_checks_refuse_trees_and_designations_of_other_types(check, code):
     with pytest.raises(DesignationError) as err:
         check()

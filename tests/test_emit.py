@@ -47,7 +47,6 @@ from essencekit import (
     save_project,
 )
 from essencekit._schema import (
-    MAX_TREE_DEPTH,
     TEXT,
     Rows,
     Texts,
@@ -56,6 +55,7 @@ from essencekit._schema import (
     entry_docs,
     entry_rows,
 )
+from essencekit.designation import MAX_TREE_DEPTH
 
 
 def dumps(value) -> str:

@@ -292,9 +292,12 @@ def test_kernel_from_doc_refuses_a_non_map(doc):
     lambda: StateDefinition("s", "", (5,)),
     lambda: AlphaDefinition("a", "Solution", states=None),
     lambda: AlphaDefinition("a", "Solution", subalphas=("b", 5)),
+    lambda: kernel_to_doc(5),
+    lambda: dumps_kernel(5),
+    lambda: validate_kernel(5),
 ], ids=["areas-none", "alphas-none", "validate-alphas-none", "area-text",
         "workproducts-int", "checkpoints-none", "checkpoint-int", "states-none",
-        "subalpha-int"])
+        "subalpha-int", "to-doc-int", "dumps-int", "validate-int"])
 def test_tuple_fields_of_other_types_are_refused(make):
     with pytest.raises(KernelError) as err:
         make()

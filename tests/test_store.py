@@ -58,6 +58,7 @@ from essencekit import (
     resolve,
     save_project,
 )
+from essencekit.designation import read_trees
 from essencekit.store import MAX_TREE_DEPTH
 
 MINIMAL = '{"format-version": 1, "project-id": "p"}'
@@ -169,7 +170,10 @@ def test_save_refuses_text_that_utf8_cannot_hold():
             (new_project("p\ud800"), "project-id"),
             (replace(new_project("p"), description=add_element(
                 DescriptionModel(), ViewElement(id="e1", label="a\udfff"))),
-             "description.elements[0].label")):
+             "description.elements[0].label"),
+            (replace(new_project("p"), description=DescriptionModel(
+                bindings=(("e1", "n\ud800"),))),
+             "description.bindings[0][1]")):
         with pytest.raises(ProjectError) as err:
             save_project(p)
         assert (err.value.code, err.value.message, err.value.path) == (
@@ -659,8 +663,7 @@ def test_every_tree_holds_its_arrays_from_construction():
              genlib.chain_tree(Aspect.LOCATION, 3)]
     loaded = load_project(save_project(
         replace(new_project("p"), trees=built))).trees
-    read = BreakdownTree.from_doc(Aspect.PRODUCT, [{"segment": "A"}],
-                                  "trees.Product", ProjectError)
+    read, = read_trees({"Product": [{"segment": "A"}]}, ProjectError)
     for tree in built + list(loaded) + [read]:
         assert "_arrays" in vars(tree)
         assert "_arrays" in vars(pickle.loads(pickle.dumps(tree)))
@@ -814,9 +817,10 @@ def test_enum_fields_refuse_or_round_trip(field, value):
     lambda: Project("p", new_project("p").assessment, trees=(5,)),
     lambda: Project("p", new_project("p").assessment, description=5),
     lambda: Project("p", new_project("p").assessment, trees=None),
+    lambda: save_project(5),
 ], ids=["id-int", "id-list", "strict-evidence-int", "kernel-int",
         "assessment-int", "assessment-none", "tree-int", "description-int",
-        "trees-none"])
+        "trees-none", "save-int"])
 def test_new_project_refuses_what_a_file_cannot_hold(make):
     with pytest.raises(ProjectError) as err:
         make()
