@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from ._schema import Kind
+from .errors import KernelError
 from .metamodel import (
     AlphaDefinition,
     AreaOfConcern,
@@ -166,6 +168,7 @@ def _placeholder_states() -> tuple[StateDefinition, ...]:
 
 def has_placeholder_states(alpha: AlphaDefinition) -> bool:
     """True when the alpha carries only the built-in placeholder state."""
+    Kind(AlphaDefinition).check(alpha, "alpha", KernelError)
     return alpha.state_names == (PLACEHOLDER_STATE,)
 
 

@@ -27,8 +27,8 @@ from functools import cached_property
 
 from ._schema import BOOL, TEXT, Kind, Member, Texts, _at, check_fields, enum_of, nested
 from ._value import derive, fields_state, find, index, member, tuple_fields, unsupported
-from .designation import (_CHAIN_RE, Aspect, AspectChain, _new, _put, in_aspect_order,
-                          parse_designation)
+from .designation import (Aspect, AspectChain, in_aspect_order, parse_designation,
+                          single_chain)
 from .errors import ModelError
 
 
@@ -66,13 +66,8 @@ class _Designators(Kind):
     def load(self, raw, path, key, error):
         chains = []
         for name, text in raw.items():
-            found = text.__class__ is str and _CHAIN_RE.fullmatch(text)
-            aspect = found and found[3] is None and _ASPECT_OF.get((name, found[1]))
-            if aspect:  # one chain of its key's aspect, built as parsed
-                chain = _new(AspectChain)
-                _put(chain, "aspect", aspect)
-                _put(chain, "segments", tuple(found[2].split(found[1])))
-            else:  # the general parser words the refusal
+            chain = single_chain(text, name)  # one chain of its key's aspect
+            if chain is None:  # the general parser words the refusal
                 at = _at(path, key)
                 chain_path = f"{at}.{name}"
                 aspect = enum_of(name, Aspect, at, error)
@@ -88,14 +83,8 @@ class _Designators(Kind):
         return tuple(chains)
 
     def dump(self, values, path, key, error):
-        return [{_FILE_KEYS[chain.aspect]: str(chain) for chain in chains}
+        return [{chain.aspect.value: str(chain) for chain in chains}
                 for chains in super().dump(values, path, key, error)]
-
-
-# A designator's aspect by its file key and its chain's prefix, and the
-# file key by its aspect.
-_ASPECT_OF = {(aspect.value, aspect.prefix): aspect for aspect in Aspect}
-_FILE_KEYS = {aspect: aspect.value for aspect in Aspect}
 
 
 _NAME = Kind(str, empty="EMPTY_NAME")
@@ -238,11 +227,17 @@ class DescriptionModel:
 class ModelBuilder:
     """Builds one description model from entries added in order.
 
-    Each entry gets the check of the matching operation, so errors are
-    the same as when folding the ``add_*``, ``assert_coextension`` and
-    ``bind_element`` operations; the value is made once, by ``build``.
-    The builder's attributes are the model's indices, by name, and
-    ``build`` hands them over.
+    Each entry gets the reference and duplicate checks of the matching
+    operation, so errors are the same as when folding the ``add_*``,
+    ``assert_coextension`` and ``bind_element`` operations; the value is
+    made once, by ``build``. The builder's attributes are the model's
+    indices, by name, and ``build`` hands them over.
+
+    Unlike the operations, it checks no entry's fields. Its one caller,
+    ``load_project``, adds entries made by ``read_entry``, which sets a
+    field to a raw value of its kind's plain class (not empty where the
+    kind has an ``empty`` code), a value the kind's ``load`` made, or
+    the dataclass default: each fits, so ``check_fields`` passes it.
     """
 
     def __init__(self) -> None:
@@ -303,18 +298,24 @@ class ModelBuilder:
 
 
 def add_viewpoint(model: DescriptionModel, vp: Viewpoint) -> DescriptionModel:
+    _require_model(model)
+    check_fields(vp, Viewpoint, ModelError)
     _check_viewpoint(model, vp)
     return derive(model, viewpoints=model.viewpoints + (vp,),
                   _viewpoints_by_name={**model._viewpoints_by_name, vp.name: vp})
 
 
 def add_view(model: DescriptionModel, view: View) -> DescriptionModel:
+    _require_model(model)
+    check_fields(view, View, ModelError)
     _check_view(model, view)
     return derive(model, views=model.views + (view,),
                   _views_by_name={**model._views_by_name, view.name: view})
 
 
 def add_element(model: DescriptionModel, elem: ViewElement) -> DescriptionModel:
+    _require_model(model)
+    check_fields(elem, ViewElement, ModelError)
     _check_element(model, elem)
     return derive(model, elements=model.elements + (elem,),
                   _elements_by_id={**model._elements_by_id, elem.id: elem})
@@ -323,23 +324,23 @@ def add_element(model: DescriptionModel, elem: ViewElement) -> DescriptionModel:
 def add_realization_node(
     model: DescriptionModel, node: RealizationNode
 ) -> DescriptionModel:
+    _require_model(model)
+    check_fields(node, RealizationNode, ModelError)
     _check_node(model, node)
     return derive(model, realization_nodes=model.realization_nodes + (node,),
                   _nodes_by_id={**model._nodes_by_id, node.id: node})
 
 
-# The checks take a DescriptionModel or a ModelBuilder, and read the
-# indices both keep under the same names.
+# The reference and duplicate checks take a DescriptionModel or a
+# ModelBuilder, and read the indices both keep under the same names.
 
 
 def _check_viewpoint(model, vp: Viewpoint) -> None:
-    check_fields(vp, Viewpoint, ModelError)
     if vp.name in model._viewpoints_by_name:
         raise ModelError("DUPLICATE_NAME", f"viewpoint {vp.name!r} already defined")
 
 
 def _check_view(model, view: View) -> None:
-    check_fields(view, View, ModelError)
     if view.name in model._views_by_name:
         raise ModelError("DUPLICATE_NAME", f"view {view.name!r} already defined")
     if view.viewpoint not in model._viewpoints_by_name:
@@ -356,13 +357,11 @@ def _check_view(model, view: View) -> None:
 
 
 def _check_element(model, elem: ViewElement) -> None:
-    check_fields(elem, ViewElement, ModelError)
     if elem.id in model._elements_by_id:
         raise ModelError("DUPLICATE_NAME", f"element id {elem.id!r} already used")
 
 
 def _check_node(model, node: RealizationNode) -> None:
-    check_fields(node, RealizationNode, ModelError)
     if node.id in model._nodes_by_id:
         raise ModelError("DUPLICATE_NAME", f"node id {node.id!r} already used")
 
@@ -387,6 +386,7 @@ def _check_binding(model, elem_id: str, node_id: str) -> frozenset[str]:
 
 def coextension_class(model: DescriptionModel, elem_id: str) -> frozenset[str]:
     """The element's coextension class; singleton when never asserted."""
+    _require_model(model)
     _require_extended(model, elem_id)
     return _class(model, elem_id)
 
@@ -400,6 +400,7 @@ def assert_coextension(
     binding spreads to the merged class. Conflicting bindings refuse
     the merge.
     """
+    _require_model(model)
     _require_extended(model, elem_a)
     _require_extended(model, elem_b)
     class_a = _class(model, elem_a)
@@ -426,6 +427,7 @@ def bind_element(
     model: DescriptionModel, elem_id: str, node_id: str
 ) -> DescriptionModel:
     """Bind an extended element (and so its whole class) to a node."""
+    _require_model(model)
     cls = _check_binding(model, elem_id, node_id)
     return _successor(model, model._class_of, model.coextension, cls, node_id)
 
@@ -434,6 +436,7 @@ def viable_architecture(
     model: DescriptionModel, views: Iterable[str]
 ) -> "ArchitectureReport":
     """Minimally one view per structure type, else not yet viable."""
+    _require_model(model)
     if not isinstance(views, Iterable):
         raise unsupported(ModelError, "views", "an iterable of view names",
                           views)
@@ -462,7 +465,7 @@ class ArchitectureReport:
 
 def endeavor_viewpoint_lint(model: DescriptionModel) -> tuple[str, ...]:
     """One warning per missing endeavor description kind; need them all."""
-    Kind(DescriptionModel).check(model, "model", ModelError)
+    _require_model(model)
     present = {vp.description_kind for vp in model.viewpoints}
     return tuple(
         f"missing endeavor description kind: {kind.value}"
@@ -474,6 +477,7 @@ def endeavor_viewpoint_lint(model: DescriptionModel) -> tuple[str, ...]:
 def bind_designator(
     model: DescriptionModel, node_id: str, chain: AspectChain
 ) -> DescriptionModel:
+    _require_model(model)
     Kind(AspectChain).check(chain, "designator", ModelError)
     node = model.realization_node(node_id)
     if node is None:
@@ -489,6 +493,11 @@ def bind_designator(
     pos = nodes.index(node)
     return derive(model, realization_nodes=nodes[:pos] + (updated,) + nodes[pos + 1:],
                   _nodes_by_id={**model._nodes_by_id, node_id: updated})
+
+
+def _require_model(model: DescriptionModel) -> None:
+    if model.__class__ is not DescriptionModel:  # one test on every query
+        Kind(DescriptionModel).check(model, "model", ModelError)
 
 
 def _require_extended(model, elem_id: str) -> ViewElement:

@@ -34,7 +34,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring as _quote
 
-from ._schema import (_Refused, check_keys, decode, enum_of, get, nested,
+from ._schema import (Kind, _Refused, check_keys, decode, enum_of, get, nested,
                       nonempty)
 from ._value import member
 from .errors import DesignationError, EssenceError
@@ -65,6 +65,9 @@ _PREFIX_BY_ASPECT = {
     Aspect.LOCATION: "+",
 }
 _ASPECT_BY_PREFIX = {prefix: aspect for aspect, prefix in _PREFIX_BY_ASPECT.items()}
+# An aspect by its value and its prefix.
+_ASPECT_OF = {(aspect.value, prefix): aspect
+              for aspect, prefix in _PREFIX_BY_ASPECT.items()}
 
 # Canonical chain order within a designation.
 ASPECT_ORDER = (Aspect.FUNCTION, Aspect.PRODUCT, Aspect.LOCATION)
@@ -221,6 +224,20 @@ def parse_designation(text: str) -> MultiAspectDesignation:
                 f"unexpected character {rest[0]!r} at column "
                 f"{end - len(rest) + 1}" if rest
                 else f"trailing whitespace at column {pos + 1}"))
+
+
+def single_chain(text: object, aspect: str) -> AspectChain | None:
+    """The chain that ``text`` is whole, built as ``parse_designation``
+    builds it, when ``text`` is one chain of the aspect whose value is
+    ``aspect``; otherwise None, and ``parse_designation`` words why."""
+    found = text.__class__ is str and _CHAIN_RE.fullmatch(text)
+    of_aspect = found and found[3] is None and _ASPECT_OF.get((aspect, found[1]))
+    if not of_aspect:
+        return None
+    chain = _new(AspectChain)
+    _put(chain, "aspect", of_aspect)
+    _put(chain, "segments", tuple(found[2].split(found[1])))
+    return chain
 
 
 def _not_text(what: str, value: object) -> DesignationError:
@@ -731,6 +748,7 @@ def parse_document_designation(
     """Split ``<system designation>&<DCC>`` and validate the area letter."""
     if not isinstance(text, str):
         raise _not_text("document designation", text)
+    Kind(DccTable).check(table, "DCC table", DesignationError)
     cut = text.find("&")
     if cut < 0:
         raise DesignationError(

@@ -149,13 +149,23 @@ class Assessment:
         return {rec.key: i for i, rec in enumerate(self.records)}
 
 
+_ASSESSMENT = Kind(Assessment)
+
+
 class AssessmentBuilder:
     """Builds one assessment from entries added in order.
 
-    Each entry gets the check of the matching operation, so errors are
-    the same as when folding ``add_instance``, ``add_work_product`` and
-    ``record_checkpoint``; the value is made once, by ``build``, which
-    hands it the builder's id maps, named as its indices.
+    Each entry gets the reference and duplicate checks of the matching
+    operation, so errors are the same as when folding ``add_instance``,
+    ``add_work_product`` and ``record_checkpoint``; the value is made
+    once, by ``build``, which hands it the builder's id maps, named as
+    its indices.
+
+    Unlike the operations, it checks no entry's fields. Its one caller,
+    ``load_project``, adds entries made by ``read_entry``, which sets a
+    field to a raw value of its kind's plain class (not empty where the
+    kind has an ``empty`` code), a value the kind's ``load`` made, or
+    the dataclass default: each fits, so ``check_fields`` passes it.
     """
 
     def __init__(self, project_id: str, kernel: KernelDefinition,
@@ -209,12 +219,16 @@ class StateResult:
 
 
 def add_instance(a: Assessment, inst: AlphaInstance) -> Assessment:
+    _ASSESSMENT.check(a, "assessment", AssessmentError)
+    check_fields(inst, AlphaInstance, AssessmentError)
     _check_instance(a, inst)
     return derive(a, instances=a.instances + (inst,),
                   _instances_by_id={**a._instances_by_id, inst.id: inst})
 
 
 def add_work_product(a: Assessment, wp: WorkProductInstance) -> Assessment:
+    _ASSESSMENT.check(a, "assessment", AssessmentError)
+    check_fields(wp, WorkProductInstance, AssessmentError)
     _check_work_product(a, wp)
     return derive(a, work_products=a.work_products + (wp,),
                   _work_products_by_id={**a._work_products_by_id, wp.id: wp})
@@ -222,6 +236,7 @@ def add_work_product(a: Assessment, wp: WorkProductInstance) -> Assessment:
 
 def record_checkpoint(a: Assessment, rec: CheckpointRecord) -> Assessment:
     """Make rec the effective record for its key; idempotent for equal rec."""
+    check_fields(rec, CheckpointRecord, AssessmentError)
     _check_record(a, rec)
     records = a.records
     pos = a._record_positions.get(rec.key)
@@ -234,12 +249,11 @@ def record_checkpoint(a: Assessment, rec: CheckpointRecord) -> Assessment:
     return derive(a, records=records[:pos] + (rec,) + records[pos + 1:])
 
 
-# The checks take an Assessment or an AssessmentBuilder, and read the
-# indices both keep under the same names.
+# The reference and duplicate checks take an Assessment or an
+# AssessmentBuilder, and read the indices both keep under the same names.
 
 
 def _check_instance(a, inst: AlphaInstance) -> None:
-    check_fields(inst, AlphaInstance, AssessmentError)
     if find_alpha(a.kernel, inst.alpha) is None:
         raise AssessmentError(
             "UNKNOWN_ALPHA", f"kernel defines no alpha {inst.alpha!r}"
@@ -251,7 +265,6 @@ def _check_instance(a, inst: AlphaInstance) -> None:
 
 
 def _check_work_product(a, wp: WorkProductInstance) -> None:
-    check_fields(wp, WorkProductInstance, AssessmentError)
     if a.kernel.workproduct(wp.definition) is None:
         raise AssessmentError(
             "UNKNOWN_DEFINITION",
@@ -264,7 +277,6 @@ def _check_work_product(a, wp: WorkProductInstance) -> None:
 
 
 def _check_record(a, rec: CheckpointRecord) -> None:
-    check_fields(rec, CheckpointRecord, AssessmentError)
     alpha = _alpha_of(a, rec.alpha_instance)
     state = alpha.state(rec.state)
     if state is None:

@@ -191,6 +191,8 @@ class ValidationReport:
 
 def find_alpha(kernel: KernelDefinition, name: str) -> AlphaDefinition | None:
     """Return the first alpha with exactly this name, or None."""
+    if kernel.__class__ is not KernelDefinition:  # one test on every load
+        Kind(KernelDefinition).check(kernel, "kernel", KernelError)
     return find(kernel._alphas_by_name, name)
 
 
@@ -339,6 +341,7 @@ def subalpha_closure(kernel: KernelDefinition, name: str) -> list[str]:
     (a forest) every name appears at most once; a visited guard keeps the
     walk terminating even on malformed input.
     """
+    Kind(KernelDefinition).check(kernel, "kernel", KernelError)
     by_name = kernel._alphas_by_name
     root = find(by_name, name)
     if root is None:

@@ -1,6 +1,7 @@
-"""The breakdown-tree file format has one home, ``designation``: the
-JSON layer ``_schema`` imports no library module but ``_value`` and
-``errors``, and no other module names a tree's ``_arrays``."""
+"""The breakdown-tree file format and the chain grammar have one home,
+``designation``: the JSON layer ``_schema`` imports no library module
+but ``_value`` and ``errors``, and no other module names a tree's
+``_arrays`` or the chain pattern ``_CHAIN_RE``."""
 
 from __future__ import annotations
 
@@ -77,4 +78,10 @@ def test_only_designation_names_a_trees_arrays():
     assert len(modules) > 1
     naming = [module.name for module in modules
               if names(module.read_text(encoding="utf-8"), "_arrays")]
+    assert naming == ["designation.py"]
+
+
+def test_only_designation_names_the_chain_pattern():
+    naming = [module.name for module in sorted(PACKAGE.glob("*.py"))
+              if names(module.read_text(encoding="utf-8"), "_CHAIN_RE")]
     assert naming == ["designation.py"]

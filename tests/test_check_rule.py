@@ -1,6 +1,9 @@
-"""The rule that an entry's fields are checked by its ``_FIELDS`` table:
-no ``_check_*`` function of the operations checks a type by hand, so a
-new field gets a table row, not an ``isinstance`` or ``unsupported``."""
+"""The rules that an entry's fields are checked by its ``_FIELDS`` table,
+and once: no ``_check_*`` function of the operations checks a type by
+hand, so a new field gets a table row, not an ``isinstance`` or
+``unsupported``; and ``check_fields`` runs in the public operations
+that take an entry alone, not in the checks they share with the load
+builders, whose entries ``read_entry`` has checked."""
 
 from __future__ import annotations
 
@@ -38,3 +41,49 @@ def test_check_functions_leave_types_to_the_tables():
     found = {name: hand_checks((PACKAGE / name).read_text(encoding="utf-8"))
              for name in ("engine.py", "description.py")}
     assert found == {"engine.py": [], "description.py": []}
+
+
+# The public operations that take an entry, by module.
+OPERATIONS = {
+    "description.py": ["add_element", "add_realization_node", "add_view",
+                       "add_viewpoint"],
+    "engine.py": ["add_instance", "add_work_product", "record_checkpoint"],
+}
+
+
+def field_checkers(source: str) -> list[str]:
+    """The functions of ``source`` that call ``check_fields``, sorted:
+    ``name`` for a module function, ``Class.name`` for a method; a call
+    in a nested function counts for the one that holds it."""
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            functions.extend((f"{node.name}.{inner.name}", inner)
+                             for inner in node.body
+                             if isinstance(inner, ast.FunctionDef))
+    return sorted(
+        name for name, function in functions
+        if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+               and call.func.id == "check_fields" for call in ast.walk(function)))
+
+
+def test_field_checkers_are_found_in_functions_and_methods():
+    source = ("def add(m, x):\n    check_fields(x, X, E)\n"
+              "def _check_x(m, x):\n    check_fields(x, X, E)\n"
+              "def outer(x):\n    def inner():\n        check_fields(x, X, E)\n"
+              "def other(x):\n    return fields(x)\n"
+              "class Builder:\n    def add(self, x):\n"
+              "        check_fields(x, X, E)\n    def build(self):\n"
+              "        return check(self)\n")
+    assert field_checkers(source) == ["Builder.add", "_check_x", "add", "outer"]
+
+
+def test_only_the_operations_that_take_an_entry_check_its_fields():
+    found = {}
+    for module in sorted(PACKAGE.glob("*.py")):
+        checkers = field_checkers(module.read_text(encoding="utf-8"))
+        if checkers:
+            found[module.name] = checkers
+    assert found == OPERATIONS

@@ -60,6 +60,10 @@ def test_add_operations_reject_duplicates():
     assert err.value.code == "DUPLICATE_NAME"
 
 
+# The builders behind load_project check no fields, so the tests named
+# "by_operation_and_builder" call the operations alone; the loader's
+# field checks are the reader's (tests/test_store.py,
+# test_fields_of_another_json_class_are_refused_by_the_reader).
 @pytest.mark.parametrize("op, value", [
     (add_viewpoint, Viewpoint(name="")),
     (add_view, View(name="", viewpoint="vp")),
@@ -68,12 +72,9 @@ def test_add_operations_reject_duplicates():
 ], ids=["viewpoint", "view", "element", "node"])
 def test_empty_names_are_refused_by_operation_and_builder(op, value):
     model = add_viewpoint(DescriptionModel(), Viewpoint(name="vp"))
-    builder = ModelBuilder()
-    builder.add_viewpoint(Viewpoint(name="vp"))
-    for add in (lambda v: op(model, v), getattr(builder, op.__name__)):
-        with pytest.raises(ModelError) as err:
-            add(value)
-        assert (err.value.code, err.value.path) == ("EMPTY_NAME", None)
+    with pytest.raises(ModelError) as err:
+        op(model, value)
+    assert (err.value.code, err.value.path) == ("EMPTY_NAME", None)
 
 
 @pytest.mark.parametrize("op, value", [
@@ -99,12 +100,9 @@ def test_empty_names_are_refused_by_operation_and_builder(op, value):
 def test_values_a_file_cannot_hold_are_refused_by_operation_and_builder(
         op, value):
     model = add_viewpoint(DescriptionModel(), Viewpoint(name="vp"))
-    builder = ModelBuilder()
-    builder.add_viewpoint(Viewpoint(name="vp"))
-    for add in (lambda v: op(model, v), getattr(builder, op.__name__)):
-        with pytest.raises(ModelError) as err:
-            add(value)
-        assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
+    with pytest.raises(ModelError) as err:
+        op(model, value)
+    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
 
 
 def test_realization_node_refuses_a_designator_that_is_no_chain():

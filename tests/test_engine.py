@@ -28,7 +28,6 @@ from essencekit import (
     render_card,
     validate_kernel,
 )
-from essencekit.engine import AssessmentBuilder
 
 
 def fresh(instance_id: str = "i-1", alpha: str = "System Realization",
@@ -61,17 +60,19 @@ def test_add_instance_checks_alpha():
     assert err.value.code == "UNKNOWN_ALPHA"
 
 
+# The builders behind load_project check no fields, so the tests named
+# "by_operation_and_builder" call the operations alone; the loader's
+# field checks are the reader's (tests/test_store.py,
+# test_fields_of_another_json_class_are_refused_by_the_reader).
 @pytest.mark.parametrize("op, value", [
     (add_instance, AlphaInstance(id="", alpha="System Realization")),
     (add_work_product, WorkProductInstance(id="", definition="Test Report")),
 ], ids=["instance", "work-product"])
 def test_empty_ids_are_refused_by_operation_and_builder(op, value):
     a = Assessment(project_id="t", kernel=builtin_se_kernel())
-    builder = AssessmentBuilder("t", builtin_se_kernel())
-    for add in (lambda v: op(a, v), getattr(builder, op.__name__)):
-        with pytest.raises(AssessmentError) as err:
-            add(value)
-        assert (err.value.code, err.value.path) == ("EMPTY_ID", None)
+    with pytest.raises(AssessmentError) as err:
+        op(a, value)
+    assert (err.value.code, err.value.path) == ("EMPTY_ID", None)
 
 
 @pytest.mark.parametrize("op, value", [
@@ -95,12 +96,9 @@ def test_empty_ids_are_refused_by_operation_and_builder(op, value):
 def test_values_a_file_cannot_hold_are_refused_by_operation_and_builder(
         op, value):
     a = fresh()
-    builder = AssessmentBuilder("t", builtin_se_kernel())
-    builder.add_instance(AlphaInstance(id="i-1", alpha="System Realization"))
-    for add in (lambda v: op(a, v), getattr(builder, op.__name__)):
-        with pytest.raises(AssessmentError) as err:
-            add(value)
-        assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
+    with pytest.raises(AssessmentError) as err:
+        op(a, value)
+    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
 
 
 @pytest.mark.parametrize("op, value", [
@@ -120,12 +118,9 @@ def test_values_a_file_cannot_hold_are_refused_by_operation_and_builder(
 def test_text_fields_a_file_cannot_hold_are_refused_by_operation_and_builder(
         op, value):
     a = fresh()
-    builder = AssessmentBuilder("t", builtin_se_kernel())
-    builder.add_instance(AlphaInstance(id="i-1", alpha="System Realization"))
-    for add in (lambda v: op(a, v), getattr(builder, op.__name__)):
-        with pytest.raises(AssessmentError) as err:
-            add(value)
-        assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
+    with pytest.raises(AssessmentError) as err:
+        op(a, value)
+    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
 
 
 @pytest.mark.parametrize("make", [

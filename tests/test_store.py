@@ -58,6 +58,7 @@ from essencekit import (
     resolve,
     save_project,
 )
+from essencekit._schema import check_fields
 from essencekit.designation import read_trees
 from essencekit.store import MAX_TREE_DEPTH
 
@@ -719,6 +720,77 @@ def test_load_refuses_the_entry_the_fold_refuses():
         assert (err.code, err.message, err.path) == (
             folded.value.code, folded.value.message, folded.value.path)
     assert len(kinds) == 7
+
+
+# The lists of entries in a project file, with their classes and the
+# error class of the operations that add them.
+ENTRY_LISTS = {
+    ("assessment", "instances"): (AlphaInstance, AssessmentError),
+    ("assessment", "work-products"): (WorkProductInstance, AssessmentError),
+    ("assessment", "records"): (CheckpointRecord, AssessmentError),
+    ("description", "viewpoints"): (Viewpoint, ModelError),
+    ("description", "views"): (View, ModelError),
+    ("description", "elements"): (ViewElement, ModelError),
+    ("description", "realization-nodes"): (RealizationNode, ModelError),
+}
+JSON_VALUES = (5, True, None, "", [], {})
+_ABSENT = object()  # a key left out
+
+
+def entries_of(p: Project):
+    """Each entry of the lists of ``p``, with its class and error class."""
+    for (at, key), (cls, error) in ENTRY_LISTS.items():
+        for entry in getattr(getattr(p, at), key.replace("-", "_")):
+            yield entry, cls, error
+
+
+def test_every_field_default_fits_its_kind():
+    for cls, _ in ENTRY_LISTS.values():
+        for attr, _, kind, _ in cls._FIELDS:
+            if hasattr(cls, attr):
+                default = getattr(cls, attr)
+                assert kind.fits(default) and (default or not kind.empty), attr
+
+
+def test_fields_of_another_json_class_are_refused_by_the_reader():
+    """The load builders check no fields: a field of one entry in each
+    list set to each JSON value, or left out, is refused by the reader,
+    never by ``check_fields``, and a project that loads holds only
+    entries that ``check_fields`` passes."""
+    rng = random.Random(2424)
+    loaded = refused = 0
+    for _ in range(40):
+        doc = json.loads(save_project(genlib.random_project(rng)))
+        for (at, key), (cls, _) in ENTRY_LISTS.items():
+            items = doc[at][key]
+            if not items:
+                continue
+            item = rng.choice(items)
+            field = rng.choice(cls._FIELDS)[1]
+            original = item.get(field, _ABSENT)
+            for value in (*JSON_VALUES, _ABSENT):
+                if value.__class__ is original.__class__ and value == original:
+                    continue
+                if value is _ABSENT:
+                    del item[field]
+                else:
+                    item[field] = value
+                try:
+                    p = load_project(json.dumps(doc))
+                except ProjectError as err:
+                    refused += 1
+                    assert not err.message.startswith(
+                        ("UNSUPPORTED_VALUE:", "EMPTY_ID:", "EMPTY_NAME:")), (
+                            err.code, err.message, err.path)
+                else:
+                    loaded += 1
+                    for entry_class_error in entries_of(p):
+                        check_fields(*entry_class_error)
+            if original is _ABSENT:
+                item.pop(field, None)
+            else:
+                item[field] = original
+    assert loaded and refused
 
 
 def test_load_refuses_the_first_of_two_faults_the_fold_refuses():
