@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from ._schema import BOOL, TEXT, Kind, Member, Texts, _at, check_fields, enum_of, nested
+from ._schema import BOOL, TEXT, Kind, Member, Texts, check_fields
 from ._value import derive, fields_state, find, index, member, tuple_fields, unsupported
-from .designation import (Aspect, AspectChain, in_aspect_order, parse_designation,
-                          single_chain)
+from .designation import DESIGNATORS, Aspect, AspectChain, in_aspect_order
 from .errors import ModelError
 
 
@@ -57,34 +56,6 @@ REQUIRED_DESCRIPTION_KINDS = (
     DescriptionKind.PROCESS,
     DescriptionKind.TEAM,
 )
-
-
-class _Designators(Kind):
-    """A tuple of AspectChains, which a file holds as the map of each
-    chain's aspect to its text."""
-
-    def load(self, raw, path, key, error):
-        chains = []
-        for name, text in raw.items():
-            chain = single_chain(text, name)  # one chain of its key's aspect
-            if chain is None:  # the general parser words the refusal
-                at = _at(path, key)
-                chain_path = f"{at}.{name}"
-                aspect = enum_of(name, Aspect, at, error)
-                if not isinstance(text, str):
-                    raise error("SCHEMA_ERROR", "designator must be text",
-                                path=chain_path)
-                parsed = nested(error, chain_path, parse_designation, text)
-                if len(parsed.chains) != 1 or parsed.chains[0].aspect is not aspect:
-                    raise error("SCHEMA_ERROR", "designator must be a single "
-                                f"{aspect.value} chain", path=chain_path)
-                chain = parsed.chains[0]
-            chains.append(chain)
-        return tuple(chains)
-
-    def dump(self, values, path, key, error):
-        return [{chain.aspect.value: str(chain) for chain in chains}
-                for chains in super().dump(values, path, key, error)]
 
 
 _NAME = Kind(str, empty="EMPTY_NAME")
@@ -148,8 +119,7 @@ class RealizationNode:
     designators: tuple[AspectChain, ...] = ()
 
     _FIELDS = (("id", "id", _NAME, "node id"),
-               ("designators", "designators", _Designators(tuple, dict),
-                "designators"))
+               ("designators", "designators", DESIGNATORS, "designators"))
 
     def __post_init__(self) -> None:
         tuple_fields(self, ModelError, ("designators", AspectChain, "designator"))

@@ -22,7 +22,9 @@ and ``MAX_TREE_DEPTH`` bounds both.
 
 Document designations follow IEC 61355 in shape: a system designation,
 ``&``, and a three-letter document classification code whose first
-letter (the technical area) must exist in the active DCC table.
+letter (the technical area) must exist in the active DCC table. The
+file formats of designators and document designations live here too,
+as the entry-field kinds ``DESIGNATORS`` and ``DOCUMENT_DESIGNATION``.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring as _quote
+from types import MappingProxyType
 
-from ._schema import (Kind, _Refused, check_keys, decode, enum_of, get, nested,
-                      nonempty)
-from ._value import member
+from ._schema import (Kind, _at, _Refused, check_keys, decode, enum_of, get,
+                      nested, nonempty)
+from ._value import member, unsupported
 from .errors import DesignationError, EssenceError
 
 # One segment: a chain's segments and a node's segment match it whole.
@@ -54,19 +57,12 @@ class Aspect(str, Enum):
     PRODUCT = "Product"
     LOCATION = "Location"
 
-    @property
-    def prefix(self) -> str:
-        return _PREFIX_BY_ASPECT[self]
 
-
-_PREFIX_BY_ASPECT = {
-    Aspect.FUNCTION: "=",
-    Aspect.PRODUCT: "-",
-    Aspect.LOCATION: "+",
-}
+_PREFIX_BY_ASPECT = {Aspect.FUNCTION: "=", Aspect.PRODUCT: "-", Aspect.LOCATION: "+"}
 _ASPECT_BY_PREFIX = {prefix: aspect for aspect, prefix in _PREFIX_BY_ASPECT.items()}
-# An aspect by its value and its prefix.
-_ASPECT_OF = {(aspect.value, prefix): aspect
+# An aspect's file key; an aspect by its file key and its prefix.
+_KEY_OF = {aspect: aspect.value for aspect in Aspect}
+_ASPECT_OF = {(_KEY_OF[aspect], prefix): aspect
               for aspect, prefix in _PREFIX_BY_ASPECT.items()}
 
 # Canonical chain order within a designation.
@@ -116,7 +112,7 @@ class AspectChain:
                 )
 
     def __str__(self) -> str:
-        prefix = self.aspect.prefix
+        prefix = _PREFIX_BY_ASPECT[self.aspect]
         return prefix + prefix.join(self.segments)
 
 
@@ -190,7 +186,7 @@ def parse_designation(text: str) -> MultiAspectDesignation:
                 )
             raise DesignationError(
                 "BAD_SEGMENT", f"empty segment at column {pos + 2}")
-        prefix, body, separator = found.groups()
+        prefix, _, separator = found.groups()
         pos = found.end(2)
         if separator is None and pos < end and text[pos] in _ASPECT_BY_PREFIX:
             if text[pos] == prefix:
@@ -202,16 +198,10 @@ def parse_designation(text: str) -> MultiAspectDesignation:
                 f"at column {pos + 1}",
             )
         aspect = _ASPECT_BY_PREFIX[prefix]
-        for earlier in chains:
-            if earlier.aspect is aspect:
-                raise DesignationError(
-                    "DUPLICATE_ASPECT",
-                    f"aspect {aspect.value} appears in two chains",
-                )
-        chain = _new(AspectChain)
-        _put(chain, "aspect", aspect)
-        _put(chain, "segments", tuple(body.split(prefix)))
-        chains.append(chain)
+        if any(earlier.aspect is aspect for earlier in chains):
+            raise DesignationError(
+                "DUPLICATE_ASPECT", f"aspect {aspect.value} appears in two chains")
+        chains.append(_chain(aspect, found))
         if separator is not None:
             pos = found.end()
         elif pos == end:
@@ -226,16 +216,10 @@ def parse_designation(text: str) -> MultiAspectDesignation:
                 else f"trailing whitespace at column {pos + 1}"))
 
 
-def single_chain(text: object, aspect: str) -> AspectChain | None:
-    """The chain that ``text`` is whole, built as ``parse_designation``
-    builds it, when ``text`` is one chain of the aspect whose value is
-    ``aspect``; otherwise None, and ``parse_designation`` words why."""
-    found = text.__class__ is str and _CHAIN_RE.fullmatch(text)
-    of_aspect = found and found[3] is None and _ASPECT_OF.get((aspect, found[1]))
-    if not of_aspect:
-        return None
+def _chain(aspect: Aspect, found: re.Match) -> AspectChain:
+    """The chain of ``aspect`` that ``found``, a match of _CHAIN_RE, holds."""
     chain = _new(AspectChain)
-    _put(chain, "aspect", of_aspect)
+    _put(chain, "aspect", aspect)
     _put(chain, "segments", tuple(found[2].split(found[1])))
     return chain
 
@@ -264,6 +248,36 @@ def format_designation(d: MultiAspectDesignation) -> str:
     return " / ".join(
         str(by_aspect[aspect]) for aspect in ASPECT_ORDER if aspect in by_aspect
     )
+
+
+class _Designators(Kind):
+    """A tuple of AspectChains, which a file holds as the map of each
+    chain's aspect to its text."""
+
+    def load(self, raw, path, key, error):
+        chains = []
+        for name, text in raw.items():
+            # One chain of its key's aspect, matched whole.
+            found = text.__class__ is str and _CHAIN_RE.fullmatch(text)
+            aspect = found and found[3] is None and _ASPECT_OF.get((name, found[1]))
+            if not aspect:  # the general parser words the refusal
+                aspect = enum_of(name, Aspect, _at(path, key), error)
+                chain_path = f"{_at(path, key)}.{name}"
+                if not isinstance(text, str):
+                    raise error("SCHEMA_ERROR", "designator must be text",
+                                path=chain_path)
+                nested(error, chain_path, parse_designation, text)
+                raise error("SCHEMA_ERROR", "designator must be a single "
+                            f"{aspect.value} chain", path=chain_path)
+            chains.append(_chain(aspect, found))
+        return tuple(chains)
+
+    def dump(self, values, path, key, error):
+        return [{_KEY_OF[chain.aspect]: str(chain) for chain in chains}
+                for chains in super().dump(values, path, key, error)]
+
+
+DESIGNATORS = _Designators(tuple, dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -687,11 +701,25 @@ def check_at_least_one_unambiguous(
 
 @dataclass(frozen=True)
 class DccTable:
-    """Document classification codes: area letters and class letter pairs."""
+    """Document classification codes: area letters and class letter pairs,
+    kept in read-only copies; hashed by name, rebuilt when copied."""
 
     name: str
-    areas: Mapping[str, str]
-    classes: Mapping[str, str] = field(default_factory=dict)
+    areas: Mapping[str, str] = field(hash=False)
+    classes: Mapping[str, str] = field(default_factory=dict, hash=False)
+
+    def __post_init__(self) -> None:
+        Kind(str).check(self.name, "DCC table name", DesignationError)
+        for attr in ("areas", "classes"):
+            codes = getattr(self, attr)
+            if not isinstance(codes, Mapping) or not all(
+                    isinstance(item, str) for item in (*codes, *codes.values())):
+                raise unsupported(DesignationError, f"DCC table {attr}",
+                                  "a map of text to text", codes)
+            object.__setattr__(self, attr, MappingProxyType(dict(codes)))
+
+    def __reduce__(self):
+        return type(self), (self.name, dict(self.areas), dict(self.classes))
 
     def area_label(self, letter: str) -> str | None:
         return self.areas.get(letter)
@@ -769,6 +797,31 @@ def format_document_designation(d: DocumentDesignation) -> str:
         raise DesignationError("BAD_PREFIX", f"document designation {d!r} "
                                "is not a DocumentDesignation")
     return f"{format_designation(d.system)}&{d.dcc}"
+
+
+class _Designation(Kind):
+    """A DocumentDesignation or None, which a file holds as its text or
+    leaves out; only designations of the builtin DCC table load back."""
+
+    omit = True
+
+    def fits(self, value: object) -> bool:
+        return value is None or isinstance(value, DocumentDesignation)
+
+    def load(self, raw, path, key, error):
+        return nested(error, _at(path, key), parse_document_designation, raw)
+
+    def dump(self, values, path, key, error):
+        for i, value in enumerate(super().dump(values, path, key, error)):
+            if value and (value.table_ref != BUILTIN_DCC_TABLE.name
+                          or value.area not in BUILTIN_DCC_TABLE.areas):
+                raise error("CUSTOM_DCC_TABLE", f"{str(value)!r} is not a document "
+                            "designation of the builtin DCC table",
+                            path=f"{path}[{i}].{key}")
+        return [value and format_document_designation(value) for value in values]
+
+
+DOCUMENT_DESIGNATION = _Designation(DocumentDesignation, str)
 
 
 def loads_dcc_table(text: str | bytes) -> DccTable:

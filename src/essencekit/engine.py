@@ -19,11 +19,9 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from ._schema import BOOL, INT, TEXT, Kind, Member, Texts, _at, check_fields, nested
+from ._schema import BOOL, INT, TEXT, Kind, Member, Texts, check_fields
 from ._value import derive, fields_state, find, index, member, tuple_fields, unsupported
-from .designation import (
-    BUILTIN_DCC_TABLE, DocumentDesignation, format_document_designation,
-    parse_document_designation)
+from .designation import DOCUMENT_DESIGNATION, DocumentDesignation
 from .errors import AssessmentError
 from .metamodel import AlphaDefinition, Checkpoint, KernelDefinition, find_alpha
 
@@ -33,30 +31,6 @@ class SystemLevel(str, Enum):
     # stakeholders' system that uses it (where validation happens).
     SYSTEM_OF_INTEREST = "SystemOfInterest"
     USING_SYSTEM = "UsingSystem"
-
-
-class _Designation(Kind):
-    """A DocumentDesignation or None, which a file holds as its text or
-    leaves out; only designations of the builtin DCC table load back."""
-
-    omit = True
-
-    def fits(self, value: object) -> bool:
-        return value is None or isinstance(value, DocumentDesignation)
-
-    def load(self, raw, path, key, error):
-        return nested(error, _at(path, key), parse_document_designation, raw)
-
-    def dump(self, values, path, key, error):
-        texts = [value and format_document_designation(value)
-                 for value in super().dump(values, path, key, error)]
-        for i, value in enumerate(values):
-            if value and (value.table_ref != BUILTIN_DCC_TABLE.name
-                          or BUILTIN_DCC_TABLE.area_label(value.area) is None):
-                raise error("CUSTOM_DCC_TABLE", f"{texts[i]!r} is not a document "
-                            "designation of the builtin DCC table",
-                            path=f"{path}[{i}].{key}")
-        return texts
 
 
 _ID = Kind(str, empty="EMPTY_ID")
@@ -89,7 +63,7 @@ class WorkProductInstance:
                ("definition", "definition", TEXT, "work product definition"),
                ("label", "label", TEXT, "work product label"),
                ("document_designation", "document-designation",
-                _Designation(DocumentDesignation, str), "document designation"))
+                DOCUMENT_DESIGNATION, "document designation"))
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,11 @@ insertion order for lists, coextension classes and bindings sorted,
 two-space indent, UTF-8, newline-terminated. Saving the same project
 twice yields identical bytes.
 
-Loading checks every entry with the checks of the module operations
-that would have built the value, so every dangling reference or
+Loading checks each entry field's type once, in ``read_entry``, and
+each entry's references and duplicates with the checks of the module
+operation that would have added it, so every dangling reference or
 invariant violation surfaces as a SCHEMA_ERROR naming the offending
-element; each value is then built once, so loading is linear in the
-size of the document.
+element; each value is built once, so loading is linear in file size.
 """
 
 from __future__ import annotations

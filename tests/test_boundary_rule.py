@@ -1,7 +1,10 @@
-"""The breakdown-tree file format and the chain grammar have one home,
+"""The breakdown-tree file format, the chain grammar and the file
+formats of designators and document designations have one home,
 ``designation``: the JSON layer ``_schema`` imports no library module
-but ``_value`` and ``errors``, and no other module names a tree's
-``_arrays`` or the chain pattern ``_CHAIN_RE``."""
+but ``_value`` and ``errors``, no other module names a tree's
+``_arrays`` or the chain pattern ``_CHAIN_RE``, and no other library
+module but the CLI and the package's public names names the
+designation parsers."""
 
 from __future__ import annotations
 
@@ -40,9 +43,10 @@ def library_imports(source: str) -> list[str]:
 
 def names(source: str, name: str) -> bool:
     """True when ``source`` names ``name``: as a variable, an attribute,
-    a keyword argument or a string."""
+    a keyword argument, a string or an imported name."""
     return any(
         isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.alias) and node.name == name
         or isinstance(node, ast.Attribute) and node.attr == name
         or isinstance(node, ast.keyword) and node.arg == name
         or isinstance(node, ast.Constant) and node.value == name
@@ -63,7 +67,8 @@ def test_library_imports_are_found_anywhere_in_a_module():
 
 def test_names_are_found_in_every_form():
     for source in ("t._arrays", "_arrays = 1", "f(_arrays=1)",
-                   "d['_arrays']", "def f():\n    return g(t)._arrays[0]\n"):
+                   "d['_arrays']", "def f():\n    return g(t)._arrays[0]\n",
+                   "from .designation import _arrays as a\n"):
         assert names(source, "_arrays"), source
     assert not names("t.arrays\nx = '_arrays_'\n_arrays_of = 1\n", "_arrays")
 
@@ -85,3 +90,20 @@ def test_only_designation_names_the_chain_pattern():
     naming = [module.name for module in sorted(PACKAGE.glob("*.py"))
               if names(module.read_text(encoding="utf-8"), "_CHAIN_RE")]
     assert naming == ["designation.py"]
+
+
+def test_only_designation_names_the_designation_parsers():
+    # The entry tables name designation's field kinds; the CLI and the
+    # package's public names are the parsers' other callers.
+    parsers = ("parse_designation", "parse_document_designation",
+               "format_document_designation")
+    naming = [module.name for module in sorted(PACKAGE.glob("*.py"))
+              if module.name not in ("__init__.py", "cli.py")
+              and any(names(module.read_text(encoding="utf-8"), parser)
+                      for parser in parsers)]
+    assert naming == ["designation.py"]
+
+
+def test_no_module_names_single_chain():
+    assert not [module.name for module in sorted(PACKAGE.glob("*.py"))
+                if names(module.read_text(encoding="utf-8"), "single_chain")]

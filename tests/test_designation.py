@@ -19,6 +19,7 @@ from essencekit import (
     AspectChain,
     BreakdownNode,
     BreakdownTree,
+    DccTable,
     DesignationError,
     DocumentDesignation,
     MultiAspectDesignation,
@@ -595,3 +596,66 @@ def test_loads_dcc_table_defaults():
     table = loads_dcc_table('{"areas": {"A": "general"}}')
     assert table.name == "custom"
     assert table.classes == {}
+
+
+@pytest.mark.parametrize("args, message", [
+    ((5, {"A": "general"}), "DCC table name must be text, not int"),
+    (("x", 5), "DCC table areas must be a map of text to text, not int"),
+    (("x", [("A", "general")]),
+     "DCC table areas must be a map of text to text, not list"),
+    (("x", {1: "general"}), "DCC table areas must be a map of text to text, not dict"),
+    (("x", {"A": None}), "DCC table areas must be a map of text to text, not dict"),
+    (("x", {"A": "general"}, None),
+     "DCC table classes must be a map of text to text, not NoneType"),
+    (("x", {"A": "general"}, {"CA": b"contracts"}),
+     "DCC table classes must be a map of text to text, not dict"),
+])
+def test_dcc_table_refuses_fields_of_another_type(args, message):
+    with pytest.raises(DesignationError) as err:
+        DccTable(*args)
+    assert (err.value.code, err.value.message, err.value.path) == (
+        "UNSUPPORTED_VALUE", message, None)
+
+
+def test_a_table_that_is_no_table_never_reaches_the_parser():
+    with pytest.raises(DesignationError) as err:
+        parse_document_designation("=F1&ACA", DccTable("x", 5))
+    assert err.value.code == "UNSUPPORTED_VALUE"
+
+
+def test_dcc_table_keeps_read_only_copies_of_its_maps():
+    areas, classes = {"A": "general"}, {"CA": "contracts"}
+    table = DccTable("plant", areas, classes)
+    areas["B"] = "y"
+    classes["ZZ"] = "z"
+    assert table.area_label("B") is None and table.class_label("ZZ") is None
+    loaded = loads_dcc_table('{"areas": {"A": "general"}}')
+    for codes in (table.areas, table.classes, loaded.areas,
+                  BUILTIN_DCC_TABLE.areas):
+        with pytest.raises(TypeError):
+            codes["B"] = "y"
+    assert loaded.area_label("B") is None
+    assert table.areas == {"A": "general"}
+
+
+def test_equal_dcc_tables_hash_equal():
+    table = DccTable("plant", {"A": "general"}, {"CA": "contracts"})
+    same = loads_dcc_table('{"name": "plant", "areas": {"A": "general"}, '
+                           '"classes": {"CA": "contracts"}}')
+    assert table == same and hash(table) == hash(same)
+    assert table != DccTable("plant", {"A": "other"}, {"CA": "contracts"})
+    assert len({table, same, BUILTIN_DCC_TABLE}) == 2
+
+
+def test_dcc_tables_survive_pickles_copies_and_replace():
+    for table in (BUILTIN_DCC_TABLE, DccTable("plant", {"A": "general"})):
+        for twin in (pickle.loads(pickle.dumps(table)), copy.copy(table),
+                     copy.deepcopy(table), dataclasses.replace(table)):
+            assert twin == table and hash(twin) == hash(table)
+            assert twin.area_label("A") == table.area_label("A")
+            with pytest.raises(TypeError):
+                twin.areas["B"] = "y"
+    renamed = dataclasses.replace(BUILTIN_DCC_TABLE, name="copy")
+    assert renamed.areas == BUILTIN_DCC_TABLE.areas and renamed.name == "copy"
+    with pytest.raises(DesignationError):
+        dataclasses.replace(BUILTIN_DCC_TABLE, areas=5)
