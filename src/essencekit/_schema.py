@@ -13,8 +13,10 @@ reading a well-formed document costs no string formatting here.
 
 An entry class states its fields once, in its ``_FIELDS`` table: an
 ``(attribute, file key, kind, what)`` row per dataclass field, in field
-order, ``what`` naming the field in a refusal. Its key set, reader,
-writer and the operations' type checks all come from the table.
+order, ``what`` naming the field in a refusal. Its key set, readers,
+writer and the operations' type checks all come from the table: the
+column reader ``read_columns`` reads a whole list, and ``read_entry``
+one entry, which words a refusal.
 
 ``emit`` and ``encode`` write what ``json.dumps(doc, indent=2,
 ensure_ascii=False)`` would, through ``json.dumps`` itself but for the
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 import re
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring as _quote
 from operator import attrgetter
 
@@ -86,6 +88,8 @@ def entries(doc: dict, key: str, kind: type, path: str | None,
             error: type[EssenceError], default: object = _MISSING) -> list:
     """The list under ``key``; every entry must be a ``kind`` (dict or list)."""
     values = get(doc, key, list, path, error, default)
+    if {kind}.issuperset(map(type, values)):  # one test for the whole list
+        return values
     for i, value in enumerate(values):
         if not isinstance(value, kind):
             noun = "map" if kind is dict else "list"
@@ -161,6 +165,20 @@ class Kind:
                         path=_at(path, key))
         return raw
 
+    def column(self, raws: list, classes: set, error: type[EssenceError]):
+        """The values that ``raws``, of the ``classes``, hold, as ``load``
+        makes them; None when ``load`` would not take or would refuse one.
+        One class test covers the column; a kind that is not plain loads
+        each raw."""
+        if classes <= {self.plain} and (not self.empty or all(raws)):
+            return raws
+        if not classes <= {self.raw}:
+            return None
+        try:
+            return [self.load(raw, None, None, error) for raw in raws]
+        except EssenceError:
+            return None
+
     def dump(self, values: list, path: str | None, key: str,
              error: type[EssenceError]) -> list:
         """The file values of ``values``, the field ``key`` of each entry
@@ -208,6 +226,11 @@ class Texts(Kind):
                 raise error("SCHEMA_ERROR", self.message,
                             path=f"{_at(path, key)}[{i}]")
         return tuple(raw)
+
+    def column(self, raws, classes, error):
+        if classes <= {list} and {str}.issuperset(map(type, chain.from_iterable(raws))):
+            return list(map(tuple, raws))
+        return None
 
     def dump(self, values, path, key, error):
         values = super().dump(values, path, key, error)
@@ -257,6 +280,40 @@ def read_entry(cls: type, item: dict, path: str, error: type[EssenceError]):
         else:
             get(item, key, kind.raw, path, error)  # raises the shape error
     return cls(*values)
+
+
+def read_columns(cls: type, items: list[dict], error: type[EssenceError]):
+    """The ``cls`` entries that the maps ``items`` hold, as ``read_entry``
+    reads them, or None when it would refuse one: field by field, each
+    field's column of raw values taken at once and tested by its kind;
+    ``read_entry`` words the refusal. The constructor makes each entry:
+    one made from an instance dict, as ``_value.derive`` makes one,
+    takes more than twice the memory."""
+    keys = frozenset(row[1] for row in cls._FIELDS)
+    if not keys.issuperset(set().union(*items)):
+        return None
+    columns = []
+    for attr, key, kind, _ in cls._FIELDS:
+        raws = list(map(dict.get, items, repeat(key), repeat(_MISSING)))
+        classes = set(map(type, raws))
+        if object not in classes:  # _MISSING is the one raw of class object
+            column = kind.column(raws, classes, error)
+        elif hasattr(cls, attr):  # a key left out: the dataclass default
+            classes.remove(object)
+            column = kind.column([raw for raw in raws if raw is not _MISSING],
+                                 classes, error)
+            if column is not None:
+                given, default = iter(column), getattr(cls, attr)
+                column = [default if raw is _MISSING else next(given) for raw in raws]
+        else:
+            return None
+        if column is None:
+            return None
+        columns.append(column)
+    try:
+        return list(map(cls, *columns))
+    except EssenceError:
+        return None
 
 
 def entry_docs(values: tuple, path: str | None,
@@ -409,9 +466,9 @@ def emit(value: object, error: type[EssenceError]) -> str:
 
     The document, or a value of one of its maps, may write itself: it
     has a ``_write_json(write, depth)`` method, as ``Rows`` has. What
-    ``json.dumps`` cannot write is UNSUPPORTED_VALUE at its path; a
-    value that writes itself may refuse, with ``_Refused``, to be
-    written.
+    ``json.dumps`` cannot write is UNSUPPORTED_VALUE at its path, and a
+    map with a key that is not text at the map's path; a value that
+    writes itself may refuse, with ``_Refused``, to be written.
     """
     parts: list[str] = []
     try:
@@ -420,7 +477,16 @@ def emit(value: object, error: type[EssenceError]) -> str:
         item, refusal = refused.args
         path = _first_path(value, lambda found: found is item)
         raise refusal(error, path) from None
+    except TypeError:  # a key that the quoting or json.dumps cannot write
+        path = _first_path(value, _keys_not_text)
+        if path is _MISSING:
+            raise
+        raise error("UNSUPPORTED_VALUE", "map keys must be text", path=path) from None
     return "".join(parts)
+
+
+def _keys_not_text(value: object) -> bool:
+    return isinstance(value, dict) and not all(isinstance(key, str) for key in value)
 
 
 class _Refused(Exception):

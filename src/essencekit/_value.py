@@ -2,7 +2,8 @@
 
 Kernels, assessments and description models index each tuple field
 they look up by name or id in a ``cached_property`` made by ``index``,
-and every lookup by name or id goes through ``find``.
+and every lookup by name or id goes through ``find``. The load
+builders fill their indices a list at a time through ``add_new``.
 An operation builds the successor's changed fields and an updated copy
 of each changed field's index, and ``derive`` lays them over the
 parent's instance dict, so the indices of the unchanged fields carry
@@ -35,6 +36,17 @@ def find(index: dict, key: Any) -> Any:
         return index.get(key)
     except TypeError:
         return None
+
+
+def add_new(index: dict, items: list, key: str) -> bool:
+    """Add each of ``items`` to ``index`` under its ``key``, if no two
+    share one and ``index`` holds none of them; else False, ``index``
+    untouched."""
+    keys = list(map(attrgetter(key), items))
+    if len(set(keys)) < len(keys) or not index.keys().isdisjoint(keys):
+        return False
+    index.update(zip(keys, items))
+    return True
 
 
 def derive(value: Any, **changes: Any) -> Any:

@@ -24,9 +24,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 
 from ._schema import BOOL, TEXT, Kind, Member, Texts, check_fields
-from ._value import derive, fields_state, find, index, member, tuple_fields, unsupported
+from ._value import (add_new, derive, fields_state, find, index, member, tuple_fields,
+                     unsupported)
 from .designation import DESIGNATORS, Aspect, AspectChain, in_aspect_order
 from .errors import ModelError
 
@@ -60,6 +62,7 @@ REQUIRED_DESCRIPTION_KINDS = (
 
 _NAME = Kind(str, empty="EMPTY_NAME")
 _SET = Kind(frozenset)
+_VIEWPOINT, _ELEMENTS = attrgetter("viewpoint"), attrgetter("elements")
 
 
 @dataclass(frozen=True)
@@ -199,15 +202,20 @@ class ModelBuilder:
 
     Each entry gets the reference and duplicate checks of the matching
     operation, so errors are the same as when folding the ``add_*``,
-    ``assert_coextension`` and ``bind_element`` operations; the value is
-    made once, by ``build``. The builder's attributes are the model's
-    indices, by name, and ``build`` hands them over.
+    ``assert_coextension`` and ``bind_element`` operations. A list
+    operation (``add_viewpoints``, ``add_views``, ``add_elements``,
+    ``add_realization_nodes``) checks a whole list with one set test per
+    reference; when the item operation would refuse an item, it adds
+    none and returns False. The value is made once, by ``build``. The
+    builder's attributes are the model's indices, by name, and ``build``
+    hands them over.
 
     Unlike the operations, it checks no entry's fields. Its one caller,
-    ``load_project``, adds entries made by ``read_entry``, which sets a
-    field to a raw value of its kind's plain class (not empty where the
-    kind has an ``empty`` code), a value the kind's ``load`` made, or
-    the dataclass default: each fits, so ``check_fields`` passes it.
+    ``load_project``, adds entries made by ``read_columns`` or, to word
+    a refusal, ``read_entry``. Both set a field to a raw value of its
+    kind's plain class (not empty where the kind has an ``empty`` code),
+    a value the kind's ``load`` made, or the dataclass default: each
+    fits, so ``check_fields`` passes it.
     """
 
     def __init__(self) -> None:
@@ -233,6 +241,20 @@ class ModelBuilder:
     def add_realization_node(self, node: RealizationNode) -> None:
         _check_node(self, node)
         self._nodes_by_id[node.id] = node
+
+    def add_viewpoints(self, vps: list[Viewpoint]) -> bool:
+        return add_new(self._viewpoints_by_name, vps, "name")
+
+    def add_views(self, views: list[View]) -> bool:
+        return (self._viewpoints_by_name.keys() >= set(map(_VIEWPOINT, views))
+                and self._elements_by_id.keys() >= set().union(*map(_ELEMENTS, views))
+                and add_new(self._views_by_name, views, "name"))
+
+    def add_elements(self, elems: list[ViewElement]) -> bool:
+        return add_new(self._elements_by_id, elems, "id")
+
+    def add_realization_nodes(self, nodes: list[RealizationNode]) -> bool:
+        return add_new(self._nodes_by_id, nodes, "id")
 
     def add_class(self, members: list[str]) -> None:
         """Merge the members' classes in one pass, with the errors of

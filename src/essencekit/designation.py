@@ -757,6 +757,7 @@ class DocumentDesignation:
                 "MALFORMED_DCC",
                 f"dcc {self.dcc!r} is not exactly three uppercase letters",
             )
+        Kind(str).check(self.table_ref, "DCC table reference", DesignationError)
 
     @property
     def area(self) -> str:

@@ -17,10 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 from ._schema import BOOL, INT, TEXT, Kind, Member, Texts, check_fields
-from ._value import derive, fields_state, find, index, member, tuple_fields, unsupported
+from ._value import (add_new, derive, fields_state, find, index, member, tuple_fields,
+                     unsupported)
 from .designation import DOCUMENT_DESIGNATION, DocumentDesignation
 from .errors import AssessmentError
 from .metamodel import AlphaDefinition, Checkpoint, KernelDefinition, find_alpha
@@ -124,6 +127,8 @@ class Assessment:
 
 
 _ASSESSMENT = Kind(Assessment)
+_ALPHA, _DEFINITION, _EVIDENCE = map(attrgetter, ("alpha", "definition", "evidence"))
+_KEY = attrgetter("alpha_instance", "state", "checkpoint")  # CheckpointRecord.key
 
 
 class AssessmentBuilder:
@@ -131,15 +136,19 @@ class AssessmentBuilder:
 
     Each entry gets the reference and duplicate checks of the matching
     operation, so errors are the same as when folding ``add_instance``,
-    ``add_work_product`` and ``record_checkpoint``; the value is made
-    once, by ``build``, which hands it the builder's id maps, named as
-    its indices.
+    ``add_work_product`` and ``record_checkpoint``. A list operation
+    (``add_instances``, ``add_work_products``, ``record_checkpoints``)
+    checks a whole list with one set test per reference; when the item
+    operation would refuse an item, it adds none and returns False. The
+    value is made once, by ``build``, which hands it the builder's id
+    maps, named as its indices.
 
     Unlike the operations, it checks no entry's fields. Its one caller,
-    ``load_project``, adds entries made by ``read_entry``, which sets a
-    field to a raw value of its kind's plain class (not empty where the
-    kind has an ``empty`` code), a value the kind's ``load`` made, or
-    the dataclass default: each fits, so ``check_fields`` passes it.
+    ``load_project``, adds entries made by ``read_columns`` or, to word
+    a refusal, ``read_entry``. Both set a field to a raw value of its
+    kind's plain class (not empty where the kind has an ``empty`` code),
+    a value the kind's ``load`` made, or the dataclass default: each
+    fits, so ``check_fields`` passes it.
     """
 
     def __init__(self, project_id: str, kernel: KernelDefinition,
@@ -163,6 +172,29 @@ class AssessmentBuilder:
     def record_checkpoint(self, rec: CheckpointRecord) -> None:
         _check_record(self, rec)
         self._records[rec.key] = rec
+
+    def add_instances(self, instances: list[AlphaInstance]) -> bool:
+        return all(find_alpha(self.kernel, name) is not None
+                   for name in set(map(_ALPHA, instances))) and add_new(
+                       self._instances_by_id, instances, "id")
+
+    def add_work_products(self, wps: list[WorkProductInstance]) -> bool:
+        return all(self.kernel.workproduct(name) is not None
+                   for name in set(map(_DEFINITION, wps))) and add_new(
+                       self._work_products_by_id, wps, "id")
+
+    def record_checkpoints(self, records: list[CheckpointRecord]) -> bool:
+        keys = list(map(_KEY, records))
+        by_id = self._instances_by_id
+        if not (by_id.keys() >= {key[0] for key in keys}
+                and self.kernel._checkpoint_keys >= {
+                    (by_id[instance].alpha, state, checkpoint)
+                    for instance, state, checkpoint in set(keys)}
+                and self._work_products_by_id.keys() >= set(
+                    chain.from_iterable(map(_EVIDENCE, records)))):
+            return False
+        self._records.update(zip(keys, records))
+        return True
 
     def build(self) -> Assessment:
         a = Assessment(

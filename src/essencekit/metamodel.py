@@ -19,6 +19,7 @@ Kernel definitions interchange as JSON documents, whose schema the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from ._schema import TEXT, Entries, Kind, Texts, decode, encode, entry_docs, read_entry
@@ -155,6 +156,15 @@ class KernelDefinition:
     _alphas_by_name = index("alphas", "name")
     _workproducts_by_name = index("workproducts", "name")
     __getstate__ = fields_state
+
+    @cached_property
+    def _checkpoint_keys(self) -> frozenset[tuple[str, str, str]]:
+        """Each (alpha, state, checkpoint) triple that a record may name,
+        by names and id; a kernel that ``validate_kernel`` passes names
+        each alpha, each state of an alpha and each checkpoint of a state
+        once."""
+        return frozenset((alpha.name, state.name, cp.id) for alpha in self.alphas
+                         for state in alpha.states for cp in state.checkpoints)
 
     @property
     def root_alphas(self) -> tuple[AlphaDefinition, ...]:

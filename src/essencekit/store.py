@@ -9,11 +9,15 @@ insertion order for lists, coextension classes and bindings sorted,
 two-space indent, UTF-8, newline-terminated. Saving the same project
 twice yields identical bytes.
 
-Loading checks each entry field's type once, in ``read_entry``, and
-each entry's references and duplicates with the checks of the module
-operation that would have added it, so every dangling reference or
-invariant violation surfaces as a SCHEMA_ERROR naming the offending
-element; each value is built once, so loading is linear in file size.
+Loading reads each entry list as columns, through ``read_columns``:
+each field's raw values at once, their classes tested once per column,
+so each field's type is checked once. The builders then check a whole
+list's references and duplicates at once. When either would refuse an
+entry, the list is read again item by item, through ``read_entry`` and
+the checks of the module operation that would have added each entry,
+only to word the refusal: every dangling reference or invariant
+violation surfaces as a SCHEMA_ERROR naming the offending element.
+Each value is built once, so loading is linear in file size.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from ._schema import (
     get,
     nested,
     nonempty,
+    read_columns,
     read_entry,
     text_lists,
 )
@@ -167,7 +172,7 @@ def save_project(p: Project) -> bytes:
         "description": {},
     }
     for at, value in (("assessment", p.assessment), ("description", p.description)):
-        for key, shape, _, _ in _LISTS[at]:
+        for key, shape, *_ in _LISTS[at]:
             items, path = getattr(value, key.replace("-", "_")), f"{at}.{key}"
             if isinstance(shape, tuple):
                 if isinstance(items, frozenset):  # a set of classes: sorted
@@ -182,21 +187,29 @@ class _List(NamedTuple):
     key: str  # the file key; in snake case, the section value's attribute
     shape: type | tuple  # entry class, or an id list's fewest, most, refusal
     add: Callable  # the builder operation that adds an item
+    add_all: Callable | None = None  # ... adds a list of entries, or False
     after: str = ""  # the list, held later in the file, to read this after
 
 
 # The lists of the assessment and description maps, in file order.
 _LISTS = {
     "assessment": (
-        _List("instances", AlphaInstance, AssessmentBuilder.add_instance),
-        _List("work-products", WorkProductInstance, AssessmentBuilder.add_work_product),
-        _List("records", CheckpointRecord, AssessmentBuilder.record_checkpoint),
+        _List("instances", AlphaInstance, AssessmentBuilder.add_instance,
+              AssessmentBuilder.add_instances),
+        _List("work-products", WorkProductInstance, AssessmentBuilder.add_work_product,
+              AssessmentBuilder.add_work_products),
+        _List("records", CheckpointRecord, AssessmentBuilder.record_checkpoint,
+              AssessmentBuilder.record_checkpoints),
     ),
     "description": (
-        _List("viewpoints", Viewpoint, ModelBuilder.add_viewpoint),
-        _List("views", View, ModelBuilder.add_view, after="elements"),
-        _List("elements", ViewElement, ModelBuilder.add_element),
-        _List("realization-nodes", RealizationNode, ModelBuilder.add_realization_node),
+        _List("viewpoints", Viewpoint, ModelBuilder.add_viewpoint,
+              ModelBuilder.add_viewpoints),
+        _List("views", View, ModelBuilder.add_view, ModelBuilder.add_views,
+              after="elements"),
+        _List("elements", ViewElement, ModelBuilder.add_element,
+              ModelBuilder.add_elements),
+        _List("realization-nodes", RealizationNode, ModelBuilder.add_realization_node,
+              ModelBuilder.add_realization_nodes),
         _List("coextension", (2, float("inf"), "coextension class must list "
                               "two or more element ids"), ModelBuilder.add_class),
         _List("bindings", (2, 2, "binding must be a pair of element id and node id"),
@@ -236,12 +249,18 @@ def _valid_kernel(kernel: KernelDefinition) -> KernelDefinition:
 def _read_lists(raw: dict, at: str, builder: AssessmentBuilder | ModelBuilder,
                 *others: str) -> Assessment | DescriptionModel:
     """What ``builder`` builds from the ``at`` map ``raw``, whose keys
-    besides its lists' are ``others``: each item read and added as its
-    list's row says, in ``_READ`` order. A refusal is placed at its item
-    and a builder's worded, as ``nested`` does."""
+    besides its lists' are ``others``: each list read and added as its
+    row says, in ``_READ`` order. An entry list is read as columns and
+    added whole; when either would refuse an entry, and for an id list,
+    each item is read and added in turn, so that a refusal is placed at
+    its item and a builder's worded, as ``nested`` does."""
     check_keys(raw, {*others, *(row.key for row in _LISTS[at])}, at, ProjectError)
-    for (key, shape, add, _), fields in _READ[at]:
+    for (key, shape, add, add_all, _), fields in _READ[at]:
         items = entries(raw, key, dict if fields else list, at, ProjectError, ())
+        if fields:
+            read = read_columns(shape, items, ProjectError)
+            if read is not None and add_all(builder, read):
+                continue
         texts = not fields and {str}.issuperset(map(type, chain.from_iterable(items)))
         try:
             for i, item in enumerate(items):

@@ -147,10 +147,12 @@ def test_chain_rejects_bad_segments():
     (lambda: MultiAspectDesignation(5), "BAD_SEGMENT"),
     (lambda: MultiAspectDesignation(("x",)), "BAD_SEGMENT"),
     (lambda: DocumentDesignation(system="x", dcc="MCA"), "BAD_PREFIX"),
+    (lambda: DocumentDesignation(parse_designation("=F1"), "MCA", table_ref=5),
+     "UNSUPPORTED_VALUE"),
 ], ids=["node-int", "node-none", "chain-int", "chain-bytes", "chain-text",
         "dcc-int", "dcc-none", "child-int", "children-text", "root-text",
         "segments-int", "children-int", "roots-none", "chains-int",
-        "chains-text", "system-text"])
+        "chains-text", "system-text", "table-ref-int"])
 def test_constructors_refuse_values_of_other_types_with_their_codes(make, code):
     with pytest.raises(DesignationError) as err:
         make()

@@ -173,6 +173,9 @@ def test_emit_does_not_recurse():
      "type set cannot be saved", "x"),
     ({"t": [BreakdownNode("A")]}, "type BreakdownNode cannot be saved", "t[0]"),
     ({"a": (1, {2: frozenset()})}, "type frozenset cannot be saved", "a[1].2"),
+    ({(1, 2): 1}, "map keys must be text", None),
+    ({"a": [{(1,): 2}]}, "map keys must be text", "a[0]"),
+    ({"a": {"b": {3: 1}}}, "map keys must be text", "a.b"),
 ])
 def test_emit_refuses_what_it_cannot_write(value, message, path):
     with pytest.raises(KernelError) as err:

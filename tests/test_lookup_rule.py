@@ -1,5 +1,6 @@
 """The rule that an unhashable key names nothing is stated once, in
-``_value.find``: no other code of the library catches ``TypeError``."""
+``_value.find``: no other code of the library catches ``TypeError`` but
+``_schema.emit``, which places a map key that a document cannot hold."""
 
 from __future__ import annotations
 
@@ -46,4 +47,4 @@ def test_only_value_find_catches_type_error():
         for module in modules
         for function in type_error_handlers(module.read_text(encoding="utf-8"))
     ]
-    assert handlers == ["_value.py:find"]
+    assert handlers == ["_schema.py:emit", "_value.py:find"]

@@ -7,9 +7,10 @@ large one, and compares each side's fastest time: a slow spell of the
 host then slows both sides of a round, and one stall costs one sample.
 
 The records and model tests time load_project on a document and on
-one four times its size: records, a model of many small coextension
-classes, and a model of one class of all its elements, unbound or
-bound to one node. The kernel test times load_project plus a state
+one four times its size: records, records whose last one names an
+unknown checkpoint, which are read again one at a time to place the
+refusal, a model of many small coextension classes, and a model of one
+class of all its elements, unbound or bound to one node. The kernel test times load_project plus a state
 card of every instance on a project with an inline kernel of 1000
 alphas and on one with 4000. The tree tests time save_project on a
 project with a tree of 16 000 nodes and on one with a tree four times
@@ -36,6 +37,7 @@ from essencekit import (
     AspectChain,
     BreakdownNode,
     BreakdownTree,
+    ProjectError,
     builtin_se_kernel,
     load_project,
     new_project,
@@ -100,6 +102,29 @@ def test_loading_records_is_linear():
     small, large = records_document(N), records_document(4 * N)
     assert len(load_project(large).assessment.records) == 4 * N
     assert_linear(load_project, small, large)
+
+
+def unknown_checkpoint_last(n: int) -> str:
+    """records_document(n) whose last record names an unknown checkpoint."""
+    doc = json.loads(records_document(n))
+    doc["assessment"]["records"][-1]["checkpoint"] = "ZZ-9"
+    return json.dumps(doc)
+
+
+def refusal(blob: str) -> ProjectError:
+    with pytest.raises(ProjectError) as err:
+        load_project(blob)
+    return err.value
+
+
+def test_refusing_the_last_record_is_linear():
+    # The columns pass their class tests and the bulk reference check
+    # fails, so the records are read again one at a time.
+    small, large = unknown_checkpoint_last(N), unknown_checkpoint_last(4 * N)
+    err = refusal(large)
+    assert (err.path, err.message.split(":")[0]) == (
+        f"assessment.records[{4 * N - 1}]", "UNKNOWN_CHECKPOINT")
+    assert_linear(refusal, small, large)
 
 
 def test_loading_a_description_model_is_linear():

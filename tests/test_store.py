@@ -58,7 +58,8 @@ from essencekit import (
     resolve,
     save_project,
 )
-from essencekit._schema import check_fields
+from essencekit import store
+from essencekit._schema import check_fields, read_columns
 from essencekit.designation import read_trees
 from essencekit.store import MAX_TREE_DEPTH
 
@@ -809,6 +810,116 @@ def test_load_refuses_the_first_of_two_faults_the_fold_refuses():
         assert (err.code, err.message, err.path) == (
             folded.value.code, folded.value.message, folded.value.path)
 
+
+# The column reader against the per-item reader: every entry list read
+# as columns must load or be refused as when each item is read in turn.
+
+def outcome(blob: str):
+    """The saved bytes of the project ``blob`` holds, or its refusal."""
+    try:
+        return save_project(load_project(blob))
+    except EssenceError as err:
+        return type(err), err.code, err.message, err.path
+
+
+def per_item_outcome(monkeypatch, blob: str):
+    """``outcome(blob)`` with the column reader declining every list."""
+    with monkeypatch.context() as patch:
+        patch.setattr(store, "read_columns", lambda *args: None)
+        return outcome(blob)
+
+
+def field_class_mutations(rng: random.Random):
+    """Saved random projects with one field of one entry of a list set to
+    another JSON value or left out, as the reader's refusal test plants."""
+    for _ in range(10):
+        doc = json.loads(save_project(genlib.random_project(rng)))
+        for (at, key), (cls, _) in ENTRY_LISTS.items():
+            if not doc[at][key]:
+                continue
+            item = rng.choice(doc[at][key])
+            field = rng.choice(cls._FIELDS)[1]
+            original = item.get(field, _ABSENT)
+            for value in (*JSON_VALUES, _ABSENT):
+                if value is _ABSENT:
+                    item.pop(field, None)
+                else:
+                    item[field] = value
+                yield json.dumps(doc)
+            if original is _ABSENT:
+                item.pop(field, None)
+            else:
+                item[field] = original
+
+
+def targeted_record_documents():
+    """Valid and refused records, instances and evidence, by name."""
+    sr = {"alpha-instance": "sr-1", "state": "Raw materials", "checkpoint": "RM-1",
+          "satisfied": True, "evidence": ["wp-1"], "recorded-at": 1}
+    base = {"instances": [{"id": "sr-1", "alpha": "System Realization"}],
+            "work-products": [{"id": "wp-1", "definition": "Test Report"}],
+            "records": [sr, dict(sr, checkpoint="RM-2")]}
+    cases = {
+        "repeated-key": dict(base, records=[sr, dict(sr, checkpoint="RM-2"),
+                                            dict(sr, satisfied=False)]),
+        "unknown-evidence-last": dict(base, records=[
+            *base["records"], dict(sr, checkpoint="RM-3", evidence=["ghost"])]),
+        "recorded-at-true": dict(base, records=[sr, dict(sr, **{"recorded-at": True})]),
+        "no-evidence-key": dict(base, records=[
+            {k: v for k, v in sr.items() if k != "evidence"}]),
+        "empty-instance-id": dict(base, instances=[
+            *base["instances"], {"id": "", "alpha": "Team"}]),
+        "unknown-system-level": dict(base, instances=[
+            *base["instances"], {"id": "t-1", "alpha": "Team",
+                                 "system-level": "Galaxy"}]),
+    }
+    return {name: json.dumps({"format-version": 1, "project-id": "p",
+                              "assessment": assessment})
+            for name, assessment in cases.items()}
+
+
+def test_the_column_reader_loads_and_refuses_as_the_per_item_reader(monkeypatch):
+    rng = random.Random(8686)
+    blobs = [save_project(genlib.random_project(rng)) for _ in range(40)]
+    for _ in range(120):
+        doc = json.loads(save_project(genlib.random_project(rng)))
+        genlib.mutate_document(rng, doc)
+        blobs.append(json.dumps(doc))
+    blobs += field_class_mutations(rng)
+    blobs += targeted_record_documents().values()
+    loaded = 0
+    for blob in blobs:
+        shipped = outcome(blob)
+        assert shipped == per_item_outcome(monkeypatch, blob), blob
+        loaded += isinstance(shipped, bytes)
+    assert 40 < loaded < len(blobs)
+
+
+def test_targeted_record_documents_load_or_are_refused_as_named(monkeypatch):
+    read = []
+
+    def spy(*args):
+        read.append(read_columns(*args))
+        return read[-1]
+
+    monkeypatch.setattr(store, "read_columns", spy)
+    blobs = targeted_record_documents()
+    p = load_project(blobs["repeated-key"])
+    assert [(rec.checkpoint, rec.satisfied) for rec in p.assessment.records] == [
+        ("RM-1", False), ("RM-2", True)]
+    assert load_project(blobs["no-evidence-key"]).assessment.records[0].evidence == ()
+    assert read and None not in read  # every list was read as columns
+    for name, path, message in (
+            ("unknown-evidence-last", "assessment.records[2]",
+             "UNKNOWN_EVIDENCE: evidence 'ghost' is not a work product id"),
+            ("recorded-at-true", "assessment.records[1].recorded-at",
+             "key 'recorded-at' must be int"),
+            ("empty-instance-id", "assessment.instances[1].id",
+             "key 'id' must be nonempty"),
+            ("unknown-system-level", "assessment.instances[1].system-level",
+             "'Galaxy' is not a valid SystemLevel")):
+        err = load_error(blobs[name])
+        assert (err.code, err.path, err.message) == ("SCHEMA_ERROR", path, message)
 
 # Enum fields: a member, or a member's value, which becomes the member.
 
