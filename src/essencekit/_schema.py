@@ -15,8 +15,9 @@ An entry class states its fields once, in its ``_FIELDS`` table: an
 ``(attribute, file key, kind, what)`` row per dataclass field, in field
 order, ``what`` naming the field in a refusal. Its key set, readers,
 writer and the operations' type checks all come from the table: the
-column reader ``read_columns`` reads a whole list, and ``read_entry``
-one entry, which words a refusal.
+column reader ``read_columns`` reads a whole list of instances,
+records, elements or realization nodes, and ``read_entry`` any other
+entry.
 
 ``emit`` and ``encode`` write what ``json.dumps(doc, indent=2,
 ensure_ascii=False)`` would, through ``json.dumps`` itself but for the
@@ -284,36 +285,22 @@ def read_entry(cls: type, item: dict, path: str, error: type[EssenceError]):
 
 def read_columns(cls: type, items: list[dict], error: type[EssenceError]):
     """The ``cls`` entries that the maps ``items`` hold, as ``read_entry``
-    reads them, or None when it would refuse one: field by field, each
-    field's column of raw values taken at once and tested by its kind;
-    ``read_entry`` words the refusal. The constructor makes each entry:
+    reads them, or None when it would refuse one or a key is left out:
+    field by field, each field's column of raw values taken at once and
+    tested by its kind. The constructor makes each entry:
     one made from an instance dict, as ``_value.derive`` makes one,
     takes more than twice the memory."""
     keys = frozenset(row[1] for row in cls._FIELDS)
     if not keys.issuperset(set().union(*items)):
         return None
     columns = []
-    for attr, key, kind, _ in cls._FIELDS:
+    for _, key, kind, _ in cls._FIELDS:
         raws = list(map(dict.get, items, repeat(key), repeat(_MISSING)))
-        classes = set(map(type, raws))
-        if object not in classes:  # _MISSING is the one raw of class object
-            column = kind.column(raws, classes, error)
-        elif hasattr(cls, attr):  # a key left out: the dataclass default
-            classes.remove(object)
-            column = kind.column([raw for raw in raws if raw is not _MISSING],
-                                 classes, error)
-            if column is not None:
-                given, default = iter(column), getattr(cls, attr)
-                column = [default if raw is _MISSING else next(given) for raw in raws]
-        else:
-            return None
+        column = kind.column(raws, set(map(type, raws)), error)
         if column is None:
             return None
         columns.append(column)
-    try:
-        return list(map(cls, *columns))
-    except EssenceError:
-        return None
+    return list(map(cls, *columns))
 
 
 def entry_docs(values: tuple, path: str | None,
@@ -468,7 +455,9 @@ def emit(value: object, error: type[EssenceError]) -> str:
     has a ``_write_json(write, depth)`` method, as ``Rows`` has. What
     ``json.dumps`` cannot write is UNSUPPORTED_VALUE at its path, and a
     map with a key that is not text at the map's path; a value that
-    writes itself may refuse, with ``_Refused``, to be written.
+    writes itself may refuse, with ``_Refused``, to be written. No
+    document holds itself: every caller builds fresh maps from checked
+    values, so neither walk keeps a visited set.
     """
     parts: list[str] = []
     try:

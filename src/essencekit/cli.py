@@ -400,13 +400,16 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _write_bytes(path: str, data: bytes) -> None:
-    """Replace the file whole: a failed write leaves the old bytes."""
+    """Replace the file whole, synced first: a failed write leaves the
+    old bytes, and a crash the old or the new, never a part."""
     try:
         target = Path(path).resolve()
         fd, temp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
             shutil.copymode(target, temp)
             os.replace(temp, target)
         except BaseException:

@@ -24,7 +24,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter
 
 from ._schema import BOOL, TEXT, Kind, Member, Texts, check_fields
 from ._value import (add_new, derive, fields_state, find, index, member, tuple_fields,
@@ -62,7 +61,6 @@ REQUIRED_DESCRIPTION_KINDS = (
 
 _NAME = Kind(str, empty="EMPTY_NAME")
 _SET = Kind(frozenset)
-_VIEWPOINT, _ELEMENTS = attrgetter("viewpoint"), attrgetter("elements")
 
 
 @dataclass(frozen=True)
@@ -203,19 +201,19 @@ class ModelBuilder:
     Each entry gets the reference and duplicate checks of the matching
     operation, so errors are the same as when folding the ``add_*``,
     ``assert_coextension`` and ``bind_element`` operations. A list
-    operation (``add_viewpoints``, ``add_views``, ``add_elements``,
-    ``add_realization_nodes``) checks a whole list with one set test per
-    reference; when the item operation would refuse an item, it adds
-    none and returns False. The value is made once, by ``build``. The
-    builder's attributes are the model's indices, by name, and ``build``
-    hands them over.
+    operation (``add_elements``, ``add_realization_nodes``) checks a
+    whole list with one set test per reference; when the item operation
+    would refuse an item, it adds none and returns False. Columns do not
+    speed up viewpoints and views, short lists. The value is made once, by
+    ``build``. The builder's attributes are the model's indices, by
+    name, and ``build`` hands them over.
 
     Unlike the operations, it checks no entry's fields. Its one caller,
-    ``load_project``, adds entries made by ``read_columns`` or, to word
-    a refusal, ``read_entry``. Both set a field to a raw value of its
-    kind's plain class (not empty where the kind has an ``empty`` code),
-    a value the kind's ``load`` made, or the dataclass default: each
-    fits, so ``check_fields`` passes it.
+    ``load_project``, adds entries made by ``read_columns`` or
+    ``read_entry``. Both set a field to a raw value of its kind's plain
+    class (not empty where the kind has an ``empty`` code), a value the
+    kind's ``load`` made, or the dataclass default: each fits, so
+    ``check_fields`` passes it.
     """
 
     def __init__(self) -> None:
@@ -241,14 +239,6 @@ class ModelBuilder:
     def add_realization_node(self, node: RealizationNode) -> None:
         _check_node(self, node)
         self._nodes_by_id[node.id] = node
-
-    def add_viewpoints(self, vps: list[Viewpoint]) -> bool:
-        return add_new(self._viewpoints_by_name, vps, "name")
-
-    def add_views(self, views: list[View]) -> bool:
-        return (self._viewpoints_by_name.keys() >= set(map(_VIEWPOINT, views))
-                and self._elements_by_id.keys() >= set().union(*map(_ELEMENTS, views))
-                and add_new(self._views_by_name, views, "name"))
 
     def add_elements(self, elems: list[ViewElement]) -> bool:
         return add_new(self._elements_by_id, elems, "id")

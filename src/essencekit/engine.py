@@ -127,7 +127,7 @@ class Assessment:
 
 
 _ASSESSMENT = Kind(Assessment)
-_ALPHA, _DEFINITION, _EVIDENCE = map(attrgetter, ("alpha", "definition", "evidence"))
+_ALPHA, _EVIDENCE = attrgetter("alpha"), attrgetter("evidence")
 _KEY = attrgetter("alpha_instance", "state", "checkpoint")  # CheckpointRecord.key
 
 
@@ -137,18 +137,18 @@ class AssessmentBuilder:
     Each entry gets the reference and duplicate checks of the matching
     operation, so errors are the same as when folding ``add_instance``,
     ``add_work_product`` and ``record_checkpoint``. A list operation
-    (``add_instances``, ``add_work_products``, ``record_checkpoints``)
-    checks a whole list with one set test per reference; when the item
-    operation would refuse an item, it adds none and returns False. The
-    value is made once, by ``build``, which hands it the builder's id
-    maps, named as its indices.
+    (``add_instances``, ``record_checkpoints``) checks a whole list with
+    one set test per reference; when the item operation would refuse an
+    item, it adds none and returns False. Columns do not speed up work
+    products, a short list. The value is made once, by ``build``, which
+    hands it the builder's id maps, named as its indices.
 
     Unlike the operations, it checks no entry's fields. Its one caller,
-    ``load_project``, adds entries made by ``read_columns`` or, to word
-    a refusal, ``read_entry``. Both set a field to a raw value of its
-    kind's plain class (not empty where the kind has an ``empty`` code),
-    a value the kind's ``load`` made, or the dataclass default: each
-    fits, so ``check_fields`` passes it.
+    ``load_project``, adds entries made by ``read_columns`` or
+    ``read_entry``. Both set a field to a raw value of its kind's plain
+    class (not empty where the kind has an ``empty`` code), a value the
+    kind's ``load`` made, or the dataclass default: each fits, so
+    ``check_fields`` passes it.
     """
 
     def __init__(self, project_id: str, kernel: KernelDefinition,
@@ -177,11 +177,6 @@ class AssessmentBuilder:
         return all(find_alpha(self.kernel, name) is not None
                    for name in set(map(_ALPHA, instances))) and add_new(
                        self._instances_by_id, instances, "id")
-
-    def add_work_products(self, wps: list[WorkProductInstance]) -> bool:
-        return all(self.kernel.workproduct(name) is not None
-                   for name in set(map(_DEFINITION, wps))) and add_new(
-                       self._work_products_by_id, wps, "id")
 
     def record_checkpoints(self, records: list[CheckpointRecord]) -> bool:
         keys = list(map(_KEY, records))

@@ -9,13 +9,13 @@ insertion order for lists, coextension classes and bindings sorted,
 two-space indent, UTF-8, newline-terminated. Saving the same project
 twice yields identical bytes.
 
-Loading reads each entry list as columns, through ``read_columns``:
-each field's raw values at once, their classes tested once per column,
-so each field's type is checked once. The builders then check a whole
-list's references and duplicates at once. When either would refuse an
-entry, the list is read again item by item, through ``read_entry`` and
-the checks of the module operation that would have added each entry,
-only to word the refusal: every dangling reference or invariant
+Loading reads the instances, records, elements and realization-nodes
+lists as columns, through ``read_columns``, and the builders check a
+whole list's references and duplicates at once. The other lists, which
+columns do not speed up (README, "What values cost"), a list that leaves
+out a key, and one that the reader or a builder would refuse are read item
+by item, through ``read_entry`` and the checks of the module operation
+that would have added each entry: every dangling reference or invariant
 violation surfaces as a SCHEMA_ERROR naming the offending element.
 Each value is built once, so loading is linear in file size.
 """
@@ -187,7 +187,7 @@ class _List(NamedTuple):
     key: str  # the file key; in snake case, the section value's attribute
     shape: type | tuple  # entry class, or an id list's fewest, most, refusal
     add: Callable  # the builder operation that adds an item
-    add_all: Callable | None = None  # ... adds a list of entries, or False
+    add_all: Callable | None = None  # ... adds a list read as columns, or False
     after: str = ""  # the list, held later in the file, to read this after
 
 
@@ -196,16 +196,13 @@ _LISTS = {
     "assessment": (
         _List("instances", AlphaInstance, AssessmentBuilder.add_instance,
               AssessmentBuilder.add_instances),
-        _List("work-products", WorkProductInstance, AssessmentBuilder.add_work_product,
-              AssessmentBuilder.add_work_products),
+        _List("work-products", WorkProductInstance, AssessmentBuilder.add_work_product),
         _List("records", CheckpointRecord, AssessmentBuilder.record_checkpoint,
               AssessmentBuilder.record_checkpoints),
     ),
     "description": (
-        _List("viewpoints", Viewpoint, ModelBuilder.add_viewpoint,
-              ModelBuilder.add_viewpoints),
-        _List("views", View, ModelBuilder.add_view, ModelBuilder.add_views,
-              after="elements"),
+        _List("viewpoints", Viewpoint, ModelBuilder.add_viewpoint),
+        _List("views", View, ModelBuilder.add_view, after="elements"),
         _List("elements", ViewElement, ModelBuilder.add_element,
               ModelBuilder.add_elements),
         _List("realization-nodes", RealizationNode, ModelBuilder.add_realization_node,
@@ -250,14 +247,14 @@ def _read_lists(raw: dict, at: str, builder: AssessmentBuilder | ModelBuilder,
                 *others: str) -> Assessment | DescriptionModel:
     """What ``builder`` builds from the ``at`` map ``raw``, whose keys
     besides its lists' are ``others``: each list read and added as its
-    row says, in ``_READ`` order. An entry list is read as columns and
-    added whole; when either would refuse an entry, and for an id list,
-    each item is read and added in turn, so that a refusal is placed at
-    its item and a builder's worded, as ``nested`` does."""
+    row says, in ``_READ`` order. A list with a list operation is read
+    as columns and added whole; when either would refuse an entry, and
+    for other lists, each item is read and added in turn, to place a
+    refusal at its item and word a builder's, as ``nested`` does."""
     check_keys(raw, {*others, *(row.key for row in _LISTS[at])}, at, ProjectError)
     for (key, shape, add, add_all, _), fields in _READ[at]:
         items = entries(raw, key, dict if fields else list, at, ProjectError, ())
-        if fields:
+        if add_all:
             read = read_columns(shape, items, ProjectError)
             if read is not None and add_all(builder, read):
                 continue

@@ -430,6 +430,46 @@ def test_assess_record_write_failure_keeps_original(project_file):
         "project.json"]
 
 
+RECORD_P1 = ("--alpha-instance", "sr-1", "--state", "Parts", "--checkpoint", "P-1",
+             "--satisfied", "true")
+
+
+def test_assess_record_syncs_the_new_file_before_it_replaces_the_old(
+        capsys, monkeypatch, project_file):
+    calls = []
+    fsync, replace_file = os.fsync, os.replace
+
+    def spy_fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def spy_replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino))
+        replace_file(src, dst)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(os, "replace", spy_replace)
+    assert run(capsys, "assess", "record", project_file, *RECORD_P1)[0] == 0
+    written = Path(project_file).stat().st_ino
+    assert calls == [("fsync", written), ("replace", written)]
+
+
+def test_assess_record_sync_failure_keeps_original(capsys, monkeypatch,
+                                                   project_file):
+    before = Path(project_file).read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    code, out, err = run(capsys, "assess", "record", project_file, *RECORD_P1)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: IO_ERROR: cannot write ")
+    assert Path(project_file).read_bytes() == before
+    assert [p.name for p in Path(project_file).parent.iterdir()] == [
+        "project.json"]
+
+
 @pytest.mark.parametrize("raw", [False, True])
 def test_assess_record_refuses_a_lone_surrogate_in_the_file(tmp_path, raw):
     doc = json.loads(save_project(demo_project()))

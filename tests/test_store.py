@@ -895,20 +895,29 @@ def test_the_column_reader_loads_and_refuses_as_the_per_item_reader(monkeypatch)
     assert 40 < loaded < len(blobs)
 
 
-def test_targeted_record_documents_load_or_are_refused_as_named(monkeypatch):
+def spy_on_read_columns(monkeypatch) -> list:
+    """The ``(class, entries or None)`` of each list the loader offers the
+    column reader, appended as loads run."""
     read = []
 
-    def spy(*args):
-        read.append(read_columns(*args))
-        return read[-1]
+    def spy(cls, *args):
+        read.append((cls, read_columns(cls, *args)))
+        return read[-1][1]
 
     monkeypatch.setattr(store, "read_columns", spy)
+    return read
+
+
+def test_targeted_record_documents_load_or_are_refused_as_named(monkeypatch):
+    read = spy_on_read_columns(monkeypatch)
     blobs = targeted_record_documents()
     p = load_project(blobs["repeated-key"])
     assert [(rec.checkpoint, rec.satisfied) for rec in p.assessment.records] == [
         ("RM-1", False), ("RM-2", True)]
+    assert dict(read)[CheckpointRecord] is not None  # read as columns
+    read.clear()
     assert load_project(blobs["no-evidence-key"]).assessment.records[0].evidence == ()
-    assert read and None not in read  # every list was read as columns
+    assert dict(read)[CheckpointRecord] is None  # a left-out key: item by item
     for name, path, message in (
             ("unknown-evidence-last", "assessment.records[2]",
              "UNKNOWN_EVIDENCE: evidence 'ghost' is not a work product id"),
@@ -920,6 +929,21 @@ def test_targeted_record_documents_load_or_are_refused_as_named(monkeypatch):
              "'Galaxy' is not a valid SystemLevel")):
         err = load_error(blobs[name])
         assert (err.code, err.path, err.message) == ("SCHEMA_ERROR", path, message)
+
+
+def test_canonical_saves_read_as_columns_exactly_the_four_lists_where_it_pays(
+        monkeypatch):
+    # Viewpoints, views and work products are short lists, which the
+    # per-item reader reads as fast: only the other four are columns.
+    read = spy_on_read_columns(monkeypatch)
+    rng = random.Random(2525)
+    for _ in range(40):
+        p = genlib.random_project(rng)
+        read.clear()
+        assert load_project(save_project(p)) == p
+        assert [cls for cls, _ in read] == [
+            AlphaInstance, CheckpointRecord, ViewElement, RealizationNode]
+        assert all(isinstance(entries, list) for _, entries in read)
 
 # Enum fields: a member, or a member's value, which becomes the member.
 
