@@ -245,9 +245,12 @@ def _cmd_assess_record(args: argparse.Namespace) -> Output:
         evidence=tuple(args.evidence),
         recorded_at=args.at,
     )
-    # Validation failure raises before anything is written back.
+    # Validation failure raises before anything is written back, and a
+    # fact already in effect returns the same assessment: nothing to write.
     assessment = record_checkpoint(project.assessment, rec)
-    _write_bytes(args.project, save_project(replace(project, assessment=assessment)))
+    if assessment is not project.assessment:
+        project = replace(project, assessment=assessment)
+        _write_bytes(args.project, save_project(project))
     return 0, {"recorded": entry_docs((rec,), None, ProjectError)[0]}, [
         f"recorded {rec.alpha_instance} {rec.state} {rec.checkpoint} "
         f"satisfied={args.satisfied}"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -258,6 +259,10 @@ def test_desig_check_pass_fail_and_missing_tree(capsys, project_file):
     assert code == 0
     assert out == "=F1: 1 match\nresult: pass\n"
 
+    code, out, _ = run(capsys, "desig", "check", project_file, "--", "-12-N4-DN18")
+    assert code == 0
+    assert out == "-12-N4-DN18: 1 match\nresult: pass\n"
+
     code, out, _ = run(capsys, "desig", "check", project_file, "--", "-N4-DN18")
     assert code == 1
     assert out == "-N4-DN18: 2 matches\nresult: fail\n"
@@ -349,6 +354,7 @@ def test_assess_state_structured(capsys, project_file):
                        project_file, "--alpha-instance", "sr-1")
     assert code == 0
     doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
     assert doc["achieved"] == "Raw materials"
     assert doc["achieved-index"] == 0
     assert doc["next"] == "Parts"
@@ -377,17 +383,152 @@ def test_assess_record_rewrites_project_file(capsys, project_file):
     assert rec.recorded_at == 99
 
 
-def test_assess_record_is_idempotent_on_disk(capsys, project_file):
+def chain_node(depth: int) -> dict:
+    """The node map of a one-chain tree N1 ... N<depth>, as a file holds it."""
+    node = {"segment": f"N{depth}"}
+    for level in range(depth - 1, 0, -1):
+        node = {"segment": f"N{level}", "children": [node]}
+    return node
+
+
+SR_1 = {"id": "sr-1", "alpha": "System Realization"}
+EVERY_LIST = {
+    "format-version": 1, "project-id": "ci",
+    "assessment": {
+        "instances": [SR_1],
+        "work-products": [{"id": "wp-1", "definition": "Test Report",
+                           "label": 'Q"1" report', "document-designation": "=F1&MCA"}]},
+    "description": {
+        "viewpoints": [{"name": "vp1", "structure-type": "Allocation",
+                        "concerns": ["cost"], "description-kind": "Team"}],
+        "views": [{"name": "v1", "viewpoint": "vp1", "elements": ["e1"]}],
+        "elements": [{"id": "e1", "label": "pump", "has-extent": True},
+                     {"id": "e2", "has-extent": True}],
+        "realization-nodes": [
+            {"id": "n1", "designators": {"Product": "-12-N4", "Function": "=F1"}}],
+        "coextension": [["e2", "e1"]],
+        "bindings": [["e1", "n1"]]}}
+
+# Hand-written project files, with the evidence recorded into each. None
+# has a kernel key; they leave out optional keys, list designators and a
+# coextension class out of canonical order, and hold a tree at the depth
+# limit.
+HAND_WRITTEN = {
+    "trees": ({"format-version": 1, "project-id": "ci",
+               "assessment": {"instances": [SR_1]},
+               "trees": {"Product": [
+                   {"segment": "12", "children": [
+                       {"segment": "N4", "children": [{"segment": "DN18"}]}]},
+                   {"segment": "13", "children": [
+                       {"segment": "N4", "children": [{"segment": "DN18"}]}]}]}}, ()),
+    "every-list": (EVERY_LIST, ("--evidence", "wp-1")),
+    "deep": ({"format-version": 1, "project-id": "deep",
+              "assessment": {"instances": [SR_1]},
+              "trees": {"Product": [chain_node(MAX_TREE_DEPTH)]}}, ()),
+    "sparse": ({"format-version": 1, "project-id": "ci",
+                "assessment": {
+                    "instances": [SR_1],
+                    "work-products": [{"id": "wp-1", "definition": "Test Report",
+                                       "document-designation": "=F1&MCA"},
+                                      {"id": "wp-2", "definition": "Test Report"}],
+                    "records": [{"alpha-instance": "sr-1", "state": "Raw materials",
+                                 "checkpoint": "RM-2", "satisfied": True}]},
+                "description": {"elements": [{"id": "e1", "has-extent": True}]}},
+               ("--evidence", "wp-2")),
+}
+RECORD_RM1 = ("--alpha-instance", "sr-1", "--state", "Raw materials",
+              "--checkpoint", "RM-1", "--satisfied", "true", "--at", "1723972800")
+
+
+def test_assess_record_is_idempotent_on_disk(capsys, project_file, tmp_path):
     argv = ("assess", "record", project_file,
             "--alpha-instance", "sr-1", "--state", "Parts",
             "--checkpoint", "P-2", "--satisfied", "false")
     assert run(capsys, *argv)[0] == 0
     first = Path(project_file).read_bytes()
-    assert run(capsys, *argv)[0] == 0
+    written = os.stat(project_file)
+    assert run(capsys, *argv) == (0, "recorded sr-1 Parts P-2 satisfied=false\n", "")
     assert Path(project_file).read_bytes() == first
+    unchanged = os.stat(project_file)  # not even rewritten
+    assert (unchanged.st_ino, unchanged.st_mtime_ns) == (
+        written.st_ino, written.st_mtime_ns)
+
+    for name, (doc, evidence) in HAND_WRITTEN.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        record = ("assess", "record", str(path), *RECORD_RM1, *evidence)
+        assert run(capsys, *record)[0] == 0
+        once = path.read_bytes()
+        assert run(capsys, *record)[0] == 0
+        assert path.read_bytes() == once
+        # The first call wrote the canonical save, which saves as itself.
+        text = once.decode("utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+        assert save_project(load_project(once)) == once
+        assert run(capsys, "cards", str(path))[0] == 0
+    node = json.loads((tmp_path / "every-list.json").read_bytes())[
+        "description"]["realization-nodes"][0]
+    assert list(node["designators"]) == ["Function", "Product"]
+    # The queries read the one record written into the trees file.
+    trees = str(tmp_path / "trees.json")
+    assert "  [ ] Raw materials 1/4" in run(capsys, "cards", trees)[1].splitlines()
+    state = run(capsys, "assess", "state", trees, "--alpha-instance", "sr-1")
+    assert "blocking: 3" in state[1].splitlines()
+    code, out, _ = run(capsys, "assess", "blocking", trees, "--alpha-instance", "sr-1",
+                       "--target", "Parts")
+    assert (code, len(out.splitlines())) == (1, 7)
 
 
-def test_assess_record_failure_leaves_file_untouched(capsys, project_file):
+def many_records_document(**more) -> dict:
+    """2000 records cycling through the built-in kernel's checkpoints, each
+    citing wp-1 but the last, which cites a work product that is not there;
+    each record also holds the keys ``more``."""
+    keys = [(alpha.name, state.name, cp.id) for alpha in builtin_se_kernel().alphas
+            for state in alpha.states for cp in state.checkpoints]
+    instances, records = {}, []
+    for i, (alpha, state, cp) in zip(range(2000), itertools.cycle(keys)):
+        inst = f"{alpha}-{i // len(keys)}"
+        instances[inst] = {"id": inst, "alpha": alpha}
+        records.append({"alpha-instance": inst, "state": state, "checkpoint": cp,
+                        "satisfied": True, "evidence": ["wp-1"], **more})
+    records[-1]["evidence"] = ["ghost"]
+    return {"format-version": 1, "project-id": "ci", "assessment": {
+        "instances": list(instances.values()),
+        "work-products": [{"id": "wp-1", "definition": "Test Report"}],
+        "records": records}}
+
+
+# Files load_project refuses: each document, the error's code, its path.
+REFUSED_FILES = [
+    ({"format-version": 1, "project-id": "ci", "assessment": {
+        "instances": [SR_1],
+        "records": [{"alpha-instance": "sr-1", "state": "Raw materials",
+                     "checkpoint": "RM-1", "satisfied": 1}]}},
+     "SCHEMA_ERROR", "assessment.records[0].satisfied"),
+    ({"format-version": 1, "project-id": "ci", "description": {
+        "viewpoints": [{"name": "vp1", "structure-type": "Allocation"}],
+        "views": [{"name": "v1", "viewpoint": "vp1", "elements": ["e1"]}],
+        "elements": [{"id": "e1", "has-extent": "yes"}]}},
+     "SCHEMA_ERROR", "description.elements[0].has-extent"),
+    ({**EVERY_LIST, "description": {**EVERY_LIST["description"], "realization-nodes": [
+        {"id": "n1", "designators": {"Product": "-12-N4", "Function": "=F1 / -N4"}}]}},
+     "SCHEMA_ERROR", "description.realization-nodes[0].designators.Function"),
+    ({"format-version": 1, "project-id": "ci", "assessment": {
+        "instances": [SR_1],
+        "work-products": [{"id": "wp-1", "definition": "Test Report",
+                           "document-designation": "=F1&XCA"}]}},
+     "SCHEMA_ERROR: UNKNOWN_TECHNICAL_AREA",
+     "assessment.work-products[0].document-designation"),
+    (many_records_document(), "SCHEMA_ERROR: UNKNOWN_EVIDENCE",
+     "assessment.records[1999]"),
+    # With no key left out, the records are read as columns and checked in
+    # bulk before the item that is refused is found.
+    (many_records_document(**{"recorded-at": 0}), "SCHEMA_ERROR: UNKNOWN_EVIDENCE",
+     "assessment.records[1999]"),
+]
+
+
+def test_assess_record_failure_leaves_file_untouched(capsys, project_file, tmp_path):
     before = Path(project_file).read_bytes()
     code, _, err = run(capsys, "assess", "record", project_file,
                        "--alpha-instance", "sr-1", "--state", "Raw materials",
@@ -403,6 +544,18 @@ def test_assess_record_failure_leaves_file_untouched(capsys, project_file):
     assert code == 2
     assert "UNKNOWN_EVIDENCE" in err
     assert Path(project_file).read_bytes() == before
+
+    path = tmp_path / "refused.json"
+    for doc, code, where in REFUSED_FILES:
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        before = path.read_bytes()
+        for argv in (("assess", "record", str(path), *RECORD_RM1),
+                     ("arch", "check", str(path), "--views", "v1")):
+            status, out, err = run(capsys, *argv)
+            assert (status, out) == (2, "")
+            assert err.startswith(f"error: {code}: ")
+            assert err.endswith(f" (at {where})\n")
+            assert path.read_bytes() == before
 
 
 @pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
@@ -730,16 +883,13 @@ def test_deeply_nested_project_is_a_parse_error(tmp_path):
 
 
 @pytest.mark.parametrize("depth", [MAX_TREE_DEPTH, MAX_TREE_DEPTH + 1])
-def test_desig_check_on_a_tree_at_the_depth_limit(tmp_path, depth):
+def test_desig_check_on_a_tree_at_the_depth_limit(capsys, tmp_path, depth):
     tree = genlib.chain_tree(Aspect.PRODUCT, depth)
     if depth <= MAX_TREE_DEPTH:
         text = save_project(replace(new_project("deep"), trees=(tree,)))
     else:  # save_project refuses it, so write the document by hand
-        node = {"segment": f"N{depth}"}
-        for level in range(depth - 1, 0, -1):
-            node = {"segment": f"N{level}", "children": [node]}
         text = json.dumps({"format-version": 1, "project-id": "deep",
-                           "trees": {"Product": [node]}}).encode()
+                           "trees": {"Product": [chain_node(depth)]}}).encode()
     path = tmp_path / "deep.json"
     path.write_bytes(text)
     result = subprocess.run(
@@ -750,6 +900,9 @@ def test_desig_check_on_a_tree_at_the_depth_limit(tmp_path, depth):
     if depth <= MAX_TREE_DEPTH:
         assert result.returncode == 0
         assert json.loads(result.stdout)["chains"][0]["matches"] == 1
+        whole = "".join(f"-N{level}" for level in range(1, depth + 1))
+        assert run(capsys, "desig", "check", str(path), "--", whole) == (
+            0, f"{whole}: 1 match\nresult: pass\n", "")
     else:
         assert result.returncode == 2
         error = json.loads(result.stderr)["error"]
