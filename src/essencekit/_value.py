@@ -2,8 +2,11 @@
 
 Kernels, assessments and description models index each tuple field
 they look up by name or id in a ``cached_property`` made by ``index``,
-and every lookup by name or id goes through ``find``. The load
-builders fill their indices a list at a time through ``add_new``.
+and every lookup by name or id goes through ``find``. An index holds
+an item only under text or a tuple of texts (``is_key``), so an entry
+of a value built in code whose key cannot be hashed is in no index.
+The load builders fill their indices a list at a time through
+``add_new``.
 An operation builds the successor's changed fields and an updated copy
 of each changed field's index, and ``derive`` lays them over the
 parent's instance dict, so the indices of the unchanged fields carry
@@ -25,8 +28,23 @@ def index(field: str, key: str) -> cached_property:
     """A cached property mapping each ``key`` of the items of the tuple
     ``field`` to the first item that has it."""
     items, key_of = attrgetter(field), attrgetter(key)
-    return cached_property(
-        lambda value: {key_of(item): item for item in reversed(items(value))})
+    return cached_property(lambda value: keyed(
+        (key_of(item), item) for item in reversed(items(value))))
+
+
+def is_key(key: Any) -> bool:
+    """Whether an index holds an item under ``key``: text, or a tuple of
+    texts. An item of a value built in code whose key is anything else,
+    such as a list, is in no index, as a key that cannot be hashed names
+    nothing (``find``)."""
+    return isinstance(key, str) or isinstance(key, tuple) and all(
+        isinstance(part, str) for part in key)
+
+
+def keyed(pairs: Iterable[tuple[Any, Any]]) -> dict:
+    """The index of these (key, item) pairs, the last with a key winning:
+    those whose key ``is_key``."""
+    return {key: item for key, item in pairs if is_key(key)}
 
 
 def find(index: dict, key: Any) -> Any:

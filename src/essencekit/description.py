@@ -26,8 +26,8 @@ from enum import Enum
 from functools import cached_property
 
 from ._schema import BOOL, TEXT, Kind, Member, Texts, check_fields
-from ._value import (add_new, derive, fields_state, find, index, member, tuple_fields,
-                     unsupported)
+from ._value import (add_new, derive, fields_state, find, index, is_key, keyed,
+                     member, tuple_fields, unsupported)
 from .designation import DESIGNATORS, Aspect, AspectChain, in_aspect_order
 from .errors import ModelError
 
@@ -192,7 +192,8 @@ class DescriptionModel:
 
     @cached_property
     def _binding(self) -> dict[str, str]:
-        return dict(reversed(self.bindings))  # first pair per element wins
+        # The first pair per element wins; what is not a pair binds nothing.
+        return keyed(pair for pair in reversed(self.bindings) if len(pair) == 2)
 
 
 class ModelBuilder:
@@ -204,9 +205,10 @@ class ModelBuilder:
     operation (``add_elements``, ``add_realization_nodes``) checks a
     whole list with one set test per reference; when the item operation
     would refuse an item, it adds none and returns False. Columns do not
-    speed up viewpoints and views, short lists. The value is made once, by
-    ``build``. The builder's attributes are the model's indices, by
-    name, and ``build`` hands them over.
+    speed up viewpoints and views, short lists. ``build`` derives the
+    model from the empty one made by ``__init__``; the builder's other
+    attributes are the model's indices, by name, and ``build`` hands them
+    over, so no constructor checks an entry again.
 
     Unlike the operations, it checks no entry's fields. Its one caller,
     ``load_project``, adds entries made by ``read_columns`` or
@@ -217,6 +219,7 @@ class ModelBuilder:
     """
 
     def __init__(self) -> None:
+        self._empty = DescriptionModel()
         self._viewpoints_by_name: dict[str, Viewpoint] = {}
         self._views_by_name: dict[str, View] = {}
         self._elements_by_id: dict[str, ViewElement] = {}
@@ -267,16 +270,14 @@ class ModelBuilder:
         self._binding.update(dict.fromkeys(cls, node_id))
 
     def build(self) -> DescriptionModel:
-        model = DescriptionModel(
-            viewpoints=tuple(self._viewpoints_by_name.values()),
-            views=tuple(self._views_by_name.values()),
-            elements=tuple(self._elements_by_id.values()),
-            realization_nodes=tuple(self._nodes_by_id.values()),
-            coextension=frozenset(self._class_of.values()),
-            bindings=tuple(sorted(self._binding.items())),
-        )
-        model.__dict__.update(vars(self))
-        return model
+        indices = vars(self).copy()
+        return derive(indices.pop("_empty"),
+                      viewpoints=tuple(self._viewpoints_by_name.values()),
+                      views=tuple(self._views_by_name.values()),
+                      elements=tuple(self._elements_by_id.values()),
+                      realization_nodes=tuple(self._nodes_by_id.values()),
+                      coextension=frozenset(self._class_of.values()),
+                      bindings=tuple(sorted(self._binding.items())), **indices)
 
 
 def add_viewpoint(model: DescriptionModel, vp: Viewpoint) -> DescriptionModel:
@@ -326,16 +327,18 @@ def _check_view(model, view: View) -> None:
     if view.name in model._views_by_name:
         raise ModelError("DUPLICATE_NAME", f"view {view.name!r} already defined")
     if view.viewpoint not in model._viewpoints_by_name:
-        raise ModelError(
-            "UNKNOWN_REFERENCE", f"view {view.name!r} cites viewpoint "
-            f"{view.viewpoint!r} which is not defined"
-        )
+        raise _undefined_viewpoint(view)
     for elem_id in view.elements:
         if elem_id not in model._elements_by_id:
             raise ModelError(
                 "UNKNOWN_REFERENCE",
                 f"view {view.name!r} cites element {elem_id!r} which is not defined",
             )
+
+
+def _undefined_viewpoint(view: View) -> ModelError:
+    return ModelError("UNKNOWN_REFERENCE", f"view {view.name!r} cites viewpoint "
+                      f"{view.viewpoint!r} which is not defined")
 
 
 def _check_element(model, elem: ViewElement) -> None:
@@ -428,6 +431,8 @@ def viable_architecture(
         if view is None:
             raise ModelError("UNKNOWN_REFERENCE", f"no view {name!r}")
         vp = find(model._viewpoints_by_name, view.viewpoint)
+        if vp is None:
+            raise _undefined_viewpoint(view)
         covered.add(vp.structure_type)
     return ArchitectureReport(
         covered=tuple(t for t in REQUIRED_STRUCTURE_TYPES if t in covered),
@@ -515,8 +520,13 @@ def _successor(
         binding = binding.copy()
         binding.update(dict.fromkeys(unbound, node_id))
         rows = list(bindings)
+        # The index holds every row only when the rows are one text pair per
+        # element. Else, in a model built in code, a row that is not all text
+        # compares as (), so never with text.
+        key = None if len(bindings) == len(model._binding) else (
+            lambda row: row if is_key(row) else ())
         for member in unbound:
-            insort(rows, (member, node_id))
+            insort(rows, (member, node_id), key=key)
         bindings = tuple(rows)
     return derive(model, coextension=coextension, bindings=bindings,
                   _class_of=class_of, _binding=binding)

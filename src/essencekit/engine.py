@@ -22,8 +22,8 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from ._schema import BOOL, INT, TEXT, Kind, Member, Texts, check_fields
-from ._value import (add_new, derive, fields_state, find, index, member, tuple_fields,
-                     unsupported)
+from ._value import (add_new, derive, fields_state, find, index, keyed, member,
+                     tuple_fields, unsupported)
 from .designation import DOCUMENT_DESIGNATION, DocumentDesignation
 from .errors import AssessmentError
 from .metamodel import AlphaDefinition, Checkpoint, KernelDefinition, find_alpha
@@ -123,7 +123,7 @@ class Assessment:
     @cached_property
     def _record_positions(self) -> dict[tuple[str, str, str], int]:
         # The last record with a key is the effective one, also in raw tuples.
-        return {rec.key: i for i, rec in enumerate(self.records)}
+        return keyed((rec.key, i) for i, rec in enumerate(self.records))
 
 
 _ASSESSMENT = Kind(Assessment)
@@ -140,8 +140,9 @@ class AssessmentBuilder:
     (``add_instances``, ``record_checkpoints``) checks a whole list with
     one set test per reference; when the item operation would refuse an
     item, it adds none and returns False. Columns do not speed up work
-    products, a short list. The value is made once, by ``build``, which
-    hands it the builder's id maps, named as its indices.
+    products, a short list. ``build`` derives the value from the empty
+    one made by ``__init__`` and hands it every map, records' included,
+    as its index; no constructor checks an entry again.
 
     Unlike the operations, it checks no entry's fields. Its one caller,
     ``load_project``, adds entries made by ``read_columns`` or
@@ -153,9 +154,8 @@ class AssessmentBuilder:
 
     def __init__(self, project_id: str, kernel: KernelDefinition,
                  strict_evidence: bool = False):
-        self.project_id = project_id
+        self._empty = Assessment(project_id, kernel, strict_evidence=strict_evidence)
         self.kernel = kernel
-        self.strict_evidence = strict_evidence
         self._instances_by_id: dict[str, AlphaInstance] = {}
         self._work_products_by_id: dict[str, WorkProductInstance] = {}
         # A record replaces the one with its key in place, as in the value.
@@ -192,17 +192,12 @@ class AssessmentBuilder:
         return True
 
     def build(self) -> Assessment:
-        a = Assessment(
-            project_id=self.project_id,
-            kernel=self.kernel,
-            instances=tuple(self._instances_by_id.values()),
-            work_products=tuple(self._work_products_by_id.values()),
-            records=tuple(self._records.values()),
-            strict_evidence=self.strict_evidence,
-        )
-        a.__dict__.update(_instances_by_id=self._instances_by_id,
-                          _work_products_by_id=self._work_products_by_id)
-        return a
+        return derive(self._empty, instances=tuple(self._instances_by_id.values()),
+                      work_products=tuple(self._work_products_by_id.values()),
+                      records=tuple(self._records.values()),
+                      _instances_by_id=self._instances_by_id,
+                      _work_products_by_id=self._work_products_by_id,
+                      _record_positions={key: i for i, key in enumerate(self._records)})
 
 
 class Blocker(NamedTuple):

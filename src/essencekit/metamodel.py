@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
-from ._schema import TEXT, Entries, Kind, Texts, decode, encode, entry_docs, read_entry
+from ._schema import (TEXT, Entries, Kind, Texts, cannot_save, decode, encode,
+                      entry_docs, read_entry)
 from ._value import fields_state, find, index, tuple_fields
 from .errors import KernelError
 
@@ -211,7 +212,9 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
 
     Pure: equal kernels yield equal reports. Findings are data, never
     exceptions, so partially built kernels can be inspected freely. A
-    ``kernel`` that is no kernel is refused, UNSUPPORTED_VALUE.
+    ``kernel`` that is no kernel, or whose alpha, state or work product
+    names, checkpoint ids or evidenced alphas are not all text, is
+    refused, UNSUPPORTED_VALUE, as ``kernel_to_doc`` refuses it.
     """
     Kind(KernelDefinition).check(kernel, "kernel", KernelError)
     findings: list[Finding] = []
@@ -232,6 +235,7 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
     seen_alphas: set[str] = set()
     for i, alpha in enumerate(kernel.alphas):
         apath = f"alphas[{i}]"
+        _require_text(alpha.name, f"{apath}.name")
         if not alpha.name:
             flag("EMPTY_ALPHA_NAME", apath, "alpha has an empty name")
         if alpha.name in seen_alphas:
@@ -247,6 +251,7 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
         seen_states: set[str] = set()
         for j, state in enumerate(alpha.states):
             spath = f"{apath}.states[{j}]"
+            _require_text(state.name, f"{spath}.name")
             if not state.name:
                 flag("EMPTY_STATE_NAME", spath, "state has an empty name")
             if state.name in seen_states:
@@ -259,6 +264,7 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
             seen_cps: set[str] = set()
             for k, cp in enumerate(state.checkpoints):
                 cpath = f"{spath}.checkpoints[{k}]"
+                _require_text(cp.id, f"{cpath}.id")
                 if not cp.id:
                     flag("EMPTY_CHECKPOINT_ID", cpath, "checkpoint id is empty")
                 if not cp.text:
@@ -296,6 +302,8 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
     seen_wps: set[str] = set()
     for i, wp in enumerate(kernel.workproducts):
         wpath = f"workproducts[{i}]"
+        _require_text(wp.name, f"{wpath}.name")
+        _require_text(wp.evidences, f"{wpath}.evidences")
         if not wp.name:
             flag("EMPTY_WORKPRODUCT_NAME", wpath, "work product has an empty name")
         if wp.name in seen_wps:
@@ -307,6 +315,12 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
                  f"work product {wp.name!r} evidences undefined alpha {wp.evidences!r}")
 
     return ValidationReport(tuple(findings))
+
+
+def _require_text(name: object, path: str) -> None:
+    """Refuse a name that is not text: no index holds it (``_value.is_key``)."""
+    if not isinstance(name, str):
+        raise cannot_save(name, path, KernelError)
 
 
 def _cycle_findings(kernel: KernelDefinition, defined: set[str]) -> list[Finding]:

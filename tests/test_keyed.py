@@ -427,10 +427,11 @@ def test_successors_answer_as_fresh_values(start, grow, answers, kinds):
 
 
 def test_loaded_values_hold_their_builders_indices():
-    """load_project hands each value the indices its builder filled, under
+    """load_project hands each value every index its builder filled, under
     the value's own names, so a first lookup builds none of them."""
     for value, names in (
-            (loaded_assessment(), {"_instances_by_id", "_work_products_by_id"}),
+            (loaded_assessment(), {"_instances_by_id", "_work_products_by_id",
+                                   "_record_positions"}),
             (loaded_model(), {"_viewpoints_by_name", "_views_by_name",
                               "_elements_by_id", "_nodes_by_id", "_class_of",
                               "_binding"})):
@@ -441,3 +442,22 @@ def test_loaded_values_hold_their_builders_indices():
         fresh = replace(value)
         for name in names:
             assert value.__dict__[name] == getattr(fresh, name)
+
+
+def test_load_constructs_only_the_empty_values(monkeypatch):
+    """load_project constructs one empty assessment and one empty model,
+    and derives the loaded values from them: no constructor checks a
+    loaded entry again."""
+    project = replace(new_project("t"), assessment=loaded_assessment(),
+                      description=loaded_model())
+    saved = save_project(project)
+    made = []
+    for cls in (Assessment, DescriptionModel):
+        def spy(value, check=cls.__post_init__):
+            made.append(value)
+            check(value)
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    loaded = load_project(saved)
+    monkeypatch.undo()
+    assert loaded == project
+    assert made == [Assessment("t", builtin_se_kernel()), DescriptionModel()]

@@ -5,6 +5,7 @@ Python error."""
 from __future__ import annotations
 
 import inspect
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,8 @@ from essencekit import (
     CheckpointRecord,
     DescriptionModel,
     EssenceError,
+    KernelError,
+    Project,
     RealizationNode,
     StructureType,
     View,
@@ -30,27 +33,45 @@ from essencekit import (
     add_realization_node,
     add_view,
     add_viewpoint,
+    add_work_product,
+    bind_element,
     builtin_se_kernel,
     dumps_kernel,
+    find_alpha,
     kernel_to_doc,
     new_project,
     parse_designation,
     parse_document_designation,
+    record_checkpoint,
     save_project,
+    validate_kernel,
 )
 
 
-def valid_arguments() -> dict[str, tuple]:
-    """Arguments each public function takes without refusal."""
-    kernel = builtin_se_kernel()
+def containers() -> dict[str, object]:
+    """A kernel, an assessment, a model and a project that every public
+    function takes without refusal."""
     a = add_instance(new_project("p").assessment,
                      AlphaInstance("i-1", "System Realization"))
+    a = add_work_product(a, WorkProductInstance("wp-1", "Test Report"))
+    a = record_checkpoint(a, CheckpointRecord(
+        "i-1", "Raw materials", "RM-1", True, ("wp-1",)))
     model = add_viewpoint(DescriptionModel(), Viewpoint(
         "vp", structure_type=StructureType.ALLOCATION))
     for elem in ("e1", "e2"):
         model = add_element(model, ViewElement(elem, has_extent=True))
     model = add_view(model, View("v", "vp", ("e1",)))
     model = add_realization_node(model, RealizationNode("n1"))
+    model = bind_element(model, "e1", "n1")
+    return {"kernel": builtin_se_kernel(), "assessment": a, "model": model,
+            "project": new_project("p")}
+
+
+def valid_arguments(**changed: object) -> dict[str, tuple]:
+    """Arguments each public function takes without refusal, or with
+    the ``changed`` containers in place of those of ``containers()``."""
+    held = {**containers(), **changed}
+    kernel, a, model = held["kernel"], held["assessment"], held["model"]
     tree = BreakdownTree(Aspect.PRODUCT, (BreakdownNode("A"),))
     chain = AspectChain(Aspect.PRODUCT, ("A",))
     designation = parse_designation("-A")
@@ -75,11 +96,11 @@ def valid_arguments() -> dict[str, tuple]:
         "format_designation": (designation,),
         "format_document_designation": (parse_document_designation("=F1&MCA"),),
         "has_placeholder_states": (kernel.alphas[0],),
-        "kernel_from_doc": (kernel_to_doc(kernel),),
+        "kernel_from_doc": (kernel_to_doc(builtin_se_kernel()),),
         "kernel_to_doc": (kernel,),
         "load_project": (save_project(new_project("p")),),
         "loads_dcc_table": ('{"areas": {"A": "general"}}',),
-        "loads_kernel": (dumps_kernel(kernel),),
+        "loads_kernel": (dumps_kernel(builtin_se_kernel()),),
         "new_project": ("p",),
         "parse_designation": ("-A",),
         "parse_document_designation": ("=F1&MCA", BUILTIN_DCC_TABLE),
@@ -87,10 +108,10 @@ def valid_arguments() -> dict[str, tuple]:
             "i-1", "Raw materials", "RM-1", True)),
         "render_card": (a, "i-1"),
         "resolve": (tree, chain),
-        "save_project": (new_project("p"),),
+        "save_project": (held["project"],),
         "subalpha_closure": (kernel, kernel.alphas[0].name),
         "validate_kernel": (kernel,),
-        "viable_architecture": (model, ["v"]),
+        "viable_architecture": (model, [view.name for view in model.views]),
     }
 
 
@@ -112,3 +133,104 @@ def test_an_argument_of_another_class_is_refused_with_a_coded_error(name):
             function(*args[:slot], 5, *args[slot + 1:])
         except EssenceError:
             pass
+
+
+X = ["x"]  # an id, name or key that cannot be hashed
+
+
+def odd_kernels():
+    """The builtin kernel with ``X`` in each name or id field that a
+    lookup keys, each with its label."""
+    kernel = builtin_se_kernel()
+    alpha = find_alpha(kernel, "System Realization")
+    state = alpha.states[0]
+    odd_state = replace(state, checkpoints=(
+        replace(state.checkpoints[0], id=X),) + state.checkpoints[1:])
+    for label, odd in (
+            ("alpha name", replace(alpha, name=X)),
+            ("state name", replace(alpha, states=(
+                replace(state, name=X),) + alpha.states[1:])),
+            ("checkpoint id", replace(alpha, states=(odd_state,) + alpha.states[1:]))):
+        yield label, replace(kernel, alphas=tuple(
+            odd if each is alpha else each for each in kernel.alphas))
+    wp = kernel.workproducts[0]
+    for label, odd in (("work product name", replace(wp, name=X)),
+                       ("evidenced alpha", replace(wp, evidences=X))):
+        yield label, replace(kernel, workproducts=(odd,) + kernel.workproducts[1:])
+
+
+def odd_containers():
+    """Containers built in code that hold an entry no index can key:
+    ``X`` in each id, name or key field, a binding that is not a pair of
+    ids, or a view citing an undefined viewpoint; each with its label."""
+    held = containers()
+    a, model = held["assessment"], held["model"]
+    for label, kernel in odd_kernels():
+        yield f"kernel {label}", {"kernel": kernel, "project": Project(
+            "p", replace(a, kernel=kernel), builtin_kernel=False)}
+    record = a.records[0]
+    for label, field, entry in (
+            ("instance id", "instances", AlphaInstance(X, "Team")),
+            ("work product id", "work_products",
+             WorkProductInstance(X, "Test Report")),
+            ("record instance", "records", replace(record, alpha_instance=X)),
+            ("record state", "records", replace(record, state=X)),
+            ("record checkpoint", "records", replace(record, checkpoint=X))):
+        odd = replace(a, **{field: getattr(a, field) + (entry,)})
+        yield label, {"assessment": odd, "project": Project("p", odd)}
+    for label, field, entry in (
+            ("viewpoint name", "viewpoints", Viewpoint(X)),
+            ("view name", "views", View(X, "vp")),
+            ("view viewpoint", "views", View("w", X)),
+            ("undefined viewpoint", "views", View("w", "nope")),
+            ("element id", "elements", ViewElement(X, has_extent=True)),
+            ("node id", "realization_nodes", RealizationNode(X)),
+            ("binding of one id", "bindings", ("e1",)),
+            ("binding of three ids", "bindings", ("e1", "n1", "x")),
+            ("binding element", "bindings", (X, "n1"))):
+        odd = replace(model, **{field: getattr(model, field) + (entry,)})
+        yield label, {"model": odd,
+                      "project": replace(held["project"], description=odd)}
+
+
+# Each value accessor, the container that has it, and a key it finds.
+ACCESSORS = (("assessment", "instance", "i-1"), ("assessment", "work_product", "wp-1"),
+             ("model", "viewpoint", "vp"), ("model", "view", "v"),
+             ("model", "element", "e1"), ("model", "realization_node", "n1"),
+             ("model", "binding_of", "e1"), ("kernel", "workproduct", "Test Report"))
+
+
+@pytest.mark.parametrize("changed", [changed for _, changed in odd_containers()],
+                         ids=[label for label, _ in odd_containers()])
+def test_calls_on_entries_no_index_can_key_keep_the_error_contract(changed):
+    """Such an entry is in no index; every call answers or raises an
+    EssenceError, and the other entries are found as they are without it."""
+    arguments = valid_arguments(**changed)
+    for name in FUNCTIONS:
+        try:
+            getattr(essencekit, name)(*arguments[name])
+        except EssenceError:
+            pass
+    held = containers()
+    odd = {**held, **changed}
+    for holder, accessor, key in ACCESSORS:
+        answer = getattr(odd[holder], accessor)
+        assert answer(key) == getattr(held[holder], accessor)(key)
+        assert answer(X) is None
+
+
+@pytest.mark.parametrize("kernel", [kernel for _, kernel in odd_kernels()],
+                         ids=[label for label, _ in odd_kernels()])
+def test_a_kernel_no_index_can_key_is_refused_as_kernel_to_doc_refuses_it(kernel):
+    """validate_kernel refuses a kernel with a name that is not text, at
+    that name, before any finding; so does new_project."""
+    with pytest.raises(KernelError) as saving:
+        kernel_to_doc(kernel)
+    expected = (saving.value.code, saving.value.message, saving.value.path)
+    assert expected[0] == "UNSUPPORTED_VALUE"
+    for call in (lambda: validate_kernel(kernel),
+                 lambda: validate_kernel(replace(kernel, areas=kernel.areas * 2)),
+                 lambda: new_project("p", kernel=kernel)):
+        with pytest.raises(KernelError) as err:
+            call()
+        assert (err.value.code, err.value.message, err.value.path) == expected
