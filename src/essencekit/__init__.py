@@ -7,169 +7,62 @@ designation codes, and checks description models for architecture
 viability, endeavor coverage, and 4D coextension consistency. Projects
 persist as single deterministic JSON documents; the ``essencekit``
 command exposes everything for batch use.
+
+Each public name is imported from its module on first use (PEP 562), so
+a caller of one module, such as ``essencekit.designation``, loads only
+what that module imports.
 """
 
-from .builtin_kernel import (
-    PLACEHOLDER_STATE,
-    builtin_se_kernel,
-    has_placeholder_states,
-)
-from .description import (
-    ArchitectureReport,
-    DescriptionKind,
-    DescriptionModel,
-    RealizationNode,
-    StructureType,
-    View,
-    ViewElement,
-    Viewpoint,
-    add_element,
-    add_realization_node,
-    add_view,
-    add_viewpoint,
-    assert_coextension,
-    bind_designator,
-    bind_element,
-    coextension_class,
-    endeavor_viewpoint_lint,
-    viable_architecture,
-)
-from .designation import (
-    BUILTIN_DCC_TABLE,
-    Aspect,
-    AspectChain,
-    BreakdownNode,
-    BreakdownTree,
-    ChainResolution,
-    DccTable,
-    DocumentDesignation,
-    MultiAspectDesignation,
-    UnambiguityReport,
-    check_at_least_one_unambiguous,
-    format_designation,
-    format_document_designation,
-    loads_dcc_table,
-    parse_designation,
-    parse_document_designation,
-    resolve,
-)
-from .engine import (
-    AlphaInstance,
-    Assessment,
-    Blocker,
-    CheckpointRecord,
-    StateResult,
-    SystemLevel,
-    WorkProductInstance,
-    add_instance,
-    add_work_product,
-    alpha_state,
-    blocking_checkpoints,
-    record_checkpoint,
-    render_card,
-)
-from .errors import (
-    AssessmentError,
-    DesignationError,
-    EssenceError,
-    KernelError,
-    ModelError,
-    ProjectError,
-)
-from .metamodel import (
-    AlphaDefinition,
-    AreaOfConcern,
-    Checkpoint,
-    Finding,
-    KernelDefinition,
-    StateDefinition,
-    ValidationReport,
-    WorkProductDefinition,
-    dumps_kernel,
-    find_alpha,
-    kernel_from_doc,
-    kernel_to_doc,
-    loads_kernel,
-    subalpha_closure,
-    validate_kernel,
-)
-from .store import Project, load_project, new_project, save_project
+from importlib import import_module as _import_module
 
-__all__ = [
-    "AlphaDefinition",
-    "AlphaInstance",
-    "ArchitectureReport",
-    "AreaOfConcern",
-    "Aspect",
-    "AspectChain",
-    "Assessment",
-    "AssessmentError",
-    "Blocker",
-    "BreakdownNode",
-    "BreakdownTree",
-    "BUILTIN_DCC_TABLE",
-    "ChainResolution",
-    "Checkpoint",
-    "CheckpointRecord",
-    "DccTable",
-    "DescriptionKind",
-    "DescriptionModel",
-    "DesignationError",
-    "DocumentDesignation",
-    "EssenceError",
-    "Finding",
-    "KernelDefinition",
-    "KernelError",
-    "ModelError",
-    "MultiAspectDesignation",
-    "PLACEHOLDER_STATE",
-    "Project",
-    "ProjectError",
-    "RealizationNode",
-    "StateDefinition",
-    "StateResult",
-    "StructureType",
-    "SystemLevel",
-    "UnambiguityReport",
-    "ValidationReport",
-    "View",
-    "ViewElement",
-    "Viewpoint",
-    "WorkProductDefinition",
-    "WorkProductInstance",
-    "add_element",
-    "add_instance",
-    "add_realization_node",
-    "add_view",
-    "add_viewpoint",
-    "add_work_product",
-    "alpha_state",
-    "assert_coextension",
-    "bind_designator",
-    "bind_element",
-    "blocking_checkpoints",
-    "builtin_se_kernel",
-    "check_at_least_one_unambiguous",
-    "coextension_class",
-    "dumps_kernel",
-    "endeavor_viewpoint_lint",
-    "find_alpha",
-    "format_designation",
-    "format_document_designation",
-    "has_placeholder_states",
-    "kernel_from_doc",
-    "kernel_to_doc",
-    "load_project",
-    "loads_dcc_table",
-    "loads_kernel",
-    "new_project",
-    "parse_designation",
-    "parse_document_designation",
-    "record_checkpoint",
-    "render_card",
-    "resolve",
-    "save_project",
-    "subalpha_closure",
-    "validate_kernel",
-    "viable_architecture",
-]
+_PUBLIC = {
+    "builtin_kernel": (
+        "PLACEHOLDER_STATE", "builtin_se_kernel", "has_placeholder_states"),
+    "description": (
+        "ArchitectureReport", "DescriptionKind", "DescriptionModel",
+        "RealizationNode", "StructureType", "View", "ViewElement",
+        "Viewpoint", "add_element", "add_realization_node", "add_view",
+        "add_viewpoint", "assert_coextension", "bind_designator",
+        "bind_element", "coextension_class", "endeavor_viewpoint_lint",
+        "viable_architecture"),
+    "designation": (
+        "BUILTIN_DCC_TABLE", "Aspect", "AspectChain", "BreakdownNode",
+        "BreakdownTree", "ChainResolution", "DccTable", "DocumentDesignation",
+        "MultiAspectDesignation", "UnambiguityReport",
+        "check_at_least_one_unambiguous", "format_designation",
+        "format_document_designation", "loads_dcc_table", "parse_designation",
+        "parse_document_designation", "resolve"),
+    "engine": (
+        "AlphaInstance", "Assessment", "Blocker", "CheckpointRecord",
+        "StateResult", "SystemLevel", "WorkProductInstance", "add_instance",
+        "add_work_product", "alpha_state", "blocking_checkpoints",
+        "record_checkpoint", "render_card"),
+    "errors": (
+        "AssessmentError", "DesignationError", "EssenceError", "KernelError",
+        "ModelError", "ProjectError"),
+    "metamodel": (
+        "AlphaDefinition", "AreaOfConcern", "Checkpoint", "Finding",
+        "KernelDefinition", "StateDefinition", "ValidationReport",
+        "WorkProductDefinition", "dumps_kernel", "find_alpha",
+        "kernel_from_doc", "kernel_to_doc", "loads_kernel",
+        "subalpha_closure", "validate_kernel"),
+    "store": ("Project", "load_project", "new_project", "save_project"),
+}
+# Each public name, with the module that defines it.
+_MODULE_OF = {name: module for module, names in _PUBLIC.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -21,12 +21,21 @@ JSON instead of plain text, through the writer that saves project files.
 
 Outputs are deterministic: nothing here reads the clock or the
 environment, and record timestamps enter only through ``--at``.
+
+``run`` is the process entry, for the console script and for
+``python -m essencekit.cli``: it exits with ``main``'s status. ``main``
+returns the status and may be called in process any number of times.
+Each handler imports the library modules it uses: ``desig parse`` and
+``doc parse`` load only ``designation`` and the JSON layer, the
+``kernel`` commands only the meta-model and the built-in kernel, and the
+commands that read a project every module, through ``store``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import select
 import shutil
@@ -34,39 +43,25 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from ._schema import emit, entry_docs
-from .builtin_kernel import builtin_se_kernel, has_placeholder_states
-from .description import endeavor_viewpoint_lint, viable_architecture
-from .designation import (
-    ASPECT_ORDER,
-    BUILTIN_DCC_TABLE,
-    check_at_least_one_unambiguous,
-    format_designation,
-    loads_dcc_table,
-    parse_designation,
-    parse_document_designation,
-)
-from .engine import (
-    CheckpointRecord,
-    alpha_state,
-    blocking_checkpoints,
-    record_checkpoint,
-    render_card,
-)
 from .errors import EssenceError, KernelError, ProjectError
-from .metamodel import (
-    find_alpha,
-    kernel_to_doc,
-    loads_kernel,
-    validate_kernel,
-)
-from .store import load_project, save_project
 
 # What a handler returns, printing nothing: exit status, structured
 # document, plain lines. main writes the one --format asks for.
 Output = tuple[int, dict, list[str]]
+
+
+def run() -> NoReturn:
+    """Run ``main`` on the process's arguments and exit with its status.
+
+    The collector's objects are frozen first: the interpreter's shutdown
+    then skips its full collections over them, whose memory the exit
+    frees anyway."""
+    status = main()
+    gc.freeze()
+    raise SystemExit(status)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -182,6 +177,8 @@ def commands_of(parser: argparse.ArgumentParser):
 
 
 def _cmd_kernel_validate(args: argparse.Namespace) -> Output:
+    from .metamodel import loads_kernel, validate_kernel
+
     kernel = loads_kernel(_read_bytes(args.file))
     report = validate_kernel(kernel)
     doc = {
@@ -199,6 +196,9 @@ def _cmd_kernel_validate(args: argparse.Namespace) -> Output:
 
 
 def _cmd_kernel_show(args: argparse.Namespace) -> Output:
+    from .builtin_kernel import builtin_se_kernel, has_placeholder_states
+    from .metamodel import find_alpha, kernel_to_doc, loads_kernel
+
     if args.file is None:
         kernel = builtin_se_kernel()
     else:
@@ -236,7 +236,10 @@ def _cmd_kernel_show(args: argparse.Namespace) -> Output:
 
 
 def _cmd_assess_record(args: argparse.Namespace) -> Output:
-    project = load_project(_read_bytes(args.project))
+    from .engine import CheckpointRecord, record_checkpoint
+    from .store import save_project
+
+    project = _load(args.project)
     rec = CheckpointRecord(
         alpha_instance=args.alpha_instance,
         state=args.state,
@@ -257,7 +260,9 @@ def _cmd_assess_record(args: argparse.Namespace) -> Output:
 
 
 def _cmd_assess_state(args: argparse.Namespace) -> Output:
-    project = load_project(_read_bytes(args.project))
+    from .engine import alpha_state
+
+    project = _load(args.project)
     result = alpha_state(project.assessment, args.alpha_instance)
     instance = project.assessment.instance(args.alpha_instance)
     lines = [
@@ -279,7 +284,9 @@ def _cmd_assess_state(args: argparse.Namespace) -> Output:
 
 
 def _cmd_assess_blocking(args: argparse.Namespace) -> Output:
-    project = load_project(_read_bytes(args.project))
+    from .engine import blocking_checkpoints
+
+    project = _load(args.project)
     blockers = blocking_checkpoints(
         project.assessment, args.alpha_instance, args.target
     )
@@ -292,7 +299,9 @@ def _cmd_assess_blocking(args: argparse.Namespace) -> Output:
 
 
 def _cmd_cards(args: argparse.Namespace) -> Output:
-    project = load_project(_read_bytes(args.project))
+    from .engine import render_card
+
+    project = _load(args.project)
     cards = {
         inst.id: render_card(project.assessment, inst.id)
         for inst in project.assessment.instances
@@ -304,6 +313,8 @@ def _cmd_cards(args: argparse.Namespace) -> Output:
 
 
 def _cmd_desig_parse(args: argparse.Namespace) -> Output:
+    from .designation import ASPECT_ORDER, format_designation, parse_designation
+
     d = parse_designation(args.text)
     canonical = format_designation(d)
     by_aspect = d.by_aspect()
@@ -320,7 +331,10 @@ def _cmd_desig_parse(args: argparse.Namespace) -> Output:
 
 
 def _cmd_desig_check(args: argparse.Namespace) -> Output:
-    project = load_project(_read_bytes(args.project))
+    from .designation import (check_at_least_one_unambiguous,
+                              format_designation, parse_designation)
+
+    project = _load(args.project)
     d = parse_designation(args.text)
     trees = {tree.aspect: tree for tree in project.trees}
     report = check_at_least_one_unambiguous(trees, d)
@@ -344,6 +358,9 @@ def _cmd_desig_check(args: argparse.Namespace) -> Output:
 
 
 def _cmd_doc_parse(args: argparse.Namespace) -> Output:
+    from .designation import (BUILTIN_DCC_TABLE, format_designation,
+                              loads_dcc_table, parse_document_designation)
+
     if args.dcc_table is not None:
         table = loads_dcc_table(_read_bytes(args.dcc_table))
     else:
@@ -370,7 +387,9 @@ def _cmd_doc_parse(args: argparse.Namespace) -> Output:
 
 
 def _cmd_arch_check(args: argparse.Namespace) -> Output:
-    project = load_project(_read_bytes(args.project))
+    from .description import viable_architecture
+
+    project = _load(args.project)
     names = args.views.split(",") if args.views else []
     report = viable_architecture(project.description, names)
     covered = ", ".join(t.value for t in report.covered)
@@ -386,13 +405,23 @@ def _cmd_arch_check(args: argparse.Namespace) -> Output:
 
 
 def _cmd_lint_endeavor(args: argparse.Namespace) -> Output:
-    project = load_project(_read_bytes(args.project))
+    from .description import endeavor_viewpoint_lint
+
+    project = _load(args.project)
     warnings = endeavor_viewpoint_lint(project.description)
     lines = [f"warning: {warning}" for warning in warnings]
     return 1 if warnings else 0, {"warnings": list(warnings)}, lines or ["ok"]
 
 
 # Plumbing
+
+
+def _load(path: str):
+    """The project in the file at ``path``; the project commands need
+    every library module, through ``store``."""
+    from .store import load_project
+
+    return load_project(_read_bytes(path))
 
 
 def _read_bytes(path: str) -> bytes:
@@ -448,4 +477,4 @@ def _blockers_doc(blockers) -> list[dict]:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

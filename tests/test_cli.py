@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import gc
 import itertools
 import json
 import os
@@ -46,14 +48,44 @@ from essencekit import (
     render_card,
     save_project,
 )
+from essencekit import cli
 from essencekit.cli import main
 from essencekit.store import MAX_TREE_DEPTH
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULE_ENTRY = ("-m", "essencekit.cli")
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_child(*argv: str, entry: tuple[str, ...] = MODULE_ENTRY,
+              **options) -> subprocess.CompletedProcess:
+    """The CLI run to its end in a child interpreter, started with
+    ``entry`` and ``argv``; ``options`` go to ``subprocess.run``."""
+    return subprocess.run([sys.executable, *entry, *argv], timeout=60,
+                          **options)
+
+
+def console_script_target() -> tuple[str, str]:
+    """The module and function of the ``essencekit`` console script. tomllib
+    is not in Python 3.10, so the target is read from pyproject.toml
+    directly."""
+    scripts = (ROOT / "pyproject.toml").read_text(encoding="utf-8").split(
+        "[project.scripts]", 1)[1]
+    return re.search(r'^essencekit\s*=\s*"([\w.]+):(\w+)"', scripts,
+                     re.MULTILINE).groups()
+
+
+def console_script_entry() -> tuple[str, ...]:
+    """The interpreter arguments that run what pip's generated
+    ``essencekit`` wrapper runs."""
+    module, function = console_script_target()
+    return ("-c", f"import sys\nfrom {module} import {function}\n"
+                  f"sys.argv[0] = 'essencekit'\nsys.exit({function}())\n")
 
 
 def demo_project() -> Project:
@@ -636,11 +668,10 @@ def test_assess_record_refuses_a_lone_surrogate_in_the_file(tmp_path, raw):
         where = "project-id"
     path = tmp_path / "project.json"
     path.write_bytes(data)
-    result = subprocess.run(
-        [sys.executable, "-m", "essencekit.cli", "--format", "structured",
-         "assess", "record", str(path), "--alpha-instance", "sr-1",
-         "--state", "Parts", "--checkpoint", "P-1", "--satisfied", "true"],
-        capture_output=True, text=True, timeout=60)
+    result = cli_child(
+        "--format", "structured", "assess", "record", str(path),
+        "--alpha-instance", "sr-1", "--state", "Parts", "--checkpoint", "P-1",
+        "--satisfied", "true", capture_output=True, text=True)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     error = json.loads(result.stderr)["error"]
@@ -873,10 +904,8 @@ def test_deeply_nested_project_is_a_parse_error(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text('{"format-version": 1, "project-id": "p", '
                     '"trees": {"Product": [' + tree + "]}}", encoding="utf-8")
-    result = subprocess.run(
-        [sys.executable, "-m", "essencekit.cli", "--format", "structured",
-         "desig", "check", str(path), "--", "-A"],
-        capture_output=True, text=True, timeout=60)
+    result = cli_child("--format", "structured", "desig", "check", str(path),
+                       "--", "-A", capture_output=True, text=True)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert json.loads(result.stderr)["error"]["code"] == "PARSE_ERROR"
@@ -892,10 +921,9 @@ def test_desig_check_on_a_tree_at_the_depth_limit(capsys, tmp_path, depth):
                            "trees": {"Product": [chain_node(depth)]}}).encode()
     path = tmp_path / "deep.json"
     path.write_bytes(text)
-    result = subprocess.run(
-        [sys.executable, "-m", "essencekit.cli", "--format", "structured",
-         "desig", "check", str(path), "--", f"-N{depth - 1}-N{depth}"],
-        capture_output=True, text=True, timeout=60)
+    result = cli_child("--format", "structured", "desig", "check", str(path),
+                       "--", f"-N{depth - 1}-N{depth}",
+                       capture_output=True, text=True)
     assert "Traceback" not in result.stderr
     if depth <= MAX_TREE_DEPTH:
         assert result.returncode == 0
@@ -910,31 +938,76 @@ def test_desig_check_on_a_tree_at_the_depth_limit(capsys, tmp_path, depth):
 
 
 def test_module_entry_point_runs_as_subprocess():
-    result = subprocess.run(
-        [sys.executable, "-m", "essencekit.cli", "desig", "parse", "=F1"],
-        capture_output=True, text=True, timeout=60)
+    result = cli_child("desig", "parse", "=F1", capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "=F1"
 
 
 def test_console_script_target_refuses_a_mixed_chain_without_traceback():
-    # What pip's generated ``essencekit`` wrapper runs; tomllib is not
-    # in Python 3.10, so the target is read from pyproject.toml directly.
-    root = Path(__file__).resolve().parent.parent
-    scripts = (root / "pyproject.toml").read_text(encoding="utf-8").split(
-        "[project.scripts]", 1)[1]
-    module, function = re.search(
-        r'^essencekit\s*=\s*"([\w.]+):(\w+)"', scripts, re.MULTILINE).groups()
-    wrapper = (f"import sys\nfrom {module} import {function}\n"
-               f"sys.argv[0] = 'essencekit'\nsys.exit({function}())\n")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-c", wrapper, "desig", "parse", "=F1-N4"],
-        capture_output=True, text=True, timeout=60, env=env)
+    result = cli_child("desig", "parse", "=F1-N4", entry=console_script_entry(),
+                       capture_output=True, text=True)
     assert result.returncode == 2
     assert "MIXED_CHAIN" in result.stderr and "column 4" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_the_console_script_is_what_the_module_entry_calls():
+    main_block = next(
+        node for node in ast.parse(Path(cli.__file__).read_text("utf-8")).body
+        if isinstance(node, ast.If)
+        and ast.unparse(node.test) == "__name__ == '__main__'")
+    called = [node.func.id for node in ast.walk(main_block)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert called == ["run"]
+    assert console_script_target() == ("essencekit.cli", "run")
+
+
+def test_run_exits_with_mains_status_and_main_leaves_the_collector_alone(
+        capsys, monkeypatch, project_file):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "cards", project_file)[0] == 0
+    assert run(capsys, "desig", "parse", "=F1-N4")[0] == 2
+    assert gc.get_freeze_count() == frozen
+    monkeypatch.setattr(sys, "argv", ["essencekit", "desig", "parse", "=F1-N4"])
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.startswith("error: MIXED_CHAIN: ")
+
+
+def cards_file(tmp_path, instances: int) -> str:
+    path = tmp_path / "cards.json"
+    path.write_text(json.dumps({
+        "format-version": 1, "project-id": "p", "assessment": {
+            "instances": [{"id": f"i{k}", "alpha": "System Realization"}
+                          for k in range(instances)]}}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("entry", ["module", "console-script"])
+@pytest.mark.parametrize("argv, status", [
+    (["cards", "{many}"], 0),
+    (["assess", "blocking", "{project}", "--alpha-instance", "sr-1",
+      "--target", "Parts"], 1),
+    (["--format", "structured", "desig", "parse", "=F1-N4"], 2),
+], ids=["cards", "blocked", "refused"])
+def test_each_entry_writes_the_bytes_and_status_of_main(
+        capsys, project_file, tmp_path, entry, argv, status):
+    # Cards for 1000 instances are more than a pipe holds, so the child
+    # writes them into the pipe in parts while the parent reads.
+    paths = {"many": cards_file(tmp_path, 1000), "project": project_file}
+    argv = [arg.format(**paths) for arg in argv]
+    expected = run(capsys, *argv)
+    result = cli_child(
+        *argv, entry=MODULE_ENTRY if entry == "module" else console_script_entry(),
+        capture_output=True, env={**os.environ, "PYTHONIOENCODING": "utf-8"})
+    assert expected[0] == status
+    assert (result.returncode, result.stdout.decode("utf-8"),
+            result.stderr.decode("utf-8")) == expected
 
 
 FORMATS = pytest.mark.parametrize("fmt", [[], ["--format", "structured"]],
@@ -954,11 +1027,9 @@ def assert_io_error(fmt: list[str], returncode: int, stderr: bytes) -> None:
 @FORMATS
 def test_output_the_stream_cannot_encode_is_an_io_error(fmt):
     # The alpha's checkpoint texts hold curly quotes, which ASCII lacks.
-    result = subprocess.run(
-        [sys.executable, "-m", "essencekit.cli", *fmt,
-         "kernel", "show", "--alpha", "System Realization"],
-        capture_output=True, timeout=60,
-        env={**os.environ, "PYTHONIOENCODING": "ascii"})
+    result = cli_child(*fmt, "kernel", "show", "--alpha", "System Realization",
+                       capture_output=True,
+                       env={**os.environ, "PYTHONIOENCODING": "ascii"})
     assert result.stdout == b""
     assert_io_error(fmt, result.returncode, result.stderr)
 
