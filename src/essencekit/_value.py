@@ -1,17 +1,18 @@
 """Indices, successors and checked fields of immutable values.
 
-Kernels, assessments and description models index each tuple field
-they look up by name or id in a ``cached_property`` made by ``index``,
-and every lookup by name or id goes through ``find``. An index holds
-an item only under text or a tuple of texts (``is_key``), so an entry
-of a value built in code whose key cannot be hashed is in no index.
-The load builders fill their indices a list at a time through
-``add_new``.
+Every container builds its indices when it is made. A kernel builds its
+name indices in ``__post_init__``; an assessment or a description model
+feeds its entries through its load builder, which checks each entry as
+a file's entry is checked and fills every index. So a container holds
+only what a project file holds, and every index is keyed by text.
+Lookups by name or id go through ``find``, as a caller's key may not be
+hashable. The load builders fill their indices a list at a time
+through ``add_new``.
 An operation builds the successor's changed fields and an updated copy
 of each changed field's index, and ``derive`` lays them over the
 parent's instance dict, so the indices of the unchanged fields carry
-over, built or not. Pickles and copies carry the fields only
-(``fields_state``); a copy builds its indices again on first use.
+over. Pickles and copies call the constructor on the fields
+(``by_fields``), which builds the indices again.
 """
 
 from __future__ import annotations
@@ -19,32 +20,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import fields
 from enum import Enum
-from functools import cached_property
 from operator import attrgetter
 from typing import Any
-
-
-def index(field: str, key: str) -> cached_property:
-    """A cached property mapping each ``key`` of the items of the tuple
-    ``field`` to the first item that has it."""
-    items, key_of = attrgetter(field), attrgetter(key)
-    return cached_property(lambda value: keyed(
-        (key_of(item), item) for item in reversed(items(value))))
-
-
-def is_key(key: Any) -> bool:
-    """Whether an index holds an item under ``key``: text, or a tuple of
-    texts. An item of a value built in code whose key is anything else,
-    such as a list, is in no index, as a key that cannot be hashed names
-    nothing (``find``)."""
-    return isinstance(key, str) or isinstance(key, tuple) and all(
-        isinstance(part, str) for part in key)
-
-
-def keyed(pairs: Iterable[tuple[Any, Any]]) -> dict:
-    """The index of these (key, item) pairs, the last with a key winning:
-    those whose key ``is_key``."""
-    return {key: item for key, item in pairs if is_key(key)}
 
 
 def find(index: dict, key: Any) -> Any:
@@ -75,9 +52,10 @@ def derive(value: Any, **changes: Any) -> Any:
     return successor
 
 
-def fields_state(value: Any) -> dict[str, Any]:
-    """The pickle state of a dataclass value: its fields, no index."""
-    return {f.name: value.__dict__[f.name] for f in fields(value)}
+def by_fields(value: Any) -> tuple:
+    """``__reduce__`` of a container: pickled and copied as the call of its
+    class on its fields, so the copy builds its indices again."""
+    return type(value), tuple(value.__dict__[f.name] for f in fields(value))
 
 
 def member(value: Any, enum: type[Enum], error: type, what: str) -> Enum:

@@ -23,11 +23,10 @@ from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 from ._schema import BOOL, TEXT, Kind, Member, Texts, check_fields
-from ._value import (add_new, derive, fields_state, find, index, is_key, keyed,
-                     member, tuple_fields, unsupported)
+from ._value import (add_new, by_fields, derive, find, member, tuple_fields,
+                     unsupported)
 from .designation import DESIGNATORS, Aspect, AspectChain, in_aspect_order
 from .errors import ModelError
 
@@ -61,6 +60,10 @@ REQUIRED_DESCRIPTION_KINDS = (
 
 _NAME = Kind(str, empty="EMPTY_NAME")
 _SET = Kind(frozenset)
+# The fewest and most ids of a coextension class and of a binding, and
+# the refusal of another count, as a project file holds them.
+_CLASS = (2, float("inf"), "coextension class must list two or more element ids")
+_BINDING = (2, 2, "binding must be a pair of element id and node id")
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,33 @@ class DescriptionModel:
                 _SET.check(cls, "coextension class", ModelError)
                 for elem in cls:
                     TEXT.check(elem, "element id", ModelError)
+        # Each entry is checked, in the order a load reads the lists, as
+        # the operation that adds it does, and each id list by its shape;
+        # classes go in as a file lists them. The fields and indices are
+        # those the load builder makes.
+        builder = ModelBuilder(self)
+        for field, entries, shape, add in (
+                ("viewpoints", self.viewpoints, Viewpoint, builder.add_viewpoint),
+                ("elements", self.elements, ViewElement, builder.add_element),
+                ("views", self.views, View, builder.add_view),
+                ("realization_nodes", self.realization_nodes, RealizationNode,
+                 builder.add_realization_node),
+                ("coextension", sorted(map(sorted, self.coextension)), _CLASS,
+                 builder.add_class),
+                ("bindings", self.bindings, _BINDING,
+                 lambda pair: builder.bind_element(*pair))):
+            for i, entry in enumerate(entries):
+                try:
+                    if isinstance(shape, type):
+                        check_fields(entry, shape, ModelError)
+                    elif not shape[0] <= len(entry) <= shape[1] or not all(
+                            isinstance(item, str) for item in entry):
+                        raise ModelError("UNSUPPORTED_VALUE", shape[2])
+                    add(entry)
+                except ModelError as exc:
+                    raise ModelError(exc.code, exc.message,
+                                     path=f"{field}[{i}]") from None
+        vars(self).update(vars(builder.build()))
 
     def viewpoint(self, name: str) -> Viewpoint | None:
         return find(self._viewpoints_by_name, name)
@@ -177,27 +207,13 @@ class DescriptionModel:
     def binding_of(self, elem_id: str) -> str | None:
         return find(self._binding, elem_id)
 
-    __getstate__ = fields_state
-
-    # Derived indices; the operations hand a successor updated copies.
-    # The first item with a name or an id is the one found.
-    _viewpoints_by_name = index("viewpoints", "name")
-    _views_by_name = index("views", "name")
-    _elements_by_id = index("elements", "id")
-    _nodes_by_id = index("realization_nodes", "id")
-
-    @cached_property
-    def _class_of(self) -> dict[str, frozenset[str]]:
-        return {elem: cls for cls in self.coextension for elem in cls}
-
-    @cached_property
-    def _binding(self) -> dict[str, str]:
-        # The first pair per element wins; what is not a pair binds nothing.
-        return keyed(pair for pair in reversed(self.bindings) if len(pair) == 2)
+    __reduce__ = by_fields
 
 
 class ModelBuilder:
-    """Builds one description model from entries added in order.
+    """Builds a description model from entries added in order, deriving
+    it from ``value``: the empty model of a load, or the one that
+    ``DescriptionModel`` makes.
 
     Each entry gets the reference and duplicate checks of the matching
     operation, so errors are the same as when folding the ``add_*``,
@@ -205,21 +221,21 @@ class ModelBuilder:
     operation (``add_elements``, ``add_realization_nodes``) checks a
     whole list with one set test per reference; when the item operation
     would refuse an item, it adds none and returns False. Columns do not
-    speed up viewpoints and views, short lists. ``build`` derives the
-    model from the empty one made by ``__init__``; the builder's other
-    attributes are the model's indices, by name, and ``build`` hands them
-    over, so no constructor checks an entry again.
+    speed up viewpoints and views, short lists. The builder's attributes
+    other than ``_value`` are the model's indices, by name, and ``build``
+    hands them over, so no constructor checks an entry again.
 
-    Unlike the operations, it checks no entry's fields. Its one caller,
-    ``load_project``, adds entries made by ``read_columns`` or
+    Unlike the operations, it checks no entry's fields.
+    ``DescriptionModel`` checks them before it adds an entry;
+    ``load_project`` adds entries made by ``read_columns`` or
     ``read_entry``. Both set a field to a raw value of its kind's plain
     class (not empty where the kind has an ``empty`` code), a value the
     kind's ``load`` made, or the dataclass default: each fits, so
     ``check_fields`` passes it.
     """
 
-    def __init__(self) -> None:
-        self._empty = DescriptionModel()
+    def __init__(self, value: DescriptionModel) -> None:
+        self._value = value
         self._viewpoints_by_name: dict[str, Viewpoint] = {}
         self._views_by_name: dict[str, View] = {}
         self._elements_by_id: dict[str, ViewElement] = {}
@@ -264,14 +280,14 @@ class ModelBuilder:
             self._class_of.update(dict.fromkeys(cls, cls))
 
     def bind_element(self, elem_id: str, node_id: str) -> None:
-        if find(self._binding, elem_id) == node_id:
+        if self._binding.get(elem_id) == node_id:
             return  # and so is its whole class
         cls = _check_binding(self, elem_id, node_id)
         self._binding.update(dict.fromkeys(cls, node_id))
 
     def build(self) -> DescriptionModel:
         indices = vars(self).copy()
-        return derive(indices.pop("_empty"),
+        return derive(indices.pop("_value"),
                       viewpoints=tuple(self._viewpoints_by_name.values()),
                       views=tuple(self._views_by_name.values()),
                       elements=tuple(self._elements_by_id.values()),
@@ -327,18 +343,14 @@ def _check_view(model, view: View) -> None:
     if view.name in model._views_by_name:
         raise ModelError("DUPLICATE_NAME", f"view {view.name!r} already defined")
     if view.viewpoint not in model._viewpoints_by_name:
-        raise _undefined_viewpoint(view)
+        raise ModelError("UNKNOWN_REFERENCE", f"view {view.name!r} cites viewpoint "
+                         f"{view.viewpoint!r} which is not defined")
     for elem_id in view.elements:
         if elem_id not in model._elements_by_id:
             raise ModelError(
                 "UNKNOWN_REFERENCE",
                 f"view {view.name!r} cites element {elem_id!r} which is not defined",
             )
-
-
-def _undefined_viewpoint(view: View) -> ModelError:
-    return ModelError("UNKNOWN_REFERENCE", f"view {view.name!r} cites viewpoint "
-                      f"{view.viewpoint!r} which is not defined")
 
 
 def _check_element(model, elem: ViewElement) -> None:
@@ -430,10 +442,7 @@ def viable_architecture(
         view = find(model._views_by_name, name)
         if view is None:
             raise ModelError("UNKNOWN_REFERENCE", f"no view {name!r}")
-        vp = find(model._viewpoints_by_name, view.viewpoint)
-        if vp is None:
-            raise _undefined_viewpoint(view)
-        covered.add(vp.structure_type)
+        covered.add(model._viewpoints_by_name[view.viewpoint].structure_type)
     return ArchitectureReport(
         covered=tuple(t for t in REQUIRED_STRUCTURE_TYPES if t in covered),
         missing=tuple(t for t in REQUIRED_STRUCTURE_TYPES if t not in covered),
@@ -520,13 +529,8 @@ def _successor(
         binding = binding.copy()
         binding.update(dict.fromkeys(unbound, node_id))
         rows = list(bindings)
-        # The index holds every row only when the rows are one text pair per
-        # element. Else, in a model built in code, a row that is not all text
-        # compares as (), so never with text.
-        key = None if len(bindings) == len(model._binding) else (
-            lambda row: row if is_key(row) else ())
         for member in unbound:
-            insort(rows, (member, node_id), key=key)
+            insort(rows, (member, node_id))
         bindings = tuple(rows)
     return derive(model, coextension=coextension, bindings=bindings,
                   _class_of=class_of, _binding=binding)

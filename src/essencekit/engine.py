@@ -16,14 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
 from ._schema import BOOL, INT, TEXT, Kind, Member, Texts, check_fields
-from ._value import (add_new, derive, fields_state, find, index, keyed, member,
-                     tuple_fields, unsupported)
+from ._value import add_new, by_fields, derive, find, member, tuple_fields, unsupported
 from .designation import DOCUMENT_DESIGNATION, DocumentDesignation
 from .errors import AssessmentError
 from .metamodel import AlphaDefinition, Checkpoint, KernelDefinition, find_alpha
@@ -106,6 +104,22 @@ class Assessment:
                      ("instances", AlphaInstance, "instance"),
                      ("work_products", WorkProductInstance, "work product"),
                      ("records", CheckpointRecord, "record"))
+        # Each entry is checked, in file order, as the operation that adds
+        # it does. The fields and indices are those the load builder makes:
+        # a record replaces the earlier one with its key in place.
+        builder = AssessmentBuilder(self)
+        for field, cls, add in (
+                ("instances", AlphaInstance, builder.add_instance),
+                ("work_products", WorkProductInstance, builder.add_work_product),
+                ("records", CheckpointRecord, builder.record_checkpoint)):
+            for i, entry in enumerate(getattr(self, field)):
+                try:
+                    check_fields(entry, cls, AssessmentError)
+                    add(entry)
+                except AssessmentError as exc:
+                    raise AssessmentError(exc.code, exc.message,
+                                          path=f"{field}[{i}]") from None
+        vars(self).update(vars(builder.build()))
 
     def instance(self, instance_id: str) -> AlphaInstance | None:
         return find(self._instances_by_id, instance_id)
@@ -113,17 +127,7 @@ class Assessment:
     def work_product(self, wp_id: str) -> WorkProductInstance | None:
         return find(self._work_products_by_id, wp_id)
 
-    __getstate__ = fields_state
-
-    # Indices of the tuple fields; the operations hand a successor
-    # updated copies. The first item with an id is the one found.
-    _instances_by_id = index("instances", "id")
-    _work_products_by_id = index("work_products", "id")
-
-    @cached_property
-    def _record_positions(self) -> dict[tuple[str, str, str], int]:
-        # The last record with a key is the effective one, also in raw tuples.
-        return keyed((rec.key, i) for i, rec in enumerate(self.records))
+    __reduce__ = by_fields
 
 
 _ASSESSMENT = Kind(Assessment)
@@ -132,7 +136,9 @@ _KEY = attrgetter("alpha_instance", "state", "checkpoint")  # CheckpointRecord.k
 
 
 class AssessmentBuilder:
-    """Builds one assessment from entries added in order.
+    """Builds an assessment over ``value``'s kernel from entries added in
+    order; ``value`` is the empty assessment of a load, or the one that
+    ``Assessment`` makes.
 
     Each entry gets the reference and duplicate checks of the matching
     operation, so errors are the same as when folding ``add_instance``,
@@ -140,22 +146,20 @@ class AssessmentBuilder:
     (``add_instances``, ``record_checkpoints``) checks a whole list with
     one set test per reference; when the item operation would refuse an
     item, it adds none and returns False. Columns do not speed up work
-    products, a short list. ``build`` derives the value from the empty
-    one made by ``__init__`` and hands it every map, records' included,
-    as its index; no constructor checks an entry again.
+    products, a short list. ``build`` derives the value from ``value``
+    and hands it every map, records' included, as its index; no
+    constructor checks an entry again.
 
-    Unlike the operations, it checks no entry's fields. Its one caller,
-    ``load_project``, adds entries made by ``read_columns`` or
-    ``read_entry``. Both set a field to a raw value of its kind's plain
-    class (not empty where the kind has an ``empty`` code), a value the
-    kind's ``load`` made, or the dataclass default: each fits, so
-    ``check_fields`` passes it.
+    Unlike the operations, it checks no entry's fields. ``Assessment``
+    checks them before it adds an entry; ``load_project`` adds entries
+    made by ``read_columns`` or ``read_entry``. Both set a field to a raw
+    value of its kind's plain class (not empty where the kind has an
+    ``empty`` code), a value the kind's ``load`` made, or the dataclass
+    default: each fits, so ``check_fields`` passes it.
     """
 
-    def __init__(self, project_id: str, kernel: KernelDefinition,
-                 strict_evidence: bool = False):
-        self._empty = Assessment(project_id, kernel, strict_evidence=strict_evidence)
-        self.kernel = kernel
+    def __init__(self, value: Assessment):
+        self._value, self.kernel = value, value.kernel
         self._instances_by_id: dict[str, AlphaInstance] = {}
         self._work_products_by_id: dict[str, WorkProductInstance] = {}
         # A record replaces the one with its key in place, as in the value.
@@ -192,7 +196,7 @@ class AssessmentBuilder:
         return True
 
     def build(self) -> Assessment:
-        return derive(self._empty, instances=tuple(self._instances_by_id.values()),
+        return derive(self._value, instances=tuple(self._instances_by_id.values()),
                       work_products=tuple(self._work_products_by_id.values()),
                       records=tuple(self._records.values()),
                       _instances_by_id=self._instances_by_id,
@@ -341,14 +345,7 @@ def _alpha_of(a, instance_id: str) -> AlphaDefinition:
         raise AssessmentError(
             "UNKNOWN_INSTANCE", f"no alpha instance {instance_id!r}"
         )
-    alpha = find_alpha(a.kernel, inst.alpha)
-    if alpha is None:
-        raise AssessmentError(
-            "UNKNOWN_INSTANCE",
-            f"instance {instance_id!r} references alpha {inst.alpha!r} "
-            "absent from the kernel",
-        )
-    return alpha
+    return a.kernel._alphas_by_name[inst.alpha]
 
 
 def _open_checkpoints(

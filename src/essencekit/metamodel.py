@@ -19,12 +19,11 @@ Kernel definitions interchange as JSON documents, whose schema the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any
 
-from ._schema import (TEXT, Entries, Kind, Texts, cannot_save, decode, encode,
+from ._schema import (TEXT, Entries, Kind, Texts, check_fields, decode, encode,
                       entry_docs, read_entry)
-from ._value import fields_state, find, index, tuple_fields
+from ._value import by_fields, find, tuple_fields
 from .errors import KernelError
 
 #: The fixed vocabulary of areas of concern.
@@ -36,6 +35,9 @@ class AreaOfConcern:
     """One of the three fixed groupings of alphas."""
 
     name: str
+
+    def __post_init__(self) -> None:
+        TEXT.check(self.name, "area", KernelError)
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,9 @@ class Checkpoint:
     _FIELDS = (("id", "id", TEXT, "checkpoint id"),
                ("text", "text", TEXT, "checkpoint text"))
 
+    def __post_init__(self) -> None:
+        check_fields(self, Checkpoint, KernelError)
+
 
 @dataclass(frozen=True)
 class StateDefinition:
@@ -67,6 +72,7 @@ class StateDefinition:
 
     def __post_init__(self) -> None:
         tuple_fields(self, KernelError, ("checkpoints", Checkpoint, "checkpoint"))
+        check_fields(self, StateDefinition, KernelError)
 
     def checkpoint(self, checkpoint_id: str) -> Checkpoint | None:
         for cp in self.checkpoints:
@@ -96,6 +102,7 @@ class AlphaDefinition:
     def __post_init__(self) -> None:
         tuple_fields(self, KernelError, ("states", StateDefinition, "state"),
                      ("subalphas", str, "sub-alpha reference"))
+        check_fields(self, AlphaDefinition, KernelError)
 
     @property
     def state_names(self) -> tuple[str, ...]:
@@ -119,6 +126,9 @@ class WorkProductDefinition:
     _FIELDS = (("name", "name", TEXT, "work product name"),
                ("evidences", "evidences", TEXT, "evidenced alpha"),
                ("kind", "kind", TEXT, "work product kind"))
+
+    def __post_init__(self) -> None:
+        check_fields(self, WorkProductDefinition, KernelError)
 
 
 class _Areas(Texts):
@@ -148,24 +158,21 @@ class KernelDefinition:
                 Entries(WorkProductDefinition, omit=True), "work products"))
 
     def __post_init__(self) -> None:
+        TEXT.check(self.name, "kernel name", KernelError)
         tuple_fields(self, KernelError, ("areas", AreaOfConcern, "area"),
                      ("alphas", AlphaDefinition, "alpha"),
                      ("workproducts", WorkProductDefinition, "work product"))
+        # Name indices: the first alpha or work product with a name is the
+        # one found; validate_kernel reports the others. The checkpoint
+        # keys are each (alpha, state, checkpoint) triple a record may name.
+        vars(self).update(
+            _alphas_by_name={a.name: a for a in reversed(self.alphas)},
+            _workproducts_by_name={wp.name: wp for wp in reversed(self.workproducts)},
+            _checkpoint_keys=frozenset(
+                (alpha.name, state.name, cp.id) for alpha in self.alphas
+                for state in alpha.states for cp in state.checkpoints))
 
-    # Name indices; the first alpha or work product with a name is the
-    # one found. validate_kernel reports the others.
-    _alphas_by_name = index("alphas", "name")
-    _workproducts_by_name = index("workproducts", "name")
-    __getstate__ = fields_state
-
-    @cached_property
-    def _checkpoint_keys(self) -> frozenset[tuple[str, str, str]]:
-        """Each (alpha, state, checkpoint) triple that a record may name,
-        by names and id; a kernel that ``validate_kernel`` passes names
-        each alpha, each state of an alpha and each checkpoint of a state
-        once."""
-        return frozenset((alpha.name, state.name, cp.id) for alpha in self.alphas
-                         for state in alpha.states for cp in state.checkpoints)
+    __reduce__ = by_fields
 
     @property
     def root_alphas(self) -> tuple[AlphaDefinition, ...]:
@@ -212,9 +219,7 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
 
     Pure: equal kernels yield equal reports. Findings are data, never
     exceptions, so partially built kernels can be inspected freely. A
-    ``kernel`` that is no kernel, or whose alpha, state or work product
-    names, checkpoint ids or evidenced alphas are not all text, is
-    refused, UNSUPPORTED_VALUE, as ``kernel_to_doc`` refuses it.
+    ``kernel`` that is no kernel is refused, UNSUPPORTED_VALUE.
     """
     Kind(KernelDefinition).check(kernel, "kernel", KernelError)
     findings: list[Finding] = []
@@ -235,7 +240,6 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
     seen_alphas: set[str] = set()
     for i, alpha in enumerate(kernel.alphas):
         apath = f"alphas[{i}]"
-        _require_text(alpha.name, f"{apath}.name")
         if not alpha.name:
             flag("EMPTY_ALPHA_NAME", apath, "alpha has an empty name")
         if alpha.name in seen_alphas:
@@ -251,7 +255,6 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
         seen_states: set[str] = set()
         for j, state in enumerate(alpha.states):
             spath = f"{apath}.states[{j}]"
-            _require_text(state.name, f"{spath}.name")
             if not state.name:
                 flag("EMPTY_STATE_NAME", spath, "state has an empty name")
             if state.name in seen_states:
@@ -264,7 +267,6 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
             seen_cps: set[str] = set()
             for k, cp in enumerate(state.checkpoints):
                 cpath = f"{spath}.checkpoints[{k}]"
-                _require_text(cp.id, f"{cpath}.id")
                 if not cp.id:
                     flag("EMPTY_CHECKPOINT_ID", cpath, "checkpoint id is empty")
                 if not cp.text:
@@ -302,8 +304,6 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
     seen_wps: set[str] = set()
     for i, wp in enumerate(kernel.workproducts):
         wpath = f"workproducts[{i}]"
-        _require_text(wp.name, f"{wpath}.name")
-        _require_text(wp.evidences, f"{wpath}.evidences")
         if not wp.name:
             flag("EMPTY_WORKPRODUCT_NAME", wpath, "work product has an empty name")
         if wp.name in seen_wps:
@@ -315,12 +315,6 @@ def validate_kernel(kernel: KernelDefinition) -> ValidationReport:
                  f"work product {wp.name!r} evidences undefined alpha {wp.evidences!r}")
 
     return ValidationReport(tuple(findings))
-
-
-def _require_text(name: object, path: str) -> None:
-    """Refuse a name that is not text: no index holds it (``_value.is_key``)."""
-    if not isinstance(name, str):
-        raise cannot_save(name, path, KernelError)
 
 
 def _cycle_findings(kernel: KernelDefinition, defined: set[str]) -> list[Finding]:

@@ -97,7 +97,9 @@ class Project:
                 "PROJECT_ID_MISMATCH",
                 f"assessment belongs to project {self.assessment.project_id!r}",
             )
-        if self.builtin_kernel and self.assessment.kernel != builtin_se_kernel():
+        if not self.builtin_kernel:
+            _valid_kernel(self.assessment.kernel)
+        elif self.assessment.kernel != builtin_se_kernel():
             raise ProjectError(
                 "KERNEL_MISMATCH",
                 "project marked builtin-kernel but assessment uses another kernel",
@@ -143,13 +145,14 @@ def load_project(data: bytes | str) -> Project:
     project_id = nonempty(doc, "project-id", None, ProjectError)
     kernel, builtin = _load_kernel(doc.get("kernel", BUILTIN_KERNEL_MARKER))
     raw = get(doc, "assessment", dict, None, ProjectError, {})
-    assessment = _read_lists(raw, "assessment", AssessmentBuilder(
+    assessment = _read_lists(raw, "assessment", AssessmentBuilder(Assessment(
         project_id, kernel,
-        get(raw, "strict-evidence", bool, "assessment", ProjectError, False),
-    ), "strict-evidence")
+        strict_evidence=get(raw, "strict-evidence", bool, "assessment",
+                            ProjectError, False),
+    )), "strict-evidence")
     trees = read_trees(get(doc, "trees", dict, None, ProjectError, {}), ProjectError)
     description = _read_lists(get(doc, "description", dict, None, ProjectError, {}),
-                              "description", ModelBuilder())
+                              "description", ModelBuilder(DescriptionModel()))
     return Project(
         project_id=project_id,
         assessment=assessment,

@@ -579,6 +579,86 @@ def random_project(rng: random.Random) -> Project:
 # Loading by folding the public operations
 
 
+def _coextend(model: DescriptionModel, members: list[str]) -> DescriptionModel:
+    for member in members[1:]:
+        model = assert_coextension(model, members[0], member)
+    return model
+
+
+# Each list of a container, by field, with the single operation that adds
+# one of its items, in the order the constructors and load_project take
+# the lists: a coextension class is asserted member by member with its
+# first, a binding is bound.
+FOLDS = {
+    Assessment: (("instances", add_instance),
+                 ("work_products", add_work_product),
+                 ("records", record_checkpoint)),
+    DescriptionModel: (("viewpoints", add_viewpoint),
+                       ("elements", add_element),
+                       ("views", add_view),
+                       ("realization_nodes", add_realization_node),
+                       ("coextension", _coextend),
+                       ("bindings", lambda model, pair: bind_element(model, *pair))),
+}
+
+
+def fold_lists(value, lists: dict[str, list]):
+    """``value`` with the items of ``lists``, by field, added one at a time
+    by the single operations, list by list in ``FOLDS`` order. The first
+    refusal is raised again at the item's path, ``field[i]``."""
+    for field, op in FOLDS[type(value)]:
+        for i, item in enumerate(lists.get(field, ())):
+            try:
+                value = op(value, item)
+            except EssenceError as exc:
+                raise type(exc)(exc.code, exc.message, path=f"{field}[{i}]") from exc
+    return value
+
+
+def document_lists(doc: dict) -> dict[str, dict[str, list]]:
+    """The items of the assessment and description lists of a document of
+    the saved form, by section and container field, in document order:
+    entries as the public constructors make them, a coextension class
+    and a binding as lists of ids."""
+    raw = doc.get("assessment", {})
+    assessment = {
+        "instances": [AlphaInstance(
+            id=item["id"], alpha=item["alpha"],
+            system_level=SystemLevel(item["system-level"]))
+            for item in raw.get("instances", [])],
+        "work_products": [WorkProductInstance(
+            id=item["id"], definition=item["definition"], label=item["label"],
+            document_designation=(
+                None if item.get("document-designation") is None
+                else parse_document_designation(item["document-designation"])))
+            for item in raw.get("work-products", [])],
+        "records": [CheckpointRecord(
+            alpha_instance=item["alpha-instance"], state=item["state"],
+            checkpoint=item["checkpoint"], satisfied=item["satisfied"],
+            evidence=tuple(item["evidence"]), recorded_at=item["recorded-at"])
+            for item in raw.get("records", [])]}
+    raw = doc.get("description", {})
+    description = {
+        "viewpoints": [Viewpoint(
+            name=item["name"], structure_type=StructureType(item["structure-type"]),
+            concerns=tuple(item["concerns"]),
+            description_kind=DescriptionKind(item["description-kind"]))
+            for item in raw.get("viewpoints", [])],
+        "elements": [ViewElement(id=item["id"], label=item["label"],
+                                 has_extent=item["has-extent"])
+                     for item in raw.get("elements", [])],
+        "views": [View(name=item["name"], viewpoint=item["viewpoint"],
+                       elements=tuple(item["elements"]))
+                  for item in raw.get("views", [])],
+        "realization_nodes": [RealizationNode(id=item["id"], designators=tuple(
+            parse_designation(text).chains[0]
+            for text in item["designators"].values()))
+            for item in raw.get("realization-nodes", [])],
+        "coextension": raw.get("coextension", []),
+        "bindings": raw.get("bindings", [])}
+    return {"assessment": assessment, "description": description}
+
+
 def fold_project(data: bytes | str) -> Project:
     """Reference loader for well-formed project documents.
 
@@ -589,41 +669,20 @@ def fold_project(data: bytes | str) -> Project:
     """
     doc = json.loads(data)
     kernel_doc = doc.get("kernel", "builtin")
-    raw = doc.get("assessment", {})
     project = new_project(
         doc["project-id"],
         kernel=None if kernel_doc == "builtin" else kernel_from_doc(kernel_doc),
-        strict_evidence=raw.get("strict-evidence", False))
-
-    def step(path, op, value, *args):
+        strict_evidence=doc.get("assessment", {}).get("strict-evidence", False))
+    lists = document_lists(doc)
+    values = {}
+    for at, empty in (("assessment", project.assessment),
+                      ("description", DescriptionModel())):
         try:
-            return op(value, *args)
+            values[at] = fold_lists(empty, lists[at])
         except EssenceError as exc:
             raise ProjectError(
-                "SCHEMA_ERROR", f"{exc.code}: {exc.message}", path=path
-            ) from exc
-
-    a = project.assessment
-    for i, item in enumerate(raw.get("instances", [])):
-        a = step(f"assessment.instances[{i}]", add_instance, a, AlphaInstance(
-            id=item["id"], alpha=item["alpha"],
-            system_level=SystemLevel(item["system-level"])))
-    for i, item in enumerate(raw.get("work-products", [])):
-        designation = item.get("document-designation")
-        a = step(f"assessment.work-products[{i}]", add_work_product, a,
-                 WorkProductInstance(
-                     id=item["id"], definition=item["definition"],
-                     label=item["label"],
-                     document_designation=(
-                         None if designation is None
-                         else parse_document_designation(designation))))
-    for i, item in enumerate(raw.get("records", [])):
-        a = step(f"assessment.records[{i}]", record_checkpoint, a,
-                 CheckpointRecord(
-                     alpha_instance=item["alpha-instance"], state=item["state"],
-                     checkpoint=item["checkpoint"], satisfied=item["satisfied"],
-                     evidence=tuple(item["evidence"]),
-                     recorded_at=item["recorded-at"]))
+                "SCHEMA_ERROR", f"{exc.code}: {exc.message}",
+                path=f"{at}.{exc.path.replace('_', '-')}") from exc
 
     def node(item: dict) -> BreakdownNode:
         return BreakdownNode(
@@ -633,39 +692,8 @@ def fold_project(data: bytes | str) -> Project:
     trees = tuple(
         BreakdownTree(aspect=Aspect(aspect), roots=tuple(map(node, roots)))
         for aspect, roots in doc.get("trees", {}).items())
-
-    raw = doc.get("description", {})
-    model = DescriptionModel()
-    for i, item in enumerate(raw.get("viewpoints", [])):
-        model = step(f"description.viewpoints[{i}]", add_viewpoint, model,
-                     Viewpoint(
-                         name=item["name"],
-                         structure_type=StructureType(item["structure-type"]),
-                         concerns=tuple(item["concerns"]),
-                         description_kind=DescriptionKind(
-                             item["description-kind"])))
-    for i, item in enumerate(raw.get("elements", [])):
-        model = step(f"description.elements[{i}]", add_element, model,
-                     ViewElement(id=item["id"], label=item["label"],
-                                 has_extent=item["has-extent"]))
-    for i, item in enumerate(raw.get("views", [])):
-        model = step(f"description.views[{i}]", add_view, model, View(
-            name=item["name"], viewpoint=item["viewpoint"],
-            elements=tuple(item["elements"])))
-    for i, item in enumerate(raw.get("realization-nodes", [])):
-        chains = tuple(parse_designation(text).chains[0]
-                       for text in item["designators"].values())
-        model = step(f"description.realization-nodes[{i}]",
-                     add_realization_node, model,
-                     RealizationNode(id=item["id"], designators=chains))
-    for i, members in enumerate(raw.get("coextension", [])):
-        for member in members[1:]:
-            model = step(f"description.coextension[{i}]", assert_coextension,
-                         model, members[0], member)
-    for i, (elem, node_id) in enumerate(raw.get("bindings", [])):
-        model = step(f"description.bindings[{i}]", bind_element,
-                     model, elem, node_id)
-    return replace(project, assessment=a, trees=trees, description=model)
+    return replace(project, assessment=values["assessment"], trees=trees,
+                   description=values["description"])
 
 
 def _insert(rng: random.Random, items: list, item) -> None:

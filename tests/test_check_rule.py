@@ -1,14 +1,18 @@
 """The rules that an entry's fields are checked by its ``_FIELDS`` table,
 and once: no ``_check_*`` function of the operations checks a type by
 hand, so a new field gets a table row, not an ``isinstance`` or
-``unsupported``; and ``check_fields`` runs in the public operations
-that take an entry alone, not in the checks they share with the load
-builders, whose entries ``read_entry`` has checked."""
+``unsupported``; ``check_fields`` runs in the public operations that
+take an entry alone and in the constructors, not in the checks they
+share with the load builders, whose entries ``read_entry`` has checked;
+and no container builds an index lazily, in a ``cached_property``."""
 
 from __future__ import annotations
 
 import ast
+from functools import cached_property
 from pathlib import Path
+
+from essencekit import Assessment, DescriptionModel, KernelDefinition
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "essencekit"
 HAND_CHECKS = {"isinstance", "unsupported"}
@@ -43,11 +47,16 @@ def test_check_functions_leave_types_to_the_tables():
     assert found == {"engine.py": [], "description.py": []}
 
 
-# The public operations that take an entry, by module.
+# The public operations that take an entry, and the constructors of the
+# containers and of the kernel entries, by module.
 OPERATIONS = {
-    "description.py": ["add_element", "add_realization_node", "add_view",
-                       "add_viewpoint"],
-    "engine.py": ["add_instance", "add_work_product", "record_checkpoint"],
+    "description.py": ["DescriptionModel.__post_init__", "add_element",
+                       "add_realization_node", "add_view", "add_viewpoint"],
+    "engine.py": ["Assessment.__post_init__", "add_instance", "add_work_product",
+                  "record_checkpoint"],
+    "metamodel.py": ["AlphaDefinition.__post_init__", "Checkpoint.__post_init__",
+                     "StateDefinition.__post_init__",
+                     "WorkProductDefinition.__post_init__"],
 }
 
 
@@ -87,3 +96,12 @@ def test_only_the_operations_that_take_an_entry_check_its_fields():
         if checkers:
             found[module.name] = checkers
     assert found == OPERATIONS
+
+
+def test_no_container_index_is_a_cached_property():
+    """A container builds every index when it is made, so a value holds
+    only what a file holds and no lookup builds one later."""
+    assert {cls.__name__: [name for name, attr in vars(cls).items()
+                           if isinstance(attr, cached_property)]
+            for cls in (Assessment, DescriptionModel, KernelDefinition)} == {
+        "Assessment": [], "DescriptionModel": [], "KernelDefinition": []}

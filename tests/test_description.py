@@ -319,7 +319,7 @@ def test_builder_classes_match_the_fold_of_pairs():
     refused = 0
     for _ in range(300):
         model, extended, plain = genlib.random_elements(rng, max_elements=12)
-        builder = ModelBuilder()
+        builder = ModelBuilder(DescriptionModel())
         for elem in model.elements:
             builder.add_element(elem)
         for node_id in ("n1", "n2"):

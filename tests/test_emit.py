@@ -22,24 +22,35 @@ from hypothesis import strategies as st
 
 import genlib
 from essencekit import (
+    AlphaDefinition,
     AlphaInstance,
+    AreaOfConcern,
     Aspect,
+    Assessment,
     BreakdownNode,
     BreakdownTree,
+    Checkpoint,
     CheckpointRecord,
     DescriptionKind,
     DescriptionModel,
+    KernelDefinition,
     KernelError,
+    ModelError,
+    Project,
     ProjectError,
     RealizationNode,
+    StateDefinition,
     StructureType,
     SystemLevel,
     View,
     ViewElement,
     Viewpoint,
+    WorkProductDefinition,
     WorkProductInstance,
+    bind_element,
     builtin_se_kernel,
     dumps_kernel,
+    find_alpha,
     kernel_to_doc,
     new_project,
     parse_designation,
@@ -56,6 +67,7 @@ from essencekit._schema import (
     entry_rows,
 )
 from essencekit.designation import MAX_TREE_DEPTH
+from essencekit.metamodel import AREA_NAMES
 
 
 def dumps(value) -> str:
@@ -232,34 +244,67 @@ designations = st.none() | st.sampled_from(["=F1&MCA", "=F1=12&ACA"]).map(
 chains = st.lists(st.sampled_from(["=F1", "-12-N4", "+M13"]), unique=True,
                   max_size=3).map(lambda texts: tuple(
                       parse_designation(text).chains[0] for text in texts))
-entry_lists = {
-    "instances": st.builds(AlphaInstance, file_texts, file_texts,
-                           st.sampled_from(list(SystemLevel))),
-    "work_products": st.builds(WorkProductInstance, file_texts, file_texts,
-                               file_texts, designations),
-    "records": st.builds(CheckpointRecord, file_texts, file_texts, file_texts,
-                         st.booleans(), text_tuples, st.integers()),
-    "viewpoints": st.builds(Viewpoint, file_texts,
-                            st.sampled_from(list(StructureType)), text_tuples,
-                            st.sampled_from(list(DescriptionKind))),
-    "views": st.builds(View, file_texts, file_texts, text_tuples),
-    "elements": st.builds(ViewElement, file_texts, file_texts, st.booleans()),
-    "realization_nodes": st.builds(RealizationNode, file_texts, chains),
-}
-projects = st.builds(
-    lambda assessment, model: replace(
-        new_project("p"), assessment=replace(new_project("p").assessment,
-                                             **assessment),
-        description=DescriptionModel(**model)),
-    st.fixed_dictionaries({key: st.lists(entry_lists[key], max_size=4)
-                           for key in ("instances", "work_products", "records")}),
-    st.fixed_dictionaries({
-        **{key: st.lists(entry_lists[key], max_size=4)
-           for key in ("viewpoints", "views", "elements", "realization_nodes")},
-        "coextension": st.frozensets(st.frozensets(file_texts, min_size=2,
-                                                   max_size=3), max_size=3),
-        "bindings": st.lists(st.tuples(file_texts, file_texts), max_size=3),
-    }))
+names = st.lists(file_texts.filter(bool), min_size=1, max_size=3, unique=True)
+ids = st.lists(file_texts.filter(bool), max_size=4, unique=True)
+
+
+@st.composite
+def kernels(draw) -> KernelDefinition:
+    """A kernel that validate_kernel passes, named with file texts."""
+    alphas = tuple(AlphaDefinition(
+        name, draw(st.sampled_from(AREA_NAMES)), draw(file_texts),
+        tuple(StateDefinition(state, draw(file_texts), tuple(
+            Checkpoint(cp, draw(file_texts.filter(bool))) for cp in draw(names)))
+            for state in draw(names))) for name in draw(names))
+    return KernelDefinition(
+        draw(file_texts), tuple(map(AreaOfConcern, AREA_NAMES)), alphas,
+        tuple(WorkProductDefinition(name, draw(st.sampled_from(alphas)).name,
+                                    draw(file_texts)) for name in draw(ids)))
+
+
+@st.composite
+def projects(draw) -> Project:
+    """A project of file texts whose entries cite only what it holds."""
+    kernel = draw(st.none() | kernels())
+    k = kernel or builtin_se_kernel()
+
+    def some(items, most=3) -> tuple:
+        return tuple(draw(st.lists(st.sampled_from(items), max_size=most))) \
+            if items else ()
+
+    instances = tuple(AlphaInstance(i, draw(st.sampled_from(k.alphas)).name,
+                                    draw(st.sampled_from(list(SystemLevel))))
+                      for i in draw(ids))
+    wps = tuple(WorkProductInstance(i, name, draw(file_texts), draw(designations))
+                for i, name in zip(draw(ids), some([w.name for w in k.workproducts],
+                                                   4)))
+    records = []
+    for inst in some(instances, 4):
+        state = draw(st.sampled_from(find_alpha(k, inst.alpha).states))
+        records.append(CheckpointRecord(
+            inst.id, state.name, draw(st.sampled_from(state.checkpoints)).id,
+            draw(st.booleans()), some([w.id for w in wps]), draw(st.integers())))
+    viewpoints = tuple(Viewpoint(name, draw(st.sampled_from(list(StructureType))),
+                                 draw(text_tuples),
+                                 draw(st.sampled_from(list(DescriptionKind))))
+                       for name in draw(ids))
+    elements = tuple(ViewElement(i, draw(file_texts), draw(st.booleans()))
+                     for i in draw(ids))
+    views = tuple(View(name, vp.name, some([e.id for e in elements]))
+                  for name, vp in zip(draw(ids), some(viewpoints, 4)))
+    nodes = tuple(RealizationNode(i, draw(chains)) for i in draw(ids))
+    extended = [e.id for e in elements if e.has_extent]
+    model = DescriptionModel(viewpoints, views, elements, nodes, frozenset(
+        frozenset(draw(st.lists(st.sampled_from(extended), min_size=2, max_size=3,
+                                unique=True)))
+        for _ in range(draw(st.integers(0, 3) if len(extended) > 1 else st.just(0)))))
+    for elem, node in zip(some(extended), some([n.id for n in nodes])):
+        try:
+            model = bind_element(model, elem, node)
+        except ModelError:  # its class is bound to another node
+            pass
+    return Project("p", Assessment("p", k, instances, wps, tuple(records)),
+                   description=model, builtin_kernel=kernel is None)
 
 
 def document_of(p) -> dict:
@@ -271,7 +316,8 @@ def document_of(p) -> dict:
         return entry_docs(values, key, ProjectError)
 
     return {
-        "format-version": 1, "project-id": p.project_id, "kernel": "builtin",
+        "format-version": 1, "project-id": p.project_id,
+        "kernel": "builtin" if p.builtin_kernel else kernel_to_doc(p.kernel),
         "assessment": {
             "strict-evidence": a.strict_evidence,
             "instances": docs("assessment.instances", a.instances),
@@ -289,7 +335,7 @@ def document_of(p) -> dict:
 
 
 @settings(max_examples=200, deadline=None)
-@given(projects)
+@given(projects())
 def test_entry_lists_are_written_as_their_maps_would_be(p):
     saved = save_project(p)
     assert saved == (dumps(json.loads(saved)) + "\n").encode("utf-8")

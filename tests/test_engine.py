@@ -234,15 +234,13 @@ def test_accessors_find_nothing_for_an_unhashable_id(instance_id):
     assert a.work_product(instance_id) is None
 
 
-def test_alpha_state_of_an_instance_whose_alpha_the_kernel_lacks():
-    # Values built directly are not checked, so such an instance can exist.
-    a = Assessment(project_id="t", kernel=builtin_se_kernel(),
-                   instances=(AlphaInstance(id="i-1", alpha="Ghost"),))
+def test_an_instance_whose_alpha_the_kernel_lacks_is_refused_at_construction():
+    # So no query meets an instance of an alpha the kernel lacks.
     with pytest.raises(AssessmentError) as err:
-        alpha_state(a, "i-1")
-    assert err.value.code == "UNKNOWN_INSTANCE"
-    assert err.value.message == (
-        "instance 'i-1' references alpha 'Ghost' absent from the kernel")
+        Assessment(project_id="t", kernel=builtin_se_kernel(),
+                   instances=(AlphaInstance(id="i-1", alpha="Ghost"),))
+    assert (err.value.code, err.value.message, err.value.path) == (
+        "UNKNOWN_ALPHA", "kernel defines no alpha 'Ghost'", "instances[0]")
 
 
 def test_first_state_achieved_when_its_checklist_is_done():

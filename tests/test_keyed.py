@@ -2,7 +2,8 @@
 
 Assessments and description models keep an index per tuple field, and
 kernels one of their alphas and one of their work products, by name;
-the first item with a name or id is the one found. An operation hands
+in a kernel, the first alpha or work product with a name is the one
+found. An operation hands
 its result an updated copy of the index of each field it changes, and
 the parent's indices of the others. These tests
 grow trees of values by random operations on random earlier values, and
@@ -18,7 +19,6 @@ import random
 import sys
 import threading
 from dataclasses import fields, replace
-from functools import cached_property
 
 import pytest
 
@@ -219,6 +219,8 @@ def test_values_pickle_and_copy_as_their_tuples():
 
 
 def test_pickles_and_copies_carry_the_fields_only():
+    """A pickle holds a container's fields and no index; its constructor
+    makes each clone, and builds every index again."""
     a = base_assessment()
     for key in KEYS[:5]:
         a = record_checkpoint(a, CheckpointRecord(*key, True))
@@ -232,7 +234,9 @@ def test_pickles_and_copies_carry_the_fields_only():
         blob = pickle.dumps(value)
         assert not [name for name in indices if name.encode() in blob]
         for clone in (pickle.loads(blob), copy.deepcopy(value), copy.copy(value)):
-            assert set(clone.__dict__) == names
+            assert set(clone.__dict__) == names | indices
+            assert [clone.__dict__[name] for name in indices] == [
+                value.__dict__[name] for name in indices]
             assert clone == value
             assert answers(clone) == answers(value)
 
@@ -292,7 +296,8 @@ def test_list_fields_are_stored_as_tuples():
                          ("views", [View(name="v", viewpoint="vp")]),
                          ("elements", [elem]),
                          ("realization_nodes", [RealizationNode(id="n0")])):
-        model = DescriptionModel(**{field: items})
+        model = DescriptionModel(**{"viewpoints": (Viewpoint(name="vp"),),
+                                    field: items})
         assert getattr(model, field) == tuple(items)
         assert isinstance(getattr(model, field), tuple)
         hash(model)
@@ -428,20 +433,18 @@ def test_successors_answer_as_fresh_values(start, grow, answers, kinds):
 
 def test_loaded_values_hold_their_builders_indices():
     """load_project hands each value every index its builder filled, under
-    the value's own names, so a first lookup builds none of them."""
+    the value's own names: those the constructor builds."""
     for value, names in (
             (loaded_assessment(), {"_instances_by_id", "_work_products_by_id",
                                    "_record_positions"}),
             (loaded_model(), {"_viewpoints_by_name", "_views_by_name",
                               "_elements_by_id", "_nodes_by_id", "_class_of",
                               "_binding"})):
-        indices = {name for name, attr in vars(type(value)).items()
-                   if isinstance(attr, cached_property)}
-        assert names <= indices
         assert set(value.__dict__) - {f.name for f in fields(value)} == names
         fresh = replace(value)
+        assert set(fresh.__dict__) == set(value.__dict__)
         for name in names:
-            assert value.__dict__[name] == getattr(fresh, name)
+            assert value.__dict__[name] == fresh.__dict__[name]
 
 
 def test_load_constructs_only_the_empty_values(monkeypatch):

@@ -311,11 +311,17 @@ def test_tuple_fields_given_as_lists_become_tuples():
 
 
 def test_kernel_documents_refuse_what_they_cannot_hold():
+    """A kernel entry checks its own fields, so a kernel document never
+    meets a value it cannot hold; what UTF-8 cannot hold it refuses at
+    its path."""
+    with pytest.raises(KernelError) as err:
+        AlphaDefinition("a", "Customer", description=None)
+    assert (err.value.code, err.value.message) == (
+        "UNSUPPORTED_VALUE", "description must be text, not NoneType")
     kernel = KernelDefinition("k", (AreaOfConcern("Customer"),), (
-        AlphaDefinition("a", "Customer", description=None),))
-    for write in (kernel_to_doc, dumps_kernel):
-        with pytest.raises(KernelError) as err:
-            write(kernel)
-        assert (err.value.code, err.value.message, err.value.path) == (
-            "UNSUPPORTED_VALUE", "type NoneType cannot be saved",
-            "alphas[0].description")
+        AlphaDefinition("a", "Customer", description="\ud800"),))
+    assert kernel_to_doc(kernel)["alphas"][0]["description"] == "\ud800"
+    with pytest.raises(KernelError) as err:
+        dumps_kernel(kernel)
+    assert (err.value.code, err.value.message, err.value.path) == (
+        "UNSUPPORTED_VALUE", "text holds a lone surrogate", "alphas[0].description")

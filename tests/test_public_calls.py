@@ -13,6 +13,7 @@ import essencekit
 from essencekit import (
     BUILTIN_DCC_TABLE,
     AlphaInstance,
+    AreaOfConcern,
     Aspect,
     AspectChain,
     BreakdownNode,
@@ -21,7 +22,6 @@ from essencekit import (
     DescriptionModel,
     EssenceError,
     KernelError,
-    Project,
     RealizationNode,
     StructureType,
     View,
@@ -44,7 +44,6 @@ from essencekit import (
     parse_document_designation,
     record_checkpoint,
     save_project,
-    validate_kernel,
 )
 
 
@@ -115,6 +114,7 @@ def valid_arguments(**changed: object) -> dict[str, tuple]:
     }
 
 
+X = ["x"]  # an id, name or key that cannot be hashed
 FUNCTIONS = sorted(name for name in essencekit.__all__
                    if callable(getattr(essencekit, name))
                    and not inspect.isclass(getattr(essencekit, name)))
@@ -129,68 +129,62 @@ def test_an_argument_of_another_class_is_refused_with_a_coded_error(name):
     function, args = getattr(essencekit, name), valid_arguments()[name]
     function(*args)
     for slot in range(len(args)):
-        try:
-            function(*args[:slot], 5, *args[slot + 1:])
-        except EssenceError:
-            pass
-
-
-X = ["x"]  # an id, name or key that cannot be hashed
+        for odd in (5, X):
+            try:
+                function(*args[:slot], odd, *args[slot + 1:])
+            except EssenceError:
+                pass
 
 
 def odd_kernels():
-    """The builtin kernel with ``X`` in each name or id field that a
-    lookup keys, each with its label."""
+    """Calls that would put ``X`` in each name or id field of the builtin
+    kernel, each with its label, which is how the refusal names the
+    field."""
     kernel = builtin_se_kernel()
     alpha = find_alpha(kernel, "System Realization")
     state = alpha.states[0]
-    odd_state = replace(state, checkpoints=(
-        replace(state.checkpoints[0], id=X),) + state.checkpoints[1:])
-    for label, odd in (
-            ("alpha name", replace(alpha, name=X)),
-            ("state name", replace(alpha, states=(
-                replace(state, name=X),) + alpha.states[1:])),
-            ("checkpoint id", replace(alpha, states=(odd_state,) + alpha.states[1:]))):
-        yield label, replace(kernel, alphas=tuple(
-            odd if each is alpha else each for each in kernel.alphas))
     wp = kernel.workproducts[0]
-    for label, odd in (("work product name", replace(wp, name=X)),
-                       ("evidenced alpha", replace(wp, evidences=X))):
-        yield label, replace(kernel, workproducts=(odd,) + kernel.workproducts[1:])
+    yield "kernel name", lambda: replace(kernel, name=X)
+    yield "area", lambda: AreaOfConcern(X)
+    yield "alpha name", lambda: replace(alpha, name=X)
+    yield "state name", lambda: replace(state, name=X)
+    yield "checkpoint id", lambda: replace(state.checkpoints[0], id=X)
+    yield "work product name", lambda: replace(wp, name=X)
+    yield "evidenced alpha", lambda: replace(wp, evidences=X)
 
 
 def odd_containers():
-    """Containers built in code that hold an entry no index can key:
-    ``X`` in each id, name or key field, a binding that is not a pair of
-    ids, or a view citing an undefined viewpoint; each with its label."""
+    """Calls that would make a container hold an entry no index can key
+    (``X`` in each id, name or key field, or a binding that is not a pair
+    of ids) or one a file cannot hold (a dangling reference); each with
+    its label and the path its refusal names."""
     held = containers()
     a, model = held["assessment"], held["model"]
-    for label, kernel in odd_kernels():
-        yield f"kernel {label}", {"kernel": kernel, "project": Project(
-            "p", replace(a, kernel=kernel), builtin_kernel=False)}
+    for label, make in odd_kernels():
+        yield f"kernel {label}", make, None
     record = a.records[0]
-    for label, field, entry in (
-            ("instance id", "instances", AlphaInstance(X, "Team")),
-            ("work product id", "work_products",
-             WorkProductInstance(X, "Test Report")),
-            ("record instance", "records", replace(record, alpha_instance=X)),
-            ("record state", "records", replace(record, state=X)),
-            ("record checkpoint", "records", replace(record, checkpoint=X))):
-        odd = replace(a, **{field: getattr(a, field) + (entry,)})
-        yield label, {"assessment": odd, "project": Project("p", odd)}
-    for label, field, entry in (
-            ("viewpoint name", "viewpoints", Viewpoint(X)),
-            ("view name", "views", View(X, "vp")),
-            ("view viewpoint", "views", View("w", X)),
-            ("undefined viewpoint", "views", View("w", "nope")),
-            ("element id", "elements", ViewElement(X, has_extent=True)),
-            ("node id", "realization_nodes", RealizationNode(X)),
-            ("binding of one id", "bindings", ("e1",)),
-            ("binding of three ids", "bindings", ("e1", "n1", "x")),
-            ("binding element", "bindings", (X, "n1"))):
-        odd = replace(model, **{field: getattr(model, field) + (entry,)})
-        yield label, {"model": odd,
-                      "project": replace(held["project"], description=odd)}
+    for value, rows in (
+            (a, (("instance id", "instances", AlphaInstance(X, "Team")),
+                 ("work product id", "work_products",
+                  WorkProductInstance(X, "Test Report")),
+                 ("record instance", "records", replace(record, alpha_instance=X)),
+                 ("record state", "records", replace(record, state=X)),
+                 ("record checkpoint", "records", replace(record, checkpoint=X)),
+                 ("record of no instance", "records",
+                  replace(record, alpha_instance="ghost")))),
+            (model, (("viewpoint name", "viewpoints", Viewpoint(X)),
+                     ("view name", "views", View(X, "vp")),
+                     ("view viewpoint", "views", View("w", X)),
+                     ("undefined viewpoint", "views", View("w", "nope")),
+                     ("element id", "elements", ViewElement(X, has_extent=True)),
+                     ("node id", "realization_nodes", RealizationNode(X)),
+                     ("binding of one id", "bindings", ("e1",)),
+                     ("binding of three ids", "bindings", ("e1", "n1", "x")),
+                     ("binding element", "bindings", (X, "n1"))))):
+        for label, field, entry in rows:
+            entries = getattr(value, field)
+            yield label, lambda value=value, field=field, entries=entries + (
+                entry,): replace(value, **{field: entries}), f"{field}[{len(entries)}]"
 
 
 # Each value accessor, the container that has it, and a key it finds.
@@ -200,37 +194,29 @@ ACCESSORS = (("assessment", "instance", "i-1"), ("assessment", "work_product", "
              ("model", "binding_of", "e1"), ("kernel", "workproduct", "Test Report"))
 
 
-@pytest.mark.parametrize("changed", [changed for _, changed in odd_containers()],
-                         ids=[label for label, _ in odd_containers()])
-def test_calls_on_entries_no_index_can_key_keep_the_error_contract(changed):
-    """Such an entry is in no index; every call answers or raises an
-    EssenceError, and the other entries are found as they are without it."""
-    arguments = valid_arguments(**changed)
-    for name in FUNCTIONS:
-        try:
-            getattr(essencekit, name)(*arguments[name])
-        except EssenceError:
-            pass
+@pytest.mark.parametrize("make, path", [(make, path) for _, make, path in odd_containers()],
+                         ids=[label for label, _, _ in odd_containers()])
+def test_calls_on_entries_no_index_can_key_keep_the_error_contract(make, path):
+    """No container holds such an entry: making one is refused with a
+    coded error that names the entry. Every accessor finds what it finds,
+    and nothing for ``X``."""
+    with pytest.raises(EssenceError) as err:
+        make()
+    assert err.value.path == path
     held = containers()
-    odd = {**held, **changed}
     for holder, accessor, key in ACCESSORS:
-        answer = getattr(odd[holder], accessor)
-        assert answer(key) == getattr(held[holder], accessor)(key)
+        answer = getattr(held[holder], accessor)
+        assert answer(key) is not None
         assert answer(X) is None
 
 
-@pytest.mark.parametrize("kernel", [kernel for _, kernel in odd_kernels()],
+@pytest.mark.parametrize("label, make", list(odd_kernels()),
                          ids=[label for label, _ in odd_kernels()])
-def test_a_kernel_no_index_can_key_is_refused_as_kernel_to_doc_refuses_it(kernel):
-    """validate_kernel refuses a kernel with a name that is not text, at
-    that name, before any finding; so does new_project."""
-    with pytest.raises(KernelError) as saving:
-        kernel_to_doc(kernel)
-    expected = (saving.value.code, saving.value.message, saving.value.path)
-    assert expected[0] == "UNSUPPORTED_VALUE"
-    for call in (lambda: validate_kernel(kernel),
-                 lambda: validate_kernel(replace(kernel, areas=kernel.areas * 2)),
-                 lambda: new_project("p", kernel=kernel)):
-        with pytest.raises(KernelError) as err:
-            call()
-        assert (err.value.code, err.value.message, err.value.path) == expected
+def test_a_kernel_no_index_can_key_is_refused_as_kernel_to_doc_refuses_it(label, make):
+    """The kernel entry refuses a name that is not text when it is made,
+    with kernel_to_doc's code, naming the field; so validate_kernel,
+    new_project and kernel_to_doc never meet one."""
+    with pytest.raises(KernelError) as err:
+        make()
+    assert (err.value.code, err.value.message) == (
+        "UNSUPPORTED_VALUE", f"{label} must be text, not list")

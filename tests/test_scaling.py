@@ -16,7 +16,9 @@ alphas and on one with 4000. The tree tests time save_project on a
 project with a tree of 16 000 nodes and on one with a tree four times
 its size, and load_project on their saved documents. The save tests
 time save_project on the loaded records and model documents of 4800
-and 19 200 records or elements. Linear work costs about 4x, quadratic
+and 19 200 records or elements. The batch test gives an assessment's
+constructor the 1200 and 4800 loaded records in one batch, each record
+followed by one superseding it. Linear work costs about 4x, quadratic
 about 16x; the bound of 8x sits between them.
 The resolve test times 200 resolves of the same chain, with the same
 matches, on a tree and on one four times its size: it must cost under
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from itertools import chain
 from time import perf_counter
 
 import pytest
@@ -35,6 +38,7 @@ import pytest
 from essencekit import (
     Aspect,
     AspectChain,
+    Assessment,
     BreakdownNode,
     BreakdownTree,
     ProjectError,
@@ -102,6 +106,21 @@ def test_loading_records_is_linear():
     small, large = records_document(N), records_document(4 * N)
     assert len(load_project(large).assessment.records) == 4 * N
     assert_linear(load_project, small, large)
+
+
+def record_batch(a) -> Assessment:
+    """``a``'s records given again as one batch to an assessment with
+    none, each followed by its undoing, which supersedes it in place."""
+    batch = [(rec, replace(rec, satisfied=False)) for rec in a.records]
+    return replace(a, records=tuple(chain.from_iterable(batch)))
+
+
+def test_a_batch_of_records_is_linear():
+    small, large = (load_project(records_document(k)).assessment
+                    for k in (N, 4 * N))
+    assert record_batch(large).records == tuple(
+        replace(rec, satisfied=False) for rec in large.records)
+    assert_linear(record_batch, small, large)
 
 
 def unknown_checkpoint_last(n: int) -> str:

@@ -147,6 +147,21 @@ def test_inline_kernel_with_long_subalpha_chain_loads():
     assert load_project(save_project(p)) == p
 
 
+def test_a_project_refuses_the_kernel_new_project_refuses():
+    """A project on an inline kernel holds only a kernel that new_project
+    and load_project take, so each one that saves loads again."""
+    kernel = builtin_se_kernel()
+    twice = replace(kernel, alphas=kernel.alphas + kernel.alphas[:1])
+    refusals = []
+    for make in (lambda: new_project("p", kernel=twice),
+                 lambda: Project("p", Assessment("p", twice), builtin_kernel=False)):
+        with pytest.raises(KernelError) as err:
+            make()
+        refusals.append((err.value.code, err.value.message, err.value.path))
+    assert refusals == [("DUPLICATE_ALPHA", f"alpha {kernel.alphas[0].name!r} "
+                         "defined more than once", f"alphas[{len(kernel.alphas)}]")] * 2
+
+
 def test_save_refuses_designations_of_other_dcc_tables():
     plant = loads_dcc_table(
         '{"name": "plant", "areas": {"A": "general", "X": "process"}}')
@@ -174,8 +189,10 @@ def test_save_refuses_text_that_utf8_cannot_hold():
                 DescriptionModel(), ViewElement(id="e1", label="a\udfff"))),
              "description.elements[0].label"),
             (replace(new_project("p"), description=DescriptionModel(
+                elements=(ViewElement("e1", has_extent=True),),
+                realization_nodes=(RealizationNode("n\ud800"),),
                 bindings=(("e1", "n\ud800"),))),
-             "description.bindings[0][1]")):
+             "description.realization-nodes[0].id")):
         with pytest.raises(ProjectError) as err:
             save_project(p)
         assert (err.value.code, err.value.message, err.value.path) == (
@@ -185,61 +202,56 @@ def test_save_refuses_text_that_utf8_cannot_hold():
 
 
 def test_save_refuses_values_a_document_cannot_hold():
-    p = sample_project()
-    a = p.assessment
-    odd = replace(a, records=(replace(a.records[0], recorded_at=1.5),))
-    with pytest.raises(ProjectError) as err:
-        save_project(replace(p, assessment=odd))
+    """The container refuses such a value when it is made, naming the
+    entry, so no project that save_project takes holds one."""
+    a = sample_project().assessment
+    with pytest.raises(AssessmentError) as err:
+        replace(a, records=(replace(a.records[0], recorded_at=1.5),))
     assert (err.value.code, err.value.message, err.value.path) == (
-        "UNSUPPORTED_VALUE", "type float cannot be saved",
-        "assessment.records[0].recorded-at")
+        "UNSUPPORTED_VALUE", "recorded_at must be an int, not float", "records[0]")
 
 
 @pytest.mark.parametrize("entries, path", [
-    ({"instances": (AlphaInstance(5, "Team"),)}, "assessment.instances[0].id"),
+    ({"instances": (AlphaInstance(5, "Team"),)}, "instances[0]"),
     ({"work_products": (WorkProductInstance("w", "Test Report", None),)},
-     "assessment.work-products[0].label"),
-    ({"records": (CheckpointRecord("i", "s", "c", 1),)},
-     "assessment.records[0].satisfied"),
-    ({"records": (CheckpointRecord("i", "s", "c", True, ["w"]),)},
-     "assessment.records[0].evidence"),
-    ({"records": (CheckpointRecord("i", "s", "c", True),
-                  CheckpointRecord("i", "s", "c", True, ("w", 5)))},
-     "assessment.records[1].evidence[1]"),
-    ({"elements": (ViewElement("e", has_extent=1),)},
-     "description.elements[0].has-extent"),
-    ({"views": (View("v", "vp", ("e",)), View("w", None))},
-     "description.views[1].viewpoint"),
-    ({"viewpoints": (Viewpoint("v", concerns=(None,)),)},
-     "description.viewpoints[0].concerns[0]"),
-    ({"bindings": (("e", "n"), ("a",))}, "description.bindings[1]"),
-    ({"bindings": (("e", 5),)}, "description.bindings[0][1]"),
-    ({"coextension": frozenset({frozenset({"a"})})}, "description.coextension[0]"),
+     "work_products[0]"),
+    ({"records": (CheckpointRecord("i", "s", "c", 1),)}, "records[0]"),
+    ({"records": (CheckpointRecord("i", "s", "c", True, ["w"]),)}, "records[0]"),
+    ({"records": (CheckpointRecord("i", "Raw materials", "RM-1", True),
+                  CheckpointRecord("i", "s", "c", True, ("w", 5)))}, "records[1]"),
+    ({"elements": (ViewElement("e", has_extent=1),)}, "elements[0]"),
+    ({"views": (View("v", "vp", ("e",)), View("w", None))}, "views[1]"),
+    ({"viewpoints": (Viewpoint("v", concerns=(None,)),)}, "viewpoints[0]"),
+    ({"bindings": (("e", "n"), ("a",))}, "bindings[1]"),
+    ({"bindings": (("e", 5),)}, "bindings[0]"),
+    ({"coextension": frozenset({frozenset({"a"})})}, "coextension[0]"),
 ], ids=["instance-id-int", "label-none", "satisfied-int", "evidence-list",
         "evidence-item-int", "has-extent-int", "viewpoint-none", "concern-none",
         "binding-of-one", "binding-node-int", "class-of-one"])
 def test_save_refuses_entry_fields_a_file_cannot_hold(entries, path):
-    """Containers built directly are not checked field by field; saving
-    refuses what loading would."""
-    p = new_project("p")
-    a = {k: v for k, v in entries.items() if k in Assessment.__annotations__}
-    model = DescriptionModel(**{k: v for k, v in entries.items() if k not in a})
-    p = replace(p, assessment=replace(p.assessment, **a), description=model)
-    with pytest.raises(ProjectError) as err:
-        save_project(p)
+    """The containers refuse, when they are made, what loading refuses,
+    naming the entry; so no project that save_project takes holds it.
+    The entries before the refused one are sound."""
+    held = {"instances": (AlphaInstance("i", "System Realization"),),
+            "viewpoints": (Viewpoint("vp"),),
+            "elements": (ViewElement("e", has_extent=True),),
+            "realization_nodes": (RealizationNode("n"),), **entries}
+    a = {k: v for k, v in held.items() if k in Assessment.__annotations__}
+    with pytest.raises(EssenceError) as err:
+        replace(new_project("p").assessment, **a)
+        DescriptionModel(**{k: v for k, v in held.items() if k not in a})
     assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", path)
 
 
 def test_save_refuses_a_document_designation_of_another_type():
-    p = sample_project()
-    a = p.assessment
-    odd = replace(a, work_products=(replace(
-        a.work_products[0], document_designation="=F1&MCA"),))
-    with pytest.raises(ProjectError) as err:
-        save_project(replace(p, assessment=odd))
+    """The assessment refuses it when it is made, naming the entry."""
+    a = sample_project().assessment
+    with pytest.raises(AssessmentError) as err:
+        replace(a, work_products=(replace(
+            a.work_products[0], document_designation="=F1&MCA"),))
     assert (err.value.code, err.value.message, err.value.path) == (
-        "UNSUPPORTED_VALUE", "type str cannot be saved",
-        "assessment.work-products[0].document-designation")
+        "UNSUPPORTED_VALUE", "document designation must be a "
+        "DocumentDesignation, not str", "work_products[0]")
 
 
 def test_load_refuses_lone_surrogates_where_they_sit():
@@ -601,15 +613,18 @@ def test_save_names_the_tree_that_is_too_deep():
 
 
 def test_save_refuses_entry_fields_before_a_tree_too_deep():
-    """Entry lists are checked before any tree is written, so of a bad
-    entry field and a tree too deep, the field is refused first."""
-    p = replace(deep_project(MAX_TREE_DEPTH + 1), description=DescriptionModel(
-        elements=(ViewElement("e", label=5),)))
+    """Entry lists are checked before any tree is written, so of an entry
+    field a file cannot hold, a designation of another DCC table, and a
+    tree too deep, the field is refused first."""
+    plant = loads_dcc_table('{"name": "plant", "areas": {"A": "general"}}')
+    p = deep_project(MAX_TREE_DEPTH + 1)
+    p = replace(p, assessment=add_work_product(p.assessment, WorkProductInstance(
+        id="wp", definition="Test Report",
+        document_designation=parse_document_designation("=F1&ACA", plant))))
     with pytest.raises(ProjectError) as err:
         save_project(p)
-    assert (err.value.code, err.value.message, err.value.path) == (
-        "UNSUPPORTED_VALUE", "type int cannot be saved",
-        "description.elements[0].label")
+    assert (err.value.code, err.value.path) == (
+        "CUSTOM_DCC_TABLE", "assessment.work-products[0].document-designation")
 
 
 def test_load_refuses_trees_deeper_than_the_limit():
