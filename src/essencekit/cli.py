@@ -454,11 +454,16 @@ def _write_bytes(path: str, data: bytes) -> None:
 
 def _write_output(out, fmt: str, doc: dict, lines: list[str]) -> None:
     """Write the output whole to ``out``'s raw file, past the buffer that
-    would retry a failed write at exit, or raise IO_ERROR."""
+    would retry a failed write at exit, or raise IO_ERROR. A text stream
+    with no binary buffer, such as ``io.StringIO``, takes the text."""
     text = emit(doc, EssenceError) if fmt == "structured" else "\n".join(lines)
+    buffer = getattr(out, "buffer", None)
     try:
+        if buffer is None:
+            out.write(text + "\n")
+            return
         data = memoryview((text + "\n").encode(out.encoding, out.errors))
-        raw = getattr(out.buffer, "raw", out.buffer)
+        raw = getattr(buffer, "raw", buffer)
         while data:  # a raw file may take a part
             written = raw.write(data)
             if written is None:  # non-blocking and full: wait for room

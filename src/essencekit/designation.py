@@ -454,17 +454,21 @@ def _node_texts(depth: int) -> tuple[tuple[str, ...], ...]:
 
 def read_trees(doc: dict, error: type[EssenceError]) -> tuple[BreakdownTree, ...]:
     """The trees of a project file's ``trees`` map ``doc``, each read
-    from its roots' node maps straight into its arrays. Errors are
-    ``error``: a map's shape errors at the map's path, a segment's
-    SCHEMA_ERROR at the tree's path ``trees.<Aspect>``, as ``nested``
-    reports them."""
+    from its roots' node maps straight into its arrays, in one checked
+    pass; a tree that the pass refuses is read again node by node.
+    Errors are ``error``: a map's shape errors at the map's path, a
+    segment's SCHEMA_ERROR at the tree's path ``trees.<Aspect>``, as
+    ``nested`` reports them."""
     trees = []
     for key, roots in doc.items():
         path = f"trees.{key}"
         aspect = enum_of(key, Aspect, "trees", error)
         if not isinstance(roots, list):
             raise error("SCHEMA_ERROR", "tree roots must be a list", path=path)
-        segments, parents = nested(error, path, _tree_arrays, roots, path, error)
+        arrays = _read_tree(roots)
+        if arrays is None:  # read again, node by node, to place the refusal
+            arrays = nested(error, path, _tree_arrays, roots, path, error)
+        segments, parents = arrays
         tree = object.__new__(BreakdownTree)
         tree.__dict__.update(aspect=aspect,
                              _arrays=(tuple(segments), tuple(parents)))
@@ -509,6 +513,54 @@ def _roots(segments: tuple[str, ...],
 
 _NODE_KEYS = frozenset({"segment", "children"})
 _NO_CHILDREN: list = []  # the children of a node map without "children"
+# Segments each followed by a line break: a tree's segments joined, whole.
+_SEGMENT_LINES_RE = re.compile(r"(?:[A-Z0-9]+\n)*")
+
+
+def _read_tree(roots: list) -> tuple[list[str], list[int]] | None:
+    """The segments and parents, depth-first, of the tree whose roots'
+    node maps are ``roots``, or None when ``_tree_arrays`` would refuse
+    them: in one pass, a node's shape, its segment's class, the depth
+    and each level's uniqueness; then every segment at once, as the
+    lines of their joined text. It keeps its own stack."""
+    segments: list[str] = []
+    parents: list[int] = []
+    add_segment, add_parent, keys_fit = (segments.append, parents.append,
+                                         _NODE_KEYS.issuperset)
+    # The levels above the one being read. A level is an iterator over
+    # its node maps, the list and the position of their parent (-1 for
+    # the roots), and the segments of the maps it has read.
+    levels: list[tuple] = []
+    items, siblings, up, seen = iter(roots), roots, -1, set()
+    while True:
+        for item in items:
+            if item.__class__ is not dict or not keys_fit(item):
+                return None
+            segment = item.get("segment")
+            children = item.get("children", _NO_CHILDREN)
+            if segment.__class__ is not str or children.__class__ is not list:
+                return None
+            seen.add(segment)
+            add_segment(segment)
+            add_parent(up)
+            if children:
+                if len(levels) + 1 == MAX_TREE_DEPTH:
+                    return None
+                levels.append((items, siblings, up, seen))
+                items, siblings, up, seen = (iter(children), children,
+                                             len(parents) - 1, set())
+                break
+        else:  # the level is read; a segment repeats if seen is smaller
+            if len(seen) < len(siblings):
+                return None
+            if not levels:
+                break
+            items, siblings, up, seen = levels.pop()
+    # A segment that holds a line break adds a line.
+    text = "\n".join(segments) + "\n" if segments else ""
+    if text.count("\n") != len(segments) or not _SEGMENT_LINES_RE.fullmatch(text):
+        return None
+    return segments, parents
 
 
 def _tree_arrays(roots: list, path: str,
@@ -519,12 +571,12 @@ def _tree_arrays(roots: list, path: str,
     its children's uniqueness after them; the roots' uniqueness last.
     The depth is checked before each descent. Shape errors name the
     node map; segment errors are the ones the node and tree constructors
-    raise. The walk keeps its own stack, and paths are built only when
-    raising.
+    raise. ``read_trees`` walks a tree node by node only when
+    ``_read_tree`` refuses it, to place the refusal. The walk keeps its
+    own stack, and paths are built only when raising.
     """
     segments: list[str] = []
     parents: list[int] = []
-    match = _SEGMENT_RE.fullmatch
     # The levels above the one being read. A level is an iterator over
     # its node maps, the position and map of their parent (-1 and None
     # for the roots), and the segments of the maps it has checked.
@@ -552,7 +604,7 @@ def _tree_arrays(roots: list, path: str,
                 levels.append((items, up, owner, seen))
                 items, up, owner, seen = iter(children), pos, item, set()
                 break
-            if segment.__class__ is not str or not match(segment):
+            if segment.__class__ is not str or not _SEGMENT_RE.fullmatch(segment):
                 raise _segment_error(item, path, parents, pos, error)
             seen.add(segment)
         else:  # the level is read; a segment repeats if seen is smaller
@@ -562,7 +614,7 @@ def _tree_arrays(roots: list, path: str,
                         (root["segment"] for root in roots), None)
                 return segments, parents
             segment = segments[up]
-            if segment.__class__ is not str or not match(segment):
+            if segment.__class__ is not str or not _SEGMENT_RE.fullmatch(segment):
                 raise _segment_error(owner, path, parents, up, error)
             if len(seen) < len(owner["children"]):
                 _require_unique_siblings(

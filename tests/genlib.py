@@ -264,7 +264,8 @@ def _reference_nodes(items: list, at: str, path: str,
 
 TREE_FAULTS = ("not-a-map", "unknown-key", "children-not-a-list",
                "no-segment", "segment-not-text", "lowercase-segment",
-               "repeated-root", "repeated-sibling", "too-deep")
+               "line-break-segment", "repeated-root", "repeated-sibling",
+               "too-deep")
 
 
 def plant_tree_fault(rng: random.Random, trees: dict) -> str:
@@ -297,6 +298,8 @@ def plant_tree_fault(rng: random.Random, trees: dict) -> str:
         node["segment"] = rng.choice([7, None, ["A"], True, {}])
     elif kind == "lowercase-segment":
         node["segment"] = rng.choice(["a1", "", "A-1", "\u00c9", "n4"])
+    elif kind == "line-break-segment":  # lines that each are a segment
+        node["segment"] = rng.choice(["A\nB", "A\n", "\n"])
     elif kind == "too-deep":
         chain = {"segment": "Z"}
         for _ in range(MAX_TREE_DEPTH):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import gc
+import io
 import itertools
 import json
 import os
@@ -1022,6 +1024,27 @@ def assert_io_error(fmt: list[str], returncode: int, stderr: bytes) -> None:
         assert json.loads(text)["error"]["code"] == "IO_ERROR"
     else:
         assert text.startswith("error: IO_ERROR: cannot write output: ")
+
+
+@FORMATS
+def test_main_writes_into_a_text_stream_without_a_buffer(capsys, fmt):
+    # io.StringIO has no binary buffer and no encoding: it takes the text.
+    expected = run(capsys, *fmt, "desig", "parse", "=F1")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main([*fmt, "desig", "parse", "=F1"])
+    assert (status, out.getvalue()) == expected[:2]
+    assert expected[0] == 0
+
+
+@FORMATS
+def test_main_writes_an_error_into_a_text_stream_without_a_buffer(capsys, fmt):
+    expected = run(capsys, *fmt, "desig", "parse", "F1")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main([*fmt, "desig", "parse", "F1"])
+    assert (status, "", err.getvalue()) == expected
+    assert expected[0] == 2 and "BAD_PREFIX" in expected[2]
 
 
 @FORMATS

@@ -14,7 +14,9 @@ class of all its elements, unbound or bound to one node. The kernel test times l
 card of every instance on a project with an inline kernel of 1000
 alphas and on one with 4000. The tree tests time save_project on a
 project with a tree of 16 000 nodes and on one with a tree four times
-its size, and load_project on their saved documents. The save tests
+its size, and load_project on their saved documents; also on those
+documents with a lowercase segment at the last node, where the refused
+tree is read again node by node to place the refusal. The save tests
 time save_project on the loaded records and model documents of 4800
 and 19 200 records or elements. The batch test gives an assessment's
 constructor the 1200 and 4800 loaded records in one batch, each record
@@ -247,6 +249,27 @@ def test_loading_a_tree_is_linear():
         for k in (n, 4 * n))
     assert load_project(large).trees == (filler_tree(4 * n),)
     assert_linear(load_project, small, large)
+
+
+def lowercase_last_node(n: int) -> str:
+    """The saved project of filler_tree(n) whose last node, in file
+    order, has a lowercase segment."""
+    doc = json.loads(save_project(replace(new_project("p"),
+                                          trees=(filler_tree(n),))))
+    doc["trees"]["Product"][-1]["children"][-1]["segment"] = "f"
+    return json.dumps(doc)
+
+
+def test_refusing_a_tree_at_its_last_node_is_linear():
+    # The one-pass reader reads the whole tree and refuses it at its
+    # segment test, so the tree is read again node by node.
+    n = 16000
+    small, large = lowercase_last_node(n), lowercase_last_node(4 * n)
+    err = refusal(large)
+    assert (err.code, err.path, err.message) == (
+        "SCHEMA_ERROR", "trees.Product",
+        "BAD_SEGMENT: node segment 'f' is not uppercase-alphanumeric")
+    assert_linear(refusal, small, large)
 
 
 @pytest.mark.parametrize("document", [records_document, model_document],

@@ -48,6 +48,7 @@ from essencekit import (
     assert_coextension,
     bind_element,
     builtin_se_kernel,
+    kernel_to_doc,
     load_project,
     loads_dcc_table,
     new_project,
@@ -58,8 +59,9 @@ from essencekit import (
     resolve,
     save_project,
 )
-from essencekit import store
+from essencekit import designation, store
 from essencekit._schema import check_fields, read_columns
+from essencekit.designation import _read_tree as read_tree
 from essencekit.designation import read_trees
 from essencekit.store import MAX_TREE_DEPTH
 
@@ -160,6 +162,18 @@ def test_a_project_refuses_the_kernel_new_project_refuses():
         refusals.append((err.value.code, err.value.message, err.value.path))
     assert refusals == [("DUPLICATE_ALPHA", f"alpha {kernel.alphas[0].name!r} "
                          "defined more than once", f"alphas[{len(kernel.alphas)}]")] * 2
+
+
+def test_an_invalid_inline_kernel_is_the_loads_first_error():
+    kernel = builtin_se_kernel()
+    twice = replace(kernel, alphas=kernel.alphas + kernel.alphas[:1])
+    doc = json.loads(save_project(sample_project()))
+    doc["kernel"] = kernel_to_doc(twice)
+    doc["assessment"]["instances"].append({"id": 7, "alpha": "Nowhere"})
+    err = load_error(json.dumps(doc))
+    assert (err.code, err.message, err.path) == (
+        "SCHEMA_ERROR", f"DUPLICATE_ALPHA: alpha {kernel.alphas[0].name!r} "
+        "defined more than once", f"kernel.alphas[{len(kernel.alphas)}]")
 
 
 def test_save_refuses_designations_of_other_dcc_tables():
@@ -651,6 +665,30 @@ def test_tree_load_errors_are_the_recursive_readers(rng, faults):
     err = load_error(blob)
     assert (err.code, err.message, err.path) == (
         expected.value.code, expected.value.message, expected.value.path), kinds
+
+
+def test_canonical_saves_read_every_tree_in_one_pass(monkeypatch):
+    # A tree that the one-pass reader refuses is read again node by node,
+    # which loads it as well, only slower: no canonical save may take it.
+    read = []
+
+    def spy(roots):
+        read.append(read_tree(roots))
+        return read[-1]
+
+    monkeypatch.setattr(designation, "_read_tree", spy)
+    rng = random.Random(3030)
+    projects = [genlib.random_project(rng) for _ in range(40)]
+    projects.append(replace(new_project("p"), trees=(
+        BreakdownTree(Aspect.FUNCTION, ()),
+        genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH))))
+    for p in projects:
+        read.clear()
+        assert load_project(save_project(p)) == p
+        assert len(read) == len(p.trees)
+        assert all(arrays is not None for arrays in read)
+    assert read[0] == ([], [])
+    assert sum(len(p.trees) for p in projects) > 40
 
 
 def test_loaded_trees_build_no_nodes():
