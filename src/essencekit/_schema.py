@@ -17,7 +17,9 @@ order, ``what`` naming the field in a refusal. Its key set, readers,
 writer and the operations' type checks all come from the table: the
 column reader ``read_columns`` reads a whole list of instances,
 records, elements or realization nodes, and ``read_entry`` any other
-entry.
+entry. The writer trusts the constructors, which check each entry
+against the table: a kind's ``dump`` checks no type again, and refuses
+only a value that fits but that no file holds.
 
 ``emit`` and ``encode`` write what ``json.dumps(doc, indent=2,
 ensure_ascii=False)`` would, through ``json.dumps`` itself but for the
@@ -183,13 +185,9 @@ class Kind:
     def dump(self, values: list, path: str | None, key: str,
              error: type[EssenceError]) -> list:
         """The file values of ``values``, the field ``key`` of each entry
-        of the list at ``path``: UNSUPPORTED_VALUE at the first that no
-        file holds. One class check covers a column of plain values."""
-        if not {self.value}.issuperset(map(type, values)):
-            for i, value in enumerate(values):
-                if not self.fits(value):
-                    raise cannot_save(value, _at(path and f"{path}[{i}]", key),
-                                      error)
+        of the list at ``path``. The save trusts the constructors: each
+        value fits its kind, as ``check`` has made sure, so only a kind
+        whose file holds fewer values than fit may refuse."""
         return values
 
 
@@ -203,7 +201,7 @@ class Member(Kind):
         return enum_of(raw, self.value, _at(path, key), error)
 
     def dump(self, values, path, key, error):
-        return [member.value for member in super().dump(values, path, key, error)]
+        return [member.value for member in values]
 
 
 class Texts(Kind):
@@ -234,10 +232,6 @@ class Texts(Kind):
         return None
 
     def dump(self, values, path, key, error):
-        values = super().dump(values, path, key, error)
-        if not {str}.issuperset(map(type, chain.from_iterable(values))):
-            for i, value in enumerate(values):  # refuse the item at its path
-                TEXT.dump(value, _at(path and f"{path}[{i}]", key), None, error)
         return list(map(list, values))
 
 
@@ -256,15 +250,8 @@ class Entries(Kind):
         return tuple(read_entry(self.cls, item, f"{at}[{i}]", error)
                      for i, item in enumerate(raw))
 
-    def dump(self, values, path, key, error):
-        return [entry_docs(value, _at(path and f"{path}[{i}]", key), error)
-                for i, value in enumerate(super().dump(values, path, key, error))]
-
-
-def cannot_save(value: object, path: str | None,
-                error: type[EssenceError]) -> EssenceError:
-    return error("UNSUPPORTED_VALUE",
-                 f"type {type(value).__name__} cannot be saved", path=path)
+    def dump(self, values, path, key, error):  # no kind of a nested entry refuses
+        return [entry_docs(value, None, error) for value in values]
 
 
 def read_entry(cls: type, item: dict, path: str, error: type[EssenceError]):
@@ -319,21 +306,15 @@ def entry_rows(values: tuple, path: str | None,
                                    key, error) for attr, key, kind, _ in fields])
 
 
-def text_lists(lists: list, path: str, error: type[EssenceError],
-               fewest: int, most: float, message: str) -> Rows:
-    """The tuples of text ``lists``, the list at ``path``, as ``Rows``:
-    UNSUPPORTED_VALUE, ``message``, at the first of fewer than ``fewest``
-    or more than ``most`` items, then as ``Texts`` refuses a value."""
-    for i, items in enumerate(lists):
-        if not fewest <= len(items) <= most:
-            raise error("UNSUPPORTED_VALUE", message, path=f"{path}[{i}]")
-    return Rows(None, [Texts("text", "").dump(lists, path, None, error)])
+def text_lists(lists: list) -> Rows:
+    """The tuples of text ``lists``, an id list, as ``Rows``."""
+    return Rows(None, [list(map(list, lists))])
 
 
 class Rows:
-    """A list that a file holds, checked and dumped ahead of ``emit``: a
-    column of file values per field of ``fields`` or, with no ``fields``,
-    the column of its items."""
+    """A list that a file holds, dumped ahead of ``emit``: a column of
+    file values per field of ``fields`` or, with no ``fields``, the
+    column of its items."""
 
     __slots__ = ("fields", "columns")
 
@@ -483,7 +464,9 @@ class _Refused(Exception):
 
 
 def _refuse(value: object):  # json.dumps's hook for what it cannot write
-    raise _Refused(value, lambda error, path: cannot_save(value, path, error))
+    raise _Refused(value, lambda error, path: error(
+        "UNSUPPORTED_VALUE", f"type {type(value).__name__} cannot be saved",
+        path=path))
 
 
 def _dumps(value: object, depth: int) -> str:

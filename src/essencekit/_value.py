@@ -70,11 +70,12 @@ def member(value: Any, enum: type[Enum], error: type, what: str) -> Enum:
         raise error("BAD_ENUM", f"{what} {value!r} is not one of {names}") from None
 
 
-def unsupported(error: type, what: str, kind: str, value: Any) -> Exception:
-    """``error`` UNSUPPORTED_VALUE: ``what`` must be ``kind``, as a
-    project file holds it, and ``value`` is not."""
+def unsupported(error: type, what: str, kind: str, value: Any,
+                path: str | None = None) -> Exception:
+    """``error`` UNSUPPORTED_VALUE at ``path``: ``what`` must be ``kind``,
+    as a project file holds it, and ``value`` is not."""
     return error("UNSUPPORTED_VALUE",
-                 f"{what} must be {kind}, not {type(value).__name__}")
+                 f"{what} must be {kind}, not {type(value).__name__}", path=path)
 
 
 def noun(kind: type) -> str:
@@ -88,7 +89,8 @@ def noun(kind: type) -> str:
 def tuple_fields(value: Any, error: type, *rows: tuple[str, type, str]) -> None:
     """Make each ``(field, item class, item name)`` field of the frozen
     dataclass ``value`` a tuple of such items: ``error``
-    UNSUPPORTED_VALUE when it cannot be iterated or holds another."""
+    UNSUPPORTED_VALUE when it cannot be iterated or, at ``field[i]``,
+    holds another."""
     for name, item, what in rows:
         items = getattr(value, name)
         if not isinstance(items, Iterable):
@@ -96,7 +98,7 @@ def tuple_fields(value: Any, error: type, *rows: tuple[str, type, str]) -> None:
             raise unsupported(error, name, f"a sequence of {plural}", items)
         items = tuple(items)
         if not {item}.issuperset(map(type, items)):
-            for x in items:
+            for i, x in enumerate(items):
                 if not isinstance(x, item):
-                    raise unsupported(error, what, noun(item), x)
+                    raise unsupported(error, what, noun(item), x, f"{name}[{i}]")
         object.__setattr__(value, name, items)

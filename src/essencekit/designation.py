@@ -274,7 +274,7 @@ class _Designators(Kind):
 
     def dump(self, values, path, key, error):
         return [{_KEY_OF[chain.aspect]: str(chain) for chain in chains}
-                for chains in super().dump(values, path, key, error)]
+                for chains in values]
 
 
 DESIGNATORS = _Designators(tuple, dict)
@@ -572,7 +572,9 @@ def _tree_arrays(roots: list, path: str,
     The depth is checked before each descent. Shape errors name the
     node map; segment errors are the ones the node and tree constructors
     raise. ``read_trees`` walks a tree node by node only when
-    ``_read_tree`` refuses it, to place the refusal. The walk keeps its
+    ``_read_tree`` refuses it, to place the refusal. It is also the
+    fallback: should ``_read_tree`` ever refuse a tree that this walk
+    accepts, the tree still loads, only more slowly. The walk keeps its
     own stack, and paths are built only when raising.
     """
     segments: list[str] = []
@@ -865,7 +867,7 @@ class _Designation(Kind):
         return nested(error, _at(path, key), parse_document_designation, raw)
 
     def dump(self, values, path, key, error):
-        for i, value in enumerate(super().dump(values, path, key, error)):
+        for i, value in enumerate(values):
             if value and (value.table_ref != BUILTIN_DCC_TABLE.name
                           or value.area not in BUILTIN_DCC_TABLE.areas):
                 raise error("CUSTOM_DCC_TABLE", f"{str(value)!r} is not a document "

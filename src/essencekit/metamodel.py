@@ -138,8 +138,7 @@ class _Areas(Texts):
         return tuple(map(AreaOfConcern, super().load(raw, path, key, error)))
 
     def dump(self, values, path, key, error):
-        return super().dump([tuple(area.name for area in areas) for areas in values],
-                            path, key, error)
+        return [[area.name for area in areas] for areas in values]
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,8 @@ from ._schema import (
 from ._value import tuple_fields
 from .builtin_kernel import builtin_se_kernel
 from .description import (
+    _BINDING,
+    _CLASS,
     DescriptionModel,
     ModelBuilder,
     RealizationNode,
@@ -176,13 +178,13 @@ def save_project(p: Project) -> bytes:
     }
     for at, value in (("assessment", p.assessment), ("description", p.description)):
         for key, shape, *_ in _LISTS[at]:
-            items, path = getattr(value, key.replace("-", "_")), f"{at}.{key}"
+            items = getattr(value, key.replace("-", "_"))
             if isinstance(shape, tuple):
                 if isinstance(items, frozenset):  # a set of classes: sorted
                     items = sorted(tuple(sorted(cls)) for cls in items)
-                doc[at][key] = text_lists(items, path, ProjectError, *shape)
+                doc[at][key] = text_lists(items)
             else:
-                doc[at][key] = entry_rows(items, path, ProjectError)
+                doc[at][key] = entry_rows(items, f"{at}.{key}", ProjectError)
     return encode(doc, ProjectError)
 
 
@@ -210,10 +212,8 @@ _LISTS = {
               ModelBuilder.add_elements),
         _List("realization-nodes", RealizationNode, ModelBuilder.add_realization_node,
               ModelBuilder.add_realization_nodes),
-        _List("coextension", (2, float("inf"), "coextension class must list "
-                              "two or more element ids"), ModelBuilder.add_class),
-        _List("bindings", (2, 2, "binding must be a pair of element id and node id"),
-              lambda model, pair: model.bind_element(*pair)),
+        _List("coextension", _CLASS, ModelBuilder.add_class),
+        _List("bindings", _BINDING, lambda model, pair: model.bind_element(*pair)),
     ),
 }
 

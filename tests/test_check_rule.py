@@ -4,7 +4,8 @@ hand, so a new field gets a table row, not an ``isinstance`` or
 ``unsupported``; ``check_fields`` runs in the public operations that
 take an entry alone and in the constructors, not in the checks they
 share with the load builders, whose entries ``read_entry`` has checked;
-and no container builds an index lazily, in a ``cached_property``."""
+no container builds an index lazily, in a ``cached_property``; and the
+save trusts the constructors, so no kind's ``dump`` checks a type."""
 
 from __future__ import annotations
 
@@ -105,3 +106,50 @@ def test_no_container_index_is_a_cached_property():
                            if isinstance(attr, cached_property)]
             for cls in (Assessment, DescriptionModel, KernelDefinition)} == {
         "Assessment": [], "DescriptionModel": [], "KernelDefinition": []}
+
+
+SAVE_CHECKS = {"fits", "check", "unsupported", "cannot_save"}
+
+
+def dump_checks(source: str) -> list[str]:
+    """``Class.dump:callee`` for each call of a SAVE_CHECKS name, as a
+    function or a method, inside a ``dump`` method of ``source``, and
+    ``Class.dump:raise`` for each ``raise`` there."""
+    found = []
+    for cls in ast.parse(source).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not (isinstance(method, ast.FunctionDef) and method.name == "dump"):
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Raise):
+                    found.append(f"{cls.name}.dump:raise")
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(
+                        func, "attr", None)
+                    if name in SAVE_CHECKS:
+                        found.append(f"{cls.name}.dump:{name}")
+    return found
+
+
+def test_dump_checks_are_found_in_dump_methods_only():
+    source = ("class A:\n    def dump(self, v):\n        if not self.fits(v):\n"
+              "            raise cannot_save(v)\n        return v\n"
+              "    def check(self, v):\n        raise unsupported(v)\n"
+              "class B:\n    def dump(self, v):\n        check(v)\n"
+              "        return [x.value for x in v]\n"
+              "def dump(v):\n    raise E\n")
+    assert dump_checks(source) == [
+        "A.dump:raise", "A.dump:fits", "A.dump:cannot_save", "B.dump:check"]
+
+
+def test_the_save_trusts_the_constructors():
+    """Every entry a constructor makes fits its kinds, so a kind's
+    ``dump`` only writes; the one refusal left is a designation of
+    another DCC table, which a file cannot hold."""
+    found = {name: dump_checks((PACKAGE / name).read_text(encoding="utf-8"))
+             for name in ("_schema.py", "designation.py", "metamodel.py")}
+    assert found == {"_schema.py": [], "designation.py": ["_Designation.dump:raise"],
+                     "metamodel.py": []}

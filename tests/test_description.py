@@ -117,29 +117,32 @@ def test_realization_node_keeps_designators_given_as_an_iterator():
     assert node.designators == (chain,)
 
 
-@pytest.mark.parametrize("make", [
-    lambda m: RealizationNode(id="n", designators=None),
-    lambda m: bind_designator(m, "n1", "-A"),
-    lambda m: viable_architecture(m, 5),
-    lambda m: DescriptionModel(views=5),
-    lambda m: DescriptionModel(viewpoints=None),
-    lambda m: DescriptionModel(elements=("e",)),
-    lambda m: DescriptionModel(realization_nodes=(ViewElement("n"),)),
-    lambda m: DescriptionModel(bindings=5),
-    lambda m: DescriptionModel(bindings=(["e", "n"],)),
-    lambda m: DescriptionModel(coextension=5),
-    lambda m: DescriptionModel(coextension=frozenset({("a", "b")})),
-    lambda m: DescriptionModel(coextension=frozenset({frozenset({"a", 5})})),
-    lambda m: endeavor_viewpoint_lint(5),
+@pytest.mark.parametrize("make, path", [
+    (lambda m: RealizationNode(id="n", designators=None), None),
+    (lambda m: bind_designator(m, "n1", "-A"), None),
+    (lambda m: viable_architecture(m, 5), None),
+    (lambda m: DescriptionModel(views=5), None),
+    (lambda m: DescriptionModel(viewpoints=None), None),
+    (lambda m: DescriptionModel(elements=("e",)), "elements[0]"),
+    (lambda m: DescriptionModel(realization_nodes=(ViewElement("n"),)),
+     "realization_nodes[0]"),
+    (lambda m: DescriptionModel(bindings=5), None),
+    (lambda m: DescriptionModel(bindings=(["e", "n"],)), "bindings[0]"),
+    (lambda m: DescriptionModel(coextension=5), None),
+    (lambda m: DescriptionModel(coextension=frozenset({("a", "b")})), None),
+    (lambda m: DescriptionModel(coextension=frozenset({frozenset({"a", 5})})), None),
+    (lambda m: endeavor_viewpoint_lint(5), None),
 ], ids=["designators-none", "designator-text", "views-int", "model-views-int",
         "model-viewpoints-none", "model-element-text", "model-node-element",
         "model-bindings-int", "model-binding-list", "model-coextension-int",
         "model-class-tuple", "model-class-member-int", "lint-int"])
-def test_arguments_of_other_types_are_refused(make):
+def test_arguments_of_other_types_are_refused(make, path):
+    """A container item of another class is refused at its place in the
+    field, a value that is no container at no path."""
     model = add_realization_node(DescriptionModel(), RealizationNode(id="n1"))
     with pytest.raises(ModelError) as err:
         make(model)
-    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
+    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", path)
 
 
 def test_add_view_checks_references():

@@ -123,21 +123,22 @@ def test_text_fields_a_file_cannot_hold_are_refused_by_operation_and_builder(
     assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
 
 
-@pytest.mark.parametrize("make", [
-    lambda k: Assessment("t", k, instances=None),
-    lambda k: Assessment("t", k, work_products=5),
-    lambda k: Assessment("t", k, records=("x",)),
-    lambda k: Assessment("t", k, instances=(CheckpointRecord("i", "s", "c", True),)),
-    lambda k: alpha_state(5, "i-1"),
-    lambda k: render_card(None, "i-1"),
-    lambda k: blocking_checkpoints("a", "i-1", "Parts"),
-    lambda k: add_instance(Assessment("t", 5), AlphaInstance("i", "Team")),
+@pytest.mark.parametrize("make, path", [
+    (lambda k: Assessment("t", k, instances=None), None),
+    (lambda k: Assessment("t", k, work_products=5), None),
+    (lambda k: Assessment("t", k, records=("x",)), "records[0]"),
+    (lambda k: Assessment("t", k, instances=(CheckpointRecord("i", "s", "c", True),)),
+     "instances[0]"),
+    (lambda k: alpha_state(5, "i-1"), None),
+    (lambda k: render_card(None, "i-1"), None),
+    (lambda k: blocking_checkpoints("a", "i-1", "Parts"), None),
+    (lambda k: add_instance(Assessment("t", 5), AlphaInstance("i", "Team")), None),
 ], ids=["instances-none", "work-products-int", "record-text", "instance-record",
         "alpha-state", "render-card", "blocking-checkpoints", "kernel-int"])
-def test_values_of_another_class_are_refused(make):
+def test_values_of_another_class_are_refused(make, path):
     with pytest.raises(AssessmentError) as err:
         make(builtin_se_kernel())
-    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
+    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", path)
 
 
 def test_add_instance_rejects_duplicate_id():

@@ -282,26 +282,26 @@ def test_kernel_from_doc_refuses_a_non_map(doc):
     assert err.value.message == "kernel document must be a map"
 
 
-@pytest.mark.parametrize("make", [
-    lambda: KernelDefinition("k", None, ()),
-    lambda: KernelDefinition("k", (), None),
-    lambda: validate_kernel(KernelDefinition("k", (), None)),
-    lambda: KernelDefinition("k", ("Customer",), ()),
-    lambda: KernelDefinition("k", (), (), workproducts=5),
-    lambda: StateDefinition("s", "", None),
-    lambda: StateDefinition("s", "", (5,)),
-    lambda: AlphaDefinition("a", "Solution", states=None),
-    lambda: AlphaDefinition("a", "Solution", subalphas=("b", 5)),
-    lambda: kernel_to_doc(5),
-    lambda: dumps_kernel(5),
-    lambda: validate_kernel(5),
+@pytest.mark.parametrize("make, path", [
+    (lambda: KernelDefinition("k", None, ()), None),
+    (lambda: KernelDefinition("k", (), None), None),
+    (lambda: validate_kernel(KernelDefinition("k", (), None)), None),
+    (lambda: KernelDefinition("k", ("Customer",), ()), "areas[0]"),
+    (lambda: KernelDefinition("k", (), (), workproducts=5), None),
+    (lambda: StateDefinition("s", "", None), None),
+    (lambda: StateDefinition("s", "", (5,)), "checkpoints[0]"),
+    (lambda: AlphaDefinition("a", "Solution", states=None), None),
+    (lambda: AlphaDefinition("a", "Solution", subalphas=("b", 5)), "subalphas[1]"),
+    (lambda: kernel_to_doc(5), None),
+    (lambda: dumps_kernel(5), None),
+    (lambda: validate_kernel(5), None),
 ], ids=["areas-none", "alphas-none", "validate-alphas-none", "area-text",
         "workproducts-int", "checkpoints-none", "checkpoint-int", "states-none",
         "subalpha-int", "to-doc-int", "dumps-int", "validate-int"])
-def test_tuple_fields_of_other_types_are_refused(make):
+def test_tuple_fields_of_other_types_are_refused(make, path):
     with pytest.raises(KernelError) as err:
         make()
-    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
+    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", path)
 
 
 def test_tuple_fields_given_as_lists_become_tuples():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import pickle
 import random
@@ -62,6 +63,7 @@ from essencekit import (
 from essencekit import designation, store
 from essencekit._schema import check_fields, read_columns
 from essencekit.designation import _read_tree as read_tree
+from essencekit.designation import _tree_arrays as tree_arrays
 from essencekit.designation import read_trees
 from essencekit.store import MAX_TREE_DEPTH
 
@@ -691,6 +693,21 @@ def test_canonical_saves_read_every_tree_in_one_pass(monkeypatch):
     assert sum(len(p.trees) for p in projects) > 40
 
 
+def test_the_node_by_node_walk_reads_what_the_one_pass_reads():
+    # The walk is the one pass's fallback, so it must load what it loads.
+    rng = random.Random(3131)
+    trees = [genlib.random_tree(rng, rng.choice(list(Aspect)), rng.randint(1, 80))
+             for _ in range(40)]
+    trees += [BreakdownTree(Aspect.FUNCTION, ()),
+              genlib.chain_tree(Aspect.PRODUCT, MAX_TREE_DEPTH)]
+    for tree in trees:
+        blob = save_project(replace(new_project("p"), trees=(tree,)))
+        roots = json.loads(blob)["trees"][tree.aspect.value]
+        arrays = read_tree(roots)
+        assert arrays is not None
+        assert tree_arrays(roots, "trees.x", ProjectError) == arrays
+
+
 def test_loaded_trees_build_no_nodes():
     rng = random.Random(4417)
     trees = 0
@@ -1067,24 +1084,24 @@ def test_enum_fields_refuse_or_round_trip(field, value):
     assert load_project(save_project(p)) == p
 
 
-@pytest.mark.parametrize("make", [
-    lambda: new_project(5),
-    lambda: new_project(["p"]),
-    lambda: new_project("p", strict_evidence=1),
-    lambda: new_project("p", kernel=5),
-    lambda: Project("p", 5),
-    lambda: Project("p", None),
-    lambda: Project("p", new_project("p").assessment, trees=(5,)),
-    lambda: Project("p", new_project("p").assessment, description=5),
-    lambda: Project("p", new_project("p").assessment, trees=None),
-    lambda: save_project(5),
+@pytest.mark.parametrize("make, path", [
+    (lambda: new_project(5), None),
+    (lambda: new_project(["p"]), None),
+    (lambda: new_project("p", strict_evidence=1), None),
+    (lambda: new_project("p", kernel=5), None),
+    (lambda: Project("p", 5), None),
+    (lambda: Project("p", None), None),
+    (lambda: Project("p", new_project("p").assessment, trees=(5,)), "trees[0]"),
+    (lambda: Project("p", new_project("p").assessment, description=5), None),
+    (lambda: Project("p", new_project("p").assessment, trees=None), None),
+    (lambda: save_project(5), None),
 ], ids=["id-int", "id-list", "strict-evidence-int", "kernel-int",
         "assessment-int", "assessment-none", "tree-int", "description-int",
         "trees-none", "save-int"])
-def test_new_project_refuses_what_a_file_cannot_hold(make):
+def test_new_project_refuses_what_a_file_cannot_hold(make, path):
     with pytest.raises(ProjectError) as err:
         make()
-    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", None)
+    assert (err.value.code, err.value.path) == ("UNSUPPORTED_VALUE", path)
 
 
 def test_project_keeps_trees_given_as_an_iterator():
@@ -1186,3 +1203,119 @@ def test_entries_refuse_or_round_trip(entry, data):
         assert re.fullmatch(r"[A-Z]+(_[A-Z]+)*", err.code)
         return
     assert load_project(save_project(p)) == p
+
+
+# Whole projects made by the public constructors from mixed values: the
+# save trusts the constructors, so what they accept saves and loads back,
+# but for the three refusals that only the save can make.
+
+LONE = "s\ud800"
+PLANT = loads_dcc_table('{"name": "plant", "areas": {"A": "general", "X": "process"}}')
+OTHER_TABLE = (parse_document_designation("=F1&XCA", PLANT),
+               parse_document_designation("=F1&ACA", PLANT))
+# What a constructor may be handed in place of a field's valid value:
+# values of other classes, empty text, lone-surrogate text and
+# designations of another DCC table; and ODD_ENTRIES in place of a tuple
+# of entries. The valid values all save, so that each odd value is tried
+# in a project that would load back without it.
+ODD = (True, 0, 1.5, None, ["x"], ("x",), "", LONE) + OTHER_TABLE
+ODD_ENTRIES = (None, 5, "e", ["e"], (5,), ("e",), (("e",),), (("e", 5),),
+               (("e", "n", "x"),))
+DEEP = genlib.chain_tree(Aspect.LOCATION, MAX_TREE_DEPTH + 1)
+SAVE_REFUSALS = {("CUSTOM_DCC_TABLE", None), ("TREE_TOO_DEEP", None),
+                 ("UNSUPPORTED_VALUE", "text holds a lone surrogate")}
+
+
+def mixed_project(pick, counts: list[int]) -> Project:
+    """The project whose values ``pick(valid, odd)`` chooses, always in
+    the same order, each from its ``valid`` values or its ``odd`` ones;
+    ``counts[i]`` entries follow the first of list ``i``."""
+    more = iter(counts)
+
+    def draw(*valid, odd=ODD):
+        return pick(valid, odd)
+
+    def entries(first, make):
+        return draw(first + tuple(map(make, range(next(more)))), odd=ODD_ENTRIES)
+
+    pid = draw("p")
+    assessment = Assessment(
+        pid, builtin_se_kernel(),
+        instances=entries((AlphaInstance("i", "Team"),), lambda k: AlphaInstance(
+            draw(f"i{k}"), draw("Team"),
+            draw(SystemLevel.SYSTEM_OF_INTEREST, "UsingSystem"))),
+        work_products=entries(
+            (WorkProductInstance("wp", "Test Report"),),
+            lambda k: WorkProductInstance(
+                draw(f"wp{k}"), draw("Test Report"), draw("", "label"),
+                draw(None, parse_document_designation("=F1&ACA")))),
+        records=entries(
+            (CheckpointRecord("i", "Unspecified", "U-1", False),),
+            lambda k: CheckpointRecord(
+                draw("i"), draw("Unspecified"), draw("U-1"), draw(True, False),
+                draw((), ("wp",)), draw(0, 17))),
+        strict_evidence=draw(False, True))
+    model = DescriptionModel(
+        viewpoints=entries((Viewpoint("vp"),), lambda k: Viewpoint(
+            draw(f"vp{k}"), concerns=draw((), ("c",)))),
+        views=entries((View("v", "vp"),), lambda k: View(
+            draw(f"v{k}"), draw("vp"), draw((), ("e",)))),
+        elements=entries(
+            (ViewElement("e", has_extent=True), ViewElement("f", has_extent=True)),
+            lambda k: ViewElement(draw(f"g{k}"), draw("", "x"),
+                                  draw(True, False))),
+        realization_nodes=entries((RealizationNode("n"),), lambda k: RealizationNode(
+            draw(f"n{k}"), draw((), (P_CHAIN,), (P_CHAIN, L_CHAIN)))),
+        bindings=draw((), (("e", "n"),), odd=ODD_ENTRIES),
+        coextension=draw(frozenset(), frozenset({frozenset({"e", "f"})})))
+    trees = draw((), (BreakdownTree(Aspect.PRODUCT, (NODE,)),),
+                 odd=ODD_ENTRIES + ((DEEP,),))
+    return Project(pid, assessment, trees=trees, description=model)
+
+
+def loads_back_or_is_refused(make) -> None:
+    """``make()`` is refused with a coded error, or saves and loads back,
+    or the save makes one of its three refusals."""
+    try:
+        p = make()
+    except EssenceError as err:
+        assert re.fullmatch(r"[A-Z]+(_[A-Z]+)*", err.code)
+        return
+    try:
+        blob = save_project(p)
+    except ProjectError as err:
+        message = err.message if err.code == "UNSUPPORTED_VALUE" else None
+        assert (err.code, message) in SAVE_REFUSALS
+        return
+    loaded = load_project(blob)
+    assert loaded == p and save_project(loaded) == blob
+
+
+def swapped(indices: list[int], slot: int, value):
+    """A ``pick`` for ``mixed_project``: the valid value at each of
+    ``indices``, but ``value`` at pick ``slot``."""
+    picks = itertools.count()
+
+    def pick(valid, odd):
+        at = next(picks)
+        return value if at == slot else valid[indices[at]]
+    return pick
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=7, max_size=7), st.data())
+def test_what_the_constructors_accept_saves_and_loads_back(counts, data):
+    """A project of drawn valid values, and each project made from it by
+    putting a drawn odd value in place of one of its values."""
+    chosen = []  # each pick's valid index and odd values
+
+    def choose(valid, odd):
+        chosen.append((data.draw(st.sampled_from(range(len(valid)))), odd))
+        return valid[chosen[-1][0]]
+
+    p = mixed_project(choose, counts)
+    assert load_project(save_project(p)) == p
+    indices = [index for index, _ in chosen]
+    for slot, (_, odd) in enumerate(chosen):
+        pick = swapped(indices, slot, data.draw(st.sampled_from(odd)))
+        loads_back_or_is_refused(lambda: mixed_project(pick, counts))
