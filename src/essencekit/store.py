@@ -22,6 +22,7 @@ Each value is built once, so loading is linear in file size.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, NamedTuple
@@ -137,31 +138,44 @@ def new_project(
 
 
 def load_project(data: bytes | str) -> Project:
-    doc = decode(data, ProjectError, "project document")
-    check_keys(doc, _PROJECT_KEYS, None, ProjectError)
-    version = get(doc, "format-version", int, None, ProjectError)
-    if version != FORMAT_VERSION:
-        raise ProjectError(
-            "UNSUPPORTED_VERSION", f"format-version {version} is not {FORMAT_VERSION}"
+    """The project a document holds, or its first finding as an error.
+
+    The cyclic collector is paused from decode through build, as nothing
+    a load makes forms a cycle, and turned back on only if it was on:
+    accepted or refused, the load leaves it as it found it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        doc = decode(data, ProjectError, "project document")
+        check_keys(doc, _PROJECT_KEYS, None, ProjectError)
+        version = get(doc, "format-version", int, None, ProjectError)
+        if version != FORMAT_VERSION:
+            raise ProjectError("UNSUPPORTED_VERSION",
+                               f"format-version {version} is not {FORMAT_VERSION}")
+        project_id = nonempty(doc, "project-id", None, ProjectError)
+        kernel, builtin = _load_kernel(doc.get("kernel", BUILTIN_KERNEL_MARKER))
+        raw = get(doc, "assessment", dict, None, ProjectError, {})
+        assessment = _read_lists(raw, "assessment", AssessmentBuilder(Assessment(
+            project_id, kernel,
+            strict_evidence=get(raw, "strict-evidence", bool, "assessment",
+                                ProjectError, False),
+        )), "strict-evidence")
+        trees = read_trees(get(doc, "trees", dict, None, ProjectError, {}),
+                           ProjectError)
+        description = _read_lists(
+            get(doc, "description", dict, None, ProjectError, {}),
+            "description", ModelBuilder(DescriptionModel()))
+        return Project(
+            project_id=project_id,
+            assessment=assessment,
+            trees=trees,
+            description=description,
+            builtin_kernel=builtin,
         )
-    project_id = nonempty(doc, "project-id", None, ProjectError)
-    kernel, builtin = _load_kernel(doc.get("kernel", BUILTIN_KERNEL_MARKER))
-    raw = get(doc, "assessment", dict, None, ProjectError, {})
-    assessment = _read_lists(raw, "assessment", AssessmentBuilder(Assessment(
-        project_id, kernel,
-        strict_evidence=get(raw, "strict-evidence", bool, "assessment",
-                            ProjectError, False),
-    )), "strict-evidence")
-    trees = read_trees(get(doc, "trees", dict, None, ProjectError, {}), ProjectError)
-    description = _read_lists(get(doc, "description", dict, None, ProjectError, {}),
-                              "description", ModelBuilder(DescriptionModel()))
-    return Project(
-        project_id=project_id,
-        assessment=assessment,
-        trees=trees,
-        description=description,
-        builtin_kernel=builtin,
-    )
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_project(p: Project) -> bytes:

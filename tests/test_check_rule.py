@@ -4,8 +4,9 @@ hand, so a new field gets a table row, not an ``isinstance`` or
 ``unsupported``; ``check_fields`` runs in the public operations that
 take an entry alone and in the constructors, not in the checks they
 share with the load builders, whose entries ``read_entry`` has checked;
-no container builds an index lazily, in a ``cached_property``; and the
-save trusts the constructors, so no kind's ``dump`` checks a type."""
+no container builds an index lazily, in a ``cached_property``; the
+save trusts the constructors, so no kind's ``dump`` checks a type; and
+only the load's pause and the CLI's exit change the collector's state."""
 
 from __future__ import annotations
 
@@ -153,3 +154,57 @@ def test_the_save_trusts_the_constructors():
              for name in ("_schema.py", "designation.py", "metamodel.py")}
     assert found == {"_schema.py": [], "designation.py": ["_Designation.dump:raise"],
                      "metamodel.py": []}
+
+
+COLLECTOR_STATE = {"disable", "enable", "freeze", "unfreeze", "set_threshold"}
+
+
+def collector_changes(source: str) -> list[str]:
+    """``scope:gc.name`` for each use of a COLLECTOR_STATE function of
+    ``gc`` in ``source``, called or not, and for each import of one from
+    ``gc``; the scope is ``name`` for a function, ``Class.name`` for a
+    method, and ``<module>`` outside them."""
+    found = []
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, child.name if scope == "<module>"
+                      else f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr in COLLECTOR_STATE
+                    and isinstance(child.value, ast.Name) and child.value.id == "gc"):
+                found.append(f"{scope}:gc.{child.attr}")
+            elif isinstance(child, ast.ImportFrom) and child.module == "gc":
+                found.extend(f"{scope}:gc.{alias.name}" for alias in child.names
+                             if alias.name in COLLECTOR_STATE)
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_collector_changes_are_found_in_every_scope():
+    source = ("import gc\nfrom gc import freeze, collect\ngc.enable()\n"
+              "def load(x):\n    on = gc.isenabled()\n    gc.disable()\n"
+              "    (gc.enable if on else gc.disable)()\n"
+              "class Run:\n    def exit(self):\n        gc.collect()\n"
+              "        def inner():\n            gc.set_threshold(0)\n")
+    assert collector_changes(source) == [
+        "<module>:gc.freeze", "<module>:gc.enable", "load:gc.disable",
+        "load:gc.enable", "load:gc.disable", "Run.exit.inner:gc.set_threshold"]
+
+
+def test_only_the_load_and_the_cli_exit_change_the_collector():
+    """The collector's state is process-wide: ``load_project`` pauses it
+    and restores what it found, and ``cli.run`` freezes it before exit.
+    Any other change to it is a new rule here."""
+    found = {}
+    for module in sorted(PACKAGE.glob("*.py")):
+        changes = collector_changes(module.read_text(encoding="utf-8"))
+        if changes:
+            found[module.name] = changes
+    assert found == {"cli.py": ["run:gc.freeze"],
+                     "store.py": ["load_project:gc.disable",
+                                  "load_project:gc.enable"]}

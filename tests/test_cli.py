@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import time
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -1045,6 +1046,64 @@ def test_main_writes_an_error_into_a_text_stream_without_a_buffer(capsys, fmt):
         status = main([*fmt, "desig", "parse", "F1"])
     assert (status, "", err.getvalue()) == expected
     assert expected[0] == 2 and "BAD_PREFIX" in expected[2]
+
+
+class RawStub:
+    """A raw file for ``_write_output``: each write returns the next of
+    ``results``, a count taken or None for a full non-blocking file, or
+    raises it; the bytes taken gather in ``data``. ``fileno`` gives
+    ``select`` a file to wait on."""
+
+    def __init__(self, fileno: int, *results):
+        self.results = iter(results)
+        self.data = b""
+        self.fileno = lambda: fileno
+
+    def write(self, data) -> int | None:
+        result = next(self.results, len(data))
+        if isinstance(result, Exception):
+            raise result
+        if result is not None:
+            self.data += bytes(data[:result])
+        return result
+
+    def stream(self):
+        return types.SimpleNamespace(buffer=types.SimpleNamespace(raw=self),
+                                     encoding="utf-8", errors="strict")
+
+
+@FORMATS
+def test_output_into_a_full_non_blocking_file_waits_for_room(
+        capsys, monkeypatch, fmt):
+    expected = run(capsys, *fmt, "desig", "parse", "=F1")
+    waits = []
+    real_select = cli.select.select
+
+    def select(*files):
+        waits.append(files)
+        return real_select(*files)
+
+    monkeypatch.setattr(cli.select, "select", select)
+    read_end, write_end = os.pipe()  # a pipe with room: select returns
+    try:
+        raw = RawStub(write_end, None, 3, None)
+        with contextlib.redirect_stdout(raw.stream()):
+            status = main([*fmt, "desig", "parse", "=F1"])
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert (status, raw.data.decode("utf-8")) == expected[:2]
+    assert waits == [((), (raw,), ())] * 2 and expected[0] == 0
+
+
+def test_a_raw_write_that_fails_is_an_io_error(capsys):
+    raw = RawStub(-1, OSError(5, "Input/output error"))
+    with contextlib.redirect_stdout(raw.stream()):
+        status = main(["desig", "parse", "=F1"])
+    captured = capsys.readouterr()
+    assert (status, raw.data, captured.out) == (2, b"", "")
+    assert captured.err == ("error: IO_ERROR: cannot write output: "
+                            "[Errno 5] Input/output error\n")
 
 
 @FORMATS

@@ -57,6 +57,8 @@ def test_each_command_group_loads_only_the_modules_it_uses(
 
 def test_each_public_name_is_the_object_in_its_module():
     assert len(set(essencekit.__all__)) == len(essencekit.__all__) == 76
+    names = dir(essencekit)
+    assert names == sorted(names) and set(essencekit.__all__) <= set(names)
     for name in essencekit.__all__:
         module = import_module(f"essencekit.{essencekit._MODULE_OF[name]}")
         assert getattr(essencekit, name) is getattr(module, name), name

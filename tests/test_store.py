@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import gc
 import itertools
 import json
 import pickle
@@ -1319,3 +1321,65 @@ def test_what_the_constructors_accept_saves_and_loads_back(counts, data):
     for slot, (_, odd) in enumerate(chosen):
         pick = swapped(indices, slot, data.draw(st.sampled_from(odd)))
         loads_back_or_is_refused(lambda: mixed_project(pick, counts))
+
+
+# The collector during a load: paused from decode through build, and left
+# on or off as the load found it, accepted or refused.
+
+
+@contextlib.contextmanager
+def collector(enabled: bool):
+    """Run the block with the collector on or off, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_a_load_leaves_the_collector_as_it_found_it(enabled):
+    p = sample_project()
+    with collector(enabled):
+        loaded = load_project(save_project(p))
+        assert gc.isenabled() is enabled
+    assert loaded == p
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("data, code", [
+    (b'{"format-version": 1, "project-id": "p", "assessment": {"instances": '
+     b'[{"id": "i", "alpha": 5}]}}', "SCHEMA_ERROR"),
+    (b"\xff\xfe{", "PARSE_ERROR"),
+], ids=["entry", "undecodable"])
+def test_a_refused_load_leaves_the_collector_as_it_found_it(enabled, data, code):
+    with collector(enabled):
+        assert load_error(data).code == code
+        assert gc.isenabled() is enabled
+
+
+def test_a_load_leaves_no_cyclic_garbage():
+    """Nothing a load makes, accepted or refused, forms a reference cycle,
+    which is why it may pause the collector. With the collector off, every
+    object the load makes stays in the young generation, so a young
+    collection right after the load finds any cycle it left."""
+    rng = random.Random(3232)
+    loads = {"accepted": 0, "refused": 0}
+    with collector(False):
+        gc.collect()
+        for i in range(300):
+            doc = json.loads(save_project(genlib.random_project(rng)))
+            if i % 4 == 3 and doc["trees"]:
+                genlib.plant_tree_fault(rng, doc["trees"])
+            elif i % 2:
+                genlib.mutate_document(rng, doc)
+            blob = json.dumps(doc)
+            gc.collect(0)
+            try:
+                load_project(blob)
+                loads["accepted"] += 1
+            except ProjectError:
+                loads["refused"] += 1
+            assert gc.collect(0) == 0, i
+    assert loads == {"accepted": 150, "refused": 150}
