@@ -1,4 +1,15 @@
-"""Indices, successors and checked fields of immutable values.
+"""The value classes, and indices, successors and checked fields of
+their instances.
+
+``value`` makes a class a frozen dataclass without generating its
+methods. ``dataclasses`` records its fields, so ``fields``, ``replace``,
+``is_dataclass`` and ``__match_args__`` work as on any dataclass; each
+class gets one compiled ``__init__``, the frozen dataclass's body, and
+shares this module's ``__eq__``, ``__hash__``, ``__repr__``,
+``__setattr__`` and ``__delattr__``, which read the field names the
+decorator stores on the class. A field outside ``__init__``, a
+keyword-only field and an ``InitVar`` are refused, as the compiled
+``__init__`` would not make them as the stdlib does.
 
 Every container builds its indices when it is made. A kernel builds its
 name indices in ``__post_init__``; an assessment or a description model
@@ -18,10 +29,112 @@ over. Pickles and copies call the constructor on the fields
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
+from inspect import get_annotations
 from operator import attrgetter
+from reprlib import recursive_repr
 from typing import Any
+
+
+class _Factory:
+    """The default of a parameter whose field has a ``default_factory``."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+def value(cls: type) -> type:
+    """Make ``cls`` a frozen dataclass, as ``@dataclass(frozen=True)``
+    would; a method the class defines itself is kept. A field outside
+    ``__init__`` or keyword-only, and an ``InitVar``, are refused."""
+    dataclass(init=False, repr=False, eq=False)(cls)
+    rows = fields(cls)
+    names = [f.name for f in rows]
+    refused = [f.name for f in rows if not f.init or f.kw_only] + [
+        name for name, kind in get_annotations(cls).items()
+        if name not in names and "InitVar" in str(kind)]
+    if refused:
+        raise TypeError(f"value {cls.__qualname__}: unsupported fields {refused}")
+    cls.__value_fields__ = tuple(names)
+    cls.__value_repr__ = tuple(f.name for f in rows if f.repr)
+    cls.__value_compare__ = _getter([f.name for f in rows if f.compare])
+    cls.__value_hash__ = _getter([f.name for f in rows if (
+        f.compare if f.hash is None else f.hash)])
+    own = vars(cls)
+    if own.get("__hash__", MISSING) is None and "__eq__" in own:
+        del cls.__hash__
+    for name, method in (("__init__", _init(cls, rows)), ("__repr__", _repr),
+                         ("__eq__", _eq), ("__hash__", _hash),
+                         ("__setattr__", _setattr), ("__delattr__", _delattr)):
+        if name not in own:
+            setattr(cls, name, method)
+    return cls
+
+
+def _init(cls: type, rows: tuple) -> Any:
+    """The frozen dataclass's ``__init__`` of ``cls``: each field set
+    with ``object.__setattr__``, then ``__post_init__``. Writing through
+    the instance dict instead would make every attribute read slower."""
+    space = {"__name__": cls.__module__, "__set": object.__setattr__,
+             "__factory": _FACTORY}
+    params, body = ["self"], []
+    for f in rows:
+        given = f.name
+        if f.default is not MISSING:
+            space[f"__default_{f.name}"] = f.default
+            params.append(f"{f.name}=__default_{f.name}")
+        elif f.default_factory is not MISSING:
+            space[f"__make_{f.name}"] = f.default_factory
+            params.append(f"{f.name}=__factory")
+            given = f"__make_{f.name}() if {f.name} is __factory else {f.name}"
+        else:
+            params.append(f.name)
+        body.append(f"__set(self, {f.name!r}, {given})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__({', '.join(params)}):\n " + "\n ".join(body), space)
+    init = space["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in rows}, "return": None}
+    return init
+
+
+def _getter(names: list[str]) -> Any:
+    """A value's fields ``names`` as a tuple, as the dataclass methods
+    compare and hash them; one C call for two fields or more."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    return staticmethod(lambda item: tuple([getattr(item, n) for n in names]))
+
+
+def _eq(self: Any, other: Any) -> Any:
+    if other.__class__ is self.__class__:
+        key = self.__value_compare__
+        return key(self) == key(other)
+    return NotImplemented
+
+
+def _hash(self: Any) -> int:
+    return hash(self.__value_hash__(self))
+
+
+@recursive_repr()
+def _repr(self: Any) -> str:
+    text = ", ".join([f"{name}={getattr(self, name)!r}"
+                      for name in self.__value_repr__])
+    return f"{self.__class__.__qualname__}({text})"
+
+
+def _setattr(self: Any, name: str, new: Any) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self: Any, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def find(index: dict, key: Any) -> Any:
@@ -55,7 +168,8 @@ def derive(value: Any, **changes: Any) -> Any:
 def by_fields(value: Any) -> tuple:
     """``__reduce__`` of a container: pickled and copied as the call of its
     class on its fields, so the copy builds its indices again."""
-    return type(value), tuple(value.__dict__[f.name] for f in fields(value))
+    held = vars(value)
+    return type(value), tuple([held[name] for name in value.__value_fields__])
 
 
 def member(value: Any, enum: type[Enum], error: type, what: str) -> Enum:

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from bisect import insort
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import Enum
 
 from ._schema import BOOL, TEXT, Kind, Member, Texts, check_fields
 from ._value import (add_new, by_fields, derive, find, member, tuple_fields,
-                     unsupported)
+                     unsupported, value)
 from .designation import DESIGNATORS, Aspect, AspectChain, in_aspect_order
 from .errors import ModelError
 
@@ -66,8 +65,10 @@ _CLASS = (2, float("inf"), "coextension class must list two or more element ids"
 _BINDING = (2, 2, "binding must be a pair of element id and node id")
 
 
-@dataclass(frozen=True)
+@value
 class Viewpoint:
+    """The conventions that govern a view: its structure type and kind."""
+
     name: str
     structure_type: StructureType = StructureType.OTHER
     concerns: tuple[str, ...] = ()
@@ -89,8 +90,10 @@ class Viewpoint:
             "description kind"))
 
 
-@dataclass(frozen=True)
+@value
 class View:
+    """The elements that one view shows, under its viewpoint."""
+
     name: str
     viewpoint: str
     elements: tuple[str, ...] = ()
@@ -102,8 +105,10 @@ class View:
                 "view elements"))
 
 
-@dataclass(frozen=True)
+@value
 class ViewElement:
+    """An element a view shows, with or without spatio-temporal extent."""
+
     id: str
     label: str = ""
     # True: denotes a spatio-temporally extended individual.
@@ -115,7 +120,7 @@ class ViewElement:
                ("has_extent", "has-extent", BOOL, "has_extent"))
 
 
-@dataclass(frozen=True)
+@value
 class RealizationNode:
     """An individual of the realized system, designated per aspect."""
 
@@ -139,8 +144,10 @@ class RealizationNode:
         return None
 
 
-@dataclass(frozen=True)
+@value
 class DescriptionModel:
+    """Viewpoints, views, elements, realization nodes, classes and bindings."""
+
     viewpoints: tuple[Viewpoint, ...] = ()
     views: tuple[View, ...] = ()
     elements: tuple[ViewElement, ...] = ()
@@ -449,8 +456,10 @@ def viable_architecture(
     )
 
 
-@dataclass(frozen=True)
+@value
 class ArchitectureReport:
+    """The required structure types that the views cover, and miss."""
+
     covered: tuple[StructureType, ...]
     missing: tuple[StructureType, ...]
 

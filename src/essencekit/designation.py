@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring as _quote
@@ -39,7 +39,7 @@ from types import MappingProxyType
 
 from ._schema import (Kind, _at, _Refused, check_keys, decode, enum_of, get,
                       nested, nonempty)
-from ._value import member, unsupported
+from ._value import member, unsupported, value
 from .errors import DesignationError, EssenceError
 
 # One segment: a chain's segments and a node's segment match it whole.
@@ -86,7 +86,7 @@ def in_aspect_order(items: Iterable, twice) -> tuple:
     return tuple([item for item in slots if item is not None])
 
 
-@dataclass(frozen=True)
+@value
 class AspectChain:
     """One aspect's segment path, e.g. ``-12-N4-DN18``."""
 
@@ -116,7 +116,7 @@ class AspectChain:
         return prefix + prefix.join(self.segments)
 
 
-@dataclass(frozen=True, eq=False)
+@value
 class MultiAspectDesignation:
     """Chains of one designation; at most one chain per aspect.
 
@@ -280,7 +280,7 @@ class _Designators(Kind):
 DESIGNATORS = _Designators(tuple, dict)
 
 
-@dataclass(frozen=True, eq=False)
+@value
 class BreakdownNode:
     """A node and its subtree. Equality and hash see the subtree's
     depth-first arrays, and repr keeps its own stack, so none of them
@@ -326,7 +326,7 @@ class BreakdownNode:
         return "".join(parts)
 
 
-@dataclass(frozen=True, eq=False)
+@value
 class BreakdownTree:
     """One aspect's system hierarchy; sibling segments are unique.
 
@@ -711,8 +711,10 @@ def resolve(tree: BreakdownTree, chain: AspectChain) -> tuple[tuple[str, ...], .
     return tuple(matches)
 
 
-@dataclass(frozen=True)
+@value
 class ChainResolution:
+    """The root-to-node paths that one chain matches in its tree."""
+
     chain: AspectChain
     matches: tuple[tuple[str, ...], ...]
 
@@ -725,8 +727,10 @@ class ChainResolution:
         return len(self.matches) == 1
 
 
-@dataclass(frozen=True)
+@value
 class UnambiguityReport:
+    """The resolution of each chain of one designation."""
+
     resolutions: tuple[ChainResolution, ...]
 
     @property
@@ -753,7 +757,7 @@ def check_at_least_one_unambiguous(
     return UnambiguityReport(resolutions=tuple(resolutions))
 
 
-@dataclass(frozen=True)
+@value
 class DccTable:
     """Document classification codes: area letters and class letter pairs,
     kept in read-only copies; hashed by name, rebuilt when copied."""
@@ -796,7 +800,7 @@ BUILTIN_DCC_TABLE = DccTable(
 _DCC_RE = re.compile(r"[A-Z]{3}\Z")
 
 
-@dataclass(frozen=True)
+@value
 class DocumentDesignation:
     """A system designation plus a three-letter classification code."""
 

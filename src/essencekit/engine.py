@@ -14,14 +14,14 @@ with the record effective for its (instance, state, checkpoint) key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
 from ._schema import BOOL, INT, TEXT, Kind, Member, Texts, check_fields
-from ._value import add_new, by_fields, derive, find, member, tuple_fields, unsupported
+from ._value import (add_new, by_fields, derive, find, member, tuple_fields,
+                     unsupported, value)
 from .designation import DOCUMENT_DESIGNATION, DocumentDesignation
 from .errors import AssessmentError
 from .metamodel import AlphaDefinition, Checkpoint, KernelDefinition, find_alpha
@@ -37,8 +37,10 @@ class SystemLevel(str, Enum):
 _ID = Kind(str, empty="EMPTY_ID")
 
 
-@dataclass(frozen=True)
+@value
 class AlphaInstance:
+    """An instance of a kernel alpha in one system of the endeavor."""
+
     id: str
     alpha: str
     system_level: SystemLevel = SystemLevel.SYSTEM_OF_INTEREST
@@ -53,8 +55,10 @@ class AlphaInstance:
             self.system_level, SystemLevel, AssessmentError, "system level"))
 
 
-@dataclass(frozen=True)
+@value
 class WorkProductInstance:
+    """A concrete artifact of a kernel work product kind."""
+
     id: str
     definition: str
     label: str = ""
@@ -67,8 +71,10 @@ class WorkProductInstance:
                 DOCUMENT_DESIGNATION, "document designation"))
 
 
-@dataclass(frozen=True)
+@value
 class CheckpointRecord:
+    """One assessed checkpoint of an alpha instance's state."""
+
     alpha_instance: str
     state: str
     checkpoint: str
@@ -89,8 +95,10 @@ class CheckpointRecord:
         return (self.alpha_instance, self.state, self.checkpoint)
 
 
-@dataclass(frozen=True)
+@value
 class Assessment:
+    """A project's alpha instances, work products and effective records."""
+
     project_id: str
     kernel: KernelDefinition
     instances: tuple[AlphaInstance, ...] = ()
@@ -210,8 +218,10 @@ class Blocker(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
+@value
 class StateResult:
+    """An alpha instance's achieved state and what blocks the next."""
+
     achieved: str | None
     achieved_index: int  # -1 when no state is achieved
     next_state: str | None
@@ -243,7 +253,10 @@ def record_checkpoint(a: Assessment, rec: CheckpointRecord) -> Assessment:
     if pos is None:
         positions = {**a._record_positions, rec.key: len(records)}
         return derive(a, records=records + (rec,), _record_positions=positions)
-    if records[pos] == rec:
+    # The keys match, so the records are equal when the other fields are.
+    old = records[pos]
+    if (old.satisfied, old.evidence, old.recorded_at) == (
+            rec.satisfied, rec.evidence, rec.recorded_at):
         return a
     # Positions do not move, so the index carries over.
     return derive(a, records=records[:pos] + (rec,) + records[pos + 1:])

@@ -18,19 +18,18 @@ Kernel definitions interchange as JSON documents, whose schema the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from ._schema import (TEXT, Entries, Kind, Texts, check_fields, decode, encode,
                       entry_docs, read_entry)
-from ._value import by_fields, find, tuple_fields
+from ._value import by_fields, find, tuple_fields, value
 from .errors import KernelError
 
 #: The fixed vocabulary of areas of concern.
 AREA_NAMES = ("Customer", "Solution", "Endeavor")
 
 
-@dataclass(frozen=True)
+@value
 class AreaOfConcern:
     """One of the three fixed groupings of alphas."""
 
@@ -40,7 +39,7 @@ class AreaOfConcern:
         TEXT.check(self.name, "area", KernelError)
 
 
-@dataclass(frozen=True)
+@value
 class Checkpoint:
     """A single checklist criterion within a state.
 
@@ -58,7 +57,7 @@ class Checkpoint:
         check_fields(self, Checkpoint, KernelError)
 
 
-@dataclass(frozen=True)
+@value
 class StateDefinition:
     """A named state with its checklist; order of states is significant."""
 
@@ -81,7 +80,7 @@ class StateDefinition:
         return None
 
 
-@dataclass(frozen=True)
+@value
 class AlphaDefinition:
     """An essential, progress-trackable concern of an endeavor."""
 
@@ -115,7 +114,7 @@ class AlphaDefinition:
         return None
 
 
-@dataclass(frozen=True)
+@value
 class WorkProductDefinition:
     """A kind of concrete artifact that evidences one alpha."""
 
@@ -141,7 +140,7 @@ class _Areas(Texts):
         return [[area.name for area in areas] for areas in values]
 
 
-@dataclass(frozen=True)
+@value
 class KernelDefinition:
     """A complete method kernel: areas, alphas, and work product kinds."""
 
@@ -183,7 +182,7 @@ class KernelDefinition:
         return find(self._workproducts_by_name, name)
 
 
-@dataclass(frozen=True)
+@value
 class Finding:
     """One invariant violation: machine-readable code plus element path."""
 
@@ -192,7 +191,7 @@ class Finding:
     message: str
 
 
-@dataclass(frozen=True)
+@value
 class ValidationReport:
     """Outcome of ``validate_kernel``: empty findings means a valid kernel."""
 

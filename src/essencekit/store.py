@@ -23,7 +23,7 @@ Each value is built once, so loading is linear in file size.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from dataclasses import field
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -43,7 +43,7 @@ from ._schema import (
     read_entry,
     text_lists,
 )
-from ._value import tuple_fields
+from ._value import tuple_fields, value
 from .builtin_kernel import builtin_se_kernel
 from .description import (
     _BINDING,
@@ -77,8 +77,10 @@ FORMAT_VERSION = 1
 BUILTIN_KERNEL_MARKER = "builtin"
 
 
-@dataclass(frozen=True)
+@value
 class Project:
+    """A whole project: its assessment, breakdown trees and description."""
+
     project_id: str
     assessment: Assessment
     trees: tuple[BreakdownTree, ...] = ()

@@ -5,16 +5,20 @@ hand, so a new field gets a table row, not an ``isinstance`` or
 take an entry alone and in the constructors, not in the checks they
 share with the load builders, whose entries ``read_entry`` has checked;
 no container builds an index lazily, in a ``cached_property``; the
-save trusts the constructors, so no kind's ``dump`` checks a type; and
-only the load's pause and the CLI's exit change the collector's state."""
+save trusts the constructors, so no kind's ``dump`` checks a type; only
+the load's pause and the CLI's exit change the collector's state; and
+every value class is made by ``_value.value``, has its own docstring,
+and shares the methods that ``value`` installs."""
 
 from __future__ import annotations
 
 import ast
+from dataclasses import is_dataclass
 from functools import cached_property
 from pathlib import Path
 
-from essencekit import Assessment, DescriptionModel, KernelDefinition
+import essencekit
+from essencekit import Assessment, DescriptionModel, KernelDefinition, _value
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "essencekit"
 HAND_CHECKS = {"isinstance", "unsupported"}
@@ -208,3 +212,84 @@ def test_only_the_load_and_the_cli_exit_change_the_collector():
     assert found == {"cli.py": ["run:gc.freeze"],
                      "store.py": ["load_project:gc.disable",
                                   "load_project:gc.enable"]}
+
+
+def dataclass_uses(source: str) -> list[str]:
+    """``line:dataclass`` for each use of the name ``dataclass`` in
+    ``source``, called, as a decorator or imported, and for each
+    ``dataclasses.dataclass``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Name) and node.id == "dataclass"
+                or isinstance(node, ast.Attribute) and node.attr == "dataclass"):
+            found.append(f"{node.lineno}:dataclass")
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found.extend(f"{node.lineno}:dataclass" for alias in node.names
+                         if alias.name == "dataclass")
+    return found
+
+
+def value_classes(source: str) -> tuple[list[str], list[str]]:
+    """The classes of ``source`` decorated with ``value``, and those of
+    them without a docstring of their own."""
+    made = [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "value"
+                for d in node.decorator_list)]
+    return ([node.name for node in made],
+            [node.name for node in made if ast.get_docstring(node) is None])
+
+
+def test_dataclass_uses_and_undocumented_values_are_found():
+    source = ('import dataclasses\nfrom dataclasses import dataclass, field\n'
+              '@dataclasses.dataclass(frozen=True)\nclass A:\n    x: int\n'
+              '@value\nclass B:\n    """B."""\n'
+              '@value\nclass C:\n    x: int = field(default=1)\n'
+              '@other\nclass D:\n    x: int\n')
+    assert sorted(dataclass_uses(source)) == ["2:dataclass", "3:dataclass"]
+    assert value_classes(source) == (["B", "C"], ["C"])
+
+
+# The value classes; each is a public name of the package.
+VALUE_CLASSES = [getattr(essencekit, name) for name in essencekit.__all__
+                 if isinstance(getattr(essencekit, name), type)
+                 and is_dataclass(getattr(essencekit, name))]
+
+
+def test_only_value_makes_dataclasses_and_each_value_class_is_documented():
+    """``value`` records the fields with ``dataclass`` and has it generate
+    no method; for a class without a docstring, ``dataclass`` would also
+    build the text of its signature."""
+    made, uses, undocumented = [], [], {}
+    for module in sorted(PACKAGE.glob("*.py")):
+        source = module.read_text(encoding="utf-8")
+        if dataclass_uses(source):
+            uses.append(module.name)
+        names, bare = value_classes(source)
+        made.extend(names)
+        if bare:
+            undocumented[module.name] = bare
+    assert uses == ["_value.py"]
+    assert undocumented == {}
+    assert sorted(made) == sorted(cls.__name__ for cls in VALUE_CLASSES)
+    assert len(made) == 28
+
+
+# The value classes with an equality, hash or repr of their own.
+OWN_METHODS = {"BreakdownNode": ["__eq__", "__hash__", "__repr__"],
+               "BreakdownTree": ["__eq__", "__hash__"],
+               "MultiAspectDesignation": ["__eq__", "__hash__"]}
+
+
+def test_every_value_class_shares_the_methods_of_value():
+    shared = {"__setattr__": _value._setattr, "__delattr__": _value._delattr,
+              "__eq__": _value._eq, "__hash__": _value._hash,
+              "__repr__": _value._repr}
+    own = {}
+    for cls in VALUE_CLASSES:
+        for name, method in shared.items():
+            if vars(cls)[name] is not method:
+                assert vars(cls)[name].__qualname__ == f"{cls.__qualname__}.{name}"
+                own.setdefault(cls.__name__, []).append(name)
+        assert vars(cls)["__init__"].__qualname__ == f"{cls.__qualname__}.__init__"
+    assert own == OWN_METHODS

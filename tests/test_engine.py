@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -166,6 +166,19 @@ def test_record_is_idempotent():
     twice = record_checkpoint(once, record)
     assert twice is once
     assert len(twice.records) == 1
+
+
+def test_a_record_is_already_effective_only_when_each_field_is_equal():
+    a = add_work_product(fresh(), WorkProductInstance("wp", "Test Report"))
+    record = rec("Raw materials", "RM-1", evidence=("wp",), recorded_at=5)
+    a = record_checkpoint(a, record)
+    assert record_checkpoint(a, replace(record)) is a
+    changed = {"satisfied": False, "evidence": (), "recorded_at": 6}
+    key = {"alpha_instance", "state", "checkpoint"}
+    assert {f.name for f in fields(CheckpointRecord)} == key | set(changed)
+    for name, other in changed.items():
+        again = record_checkpoint(a, replace(record, **{name: other}))
+        assert again is not a and again.records == (replace(record, **{name: other}),)
 
 
 def test_record_supersedes_in_place():
