@@ -41,7 +41,6 @@ import select
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from typing import NoReturn, Sequence
 
@@ -236,6 +235,7 @@ def _cmd_kernel_show(args: argparse.Namespace) -> Output:
 
 
 def _cmd_assess_record(args: argparse.Namespace) -> Output:
+    from ._value import remade
     from .engine import CheckpointRecord, record_checkpoint
     from .store import save_project
 
@@ -252,7 +252,7 @@ def _cmd_assess_record(args: argparse.Namespace) -> Output:
     # fact already in effect returns the same assessment: nothing to write.
     assessment = record_checkpoint(project.assessment, rec)
     if assessment is not project.assessment:
-        project = replace(project, assessment=assessment)
+        project = remade(project, assessment=assessment)
         _write_bytes(args.project, save_project(project))
     return 0, {"recorded": entry_docs((rec,), None, ProjectError)[0]}, [
         f"recorded {rec.alpha_instance} {rec.state} {rec.checkpoint} "

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import field
 from enum import Enum
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring as _quote
@@ -39,7 +38,7 @@ from types import MappingProxyType
 
 from ._schema import (Kind, _at, _Refused, check_keys, decode, enum_of, get,
                       nested, nonempty)
-from ._value import member, unsupported, value
+from ._value import field, member, unsupported, value
 from .errors import DesignationError, EssenceError
 
 # One segment: a chain's segments and a node's segment match it whole.

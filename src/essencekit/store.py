@@ -23,7 +23,6 @@ Each value is built once, so loading is linear in file size.
 from __future__ import annotations
 
 import gc
-from dataclasses import field
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -43,7 +42,7 @@ from ._schema import (
     read_entry,
     text_lists,
 )
-from ._value import tuple_fields, value
+from ._value import field, tuple_fields, value
 from .builtin_kernel import builtin_se_kernel
 from .description import (
     _BINDING,

@@ -6,9 +6,11 @@ take an entry alone and in the constructors, not in the checks they
 share with the load builders, whose entries ``read_entry`` has checked;
 no container builds an index lazily, in a ``cached_property``; the
 save trusts the constructors, so no kind's ``dump`` checks a type; only
-the load's pause and the CLI's exit change the collector's state; and
+the load's pause and the CLI's exit change the collector's state;
 every value class is made by ``_value.value``, has its own docstring,
-and shares the methods that ``value`` installs."""
+and shares the methods that ``value`` installs; and no module imports
+``dataclasses`` or ``inspect`` when it is loaded, and only ``_value``
+names them, in the functions that need them."""
 
 from __future__ import annotations
 
@@ -163,29 +165,36 @@ def test_the_save_trusts_the_constructors():
 COLLECTOR_STATE = {"disable", "enable", "freeze", "unfreeze", "set_threshold"}
 
 
-def collector_changes(source: str) -> list[str]:
-    """``scope:gc.name`` for each use of a COLLECTOR_STATE function of
-    ``gc`` in ``source``, called or not, and for each import of one from
-    ``gc``; the scope is ``name`` for a function, ``Class.name`` for a
-    method, and ``<module>`` outside them."""
-    found = []
+def scoped(source: str):
+    """Each node of ``source`` with its scope: ``name`` for a function or
+    a class, ``Outer.name`` for one inside another, and ``<module>``
+    outside them."""
 
-    def visit(node, scope: str) -> None:
+    def visit(node, scope: str):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
-                visit(child, child.name if scope == "<module>"
-                      else f"{scope}.{child.name}")
+                yield from visit(child, child.name if scope == "<module>"
+                                 else f"{scope}.{child.name}")
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr in COLLECTOR_STATE
-                    and isinstance(child.value, ast.Name) and child.value.id == "gc"):
-                found.append(f"{scope}:gc.{child.attr}")
-            elif isinstance(child, ast.ImportFrom) and child.module == "gc":
-                found.extend(f"{scope}:gc.{alias.name}" for alias in child.names
-                             if alias.name in COLLECTOR_STATE)
-            visit(child, scope)
+            yield scope, child
+            yield from visit(child, scope)
 
-    visit(ast.parse(source), "<module>")
+    return visit(ast.parse(source), "<module>")
+
+
+def collector_changes(source: str) -> list[str]:
+    """``scope:gc.name`` for each use of a COLLECTOR_STATE function of
+    ``gc`` in ``source``, called or not, and for each import of one from
+    ``gc``, in the scope ``scoped`` gives."""
+    found = []
+    for scope, node in scoped(source):
+        if (isinstance(node, ast.Attribute) and node.attr in COLLECTOR_STATE
+                and isinstance(node.value, ast.Name) and node.value.id == "gc"):
+            found.append(f"{scope}:gc.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found.extend(f"{scope}:gc.{alias.name}" for alias in node.names
+                         if alias.name in COLLECTOR_STATE)
     return found
 
 
@@ -212,6 +221,56 @@ def test_only_the_load_and_the_cli_exit_change_the_collector():
     assert found == {"cli.py": ["run:gc.freeze"],
                      "store.py": ["load_project:gc.disable",
                                   "load_project:gc.enable"]}
+
+
+# Modules of the standard library that importing the library must not load.
+UNLOADED = ("dataclasses", "inspect")
+
+
+def unloaded_uses(source: str) -> list[str]:
+    """``scope:module`` for each module of UNLOADED that ``source``
+    imports, or names as a name or a text, in the scope ``scoped``
+    gives; a relative import names no stdlib module."""
+    found = []
+    for scope, node in scoped(source):
+        if isinstance(node, ast.Import):
+            names = [alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module.partition(".")[0]]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Constant):
+            names = [node.value]
+        else:
+            continue
+        found.extend(f"{scope}:{name}" for name in names if name in UNLOADED)
+    return found
+
+
+def test_unloaded_uses_are_found_in_every_scope():
+    source = ("import inspect\nimport dataclasses as dc, json\n"
+              "from inspect import signature\nfrom .dataclasses import x\n"
+              "def f():\n    from dataclasses import replace\n"
+              "    return sys.modules['inspect']\n"
+              "class A:\n    def g(self):\n        return dataclasses.fields(self)\n"
+              "def h(inspected):\n    return 'dataclasses are plain text'\n")
+    assert unloaded_uses(source) == [
+        "<module>:inspect", "<module>:dataclasses", "<module>:inspect",
+        "f:dataclasses", "f:inspect", "A.g:dataclasses"]
+
+
+def test_only_value_loads_dataclasses_and_only_when_it_needs_them():
+    """Importing the library, or running a command, loads neither module
+    (``tests/test_imports.py``): ``value`` tests for a stdlib field in
+    ``sys.modules``, and the rest import ``dataclasses`` when they run,
+    to make the dataclass metadata or raise ``FrozenInstanceError``."""
+    found = {}
+    for module in sorted(PACKAGE.glob("*.py")):
+        uses = unloaded_uses(module.read_text(encoding="utf-8"))
+        if uses:
+            found[module.name] = uses
+    assert found == {"_value.py": ["_fields:dataclasses", "_record:dataclasses",
+                                   "_setattr:dataclasses", "_delattr:dataclasses"]}
 
 
 def dataclass_uses(source: str) -> list[str]:
@@ -257,9 +316,8 @@ VALUE_CLASSES = [getattr(essencekit, name) for name in essencekit.__all__
 
 
 def test_only_value_makes_dataclasses_and_each_value_class_is_documented():
-    """``value`` records the fields with ``dataclass`` and has it generate
-    no method; for a class without a docstring, ``dataclass`` would also
-    build the text of its signature."""
+    """``value`` records the fields itself, and has ``dataclass`` make
+    only the metadata, on first read, from a copy of the class body."""
     made, uses, undocumented = [], [], {}
     for module in sorted(PACKAGE.glob("*.py")):
         source = module.read_text(encoding="utf-8")

@@ -1,6 +1,8 @@
 """What the package and each CLI command import: ``import essencekit``
 loads no library module, each public name is loaded from its module on
-first use, and each command group loads only the modules it uses."""
+first use, and each command group loads only the modules it uses. None
+of them loads ``dataclasses`` or ``inspect``: the value classes make
+their dataclass metadata when it is first read."""
 
 from __future__ import annotations
 
@@ -15,14 +17,19 @@ import essencekit
 JSON_LAYER = {"_schema", "_value", "errors"}
 EVERY_MODULE = JSON_LAYER | {"builtin_kernel", "description", "designation",
                              "engine", "metamodel", "store"}
+# Standard library modules that neither the package nor a command loads.
+UNLOADED = ("dataclasses", "inspect")
 # Run by a child interpreter: the arguments, then the library modules
-# loaded after them, one a line on stderr. The CLI module itself is left
-# out, as ``python -m essencekit.cli`` runs it as ``__main__``.
+# loaded after them, and those of UNLOADED, one a line on stderr. The CLI
+# module itself is left out, as ``python -m essencekit.cli`` runs it as
+# ``__main__``.
 LOADED_AFTER = (
     "import sys\n{call}\n"
     "print(*sorted(name[len('essencekit.'):] for name in sys.modules\n"
     "              if name.startswith('essencekit.')\n"
-    "              and name != 'essencekit.cli'), sep='\\n', file=sys.stderr)\n")
+    "              and name != 'essencekit.cli'), sep='\\n', file=sys.stderr)\n"
+    f"print(*(name for name in {UNLOADED} if name in sys.modules), sep='\\n',\n"
+    "      file=sys.stderr)\n")
 
 
 def loaded_after(call: str, *argv: str) -> set[str]:
@@ -39,20 +46,50 @@ def test_importing_the_package_loads_no_library_module_and_lists_every_name():
     assert loaded_after(call) == set()
 
 
+def test_importing_the_store_loads_every_library_module_and_nothing_unloaded():
+    assert loaded_after("import essencekit.store") == EVERY_MODULE
+
+
 @pytest.mark.parametrize("argv, modules", [
     (["desig", "parse", "=F1"], JSON_LAYER | {"designation"}),
     (["doc", "parse", "=F1&MCA"], JSON_LAYER | {"designation"}),
     (["kernel", "show"], JSON_LAYER | {"metamodel", "builtin_kernel"}),
     (["cards", "{project}"], EVERY_MODULE),
-], ids=["desig", "doc", "kernel", "project"])
+    (["assess", "record", "{project}", "--alpha-instance", "sr-1", "--state",
+      "Raw materials", "--checkpoint", "RM-1", "--satisfied", "true"],
+     EVERY_MODULE),
+], ids=["desig", "doc", "kernel", "project", "record"])
 def test_each_command_group_loads_only_the_modules_it_uses(
         tmp_path, argv, modules):
     project = tmp_path / "project.json"
-    project.write_text('{"format-version": 1, "project-id": "p"}',
-                       encoding="utf-8")
+    project.write_text(
+        '{"format-version": 1, "project-id": "p", "assessment": {"instances": '
+        '[{"id": "sr-1", "alpha": "System Realization"}]}}', encoding="utf-8")
+    before = project.read_bytes()
     argv = [arg.format(project=project) for arg in argv]
     call = "from essencekit.cli import main\nmain(sys.argv[1:])"
     assert loaded_after(call, *argv) == modules
+    assert (project.read_bytes() != before) is ("record" in argv)
+
+
+def test_the_stdlib_reads_the_fields_of_a_value_class_made_before_it_loaded():
+    """A child loads ``dataclasses`` after the value classes, and reads
+    ``fields`` of one as of its stdlib twin."""
+    call = (
+        "from essencekit import CheckpointRecord\n"
+        "assert 'dataclasses' not in sys.modules\n"
+        "from dataclasses import dataclass, fields\n"
+        "@dataclass(frozen=True)\n"
+        "class Twin:\n"
+        "    alpha_instance: 'str'\n    state: 'str'\n    checkpoint: 'str'\n"
+        "    satisfied: 'bool'\n    evidence: 'tuple[str, ...]' = ()\n"
+        "    recorded_at: 'int' = 0\n"
+        "def described(cls):\n"
+        "    return [(f.name, f.type, f.default, f.default_factory, f.init,\n"
+        "             f.repr, f.hash, f.compare, f.kw_only, f.metadata)\n"
+        "            for f in fields(cls)]\n"
+        "assert described(CheckpointRecord) == described(Twin)\n")
+    assert set(UNLOADED) <= loaded_after(call)
 
 
 def test_each_public_name_is_the_object_in_its_module():
